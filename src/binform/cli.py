@@ -23,7 +23,7 @@ from .dynamics import (
     shift_map_apply,
     shift_regularity,
 )
-from .errors import BinformError, ExprSyntaxError
+from .errors import BinformError, DegreeZeroError, ExprSyntaxError
 from .exprparse import canonical_text, parse_polynomial, to_homogeneous
 from .hamfield import common_divisor, hamiltonian_field, reduced_field
 from .mat2 import Mat2
@@ -324,6 +324,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise _UsageError("--eps must lie in (0, 1e-2)")
         if args.tol <= 0:
             raise _UsageError("--tol must be positive")
+        if args.res < 16:
+            raise _UsageError("--res must be at least 16")
         args.window = _parse_window(args.window) if args.window else _DEFAULT_WINDOW
         args.seed_points = _read_seeds(args.seeds) if args.seeds else None
         if args.fmt != "json" and args.command != "portrait":
@@ -333,6 +335,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         f = _parse_form(args.polynomial)
+        if f.degree < 1:
+            raise DegreeZeroError("need a nonzero form of degree >= 1")
         payload = _COMMANDS[args.command](f, args.polynomial, args)
     except ExprSyntaxError as e:
         sys.stderr.write(_json({"error": {

@@ -138,7 +138,8 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
         steps += 1
         if math.hypot(fx, fy) < _STALL_SPEED:
             return Trajectory(tuple(times), tuple(pts), "stalled")
-        if direction * (t + h) > direction * T:
+        clipped = direction * (t + h) >= direction * T
+        if clipped:
             h = T - t
         kx = [fx]
         ky = [fy]
@@ -166,7 +167,8 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
         sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
         err = max(abs(ex) / sx, abs(ey) / sy)
         if err <= 1.0:
-            t += h
+            # t + h can land one rounding short of T; a clipped step ends the run
+            t = T if clipped else t + h
             x, y = x5, y5
             fx, fy = kx[6], ky[6]        # FSAL: stage 7 is the next stage 1
             times.append(t)
@@ -177,7 +179,7 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
         h *= min(5.0, max(0.2, factor))
         if abs(h) > cfg.max_step:
             h = direction * cfg.max_step
-        if abs(h) < 1e-15 * max(1.0, abs(t)):
+        if t != T and abs(h) < 1e-15 * max(1.0, abs(t)):
             return Trajectory(tuple(times), tuple(pts), "step_limit")
     return Trajectory(tuple(times), tuple(pts), "ok")
 

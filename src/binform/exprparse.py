@@ -183,7 +183,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, val, off = self._next()
         if kind == "number":
-            return RationalLit(Fraction(val))
+            try:
+                return RationalLit(Fraction(val))
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator in {val!r}", off) from None
         if kind == "name":
             if val in ("x", "y"):
                 return Var(val)

@@ -22,6 +22,7 @@ from .polyring import (
     partials,
 )
 from .realfactor import FactorizationStructure
+from .verdict import classify_case
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,13 @@ def partition_description(f: HomogeneousForm,
     the cases is whether the zero set contributes half-line elements and
     whether an origin element exists at all.
     """
-    l, k = fs.l, fs.k
     rays: tuple[float, ...] = ()
-    if l >= 1:
+    if fs.l >= 1:
         angles = sorted(a for lf in fs.linear for a in lf.ray_angles())
         rays = tuple(angles)
-        assert len(rays) == 2 * l
-    if (l, k) == (1, 0):
+        assert len(rays) == 2 * fs.l
+    label = classify_case(fs)
+    if label == "A":
         return PartitionDescription(
             case_label="A",
             singular_elements=(),
@@ -145,14 +146,6 @@ def partition_description(f: HomogeneousForm,
             zero_set_rays=rays,
             f_sign=fs.sign,
         )
-    if (l, k) == (2, 0):
-        label = "B"
-    elif (l, k) == (0, 1):
-        label = "C"
-    elif l == 0 and k >= 2:
-        label = "D"
-    else:
-        label = "E"
     if label in ("C", "D"):
         regular = ("level set components of sign-normalized f, c > 0",)
     else:

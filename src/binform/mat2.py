@@ -41,11 +41,6 @@ class Mat2:
         return Mat2(one, zero, zero, one)
 
     @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
-
-    @staticmethod
     def exact(a, b, c, d) -> "Mat2":
         return Mat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
@@ -88,17 +83,11 @@ class Mat2:
             inv = 1.0 / det
         return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def apply(self, x: Entry, y: Entry) -> tuple[Entry, Entry]:
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def to_float(self) -> "Mat2":
         return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
-
-    def max_abs(self) -> float:
-        return max(abs(float(e)) for e in self.entries())
 
     def dist(self, other: "Mat2") -> float:
         """Max-abs distance between entry tables, floats."""

@@ -586,48 +586,45 @@ def compose_linear(f: HomogeneousForm, h: Mat2):
     """
     if f.is_zero:
         return f if h.is_exact else [0.0] * (f.degree + 1)
-    p = f.degree
-    if h.is_exact:
-        a, b, c, d = h.entries()
-        one = Fraction(1)
-        cs = f.coefficients()
-    else:
-        a, b, c, d = (float(e) for e in h.entries())
-        one = 1.0
-        cs = f.float_coeffs()
+    if not h.is_exact:
+        return compose_coeffs(f.float_coeffs(), *(float(e) for e in h.entries()))
+    out = compose_coeffs(f.coefficients(), *h.entries())
+    if all(c == 0 for c in out):
+        return HomogeneousForm.zero_marker(f.degree)
+    return HomogeneousForm(out) if f.degree >= 1 else constant_form(out[0])
 
+
+def compose_coeffs(cs, a, b, c, d) -> list:
+    """Coefficients (x-power first) of z -> f(h z) for the form f with
+    coefficients cs and h = [[a, b], [c, d]].
+
+    Any scalars closed under + and * will do: Fractions give the exact
+    composition, floats the float one, and numpy arrays of matrix entries
+    compose f with a whole batch of matrices at once.  No term is skipped
+    for being zero, so every output entry has the type of the inputs.
+    """
+    p = len(cs) - 1
     # powers of the image lines a*x + b*y and c*x + d*y
-    pow1 = [[one]]
-    pow2 = [[one]]
+    pow1 = [[1]]
+    pow2 = [[1]]
     for _ in range(p):
         pow1.append(_lin_mul(pow1[-1], a, b))
         pow2.append(_lin_mul(pow2[-1], c, d))
-
-    zero = one * 0
-    out = [zero] * (p + 1)
-    for i in range(p + 1):
-        if not cs[i]:
-            continue
+    out = [0] * (p + 1)
+    for i, ci in enumerate(cs):
         u, v = pow1[p - i], pow2[i]
         for s, cu in enumerate(u):
-            if cu:
-                for t, cv in enumerate(v):
-                    out[s + t] += cs[i] * cu * cv
-    if h.is_exact:
-        if all(c0 == 0 for c0 in out):
-            return HomogeneousForm.zero_marker(p)
-        return HomogeneousForm(out) if p >= 1 else constant_form(out[0])
-    return [float(c0) for c0 in out]
+            w = ci * cu
+            for t, cv in enumerate(v):
+                out[s + t] += w * cv
+    return out
 
 
 def _lin_mul(vec, a, b):
     """Multiply a coefficient vector by the linear form a*x + b*y."""
-    zero = vec[0] * 0
-    out = [zero] * (len(vec) + 1)
-    for i, c in enumerate(vec):
-        out[i] += c * a
-        out[i + 1] += c * b
-    return out
+    return ([vec[0] * a]
+            + [vec[i] * b + vec[i + 1] * a for i in range(len(vec) - 1)]
+            + [vec[-1] * b])
 
 
 def split_monomials(f: HomogeneousForm) -> tuple[int, int, UnivariatePoly]:

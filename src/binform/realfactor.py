@@ -186,11 +186,6 @@ def _mpf_to_fraction(x) -> Fraction:
     return v * 2**exp if exp >= 0 else v / 2**-exp
 
 
-def _iv_abs_hi(x):
-    # upper endpoint of |x|, outward rounded by the iv context
-    return abs(x).b
-
-
 def _iv_abs_lo(x):
     return abs(x).a
 
@@ -278,9 +273,6 @@ class QuadraticFactor:
     @property
     def width(self) -> Fraction:
         return max(self.b_hi - self.b_lo, self.c_hi - self.c_lo)
-
-    def coefficients_float(self) -> tuple[float, float, float]:
-        return (1.0, float(self.b_mid), float(self.c_mid))
 
     def gram_matrix(self) -> list[list[float]]:
         """[[a, b/2], [b/2, c]] as floats; positive definite."""

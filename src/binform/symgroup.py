@@ -1,19 +1,22 @@
 """Orientation-preserving linear symmetries of a real binary form.
 
 The group of interest is the set of h in GL+(2, R) with f(h z) = f(z).
-Its shape depends only on the factor counts (l, k):
+Its shape depends only on the case letter that verdict.classify_case
+assigns to the factor counts (l, k):
 
-    (1, 0)          shear family in coordinates where the line is y = 0
-    (2, 0)          diagonal scaling family, finite part inside Z_4
-    (0, 1)          conjugated rotation circle
-    (0, k >= 2)     finite cyclic, found through quadratic transport
-    (l >= 1, l + 2k >= 3)  finite cyclic of order dividing 2l, found
-                    through cyclic ray shifts
+    A  (1, 0)       shear family in coordinates where the line is y = 0
+    B  (2, 0)       diagonal scaling family, finite part inside Z_4
+    C  (0, 1)       conjugated rotation circle
+    D  (0, k >= 2)  finite cyclic, found through quadratic transport
+    E  (l >= 1)     finite cyclic of order dividing 2l, found through
+                    cyclic ray shifts; just +-id when l = 1
 
-Two independent routes are provided for the finite cases: a structured
-solver (transport families and ray combinatorics plus Newton refinement)
-and a brute-force parameter scan over SL(2, R); tests play them against
-each other.
+Two routes are provided for the finite cases: a structured solver
+(transport families and ray combinatorics) and a brute-force parameter
+scan over SL(2, R); tests play them against each other.  Both compose
+through polyring.compose_coeffs and refine with the one Gauss-Newton
+routine here, which takes exact Jacobians; what they do not share is the
+search for starting points.
 """
 
 from __future__ import annotations
@@ -30,54 +33,23 @@ from .errors import (
     NotPositiveDefiniteError,
     NotRefinedError,
     ToleranceTooLooseError,
-    UnclassifiableCountsError,
 )
 from .mat2 import Mat2
-from .polyring import HomogeneousForm
+from .polyring import HomogeneousForm, compose_coeffs, partials
 from .realfactor import FactorizationStructure, factor_form, refine
+from .verdict import classify_case
 
 _DEDUPE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# composition residuals (float path)
-
-def _compose_entries(fc: list[float], a: float, b: float, c: float, d: float) -> list[float]:
-    p = len(fc) - 1
-    pow1: list[list[float]] = [[1.0]]
-    pow2: list[list[float]] = [[1.0]]
-    for _ in range(p):
-        prev = pow1[-1]
-        new = [0.0] * (len(prev) + 1)
-        for i, v in enumerate(prev):
-            new[i] += v * a
-            new[i + 1] += v * b
-        pow1.append(new)
-        prev = pow2[-1]
-        new = [0.0] * (len(prev) + 1)
-        for i, v in enumerate(prev):
-            new[i] += v * c
-            new[i + 1] += v * d
-        pow2.append(new)
-    out = [0.0] * (p + 1)
-    for i in range(p + 1):
-        ci = fc[i]
-        if ci == 0.0:
-            continue
-        u, v = pow1[p - i], pow2[i]
-        for s, cu in enumerate(u):
-            if cu:
-                for t, cv in enumerate(v):
-                    out[s + t] += ci * cu * cv
-    return out
-
+# composition residuals and the one Newton solver (float path)
 
 def invariance_residual(f: HomogeneousForm, h: Mat2) -> float:
     """Max-abs coefficient distance between f o h and f, both scaled to
     unit max norm.  Zero (to rounding) exactly on symmetries."""
     fc = f.float_coeffs()
-    a, b, c, d = (float(e) for e in h.entries())
-    comp = _compose_entries(fc, a, b, c, d)
+    comp = compose_coeffs(fc, *(float(e) for e in h.entries()))
     mf = max(abs(v) for v in fc)
     mc = max(abs(v) for v in comp)
     if mc == 0.0:
@@ -85,42 +57,65 @@ def invariance_residual(f: HomogeneousForm, h: Mat2) -> float:
     return max(abs(x / mc - y / mf) for x, y in zip(comp, fc))
 
 
-def _raw_residual(fn: list[float], entries) -> float:
-    comp = _compose_entries(fn, *entries)
-    return max(abs(x - y) for x, y in zip(comp, fn))
+def _unit_target(f: HomogeneousForm):
+    """f scaled to unit max norm, with its partials f_x and f_y, as float
+    coefficient lists."""
+    mf = max(abs(v) for v in f.float_coeffs())
+    return tuple([v / mf for v in g.float_coeffs()] for g in (f, *partials(f)))
 
 
-def _polish_element(fn: list[float], entries: tuple[float, float, float, float]):
-    """Gauss-Newton on the coefficient defect over the four matrix entries.
+_ENTRY_BASIS = np.eye(4).reshape(4, 2, 2)
 
-    fn is f scaled to unit max norm; symmetries are isolated zeros of the
-    defect in the finite cases, so this converges quadratically."""
-    x = np.array(entries, dtype=float)
 
-    def defect(v):
-        return np.array(_compose_entries(fn, *v)) - np.array(fn)
+def _defect(target, H: np.ndarray, dH: np.ndarray):
+    """The defect fn o H - fn and its exact Jacobian in the parameters of H,
+    given dH[j] = dH / dparam_j.
 
-    best = x.copy()
-    best_r = float(np.max(np.abs(defect(x))))
-    for _ in range(12):
-        e = defect(x)
+    In the matrix entries d(f o h)/d(a, b, c, d) = (x, y, x, y) times
+    (f_x o h, f_x o h, f_y o h, f_y o h); in coefficient order a factor x
+    appends a zero and a factor y prepends one.
+    """
+    fn, fx, fy = target
+    entries = H.ravel().tolist()
+    e = np.array(compose_coeffs(fn, *entries)) - fn
+    gx = compose_coeffs(fx, *entries)
+    gy = compose_coeffs(fy, *entries)
+    jac = np.array([gx + [0.0], [0.0] + gx, gy + [0.0], [0.0] + gy]).T
+    return e, jac @ dH.reshape(len(dH), 4).T
+
+
+def _gauss_newton(fun, x0, iters: int):
+    """Damped Gauss-Newton on fun(x) = (defect, exact Jacobian).
+
+    Steps are capped at max-norm 1.  Returns the best iterate and its
+    max-abs defect, or None once the defect, the Jacobian or the step is
+    not finite.
+    """
+    x = np.array(x0, dtype=float)
+    best, best_r, size = x, math.inf, math.inf
+    for it in range(iters + 1):
+        e, jac = fun(x)
+        if not (np.isfinite(e).all() and np.isfinite(jac).all()):
+            return None
         r = float(np.max(np.abs(e)))
         if r < best_r:
-            best, best_r = x.copy(), r
-        if r < 1e-15:
+            best, best_r = x, r
+        if it == iters or r < 1e-15 or size < 1e-14:
             break
-        jac = np.empty((len(e), 4))
-        for j in range(4):
-            dx = np.zeros(4)
-            dx[j] = 1e-7
-            jac[:, j] = (defect(x + dx) - defect(x - dx)) / 2e-7
         step, *_ = np.linalg.lstsq(jac, e, rcond=None)
-        x = x - step
-    e = defect(x)
-    r = float(np.max(np.abs(e)))
-    if r < best_r:
-        best, best_r = x, r
-    return tuple(float(v) for v in best), best_r
+        size = float(np.max(np.abs(step)))
+        if not math.isfinite(size):
+            return None
+        x = x - step / max(size, 1.0)
+    return best, best_r
+
+
+def _polish(target, entries):
+    """Gauss-Newton over the four matrix entries; symmetries are isolated
+    zeros of the defect in the finite cases, so this converges
+    quadratically."""
+    return _gauss_newton(
+        lambda v: _defect(target, v.reshape(2, 2), _ENTRY_BASIS), entries, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +365,14 @@ def symmetry_group(f: HomogeneousForm, fs: Optional[FactorizationStructure] = No
         fs = refine(fs, eps)
     if not fs.is_separated():
         raise NotRefinedError("factor enclosures overlap; refine first")
-    l, k = fs.l, fs.k
-    if (l, k) == (1, 0):
+    case = classify_case(fs)
+    if case == "A":
         return _case_single_line(fs)
-    if (l, k) == (2, 0):
+    if case == "B":
         return _case_two_lines(f, fs, tol)
-    if (l, k) == (0, 1):
+    if case == "C":
         return _case_one_definite(fs)
-    if l == 0 and k >= 2:
-        return _finite_group(f, fs, tol, label="D")
-    if l >= 1 and l + 2 * k >= 3:
-        return _finite_group(f, fs, tol, label="E")
-    raise UnclassifiableCountsError(f"no case for (l, k) = ({l}, {k})")
+    return _finite_group(f, fs, tol, label=case)
 
 
 def _mat_from_columns(col1, col2) -> Mat2:
@@ -437,34 +428,30 @@ def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
 
 def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
                   tol: float, label: str) -> FiniteCyclicGroup:
-    p = f.degree
-    fc = f.float_coeffs()
-    mf = max(abs(v) for v in fc)
-    fn = [v / mf for v in fc]
-
+    """Cases D and E.  With one line the group fixes that line, and a
+    finite-order element of GL+(2) that fixes a line is +-id, so the
+    identity and -id are the only candidates then."""
+    target = _unit_target(f)
     found: list[tuple[tuple[float, float, float, float], float]] = []
 
     def try_candidate(entries) -> None:
         a, b, c, d = entries
         if abs(a * d - b * c) < 1e-12:
             return
-        polished, r = _polish_element(fn, entries)
-        if r < tol:
-            found.append((polished, r))
+        sol = _polish(target, entries)
+        if sol is not None and sol[1] < tol:
+            found.append((tuple(sol[0].tolist()), sol[1]))
 
     try_candidate((1.0, 0.0, 0.0, 1.0))
-    if p % 2 == 0:
+    if f.degree % 2 == 0:
         try_candidate((-1.0, 0.0, 0.0, -1.0))
-
     if fs.l == 0:
-        _candidates_quadratic(f, fs, fn, try_candidate)
-    elif fs.l == 1:
-        _candidates_line_plus_quadratic(f, fs, fn, try_candidate)
-    else:
-        _candidates_ray_shift(f, fs, fn, try_candidate)
+        _candidates_quadratic(fs, target[0], try_candidate)
+    elif fs.l >= 2:
+        _candidates_ray_shift(fs, target, try_candidate)
 
     cap = 4 * max(2 * fs.l, 2 * sum(q.beta for q in fs.quadratic), 16)
-    elems, worst = _close_group(found, fn, tol, cap)
+    elems, worst = _close_group(found, target, tol, cap)
     elems.sort(key=lambda e: (round(e[0].polar_angle(), 9),) + tuple(
         round(float(v), 9) for v in e[0].entries()))
     mats = tuple(e[0] for e in elems)
@@ -473,11 +460,21 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
         gen = mats[0]
     else:
         gen = next(m for m in mats if m.dist(Mat2.approx(1, 0, 0, 1)) > _DEDUPE_TOL)
+    # Where the defect is flat, one symmetry polishes to several points more
+    # than _DEDUPE_TOL apart; the set then is not the powers of gen.
+    try:
+        order = finite_order_of(gen, max_n=n, tol=_DEDUPE_TOL)
+    except NotFiniteOrderError:
+        order = None
+    if order != n:
+        raise ToleranceTooLooseError(
+            f"the {n} verified elements are not the powers of one generator; "
+            "tol admits noise")
     return FiniteCyclicGroup(n=n, generator=gen, residual=worst,
                              elements=mats, case_label=label)
 
 
-def _close_group(found, fn, tol, cap):
+def _close_group(found, target, tol, cap):
     """Dedupe verified elements and close them under multiplication."""
     elems: list[tuple[Mat2, float]] = []
 
@@ -501,9 +498,8 @@ def _close_group(found, fn, tol, cap):
         for m1, _ in snapshot:
             for m2, _ in snapshot:
                 prod = m1 @ m2
-                entries = tuple(float(v) for v in prod.entries())
-                polished, r = _polish_element(fn, entries)
-                if r < tol and add(polished, r):
+                sol = _polish(target, [float(v) for v in prod.entries()])
+                if sol is not None and sol[1] < tol and add(sol[0].tolist(), sol[1]):
                     changed = True
                     if len(elems) > cap:
                         raise ToleranceTooLooseError(
@@ -512,15 +508,25 @@ def _close_group(found, fn, tol, cap):
     return elems, worst
 
 
-def _candidates_quadratic(f, fs, fn, try_candidate):
+def _candidates_quadratic(fs, fn, try_candidate):
     """Case of k >= 2 definite factors and no lines: transport the first
-    quadratic onto each compatible target, pin the rotation angle by
-    proportionality on the second, fix the scale from f itself."""
-    p = f.degree
+    quadratic onto each compatible target t1, pin the rotation angle by
+    making the second quadratic proportional to a target t2, fix the scale
+    from f itself.
+
+    With h = B^(-1/2) R A^(1/2) (B the first Gram matrix, A that of t1)
+    the second quadratic goes to a multiple of t2 exactly when R^T N R is
+    proportional to P, where N = B^(-1/2) M_2 B^(-1/2) and
+    P = A^(-1/2) M_t2 A^(-1/2).  Both are symmetric, so R = U D V^T from
+    their eigenvectors, with D = +-1 on the diagonal and det R = 1; that
+    fixes the angle mod pi.  The other half-turn differs by -id, which
+    _fix_scale absorbs for odd degree and the closure supplies for even.
+    """
     mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
     betas = [qf.beta for qf in fs.quadratic]
     second = 1
-    _, t_inv_sqrt_all = zip(*(_spd_roots(M) for M in mats))
+    inv_sqrt = [_spd_roots(M)[1] for M in mats]
+    _, U = np.linalg.eigh(inv_sqrt[0] @ mats[second] @ inv_sqrt[0])
     for t1, M_t1 in enumerate(mats):
         if betas[t1] != betas[0]:
             continue
@@ -528,59 +534,18 @@ def _candidates_quadratic(f, fs, fn, try_candidate):
         for t2 in range(len(mats)):
             if t2 == t1 or betas[t2] != betas[second]:
                 continue
-            Ti = t_inv_sqrt_all[t2]
-            M2 = mats[second]
-
-            def gfun(theta):
-                h = fam.member(theta, 1.0)
-                H = np.array([[float(h.a), float(h.b)], [float(h.c), float(h.d)]])
-                W = Ti @ (H.T @ M2 @ H) @ Ti
-                return np.array([W[0, 1], W[0, 0] - W[1, 1]])
-
-            for seed in [j * math.pi / 8 for j in range(8)]:
-                theta = _newton_scalar(gfun, seed)
-                if theta is None:
-                    continue
-                h1 = fam.member(theta, 1.0)
-                scaled = _fix_scale(fn, h1, p)
-                if scaled is not None:
-                    try_candidate(scaled)
-
-
-def _candidates_line_plus_quadratic(f, fs, fn, try_candidate):
-    """One line, k >= 1 quadratics: intersect the transport family of the
-    first quadratic with the constraint that the line maps to itself."""
-    p = f.degree
-    lf = fs.linear[0]
-    dx, dy = lf.line_direction()
-    nrm = math.hypot(dx, dy)
-    u = (dx / nrm, dy / nrm)
-    mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
-    betas = [qf.beta for qf in fs.quadratic]
-    for t1, M_t1 in enumerate(mats):
-        if betas[t1] != betas[0]:
-            continue
-        fam = quadratic_transport(M_t1, mats[0])
-
-        def gfun(theta):
-            h = fam.member(theta, 1.0)
-            ix, iy = h.apply(u[0], u[1])
-            return np.array([ix * u[1] - iy * u[0]])
-
-        for seed in [j * math.pi / 8 for j in range(8)]:
-            theta = _newton_scalar(gfun, seed)
-            if theta is None:
-                continue
-            h1 = fam.member(theta, 1.0)
-            scaled = _fix_scale(fn, h1, p)
+            _, V = np.linalg.eigh(inv_sqrt[t1] @ mats[t2] @ inv_sqrt[t1])
+            R = U @ np.diag([1.0, np.linalg.det(U) * np.linalg.det(V)]) @ V.T
+            h1 = fam.member(math.atan2(R[1, 0], R[0, 0]), 1.0)
+            scaled = _fix_scale(fn, h1)
             if scaled is not None:
                 try_candidate(scaled)
 
 
-def _candidates_ray_shift(f, fs, fn, try_candidate):
+def _candidates_ray_shift(fs, target, try_candidate):
     """l >= 2 lines: symmetries permute the 2l zero rays by a cyclic shift
     that preserves multiplicities; two ray images pin the matrix up to two
-    positive scalars found by Newton on two coefficients of f."""
+    positive scalars, found by Gauss-Newton in their logarithms."""
     rays = []
     for idx, lf in enumerate(fs.linear):
         dx, dy = lf.line_direction()
@@ -594,75 +559,33 @@ def _candidates_ray_shift(f, fs, fn, try_candidate):
     V = np.array([[rays[0][1][0], rays[1][1][0]],
                   [rays[0][1][1], rays[1][1][1]]])
     Vinv = np.linalg.inv(V)
-    target = np.array(fn)
 
     for s in range(m):
         if any(pattern[(i + s) % m] != pattern[i] for i in range(m)):
             continue
         W = np.array([[rays[s][1][0], rays[(1 + s) % m][1][0]],
                       [rays[s][1][1], rays[(1 + s) % m][1][1]]])
+        # H = mu P0 + nu P1, so dH/dlog(mu) = mu P0 and dH/dlog(nu) = nu P1
+        P01 = np.array([np.outer(W[:, j], Vinv[j]) for j in range(2)])
 
-        def defect(ab):
-            mu, nu = math.exp(ab[0]), math.exp(ab[1])
-            H = W @ np.diag([mu, nu]) @ Vinv
-            comp = _compose_entries(fn, H[0, 0], H[0, 1], H[1, 0], H[1, 1])
-            return np.array(comp) - target
+        def fun(ab):
+            terms = np.exp(ab)[:, None, None] * P01
+            return _defect(target, terms[0] + terms[1], terms)
 
         for seed in [(0.0, 0.0), (0.4, -0.4), (-0.4, 0.4), (0.25, 0.25)]:
-            ab = _newton_2d(defect, np.array(seed))
-            if ab is None:
+            sol = _gauss_newton(fun, seed, 40)
+            if sol is None or sol[1] >= 1e-7:
                 continue
-            mu, nu = math.exp(ab[0]), math.exp(ab[1])
-            H = W @ np.diag([mu, nu]) @ Vinv
-            try_candidate((H[0, 0], H[0, 1], H[1, 0], H[1, 1]))
+            mu, nu = np.exp(sol[0])
+            try_candidate(tuple((mu * P01[0] + nu * P01[1]).ravel().tolist()))
 
 
-def _newton_scalar(gfun, seed, iters=40):
-    th = float(seed)
-    for _ in range(iters):
-        g = gfun(th)
-        d = (gfun(th + 1e-7) - gfun(th - 1e-7)) / 2e-7
-        denom = float(d @ d)
-        if denom < 1e-30:
-            return None
-        step = float(d @ g) / denom
-        th -= step
-        if abs(step) < 1e-13:
-            break
-    g = gfun(th)
-    if float(np.max(np.abs(g))) < 1e-7:
-        return th
-    return None
-
-
-def _newton_2d(defect, seed, iters=40):
-    x = np.asarray(seed, dtype=float)
-    for _ in range(iters):
-        e = defect(x)
-        jac = np.empty((len(e), 2))
-        for j in range(2):
-            dx = np.zeros(2)
-            dx[j] = 1e-7
-            jac[:, j] = (defect(x + dx) - defect(x - dx)) / 2e-7
-        try:
-            step, *_ = np.linalg.lstsq(jac, e, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-        if float(np.max(np.abs(step))) < 1e-13:
-            break
-        if float(np.max(np.abs(x))) > 50:
-            return None
-    if float(np.max(np.abs(defect(x)))) < 1e-7:
-        return x
-    return None
-
-
-def _fix_scale(fn, h1: Mat2, p: int):
+def _fix_scale(fn, h1: Mat2):
     """Rescale a projective candidate so f o h = f on the nose; None when
     the sign cannot be repaired."""
     a, b, c, d = (float(v) for v in h1.entries())
-    comp = _compose_entries(fn, a, b, c, d)
+    comp = compose_coeffs(fn, a, b, c, d)
+    p = len(fn) - 1
     denom = sum(v * v for v in fn)
     kappa = sum(u * v for u, v in zip(comp, fn)) / denom
     if abs(kappa) < 1e-12:
@@ -695,39 +618,6 @@ def finite_order_of(h: Mat2, max_n: int = 64, tol: float = 1e-9) -> int:
     raise NotFiniteOrderError(f"no order up to {max_n} at tol {tol}")
 
 
-def _mat_array(m: Mat2) -> np.ndarray:
-    a, b, c, d = (float(v) for v in m.entries())
-    return np.array([[a, b], [c, d]])
-
-
-def _compose_batch(fc: np.ndarray, A, B, C, D) -> np.ndarray:
-    n = A.shape[0]
-    p = len(fc) - 1
-    pow1 = [np.ones((n, 1))]
-    pow2 = [np.ones((n, 1))]
-    for _ in range(p):
-        prev = pow1[-1]
-        new = np.zeros((n, prev.shape[1] + 1))
-        new[:, :-1] += prev * A[:, None]
-        new[:, 1:] += prev * B[:, None]
-        pow1.append(new)
-        prev = pow2[-1]
-        new = np.zeros((n, prev.shape[1] + 1))
-        new[:, :-1] += prev * C[:, None]
-        new[:, 1:] += prev * D[:, None]
-        pow2.append(new)
-    out = np.zeros((n, p + 1))
-    for i in range(p + 1):
-        if fc[i] == 0.0:
-            continue
-        u, v = pow1[p - i], pow2[i]
-        for s in range(u.shape[1]):
-            us = fc[i] * u[:, s]
-            for t in range(v.shape[1]):
-                out[:, s + t] += us * v[:, t]
-    return out
-
-
 def _scan_span(fs: FactorizationStructure) -> float:
     """Half-width of the log-singular-value axis, from how badly conditioned
     the factor geometry is; finite symmetries live inside this box."""
@@ -750,19 +640,18 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
 
     Grids h = R(phi) diag(e^s, e^-s) R(psi), refines every grid-local
     minimum of the invariance residual by Gauss-Newton, keeps the verified
-    ones.  Independent of the structured solver; it shares nothing with it
-    beyond polynomial composition.
+    ones.  It shares the composition kernel and the Gauss-Newton step with
+    the structured solver but not the search: a dense grid over the whole
+    group here, candidates built from the factor geometry there.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     fs = factor_form(f, eps=1e-12)
-    l, k = fs.l, fs.k
-    finite = (l == 0 and k >= 2) or (l >= 1 and l + 2 * k >= 3)
-    if not finite:
+    if classify_case(fs) not in ("D", "E"):
         raise ValueError("the scan only makes sense for the finite cases")
     span = _scan_span(fs)
-    fc = np.array(f.float_coeffs())
-    fn = fc / np.max(np.abs(fc))
+    target = _unit_target(f)
+    fn = target[0]
 
     phis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
     psis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
@@ -777,10 +666,10 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
     B = -cph * es * sps - sph * esi * cps
     C = sph * es * cps + cph * esi * sps
     D = -sph * es * sps + cph * esi * cps
-    comp = _compose_batch(fn, A, B, C, D)
+    comp = np.array(compose_coeffs(fn, A, B, C, D)).T
     mc = np.max(np.abs(comp), axis=1)
     mc[mc == 0.0] = np.inf
-    resid = np.max(np.abs(comp / mc[:, None] - fn[None, :]), axis=1)
+    resid = np.max(np.abs(comp / mc[:, None] - np.array(fn)[None, :]), axis=1)
     R = resid.reshape(PH.shape)
 
     neighbors = []
@@ -800,14 +689,20 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
     order = np.argsort(scores, kind="stable")
     cand_idx = cand_idx[order]
 
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])   # dR/dtheta = R quarter
+
     def h_of(params):
         phi, s, psi = params
         return _rot(phi) @ np.diag([math.exp(s), math.exp(-s)]) @ _rot(psi)
 
-    def defect(params):
-        m = h_of(params)
-        comp = _compose_entries(list(fn), m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        return np.array(comp) - fn
+    def fun(params):
+        phi, s, psi = params
+        Rphi, Rpsi = _rot(phi), _rot(psi)
+        Dg = np.diag([math.exp(s), math.exp(-s)])
+        dH = np.array([Rphi @ quarter @ Dg @ Rpsi,
+                       Rphi @ (Dg * [[1.0], [-1.0]]) @ Rpsi,
+                       Rphi @ Dg @ quarter @ Rpsi])
+        return _defect(target, Rphi @ Dg @ Rpsi, dH)
 
     # The angle split is redundant where s = 0 (only phi + psi matters), so
     # many grid minima carry the same matrix; drop those before refining.
@@ -823,31 +718,12 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
 
     out: list[Mat2] = []
     for x, m0 in starts:
-        if any(np.max(np.abs(m0 - _mat_array(e))) < 1e-7 for e in out):
+        if any(Mat2.approx(*m0.ravel()).dist(e) < 1e-7 for e in out):
             continue
-        x = x.copy()
-        for it in range(30):
-            e = defect(x)
-            worst = np.max(np.abs(e))
-            if worst < 1e-15:
-                break
-            if it >= 6 and worst > 0.5:
-                break
-            jac = np.empty((len(e), 3))
-            for col in range(3):
-                dx = np.zeros(3)
-                dx[col] = 1e-7
-                jac[:, col] = (defect(x + dx) - defect(x - dx)) / 2e-7
-            step, *_ = np.linalg.lstsq(jac, e, rcond=None)
-            if np.max(np.abs(step)) > 1.0:
-                step = step / np.max(np.abs(step))
-            x = x - step
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        if np.max(np.abs(defect(x))) >= tol:
+        sol = _gauss_newton(fun, x, 30)
+        if sol is None or sol[1] >= tol:
             continue
-        m = h_of(x)
-        cand = Mat2.approx(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        cand = Mat2.approx(*h_of(sol[0]).ravel())
         if all(cand.dist(e) >= _DEDUPE_TOL for e in out):
             out.append(cand)
     out.sort(key=lambda e: (round(e.polar_angle(), 9),) + tuple(

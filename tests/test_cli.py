@@ -92,6 +92,18 @@ def test_parse_error_exit_code():
     err = json.loads(r.stderr)["error"]
     assert err["kind"] == "NegativeExponent"
     assert err["offset"] == 8
+    r = run_cli("decide", "1/0*x")
+    assert r.returncode == 2
+    err = json.loads(r.stderr)["error"]
+    assert err["kind"] == "ExprSyntax"
+    assert err["offset"] == 0
+
+
+@pytest.mark.parametrize("cmd", ["factor", "classify", "symmetry", "decide"])
+def test_constant_is_degree_zero_error(cmd):
+    r = run_cli(cmd, "5")
+    assert r.returncode == 1
+    assert json.loads(r.stderr)["error"]["kind"] == "DegreeZero"
 
 
 def test_unknown_command_rejected():
@@ -140,6 +152,12 @@ def test_portrait_writes_csv(tmp_path):
     assert lines[0] == "kind,id,t_or_level,x,y"
     assert any(ln.startswith("orbit,") for ln in lines)
     assert any(ln.startswith("singular,") for ln in lines)
+
+
+def test_portrait_resolution_checked_before_work():
+    r = run_cli("portrait", "x^2+y^2", "--res", "8")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"]["kind"] == "Usage"
 
 
 def test_portrait_format_requires_out():

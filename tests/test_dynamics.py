@@ -104,6 +104,18 @@ def test_backward_integration():
     assert y == pytest.approx(math.sin(-math.pi / 2), abs=1e-9)
 
 
+def test_clipped_last_step_ends_at_target():
+    # sigma(z) = -0.07 reaches -0.06999999999999999 after seven full steps of
+    # 0.01, so the last clipped step is one rounding long
+    sigma = poly({(1, 0): Fraction(3, 4), (0, 1): Fraction(3, 4), (0, 0): Fraction(1, 2)})
+    z = (-0.657, -0.103)
+    T = sigma.eval_float(*z)
+    traj = integrate_flow(ROTATE, z, T, FlowConfig())
+    assert traj.status == "ok"
+    assert traj.times[-1] == T
+    shift_map_apply(ROTATE, sigma, z)       # no StepLimitError
+
+
 def test_blowup_flag():
     # dz/dt = z^2 escapes to infinity at t = 1 from z = 1
     fld = PlanarPolyField(P=poly({(2, 0): 1}), Q=ZERO, homogeneous=False, degree=None)

@@ -73,6 +73,12 @@ def test_syntax_errors_carry_offsets():
         assert 0 <= ei.value.offset <= len(text)
 
 
+def test_zero_denominator_literal():
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_polynomial("x + 3/0*y")
+    assert ei.value.offset == 4
+
+
 def test_exponent_caps():
     with pytest.raises(ExprSyntaxError):
         parse_polynomial("x^9^9^9^9")

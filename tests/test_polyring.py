@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from binform.errors import NotHomogeneousError
@@ -10,6 +11,7 @@ from binform.polyring import (
     HomogeneousForm,
     UnivariatePoly,
     WeightVector,
+    compose_coeffs,
     compose_linear,
     divide_exact,
     euler_check,
@@ -133,6 +135,32 @@ def test_compose_linear_exact():
     h = compose_linear(f, shear)
     assert all(isinstance(c, F) for c in h.coefficients())
     assert h.eval_exact(1, 2) == f.eval_exact(*shear.apply(1, 2))
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_compose_coeffs_scalar_types_agree(p):
+    rng = random.Random(300 + p)
+    cs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(p + 1)]
+    mats = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)]
+            for _ in range(5)]
+    fcs = [float(c) for c in cs]
+    batch = np.array(compose_coeffs(
+        fcs, *(np.array([float(m[j]) for m in mats]) for j in range(4))))
+    assert batch.shape == (p + 1, len(mats))
+    for col, m in enumerate(mats):
+        exact = compose_coeffs(cs, *m)
+        assert all(isinstance(c, F) for c in exact)
+        # the exact composition is f(h z) at rational points
+        for x, y in ((1, 0), (0, 1), (F(2, 3), F(-5, 4))):
+            hx, hy = m[0] * x + m[1] * y, m[2] * x + m[3] * y
+            want = sum(c * hx ** (p - i) * hy ** i for i, c in enumerate(cs))
+            assert sum(c * x ** (p - i) * y ** i for i, c in enumerate(exact)) == want
+        floats = compose_coeffs(fcs, *(float(v) for v in m))
+        # a batch column does the scalar arithmetic in the same order
+        assert batch[:, col].tolist() == floats
+        bound = compose_coeffs([abs(c) for c in fcs], *(abs(float(v)) for v in m))
+        for got, want, b in zip(floats, exact, bound):
+            assert abs(got - float(want)) <= 1e-13 * b
 
 
 def test_gcd_bivariate():

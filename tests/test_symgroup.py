@@ -1,13 +1,22 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from binform.errors import NotFiniteOrderError, NotPositiveDefiniteError
+from binform.errors import (
+    NotFiniteOrderError,
+    NotPositiveDefiniteError,
+    ToleranceTooLooseError,
+)
 from binform.mat2 import Mat2
 from binform.polyring import HomogeneousForm, compose_linear
 from binform.realfactor import factor_form
 from binform.symgroup import (
+    _ENTRY_BASIS,
+    _defect,
+    _unit_target,
     DiagonalFamily,
     FiniteCyclicGroup,
     RotationFamily,
@@ -19,6 +28,8 @@ from binform.symgroup import (
     quadratic_transport,
     symmetry_group,
 )
+
+from genforms import random_case_de
 
 
 def form(*coeffs):
@@ -130,6 +141,44 @@ def test_finite_orders(f, n):
     assert g.contains_minus_id() == (f.degree % 2 == 0)
 
 
+@pytest.mark.parametrize("f", [THREE_LINES, LINE_AND_CIRCLE, TWO_QUADS, FOUR_LINES])
+def test_defect_jacobian_matches_central_differences(f):
+    rng = random.Random(f.degree)
+    target = _unit_target(f)
+    H = np.array([[rng.uniform(-1.5, 1.5) for _ in range(2)] for _ in range(2)])
+    # the four matrix entries, and a two-parameter family through the chain rule
+    P = np.array([[[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
+                  for _ in range(2)])
+    cases = [(lambda v: v.reshape(2, 2), lambda v: _ENTRY_BASIS, H.ravel()),
+             (lambda v: v[0] * P[0] + v[1] * P[1], lambda v: P, np.array([0.7, -1.2]))]
+    for h_of, dh_of, x in cases:
+        _, jac = _defect(target, h_of(x), dh_of(x))
+        assert jac.shape == (f.degree + 1, len(x))
+        for j in range(len(x)):
+            dx = np.zeros(len(x))
+            dx[j] = 1e-6
+            ep, _ = _defect(target, h_of(x + dx), dh_of(x + dx))
+            em, _ = _defect(target, h_of(x - dx), dh_of(x - dx))
+            fd = (ep - em) / 2e-6
+            assert np.max(np.abs(fd - jac[:, j])) < 1e-6 * (1 + np.max(np.abs(jac)))
+
+
+def test_one_line_groups_are_plus_minus_id():
+    # a finite-order element fixing the only line is +-id
+    rng = random.Random(7)
+    samples = [s for s in (random_case_de(rng) for _ in range(80)) if s.l == 1]
+    assert len(samples) >= 10
+    for s in samples:
+        g = symmetry_group(s.form)
+        assert g.n == (2 if s.degree % 2 == 0 else 1)
+        assert g.contains_minus_id() == (s.degree % 2 == 0)
+    s = next(s for s in samples if s.degree % 2 == 0)
+    scan = oracle_scan(s.form, resolution=64)
+    assert len(scan) == 2
+    for h in scan:
+        assert min(h.dist(e) for e in symmetry_group(s.form).elements) < 1e-6
+
+
 def test_group_elements_close_under_product():
     g = symmetry_group(TWO_QUADS)
     for a in g.elements:
@@ -143,6 +192,19 @@ def test_generator_powers_cover_group():
     powers = [g.generator.power(i) for i in range(g.n)]
     for h in g.elements:
         assert min(h.dist(p) for p in powers) < 1e-8
+
+
+def test_nearly_parallel_lines_give_order_six_or_a_typed_error():
+    # 3/2 (y+5x)^2 (y+2x)^2 (y+6x)^2 has order 6, like x^2 y^2 (x-y)^2, but
+    # the defect is so flat near its symmetries that polished products
+    # drift apart; the solver must not report a wrong order then
+    lines = form(5, 1).power(2) * form(2, 1).power(2) * form(6, 1).power(2)
+    f = HomogeneousForm([Fraction(3, 2) * c for c in lines.coefficients()])
+    try:
+        g = symmetry_group(f)
+    except ToleranceTooLooseError:
+        return
+    assert g.n == 6
 
 
 def test_finite_order_of():
