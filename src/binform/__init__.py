@@ -6,6 +6,7 @@ from .errors import (
     BlowUpError,
     DegreeZeroError,
     ExprSyntaxError,
+    InvariantError,
     NegativeExponentError,
     NotFiniteOrderError,
     NotHomogeneousError,
@@ -15,6 +16,7 @@ from .errors import (
     ToleranceTooLooseError,
     UnclassifiableCountsError,
     UnknownIdentifierError,
+    ZeroPolynomialError,
 )
 from .mat2 import Mat2
 from .polyring import (

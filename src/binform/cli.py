@@ -2,8 +2,9 @@
 
 Every command takes a polynomial in the expression grammar and prints one
 JSON object to stdout.  Errors become a JSON object on stderr with exit
-code 1 for domain problems (wrong kind of polynomial) and 2 for usage and
-parse problems.  BINFORM_PRECISION overrides the default enclosure width.
+code 1 for domain problems (wrong kind of polynomial), 2 for usage and
+parse problems, and 3 for a failed internal consistency check.
+BINFORM_PRECISION overrides the default enclosure width.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dynamics import (
     shift_map_apply,
     shift_regularity,
 )
-from .errors import BinformError, DegreeZeroError, ExprSyntaxError
+from .errors import BinformError, DegreeZeroError, ExprSyntaxError, InvariantError
 from .exprparse import canonical_text, parse_polynomial, to_homogeneous
 from .hamfield import common_divisor, hamiltonian_field, reduced_field
 from .mat2 import Mat2
@@ -127,7 +128,8 @@ def _symmetry_payload(group, tol: float) -> dict:
         return {"kind": "rotation_family", "family": {
             "normalizer": _mat_json(group.normalizer),
         }}
-    assert isinstance(group, FiniteCyclicGroup)
+    if not isinstance(group, FiniteCyclicGroup):
+        raise InvariantError(f"unknown symmetry group type {type(group).__name__}")
     return {"kind": "finite_cyclic",
             "n": group.n,
             "generator": _mat_json(group.generator),
@@ -153,9 +155,10 @@ def _cmd_symmetry(f, text, args) -> dict:
 
 
 def _cmd_hamiltonian(f, text, args) -> dict:
+    fs = factor_form(f, eps=args.eps)
     fld = hamiltonian_field(f)
-    d = common_divisor(f)
-    red = reduced_field(f)
+    d = common_divisor(f, fs)
+    red = reduced_field(f, fs, d)
     return {"input": text, "degree": f.degree, "hamiltonian": {
         "F": [canonical_text(fld.P), canonical_text(fld.Q)],
         "D": canonical_text(d),
@@ -165,7 +168,7 @@ def _cmd_hamiltonian(f, text, args) -> dict:
 
 
 def _cmd_decide(f, text, args) -> dict:
-    v = decide_theorem(f)
+    v = decide_theorem(f, factor_form(f, eps=args.eps))
     return {"input": text, "degree": f.degree, "case": v.case,
             "stab1_ne_stab0": v.stab1_ne_stab0, "l": v.l, "k": v.k, "p": v.p,
             "verdict": {"stab1_ne_stab0": v.stab1_ne_stab0, "chain": v.chain}}
@@ -346,6 +349,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as e:
         sys.stderr.write(_json({"error": {"kind": "Usage", "message": str(e)}}) + "\n")
         return 2
+    except InvariantError as e:
+        sys.stderr.write(_json({"error": {"kind": "Invariant", "message": str(e)}}) + "\n")
+        return 3
     except BinformError as e:
         err: dict[str, Any] = {"kind": type(e).__name__.removesuffix("Error"),
                                "message": str(e)}

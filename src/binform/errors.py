@@ -19,6 +19,10 @@ class NotHomogeneousError(BinformError):
         super().__init__(f"polynomial is not homogeneous: total degrees {sorted(degrees)}")
 
 
+class ZeroPolynomialError(BinformError):
+    """The input is the zero polynomial, which has no degree and no factors."""
+
+
 class NotPositiveDefiniteError(BinformError):
     """A quadratic form or symmetric matrix is not positive definite."""
 
@@ -45,6 +49,11 @@ class BlowUpError(BinformError):
 
 class StepLimitError(BinformError):
     """The integrator hit its step budget before reaching the target time."""
+
+
+class InvariantError(BinformError):
+    """An internal consistency check failed: two exact computations that must
+    agree did not.  This is a defect of the package, not of the input."""
 
 
 class ExprSyntaxError(BinformError):

@@ -17,8 +17,8 @@ from typing import Union
 from .errors import (
     ExprSyntaxError,
     NegativeExponentError,
-    NotHomogeneousError,
     UnknownIdentifierError,
+    ZeroPolynomialError,
 )
 from .polyring import BivariatePoly, HomogeneousForm
 
@@ -247,10 +247,10 @@ def parse_polynomial(text: str) -> BivariatePoly:
 
 
 def to_homogeneous(p: BivariatePoly) -> HomogeneousForm:
-    """Check single total degree and repackage; the zero polynomial and
-    degree mixtures are rejected with the offending degrees listed."""
+    """Check single total degree and repackage; the zero polynomial is
+    rejected, and degree mixtures with the offending degrees listed."""
     if p.is_zero:
-        raise NotHomogeneousError(())
+        raise ZeroPolynomialError("the zero polynomial has no degree")
     return p.to_form()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeZeroError
+from .errors import DegreeZeroError, InvariantError
 from .polyring import (
     BivariatePoly,
     HomogeneousForm,
@@ -39,7 +39,8 @@ class PlanarPolyField:
 
 
 def _field_from_forms(P: HomogeneousForm, Q: HomogeneousForm) -> PlanarPolyField:
-    assert P.degree == Q.degree
+    if P.degree != Q.degree:
+        raise InvariantError(f"field components of degrees {P.degree} and {Q.degree}")
     return PlanarPolyField(P=P.to_bivariate(), Q=Q.to_bivariate(),
                            homogeneous=True, degree=P.degree)
 
@@ -58,8 +59,8 @@ def common_divisor(f: HomogeneousForm,
 
     The degree is cross-checked against the certified factor counts: it must
     equal sum(alpha - 1) + 2 sum(beta - 1).  A mismatch would mean the exact
-    gcd and the numeric factorization disagree about multiplicity, so it is
-    an assertion, not an error return.
+    gcd and the numeric factorization disagree about multiplicity, so it
+    raises InvariantError.
     """
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
@@ -72,18 +73,20 @@ def common_divisor(f: HomogeneousForm,
         fs = factor_form(f)
     predicted = sum(lf.alpha - 1 for lf in fs.linear) \
         + 2 * sum(qf.beta - 1 for qf in fs.quadratic)
-    got = d.degree if not (d.degree == 0) else 0
-    assert got == predicted, \
-        f"divisor degree {got} != {predicted} predicted by the factor counts"
+    if d.degree != predicted:
+        raise InvariantError(
+            f"divisor degree {d.degree} != {predicted} predicted by the factor counts")
     return d
 
 
 def reduced_field(f: HomogeneousForm,
-                  fs: Optional[FactorizationStructure] = None) -> PlanarPolyField:
+                  fs: Optional[FactorizationStructure] = None,
+                  d: Optional[HomogeneousForm] = None) -> PlanarPolyField:
     """F / D componentwise, by exact division.
 
-    The result is homogeneous of degree l + 2k - 1 with coprime components;
-    both facts are asserted against the certified factorization.
+    ``d`` is ``common_divisor(f, fs)`` when the caller already has it.  The
+    result is homogeneous of degree l + 2k - 1 with coprime components;
+    both facts are checked against the certified factorization.
     """
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
@@ -91,7 +94,8 @@ def reduced_field(f: HomogeneousForm,
         from .realfactor import factor_form
         fs = factor_form(f)
     fx, fy = partials(f)
-    d = common_divisor(f, fs)
+    if d is None:
+        d = common_divisor(f, fs)
     if d.degree == 0:
         pr, qr = (-fy if not fy.is_zero else fy), fx
         inv = 1 / d.coefficient(0)
@@ -102,11 +106,11 @@ def reduced_field(f: HomogeneousForm,
         pr = divide_exact(neg_fy, d)
         qr = divide_exact(fx, d)
     expected = fs.l + 2 * fs.k - 1
-    assert pr.degree == expected and qr.degree == expected, \
-        f"reduced degree {pr.degree} != l + 2k - 1 = {expected}"
-    g = gcd_bivariate(pr, qr) if not (pr.is_zero or qr.is_zero) else None
-    if g is not None:
-        assert g.degree == 0, "reduced components are not coprime"
+    if pr.degree != expected or qr.degree != expected:
+        raise InvariantError(
+            f"reduced degrees {pr.degree}, {qr.degree} != l + 2k - 1 = {expected}")
+    if not (pr.is_zero or qr.is_zero) and gcd_bivariate(pr, qr).degree != 0:
+        raise InvariantError("reduced components are not coprime")
     return _field_from_forms(pr, qr)
 
 
@@ -136,7 +140,8 @@ def partition_description(f: HomogeneousForm,
     if fs.l >= 1:
         angles = sorted(a for lf in fs.linear for a in lf.ray_angles())
         rays = tuple(angles)
-        assert len(rays) == 2 * fs.l
+        if len(rays) != 2 * fs.l:
+            raise InvariantError(f"{len(rays)} zero-set rays for {fs.l} lines")
     label = classify_case(fs)
     if label == "A":
         return PartitionDescription(

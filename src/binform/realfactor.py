@@ -6,11 +6,19 @@ Over the reals a binary form splits, up to sign and a positive constant, as
 
 with pairwise non-proportional linear forms L_i and pairwise non-proportional
 positive definite quadratic forms Q_j.  This module computes that structure
-exactly where it can (real roots via Sturm sequences on the dehomogenization)
-and with certified enclosures where it cannot (quadratic coefficients, which
-live over the reals).  Certification of a conjugate root pair uses the bound
-|z - root| <= n |w(z)| / |w'(z)|, evaluated in outward-rounded interval
-arithmetic, so every enclosure is a mathematical statement, not a hope.
+exactly where it can and with certified enclosures where it cannot
+(quadratic coefficients, which live over the reals).
+
+Each squarefree layer w of the dehomogenization is isolated once.  Its real
+roots are split by Sturm counts and refined by bisection, both in plain
+integers: w is kept as a primitive integer polynomial, every endpoint is a
+rational p/q (the Cauchy bound times a dyadic number), and the sign of
+w(p/q) is that of sum c_i p^i q^(n-i).  The same isolation serves the
+linear factors and the deflation that finds the complex pairs.
+
+Certification of a conjugate root pair uses the bound |z - root| <=
+n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic, so
+every enclosure is a mathematical statement, not a hope.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ from typing import Optional
 import mpmath
 from mpmath import iv, mp
 
-from .errors import NotRefinedError
+from .errors import InvariantError, NotRefinedError
 from .polyring import (
     HomogeneousForm,
     UnivariatePoly,
+    _pseudo_rem,
     gcd_univariate,
     squarefree_decomposition,
 )
@@ -36,44 +45,66 @@ _MAX_PREC_BITS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# integer core: signs at rationals, Sturm chains, dyadic bisection
+#
+# Integer polynomials are coefficient lists, lowest degree first.  Every
+# point where a sign is taken is a rational p/q with q > 0, and the sign of
+# w(p/q) is that of the integer sum c_i p^i q^(n-i).
 
-def _sturm_chain(u: UnivariatePoly) -> list[UnivariatePoly]:
-    chain = [u, u.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree >= 1:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero:
+def _ints(u: UnivariatePoly) -> list[int]:
+    """Integer coefficients of a positive multiple of u."""
+    den = math.lcm(*(c.denominator for c in u.coeffs))
+    return [c.numerator * (den // c.denominator) for c in u.coeffs]
+
+
+def _sign_at(w: list[int], p: int, q: int) -> int:
+    """Sign of w(p/q) for q > 0, by homogeneous Horner."""
+    acc, qk = 0, 1
+    for c in reversed(w):
+        acc = acc * p + c * qk
+        qk *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(w: list[int]) -> list[list[int]]:
+    """Sturm chain of a squarefree integer polynomial.
+
+    Each entry is a positive multiple of the chain over Q (w, w', then minus
+    the successive remainders), so the sign variations are the same."""
+    chain = [w, [i * c for i, c in enumerate(w)][1:]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _pseudo_rem(a, b)       # lc(b)^(deg a - deg b + 1) * rem(a, b)
+        if not r:
             break
-        chain.append(-r)
-    return [c for c in chain if not c.is_zero]
+        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+            r = [-c for c in r]     # odd power of a negative lc(b)
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+    return chain
 
 
-def _variations(chain: list[UnivariatePoly], t: Fraction) -> int:
-    signs = []
+def _variations(chain: list[list[int]], t: Fraction) -> int:
+    p, q = t.numerator, t.denominator
+    count, last = 0, 0
     for c in chain:
-        v = c(t)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        s = _sign_at(c, p, q)
+        if s:
+            count += last == -s
+            last = s
+    return count
 
 
 def _count_roots(chain, a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _cauchy_bound(u: UnivariatePoly) -> Fraction:
-    lead = abs(u.coeffs[-1])
-    if len(u.coeffs) == 1:
-        return Fraction(1)
-    return 1 + max(abs(c) for c in u.coeffs[:-1]) / lead
-
-
-def _nonroot_point(u: UnivariatePoly, a: Fraction, b: Fraction) -> Fraction:
-    """A point strictly inside (a, b) where u does not vanish."""
+def _nonroot_point(w: list[int], a: Fraction, b: Fraction) -> Fraction:
+    """A point strictly inside (a, b) where w does not vanish."""
     span = b - a
     m = a + span / 2
     j = 2
-    while u(m) == 0:
+    while _sign_at(w, m.numerator, m.denominator) == 0:
         m = a + span * Fraction(2 ** (j - 1) + 1, 2**j)
         j += 1
         if j > 64:
@@ -96,8 +127,10 @@ class IsolatedRoot:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("empty isolation interval")
-        va, vb = self.poly(self.lo), self.poly(self.hi)
-        if va == 0 or vb == 0 or (va > 0) == (vb > 0):
+        w = _ints(self.poly)
+        sa = _sign_at(w, self.lo.numerator, self.lo.denominator)
+        sb = _sign_at(w, self.hi.numerator, self.hi.denominator)
+        if sa == 0 or sb == 0 or sa == sb:
             raise ValueError("interval endpoints must straddle a single root")
 
     @property
@@ -113,27 +146,37 @@ class IsolatedRoot:
         return float(self.mid)
 
     def refine(self, eps: float) -> "IsolatedRoot":
-        """Bisect until the interval is narrower than eps."""
+        """Bisect until the interval is narrower than eps.
+
+        The bisection runs in integers: lo = a/d and hi = b/d over one
+        denominator, doubled at each step, so every endpoint is the same
+        rational a halving of (lo, hi) in Q would give."""
         target = Fraction(eps)
         if self.width < target:
             return self
-        lo, hi, u = self.lo, self.hi, self.poly
-        slo = 1 if u(lo) > 0 else -1
-        while hi - lo >= target:
-            mid = (lo + hi) / 2
-            v = u(mid)
-            if v == 0:
-                # the root is rational; shrink symmetrically around it
-                w = (hi - lo) / 8
-                while 2 * w >= target:
-                    w /= 8
-                lo, hi = mid - w, mid + w
+        tn, td = target.numerator, target.denominator
+        w = _ints(self.poly)
+        d = math.lcm(self.lo.denominator, self.hi.denominator)
+        a = self.lo.numerator * (d // self.lo.denominator)
+        b = self.hi.numerator * (d // self.hi.denominator)
+        s_lo = _sign_at(w, a, d)
+        while (b - a) * td >= tn * d:
+            m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+            s = _sign_at(w, m, d)
+            if s == 0:
+                # the root m/d is rational; shrink symmetrically around it,
+                # to a half-width of (hi - lo)/8^j for the least j >= 1 that
+                # puts the width below the target
+                scale = 8
+                while 2 * (b - a) * td >= tn * d * scale:
+                    scale *= 8
+                a, b, d = m * scale - (b - a), m * scale + (b - a), d * scale
                 break
-            if (v > 0) == (slo > 0):
-                lo = mid
+            if s == s_lo:
+                a = m
             else:
-                hi = mid
-        return IsolatedRoot(u, lo, hi)
+                b = m
+        return IsolatedRoot(self.poly, Fraction(a, d), Fraction(b, d))
 
     def contains(self, t: Fraction) -> bool:
         return self.lo < t < self.hi
@@ -143,30 +186,32 @@ def isolate_real_roots(u: UnivariatePoly) -> list[IsolatedRoot]:
     """Exact isolation of all real roots, sorted increasing.
 
     Multiple roots are reduced away first; the returned intervals refer to
-    the squarefree part of u.
+    the squarefree part of u.  The endpoints are the Cauchy bound B times
+    dyadic rationals, and Sturm counts on the integer chain split them.
     """
     if u.is_zero or u.degree < 1:
         return []
     g = gcd_univariate(u, u.derivative())
-    w = u.div_exact(g).primitive()[0] if g.degree > 0 else u.primitive()[0]
-    if w.degree < 1:
+    wq = u.div_exact(g).primitive()[0] if g.degree > 0 else u.primitive()[0]
+    if wq.degree < 1:
         return []
+    w = _ints(wq)
     chain = _sturm_chain(w)
-    bound = _cauchy_bound(w)
+    # Cauchy bound 1 + max |c_i| / lc, strict, so neither -B nor B is a root
+    bound = Fraction(w[-1] + max(abs(c) for c in w[:-1]), w[-1])
     out: list[IsolatedRoot] = []
 
     def split(a: Fraction, b: Fraction, count: int):
         if count == 0:
             return
         if count == 1:
-            out.append(IsolatedRoot(w, a, b))
+            out.append(IsolatedRoot(wq, a, b))
             return
         m = _nonroot_point(w, a, b)
         left = _count_roots(chain, a, m)
         split(a, m, left)
         split(m, b, count - left)
 
-    # the Cauchy bound is strict, so neither endpoint is a root
     split(-bound, bound, _count_roots(chain, -bound, bound))
     out.sort(key=lambda r: r.mid)
     return out
@@ -387,7 +432,8 @@ class FactorizationStructure:
             for _ in range(qf.beta):
                 prod = _ball_mul_poly(prod, fac)
         p = self.form.degree
-        assert len(prod) == p + 1
+        if len(prod) != p + 1:
+            raise InvariantError(f"factor product has degree {len(prod) - 1}, form has {p}")
         f_coeffs = [float(cv) for cv in self.form.coefficients()]
         imax = max(range(p + 1), key=lambda i: abs(f_coeffs[i]))
         pm, pr = prod[imax]
@@ -439,15 +485,14 @@ def dehomogenize(f: HomogeneousForm) -> tuple[UnivariatePoly, int]:
     return g, f.degree - g.degree
 
 
-def _certify_pairs(w: UnivariatePoly, n_pairs: int, beta: int,
+def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,
                    eps: float) -> list[QuadraticFactor]:
     """Certified enclosures for every conjugate root pair of the squarefree
-    layer w, each returned as a normalized quadratic factor."""
+    layer w, each returned as a normalized quadratic factor.  ``real_roots``
+    is the isolation of w's real roots."""
+    n_pairs = (w.degree - len(real_roots)) // 2
     if n_pairs == 0:
         return []
-    real_roots = isolate_real_roots(w)
-    if (w.degree - len(real_roots)) != 2 * n_pairs:
-        raise ArithmeticError("real/complex root count mismatch")
     prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
     last = None
     while prec <= _MAX_PREC_BITS:
@@ -564,8 +609,7 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
             roots = isolate_real_roots(w)
             for r in roots:
                 linear.append(LinearFactor(r.refine(eps), m))
-            n_pairs = (w.degree - len(roots)) // 2
-            quadratic.extend(_certify_pairs(w, n_pairs, m, eps))
+            quadratic.extend(_certify_pairs(w, roots, m, eps))
 
     linear.sort(key=lambda lf: (not lf.is_axis,
                                 lf.root.approx if lf.root else 0.0))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeZeroError, UnclassifiableCountsError
+from .errors import DegreeZeroError, InvariantError, UnclassifiableCountsError
 from .polyring import HomogeneousForm
 from .realfactor import FactorizationStructure, factor_form
 
@@ -48,8 +48,11 @@ class TheoremVerdict:
     chain: str
 
     def __post_init__(self):
-        assert self.stab1_ne_stab0 == (self.case == "D")
-        assert self.chain.startswith("StabId^inf = ... = StabId^1")
+        if self.stab1_ne_stab0 != (self.case == "D"):
+            raise InvariantError(
+                f"case {self.case} with stab1_ne_stab0 = {self.stab1_ne_stab0}")
+        if not self.chain.startswith("StabId^inf = ... = StabId^1"):
+            raise InvariantError(f"malformed chain {self.chain!r}")
 
 
 def decide_theorem(f: HomogeneousForm,

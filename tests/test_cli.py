@@ -1,8 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import binform.cli as cli
+from binform.polyring import gcd_bivariate, partials
+from binform.realfactor import factor_form
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, env_extra=None):
@@ -83,6 +91,15 @@ def test_not_homogeneous_is_domain_error():
     err = json.loads(r.stderr)["error"]
     assert err["kind"] == "NotHomogeneous"
     assert err["degrees"] == [1, 2]
+    assert r.stdout == ""
+
+
+def test_zero_polynomial_is_its_own_error():
+    r = run_cli("decide", "0*x")
+    assert r.returncode == 1
+    err = json.loads(r.stderr)["error"]
+    assert err["kind"] == "ZeroPolynomial"
+    assert "degrees" not in err
     assert r.stdout == ""
 
 
@@ -198,3 +215,56 @@ def test_json_round_trips_through_stdlib():
         r = run_cli(cmd, expr)
         assert r.returncode == 0
         json.loads(r.stdout)
+
+
+def _count_calls(monkeypatch, original):
+    """Replace every binding of ``original`` in the package's modules with a
+    wrapper that records (args, kwargs) of each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "binform":
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
+def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, capsys):
+    factor_calls = _count_calls(monkeypatch, factor_form)
+    gcd_calls = _count_calls(monkeypatch, gcd_bivariate)
+    assert cli.main(["hamiltonian", "x*y^2"]) == 0
+    h = json.loads(capsys.readouterr().out)["hamiltonian"]
+    assert h == {"F": ["-2*x*y", "y^2"], "D": "y", "hFld": ["-2*x", "y"], "deg_hFld": 1}
+    assert len(factor_calls) == 1
+    fx, fy = partials(factor_calls[0][0][0])
+    assert sum(1 for args, _ in gcd_calls if args == (fx, fy)) == 1
+
+
+@pytest.mark.parametrize("cmd", ["hamiltonian", "decide"])
+def test_eps_reaches_the_factorization(monkeypatch, capsys, cmd):
+    factor_calls = _count_calls(monkeypatch, factor_form)
+    assert cli.main([cmd, "--eps", "1e-6", "(x^2+y^2)*(x-y)^2"]) == 0
+    assert [kw.get("eps") for _, kw in factor_calls] == [1e-6]
+    monkeypatch.setenv("BINFORM_PRECISION", "1e-9")
+    assert cli.main([cmd, "(x^2+y^2)*(x-y)^2"]) == 0
+    assert [kw.get("eps") for _, kw in factor_calls] == [1e-6, 1e-9]
+
+
+def test_invariant_checks_survive_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        str(ROOT / "tests" / "test_invariants.py")],
+                       cwd=ROOT, capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stdout[-3000:]
+    h = subprocess.run([sys.executable, "-O", "-m", "binform.cli", "hamiltonian", "x*y^2"],
+                       cwd=ROOT, capture_output=True, text=True, env=env)
+    assert h.returncode == 0, h.stderr
+    assert json.loads(h.stdout)["hamiltonian"] == \
+        {"F": ["-2*x*y", "y^2"], "D": "y", "hFld": ["-2*x", "y"], "deg_hFld": 1}

@@ -9,6 +9,7 @@ from binform.errors import (
     NegativeExponentError,
     NotHomogeneousError,
     UnknownIdentifierError,
+    ZeroPolynomialError,
 )
 from binform.exprparse import (
     canonical_text,
@@ -94,6 +95,10 @@ def test_to_homogeneous():
     with pytest.raises(NotHomogeneousError) as ei:
         to_homogeneous(parse_polynomial("x^2-y"))
     assert sorted(ei.value.degrees) == [1, 2]
+    with pytest.raises(ZeroPolynomialError):
+        to_homogeneous(parse_polynomial("0*x"))
+    with pytest.raises(ZeroPolynomialError):
+        to_homogeneous(parse_polynomial("x*y - y*x"))
 
 
 def test_canonical_text_goldens():

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from binform.polyring import HomogeneousForm, UnivariatePoly
-from binform.realfactor import factor_form, isolate_real_roots, refine
+import binform.realfactor as rf
+from binform.polyring import HomogeneousForm, UnivariatePoly, squarefree_decomposition
+from binform.realfactor import IsolatedRoot, factor_form, isolate_real_roots, refine
 
+import oracles
 from genforms import random_product
 
 F = Fraction
@@ -133,3 +137,126 @@ def test_quadratic_enclosures_are_definite():
 def test_factor_rejects_constants():
     with pytest.raises(ValueError):
         factor_form(HomogeneousForm.zero_marker(2))
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the Fraction oracle
+
+
+def _mul_rows(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def structured_rows(draw):
+    """Squarefree rows: distinct rational lines times distinct definite
+    quadratics t^2 + b t + c, times a signed integer."""
+    roots = draw(st.lists(st.fractions(-8, 8, max_denominator=12),
+                          max_size=5, unique=True))
+    quads = set()
+    for b in draw(st.lists(st.integers(-6, 6), max_size=3)):
+        quads.add((b, draw(st.integers(b * b // 4 + 1, b * b // 4 + 25))))
+    row = [F(draw(st.integers(1, 50)) * draw(st.sampled_from((1, -1))))]
+    for r in roots:
+        row = _mul_rows(row, [-r, F(1)])
+    for b, c in quads:
+        row = _mul_rows(row, [F(c), F(b), F(1)])
+    return row
+
+
+@st.composite
+def unstructured_rows(draw):
+    """The squarefree part of a random integer polynomial of degree 1 to 9.
+    Many coefficients are zero, so Sturm chains with degree gaps, where
+    a pseudo-remainder carries an odd power of a leading coefficient, are
+    common."""
+    coeffs = draw(st.lists(st.integers(-20, 20) | st.just(0), min_size=2, max_size=10))
+    if coeffs[-1] == 0:
+        coeffs[-1] = 1
+    t = sympy.Symbol("t")
+    part = sympy.Poly(list(reversed(coeffs)), t).sqf_part()
+    return [F(int(c)) for c in reversed(part.all_coeffs())]
+
+
+def _sympy_count(row):
+    t = sympy.Symbol("t")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(row)], t).count_roots()
+
+
+def _check_against_oracle(row):
+    roots = isolate_real_roots(UnivariatePoly(row))
+    assert [(r.lo, r.hi) for r in roots] == oracles.sturm_isolate(row)
+    assert len(roots) == _sympy_count(row)
+    for r in roots:
+        for eps in (1e-3, 1e-12, 2.0**-50):
+            tight = r.refine(eps)
+            lo, hi, _ = oracles.bisect_refine(row, r.lo, r.hi, eps)
+            assert (tight.lo, tight.hi) == (lo, hi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structured_rows())
+def test_integer_core_matches_fraction_oracle_on_products(row):
+    if len(row) >= 2:
+        _check_against_oracle(row)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(unstructured_rows())
+def test_integer_core_matches_fraction_oracle_on_random_polys(row):
+    if len(row) >= 2:
+        _check_against_oracle(row)
+
+
+@pytest.mark.parametrize("row", [
+    [1, 1, 0, 0, 1],            # t^4 + t + 1: chain degrees 4, 3, 1, 0
+    [-1, -1, 0, 0, 1],          # t^4 - t - 1, two real roots
+    [1, -3, 0, 0, 0, 1],        # t^5 - 3t + 1, three real roots
+])
+def test_sturm_chains_with_degree_gaps(row):
+    _check_against_oracle([F(c) for c in row])
+
+
+def test_split_points_skip_rational_roots():
+    # t(t-1)(t+1): B = 2, the midpoint 0 and the 3/4 point 1 are roots, so
+    # the first split is at 1/2
+    row = [F(0), F(-1), F(0), F(1)]
+    _check_against_oracle(row)
+    ivs = [(r.lo, r.hi) for r in isolate_real_roots(UnivariatePoly(row))]
+    assert ivs == [(F(-2), F(-3, 4)), (F(-3, 4), F(1, 2)), (F(1, 2), F(2))]
+
+
+def test_refine_lands_on_rational_roots():
+    # (t+3)(t+1)(t-1): B = 4 and every root is the midpoint of its interval
+    row = [F(-3), F(-1), F(3), F(1)]
+    _check_against_oracle(row)
+    for r in isolate_real_roots(UnivariatePoly(row)):
+        for eps in (1e-3, 1e-12):
+            assert oracles.bisect_refine(row, r.lo, r.hi, eps)[2]
+            tight = r.refine(eps)
+            assert tight.mid in (-3, -1, 1) and tight.width < F(eps)
+    # t^3 - t on (-1/2, 1/2): the first midpoint is the root 0
+    tight = IsolatedRoot(UnivariatePoly([0, -1, 0, 1]), F(-1, 2), F(1, 2)).refine(1e-9)
+    assert (tight.lo, tight.hi) == \
+        oracles.bisect_refine([0, -1, 0, 1], F(-1, 2), F(1, 2), 1e-9)[:2]
+    assert tight.lo == -tight.hi
+
+
+def test_factor_form_isolates_each_layer_once(monkeypatch):
+    calls = []
+    original = rf.isolate_real_roots
+    monkeypatch.setattr(rf, "isolate_real_roots",
+                        lambda u: calls.append(u) or original(u))
+    # layers: lines and quadratics at multiplicities 1, 2 and 3
+    f = HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, -1]) \
+        * HomogeneousForm([2, 0, 1]).power(2) * HomogeneousForm([1, 3]).power(2) \
+        * HomogeneousForm([1, 1, 1]).power(3)
+    fs = factor_form(f)
+    layers = [w for w, _ in squarefree_decomposition(f.dehomogenized())]
+    assert (fs.l, fs.k) == (2, 3)
+    assert calls == layers
