@@ -185,7 +185,8 @@ def _default_seeds(window) -> list[tuple[float, float]]:
 def _cmd_portrait(f, text, args) -> dict:
     window = args.window
     seeds = args.seed_points if args.seed_points else _default_seeds(window)
-    port = orbit_portrait(f, seeds, window, FlowConfig(), res=args.res)
+    port = orbit_portrait(f, seeds, window, FlowConfig(), res=args.res,
+                          fs=factor_form(f, eps=args.eps))
     written = []
     if args.fmt in ("svg", "csv"):
         if not args.out:
@@ -208,7 +209,7 @@ def _cmd_portrait(f, text, args) -> dict:
 
 def _cmd_dynamics(f, text, args) -> dict:
     sigma = parse_polynomial(args.sigma)
-    fld = reduced_field(f)
+    fld = reduced_field(f, factor_form(f, eps=args.eps))
     window = args.window
     cfg = FlowConfig(box=(2 * window[0], 2 * window[1], 2 * window[2], 2 * window[3]))
     seeds = args.seed_points if args.seed_points else [(1.0, 0.0)]
@@ -226,7 +227,7 @@ def _cmd_dynamics(f, text, args) -> dict:
             f0 = f.eval_float(seed[0], seed[1])
             entry["f_drift"] = abs(f.eval_float(sx, sy) - f0) / (1 + abs(f0))
         except BinformError as e:
-            entry["error"] = type(e).__name__.removesuffix("Error")
+            entry["error"] = _kind(e)
         rows.append(entry)
     return {"input": text, "degree": f.degree, "sigma": canonical_text(sigma),
             "dynamics": rows}
@@ -314,6 +315,16 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _kind(e: Exception) -> str:
+    return type(e).__name__.removesuffix("Error")
+
+
+def _error(kind: str, message: str, code: int, **extra) -> int:
+    """Write {"error": {kind, message, extra...}} to stderr; return code."""
+    sys.stderr.write(_json({"error": {"kind": kind, "message": message, **extra}}) + "\n")
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     ap = _build_argparser()
     try:
@@ -333,32 +344,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed_points = _read_seeds(args.seeds) if args.seeds else None
         if args.fmt != "json" and args.command != "portrait":
             raise _UsageError(f"--format {args.fmt} only applies to portrait")
-    except _UsageError as e:
-        sys.stderr.write(_json({"error": {"kind": "Usage", "message": str(e)}}) + "\n")
-        return 2
-    try:
         f = _parse_form(args.polynomial)
         if f.degree < 1:
             raise DegreeZeroError("need a nonzero form of degree >= 1")
         payload = _COMMANDS[args.command](f, args.polynomial, args)
     except ExprSyntaxError as e:
-        sys.stderr.write(_json({"error": {
-            "kind": type(e).__name__.removesuffix("Error"),
-            "message": str(e), "offset": e.offset}}) + "\n")
-        return 2
+        return _error(_kind(e), str(e), 2, offset=e.offset)
     except _UsageError as e:
-        sys.stderr.write(_json({"error": {"kind": "Usage", "message": str(e)}}) + "\n")
-        return 2
+        return _error("Usage", str(e), 2)
     except InvariantError as e:
-        sys.stderr.write(_json({"error": {"kind": "Invariant", "message": str(e)}}) + "\n")
-        return 3
+        return _error("Invariant", str(e), 3)
     except BinformError as e:
-        err: dict[str, Any] = {"kind": type(e).__name__.removesuffix("Error"),
-                               "message": str(e)}
-        if hasattr(e, "degrees"):
-            err["degrees"] = sorted(e.degrees)
-        sys.stderr.write(_json({"error": err}) + "\n")
-        return 1
+        extra = {"degrees": sorted(e.degrees)} if hasattr(e, "degrees") else {}
+        return _error(_kind(e), str(e), 1, **extra)
     sys.stdout.write(_json(payload) + "\n")
     return 0
 

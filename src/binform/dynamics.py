@@ -18,6 +18,7 @@ from .errors import BlowUpError, StepLimitError
 from .hamfield import PlanarPolyField, reduced_field
 from .mat2 import Mat2
 from .polyring import BivariatePoly, HomogeneousForm, WeightVector
+from .realfactor import FactorizationStructure
 
 Point = tuple[float, float]
 Rect = tuple[float, float, float, float]        # x0, y0, x1, y1
@@ -378,18 +379,20 @@ def _default_box(window: Rect) -> Rect:
 
 def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
                    cfg: FlowConfig = FlowConfig(), res: int = 128,
-                   horizon: float = 20.0) -> Portrait:
+                   horizon: float = 20.0,
+                   fs: Optional[FactorizationStructure] = None) -> Portrait:
     """Reduced-field orbits through the seeds plus their level curves.
 
     Each seed is integrated forward and backward until the box (default
     twice the window) is left, the time horizon runs out, or the orbit
     stalls at the singular point.  The f values of the seeds supply the
     level selection, and the f-drift along every orbit is recorded as a
-    conservation diagnostic.
+    conservation diagnostic.  ``fs`` is the factorization of f when the
+    caller already has it.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    fld = reduced_field(f)
+    fld = reduced_field(f, fs)
     if cfg.box is None:
         cfg = replace(cfg, box=_default_box(window))
     orbits = []

@@ -21,7 +21,7 @@ from .polyring import (
     gcd_bivariate,
     partials,
 )
-from .realfactor import FactorizationStructure
+from .realfactor import FactorizationStructure, factor_form
 from .verdict import classify_case
 
 
@@ -50,7 +50,7 @@ def hamiltonian_field(f: HomogeneousForm) -> PlanarPolyField:
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
     fx, fy = partials(f)
-    return _field_from_forms(-fy if not fy.is_zero else fy, fx)
+    return _field_from_forms(-fy, fx)
 
 
 def common_divisor(f: HomogeneousForm,
@@ -69,7 +69,6 @@ def common_divisor(f: HomogeneousForm,
         raise DegreeZeroError("both partials vanish")
     d = gcd_bivariate(fx, fy)
     if fs is None:
-        from .realfactor import factor_form
         fs = factor_form(f)
     predicted = sum(lf.alpha - 1 for lf in fs.linear) \
         + 2 * sum(qf.beta - 1 for qf in fs.quadratic)
@@ -91,20 +90,11 @@ def reduced_field(f: HomogeneousForm,
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
     if fs is None:
-        from .realfactor import factor_form
         fs = factor_form(f)
     fx, fy = partials(f)
     if d is None:
         d = common_divisor(f, fs)
-    if d.degree == 0:
-        pr, qr = (-fy if not fy.is_zero else fy), fx
-        inv = 1 / d.coefficient(0)
-        pr = pr.scale_by(inv) if not pr.is_zero else pr
-        qr = qr.scale_by(inv) if not qr.is_zero else qr
-    else:
-        neg_fy = -fy if not fy.is_zero else fy
-        pr = divide_exact(neg_fy, d)
-        qr = divide_exact(fx, d)
+    pr, qr = divide_exact(-fy, d), divide_exact(fx, d)
     expected = fs.l + 2 * fs.k - 1
     if pr.degree != expected or qr.degree != expected:
         raise InvariantError(
@@ -168,6 +158,4 @@ def partition_description(f: HomogeneousForm,
 def conservation_defect(f: HomogeneousForm, field: PlanarPolyField):
     """f_x * P + f_y * Q as an exact polynomial; zero iff f is conserved."""
     fx, fy = partials(f)
-    fxb = fx.to_bivariate() if not fx.is_zero else BivariatePoly()
-    fyb = fy.to_bivariate() if not fy.is_zero else BivariatePoly()
-    return fxb * field.P + fyb * field.Q
+    return fx.to_bivariate() * field.P + fy.to_bivariate() * field.Q

@@ -146,8 +146,10 @@ class UnivariatePoly:
 
 
 def _int_coeffs(u: UnivariatePoly) -> list[int]:
-    part, _ = u.primitive()
-    return [c.numerator for c in part.coeffs]
+    """The coefficients of u's primitive part: coprime integers with a
+    positive leading one.  u must be nonzero."""
+    den = math.lcm(*(c.denominator for c in u.coeffs))
+    return _iprimitive([c.numerator * (den // c.denominator) for c in u.coeffs])
 
 
 def _ideg(a: list[int]) -> int:

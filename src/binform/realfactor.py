@@ -13,12 +13,17 @@ Each squarefree layer w of the dehomogenization is isolated once.  Its real
 roots are split by Sturm counts and refined by bisection, both in plain
 integers: w is kept as a primitive integer polynomial, every endpoint is a
 rational p/q (the Cauchy bound times a dyadic number), and the sign of
-w(p/q) is that of sum c_i p^i q^(n-i).  The same isolation serves the
-linear factors and the deflation that finds the complex pairs.
+w(p/q) is that of sum c_i p^i q^(n-i).  The Sturm chain ends in gcd(w, w'),
+so a polynomial that is not squarefree needs no separate gcd.  The same
+isolation serves the linear factors and the deflation that finds the
+complex pairs.
 
 Certification of a conjugate root pair uses the bound |z - root| <=
-n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic, so
-every enclosure is a mathematical statement, not a hope.
+n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic
+(mpmath.iv), so every enclosure is a mathematical statement, not a hope.
+Certification and refinement share one precision ladder and one Newton
+polish, and ``reconstruction_gap`` multiplies the enclosures in the same
+interval arithmetic.
 """
 
 from __future__ import annotations
@@ -28,15 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 from mpmath import iv, mp
 
 from .errors import InvariantError, NotRefinedError
 from .polyring import (
     HomogeneousForm,
     UnivariatePoly,
+    _int_coeffs,
     _pseudo_rem,
-    gcd_univariate,
     squarefree_decomposition,
 )
 
@@ -51,12 +55,6 @@ _MAX_PREC_BITS = 1 << 14
 # point where a sign is taken is a rational p/q with q > 0, and the sign of
 # w(p/q) is that of the integer sum c_i p^i q^(n-i).
 
-def _ints(u: UnivariatePoly) -> list[int]:
-    """Integer coefficients of a positive multiple of u."""
-    den = math.lcm(*(c.denominator for c in u.coeffs))
-    return [c.numerator * (den // c.denominator) for c in u.coeffs]
-
-
 def _sign_at(w: list[int], p: int, q: int) -> int:
     """Sign of w(p/q) for q > 0, by homogeneous Horner."""
     acc, qk = 0, 1
@@ -67,7 +65,8 @@ def _sign_at(w: list[int], p: int, q: int) -> int:
 
 
 def _sturm_chain(w: list[int]) -> list[list[int]]:
-    """Sturm chain of a squarefree integer polynomial.
+    """Sturm chain of an integer polynomial; its last entry is a multiple
+    of gcd(w, w').
 
     Each entry is a positive multiple of the chain over Q (w, w', then minus
     the successive remainders), so the sign variations are the same."""
@@ -127,7 +126,7 @@ class IsolatedRoot:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("empty isolation interval")
-        w = _ints(self.poly)
+        w = _int_coeffs(self.poly)
         sa = _sign_at(w, self.lo.numerator, self.lo.denominator)
         sb = _sign_at(w, self.hi.numerator, self.hi.denominator)
         if sa == 0 or sb == 0 or sa == sb:
@@ -155,7 +154,7 @@ class IsolatedRoot:
         if self.width < target:
             return self
         tn, td = target.numerator, target.denominator
-        w = _ints(self.poly)
+        w = _int_coeffs(self.poly)
         d = math.lcm(self.lo.denominator, self.hi.denominator)
         a = self.lo.numerator * (d // self.lo.denominator)
         b = self.hi.numerator * (d // self.hi.denominator)
@@ -185,18 +184,20 @@ class IsolatedRoot:
 def isolate_real_roots(u: UnivariatePoly) -> list[IsolatedRoot]:
     """Exact isolation of all real roots, sorted increasing.
 
-    Multiple roots are reduced away first; the returned intervals refer to
-    the squarefree part of u.  The endpoints are the Cauchy bound B times
-    dyadic rationals, and Sturm counts on the integer chain split them.
+    The returned intervals refer to the squarefree part of u, which is u
+    divided by the last entry of its Sturm chain, gcd(u, u').  The chain of
+    u counts distinct roots between points that are not roots (the
+    generalized Sturm theorem).  The endpoints are the Cauchy bound B of
+    the squarefree part times dyadic rationals, and Sturm counts on the
+    integer chain split them.
     """
     if u.is_zero or u.degree < 1:
         return []
-    g = gcd_univariate(u, u.derivative())
-    wq = u.div_exact(g).primitive()[0] if g.degree > 0 else u.primitive()[0]
-    if wq.degree < 1:
-        return []
-    w = _ints(wq)
+    w = _int_coeffs(u)
     chain = _sturm_chain(w)
+    if len(chain[-1]) > 1:      # u is not squarefree
+        w = _int_coeffs(u.div_exact(UnivariatePoly(chain[-1])))
+    wq = UnivariatePoly(w)
     # Cauchy bound 1 + max |c_i| / lc, strict, so neither -B nor B is a root
     bound = Fraction(w[-1] + max(abs(c) for c in w[:-1]), w[-1])
     out: list[IsolatedRoot] = []
@@ -221,18 +222,11 @@ def isolate_real_roots(u: UnivariatePoly) -> list[IsolatedRoot]:
 # certified conjugate pairs
 
 def _mpf_to_fraction(x) -> Fraction:
-    x = mpmath.mpf(x)
+    x = mp.mpf(x)
     if not mp.isfinite(x):
         raise ArithmeticError("non-finite interval endpoint")
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(-man if sign else man)
-    return v * 2**exp if exp >= 0 else v / 2**-exp
-
-
-def _iv_abs_lo(x):
-    return abs(x).a
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def _iv_complex_horner(int_coeffs_high: list[int], zr, zi):
@@ -243,34 +237,63 @@ def _iv_complex_horner(int_coeffs_high: list[int], zr, zi):
     return wr, wi
 
 
-def _disc_radius(w_int_high: list[int], dw_int_high: list[int], zeta):
+def _disc_radius(ints, zeta):
     """Rigorous radius so that disc(zeta, radius) contains a root of w.
 
-    Uses |zeta - root| <= n |w(zeta)| / |w'(zeta)| with outward-rounded
-    interval evaluation; raises when the derivative bound degenerates.
+    ``ints`` holds the integer coefficients of w and w', highest degree
+    first.  Uses |zeta - root| <= n |w(zeta)| / |w'(zeta)| with
+    outward-rounded interval evaluation; raises when the derivative bound
+    degenerates or the disc reaches the real axis.
     """
-    n = len(w_int_high) - 1
+    w_high, dw_high = ints
     zr, zi = iv.mpf(mp.re(zeta)), iv.mpf(mp.im(zeta))
-    wr, wi = _iv_complex_horner(w_int_high, zr, zi)
-    dr, di = _iv_complex_horner(dw_int_high, zr, zi)
+    wr, wi = _iv_complex_horner(w_high, zr, zi)
+    dr, di = _iv_complex_horner(dw_high, zr, zi)
     num = abs(wr) + abs(wi)                         # >= |w(zeta)| interval
-    den_lo = max(_iv_abs_lo(dr), _iv_abs_lo(di))    # <= |w'(zeta)|
+    den_lo = max(abs(dr).a, abs(di).a)              # <= |w'(zeta)|
     if den_lo == 0:
         raise ArithmeticError("derivative enclosure straddles zero")
-    ratio = iv.mpf(n) * num / iv.mpf(den_lo)
-    return mp.mpf(ratio.b) * mp.mpf("1.0000000001")
+    ratio = iv.mpf(len(w_high) - 1) * num / iv.mpf(den_lo)
+    rad = mp.mpf(ratio.b) * mp.mpf("1.0000000001")
+    if not rad < mp.im(zeta):   # disc must stay strictly above the axis
+        raise NotRefinedError("disc touches the real axis")
+    return rad
 
 
-def _int_high(u: UnivariatePoly) -> list[int]:
-    part, _ = u.primitive()
-    return [c.numerator for c in reversed(part.coeffs)]
+def _newton(wp, dwp, z, steps: int):
+    """``steps`` Newton steps on the polynomial wp (derivative dwp)."""
+    for _ in range(steps):
+        dz = mp.polyval(dwp, z)
+        if dz == 0:
+            break
+        z = z - mp.polyval(wp, z) / dz
+    return z
 
 
-def _derive_int(high: list[int]) -> list[int]:
-    # derivative of the SAME integer scaling; an independently normalized
-    # derivative would skew Newton steps and the disc radius
-    n = len(high) - 1
-    return [c * (n - i) for i, c in enumerate(high[:-1])]
+def _ladder(layer: UnivariatePoly, eps: float, failure: str, attempt):
+    """attempt(prec, ints, wp, dwp) with mpmath and interval precision prec,
+    doubled from eps's bits + 60 (at least 80) up to 2^14 while it raises.
+
+    ``ints`` holds the integer coefficients of the layer w and of w' (the
+    same scaling, so Newton steps and disc radii are not skewed), highest
+    degree first; wp and dwp are them as mpf numbers."""
+    w = _int_coeffs(layer)
+    ints = (w[::-1], [i * c for i, c in enumerate(w)][:0:-1])
+    prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
+    last = None
+    while prec <= _MAX_PREC_BITS:
+        saved_iv_prec = iv.prec
+        try:
+            iv.prec = prec
+            with mp.workprec(prec):
+                wp, dwp = ([mp.mpf(c) for c in cs] for cs in ints)
+                return attempt(prec, ints, wp, dwp)
+        except (ArithmeticError, NotRefinedError) as exc:
+            last = exc
+            prec *= 2
+        finally:
+            iv.prec = saved_iv_prec
+    raise NotRefinedError(f"{failure} eps={eps}: {last}")
 
 
 @dataclass(frozen=True)
@@ -410,68 +433,52 @@ class FactorizationStructure:
     def reconstruction_gap(self) -> float:
         """Distance between f and the expanded certified factor product.
 
-        The enclosed factors are multiplied out in conservative
-        midpoint-radius arithmetic and matched to f at its largest
-        coefficient.  The result is the worst distance from a coefficient
-        of f to the corresponding product enclosure, relative to f's
-        largest coefficient; it shrinks as the enclosures are refined.
+        The enclosed factors are multiplied out in outward-rounded interval
+        arithmetic (mpmath.iv) and matched to f at its largest coefficient.
+        The result is the worst distance from a coefficient of f to the
+        corresponding product enclosure, relative to f's largest
+        coefficient: a lower bound on the mismatch, 0 when the enclosures
+        hold f.  It shrinks as the enclosures are refined.
         """
-        prod = [(1.0, 0.0)]  # coefficient balls, index = y-exponent
+        def hull(lo: Fraction, hi: Fraction):
+            return iv.mpf([_iv_fraction(lo).a, _iv_fraction(hi).b])
+
+        prod = [iv.mpf(1)]  # coefficient enclosures, index = y-exponent
         for lf in self.linear:
-            if lf.is_axis:
-                fac = [(1.0, 0.0), (0.0, 0.0)]      # the form x
-            else:
-                t = _ball_from_bounds(float(lf.root.lo), float(lf.root.hi))
-                fac = [(-t[0], t[1]), (1.0, 0.0)]   # y - t*x
-            for _ in range(lf.alpha):
-                prod = _ball_mul_poly(prod, fac)
+            # the form x, or y - t*x
+            fac = [1, 0] if lf.is_axis else [-hull(lf.root.lo, lf.root.hi), 1]
+            prod = _iv_mul_poly(prod, fac, lf.alpha)
         for qf in self.quadratic:
-            b = _ball_from_bounds(float(qf.b_lo), float(qf.b_hi))
-            c = _ball_from_bounds(float(qf.c_lo), float(qf.c_hi))
-            fac = [(1.0, 0.0), b, c]                # x^2 + b*x*y + c*y^2
-            for _ in range(qf.beta):
-                prod = _ball_mul_poly(prod, fac)
+            fac = [1, hull(qf.b_lo, qf.b_hi), hull(qf.c_lo, qf.c_hi)]
+            prod = _iv_mul_poly(prod, fac, qf.beta)     # x^2 + b*x*y + c*y^2
         p = self.form.degree
         if len(prod) != p + 1:
             raise InvariantError(f"factor product has degree {len(prod) - 1}, form has {p}")
-        f_coeffs = [float(cv) for cv in self.form.coefficients()]
-        imax = max(range(p + 1), key=lambda i: abs(f_coeffs[i]))
-        pm, pr = prod[imax]
-        if abs(pm) <= pr:
+        cs = self.form.coefficients()
+        imax = max(range(p + 1), key=lambda i: abs(cs[i]))
+        if 0 in prod[imax]:
             return math.inf
-        lam = f_coeffs[imax] / (self.sign * pm)
-        gap = 0.0
-        norm = abs(f_coeffs[imax])
-        for i in range(p + 1):
-            m, r = prod[i]
-            target = self.sign * lam * m
-            rad = abs(lam) * r + 1e-15 * (abs(target) + 1.0)
-            gap = max(gap, max(0.0, abs(f_coeffs[i] - target) - rad) / norm)
-        return gap
+        f_ivs = [_iv_fraction(c) for c in cs]
+        lam = f_ivs[imax] / prod[imax]
+        # the lower ends of f_i - t and t - f_i bound the distance from below
+        gap = max(d.a for fc, c in zip(f_ivs, prod)
+                  for d in (fc - lam * c, lam * c - fc))
+        return max(0.0, float((gap / abs(f_ivs[imax])).a))
 
 
-def _ball_from_bounds(lo: float, hi: float) -> tuple[float, float]:
-    m = 0.5 * (lo + hi)
-    return (m, 0.5 * (hi - lo) + 1e-16 * (abs(m) + 1.0))
+def _iv_fraction(x: Fraction):
+    return iv.mpf(x.numerator) / x.denominator
 
 
-def _ball_add(x, y):
-    m = x[0] + y[0]
-    return (m, x[1] + y[1] + 1e-16 * (abs(m) + 1.0))
-
-
-def _ball_mul(x, y):
-    m = x[0] * y[0]
-    r = abs(x[0]) * y[1] + abs(y[0]) * x[1] + x[1] * y[1] + 1e-16 * (abs(m) + 1.0)
-    return (m, r)
-
-
-def _ball_mul_poly(a: list, b: list) -> list:
-    out = [(0.0, 0.0)] * (len(a) + len(b) - 1)
-    for i, xa in enumerate(a):
-        for j, xb in enumerate(b):
-            out[i + j] = _ball_add(out[i + j], _ball_mul(xa, xb))
-    return out
+def _iv_mul_poly(a: list, b: list, times: int) -> list:
+    """a * b^times, coefficients lowest degree first."""
+    for _ in range(times):
+        out = [iv.mpf(0)] * (len(a) + len(b) - 1)
+        for i, xa in enumerate(a):
+            for j, xb in enumerate(b):
+                out[i + j] += xa * xb
+        a = out
+    return a
 
 
 def dehomogenize(f: HomogeneousForm) -> tuple[UnivariatePoly, int]:
@@ -493,73 +500,41 @@ def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,
     n_pairs = (w.degree - len(real_roots)) // 2
     if n_pairs == 0:
         return []
-    prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
-    last = None
-    while prec <= _MAX_PREC_BITS:
+
+    def attempt(prec, ints, wp, dwp):
+        # deflate polished real roots, find the remaining complex roots
+        deflated = wp
+        for r in real_roots:
+            rr = r.refine(2.0 ** (-min(60, prec // 2)))
+            z = (mp.mpf(rr.lo.numerator) / rr.lo.denominator
+                 + mp.mpf(rr.hi.numerator) / rr.hi.denominator) / 2
+            deflated = _deflate_real(deflated, _newton(wp, dwp, z, 6))
+        if len(deflated) - 1 != 2 * n_pairs:
+            raise ArithmeticError("deflation lost degree")
         try:
-            return _certify_pairs_at(w, real_roots, n_pairs, beta, eps, prec)
-        except (ArithmeticError, NotRefinedError) as exc:
-            last = exc
-            prec *= 2
-    raise NotRefinedError(f"certification failed at eps={eps}: {last}")
+            roots = mp.polyroots(deflated, maxsteps=100, extraprec=max(60, prec // 2))
+        except Exception as exc:  # mpmath NoConvergence, keep the ladder going
+            raise ArithmeticError(f"polyroots: {exc}")
+        cand = [mp.mpc(z) for z in roots if mp.im(z) > 0]
+        if len(cand) != n_pairs:
+            raise ArithmeticError("conjugate pairing failed")
+        discs = []
+        for z in cand:
+            z = _newton(wp, dwp, z, 4)      # polish against the exact layer
+            discs.append((z, _disc_radius(ints, z)))
+        for i in range(len(discs)):
+            for j in range(i + 1, len(discs)):
+                zi, ri = discs[i]
+                zj, rj = discs[j]
+                if not abs(zi - zj) > 4 * (ri + rj):
+                    raise NotRefinedError("discs not separated")
+        # Each disc sits strictly above the axis, its mirror strictly
+        # below, real roots are accounted for exactly by Sturm, and the
+        # discs are pairwise disjoint; since the counts add up to deg w,
+        # every disc holds exactly one root.
+        return [_pair_from_disc(w, z, rad, beta, eps) for z, rad in discs]
 
-
-def _certify_pairs_at(w, real_roots, n_pairs, beta, eps, prec):
-    w_high = _int_high(w)
-    dw_high = _derive_int(w_high)
-    saved_iv_prec = iv.prec
-    try:
-        iv.prec = prec
-        with mp.workprec(prec):
-            wp = [mp.mpf(c) for c in w_high]
-            dwp = [mp.mpf(c) for c in dw_high]
-
-            # deflate polished real roots, find the remaining complex roots
-            deflated = wp
-            for r in real_roots:
-                rr = r.refine(2.0 ** (-min(60, prec // 2)))
-                z = (mp.mpf(rr.lo.numerator) / rr.lo.denominator
-                     + mp.mpf(rr.hi.numerator) / rr.hi.denominator) / 2
-                for _ in range(6):
-                    dz = mp.polyval(dwp, z)
-                    if dz == 0:
-                        break
-                    z = z - mp.polyval(wp, z) / dz
-                deflated = _deflate_real(deflated, z)
-            if len(deflated) - 1 != 2 * n_pairs:
-                raise ArithmeticError("deflation lost degree")
-            try:
-                roots = mp.polyroots(deflated, maxsteps=100, extraprec=max(60, prec // 2))
-            except Exception as exc:  # mpmath NoConvergence, keep retry loop alive
-                raise ArithmeticError(f"polyroots: {exc}")
-            cand = [mp.mpc(z) for z in roots if mp.im(z) > 0]
-            if len(cand) != n_pairs:
-                raise ArithmeticError("conjugate pairing failed")
-
-            discs = []
-            for z in cand:
-                for _ in range(4):      # polish against the exact layer
-                    dz = mp.polyval(dwp, z)
-                    if dz == 0:
-                        break
-                    z = z - mp.polyval(wp, z) / dz
-                rad = _disc_radius(w_high, dw_high, z)
-                if not rad < mp.im(z):  # disc must stay strictly above the axis
-                    raise NotRefinedError("disc touches the real axis")
-                discs.append((z, rad))
-            for i in range(len(discs)):
-                for j in range(i + 1, len(discs)):
-                    zi, ri = discs[i]
-                    zj, rj = discs[j]
-                    if not abs(zi - zj) > 4 * (ri + rj):
-                        raise NotRefinedError("discs not separated")
-            # Each disc sits strictly above the axis, its mirror strictly
-            # below, real roots are accounted for exactly by Sturm, and the
-            # discs are pairwise disjoint; since the counts add up to deg w,
-            # every disc holds exactly one root.
-            return [_pair_from_disc(w, z, rad, beta, eps) for z, rad in discs]
-    finally:
-        iv.prec = saved_iv_prec
+    return _ladder(w, eps, "certification failed at", attempt)
 
 
 def _pair_from_disc(w, z, rad, beta, eps) -> QuadraticFactor:
@@ -639,34 +614,12 @@ def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
 def _refine_pair(qf: QuadraticFactor, eps: float) -> QuadraticFactor:
     if qf.width <= Fraction(eps):
         return qf
-    w = qf.layer
-    w_high = _int_high(w)
-    dw_high = _derive_int(w_high)
-    prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
-    last = None
-    while prec <= _MAX_PREC_BITS:
-        saved_iv_prec = iv.prec
-        try:
-            iv.prec = prec
-            with mp.workprec(prec):
-                wp = [mp.mpf(c) for c in w_high]
-                dwp = [mp.mpf(c) for c in dw_high]
-                z = mp.mpc(qf.mu, qf.nu)
-                for _ in range(max(6, prec // 16)):
-                    dz = mp.polyval(dwp, z)
-                    if dz == 0:
-                        break
-                    z = z - mp.polyval(wp, z) / dz
-                rad = _disc_radius(w_high, dw_high, z)
-                if not rad < mp.im(z):
-                    raise NotRefinedError("disc touches the real axis")
-                new = _pair_from_disc(w, z, rad, qf.beta, eps)
-                if not new.overlaps(qf):
-                    raise NotRefinedError("refinement drifted to another root")
-                return new
-        except (ArithmeticError, NotRefinedError) as exc:
-            last = exc
-            prec *= 2
-        finally:
-            iv.prec = saved_iv_prec
-    raise NotRefinedError(f"refinement failed to reach eps={eps}: {last}")
+
+    def attempt(prec, ints, wp, dwp):
+        z = _newton(wp, dwp, mp.mpc(qf.mu, qf.nu), max(6, prec // 16))
+        new = _pair_from_disc(qf.layer, z, _disc_radius(ints, z), qf.beta, eps)
+        if not new.overlaps(qf):
+            raise NotRefinedError("refinement drifted to another root")
+        return new
+
+    return _ladder(qf.layer, eps, "refinement failed to reach", attempt)

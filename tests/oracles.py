@@ -4,6 +4,7 @@ Everything here is deliberately written against plain coefficient rows so it
 shares no code path with the package under test.
 """
 
+import sys
 from fractions import Fraction
 
 F = Fraction
@@ -50,6 +51,23 @@ def forms_coprime_oracle(p, q):
     if p.degree == 0 or q.degree == 0:
         return True
     return sylvester_det(p.coefficients(), q.coefficients()) != 0
+
+
+def count_calls(monkeypatch, original):
+    """Replace every binding of ``original`` in the package's modules with a
+    wrapper that records (args, kwargs) of each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] == "binform":
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return calls
 
 
 # ---------------------------------------------------------------------------

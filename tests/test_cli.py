@@ -10,6 +10,8 @@ import binform.cli as cli
 from binform.polyring import gcd_bivariate, partials
 from binform.realfactor import factor_form
 
+from oracles import count_calls
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -217,26 +219,9 @@ def test_json_round_trips_through_stdlib():
         json.loads(r.stdout)
 
 
-def _count_calls(monkeypatch, original):
-    """Replace every binding of ``original`` in the package's modules with a
-    wrapper that records (args, kwargs) of each call."""
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").split(".")[0] == "binform":
-            for key, val in list(vars(mod).items()):
-                if val is original:
-                    monkeypatch.setattr(mod, key, wrapper)
-    return calls
-
-
 def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, capsys):
-    factor_calls = _count_calls(monkeypatch, factor_form)
-    gcd_calls = _count_calls(monkeypatch, gcd_bivariate)
+    factor_calls = count_calls(monkeypatch, factor_form)
+    gcd_calls = count_calls(monkeypatch, gcd_bivariate)
     assert cli.main(["hamiltonian", "x*y^2"]) == 0
     h = json.loads(capsys.readouterr().out)["hamiltonian"]
     assert h == {"F": ["-2*x*y", "y^2"], "D": "y", "hFld": ["-2*x", "y"], "deg_hFld": 1}
@@ -245,13 +230,14 @@ def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, cap
     assert sum(1 for args, _ in gcd_calls if args == (fx, fy)) == 1
 
 
-@pytest.mark.parametrize("cmd", ["hamiltonian", "decide"])
+@pytest.mark.parametrize("cmd", ["hamiltonian", "decide", "dynamics", "portrait"])
 def test_eps_reaches_the_factorization(monkeypatch, capsys, cmd):
-    factor_calls = _count_calls(monkeypatch, factor_form)
-    assert cli.main([cmd, "--eps", "1e-6", "(x^2+y^2)*(x-y)^2"]) == 0
+    opts = ["--res", "16"] if cmd == "portrait" else []
+    factor_calls = count_calls(monkeypatch, factor_form)
+    assert cli.main([cmd, *opts, "--eps", "1e-6", "(x^2+y^2)*(x-y)^2"]) == 0
     assert [kw.get("eps") for _, kw in factor_calls] == [1e-6]
     monkeypatch.setenv("BINFORM_PRECISION", "1e-9")
-    assert cli.main([cmd, "(x^2+y^2)*(x-y)^2"]) == 0
+    assert cli.main([cmd, *opts, "(x^2+y^2)*(x-y)^2"]) == 0
     assert [kw.get("eps") for _, kw in factor_calls] == [1e-6, 1e-9]
 
 

@@ -6,8 +6,19 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import binform.realfactor as rf
-from binform.polyring import HomogeneousForm, UnivariatePoly, squarefree_decomposition
-from binform.realfactor import IsolatedRoot, factor_form, isolate_real_roots, refine
+from binform.polyring import (
+    HomogeneousForm,
+    UnivariatePoly,
+    gcd_univariate,
+    squarefree_decomposition,
+)
+from binform.realfactor import (
+    FactorizationStructure,
+    IsolatedRoot,
+    factor_form,
+    isolate_real_roots,
+    refine,
+)
 
 import oracles
 from genforms import random_product
@@ -123,6 +134,20 @@ def test_random_products_recover_structure():
         assert fs.reconstruction_gap() < 1e-7
 
 
+def test_reconstruction_gap_detects_a_moved_coefficient():
+    # moving the coefficient next to the largest one up or down by 1e-6 of
+    # the largest puts f that far outside the product enclosure
+    rng = random.Random(23)
+    for n in range(30):
+        fs = factor_form(random_product(rng).form)
+        cs = list(fs.form.coefficients())
+        imax = max(range(len(cs)), key=lambda i: abs(cs[i]))
+        cs[(imax + 1) % len(cs)] += (-1) ** n * abs(cs[imax]) / 10**6
+        moved = FactorizationStructure(form=HomogeneousForm(cs), sign=fs.sign,
+                                       linear=fs.linear, quadratic=fs.quadratic)
+        assert 5e-7 <= moved.reconstruction_gap() <= 2e-6
+
+
 def test_quadratic_enclosures_are_definite():
     rng = random.Random(5)
     for _ in range(20):
@@ -188,6 +213,13 @@ def _sympy_count(row):
                        for c in reversed(row)], t).count_roots()
 
 
+def _sympy_sqf_part(row):
+    t = sympy.Symbol("t")
+    part = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(row)], t).sqf_part()
+    return [F(int(c.p), int(c.q)) for c in reversed(part.all_coeffs())]
+
+
 def _check_against_oracle(row):
     roots = isolate_real_roots(UnivariatePoly(row))
     assert [(r.lo, r.hi) for r in roots] == oracles.sturm_isolate(row)
@@ -197,6 +229,13 @@ def _check_against_oracle(row):
             tight = r.refine(eps)
             lo, hi, _ = oracles.bisect_refine(row, r.lo, r.hi, eps)
             assert (tight.lo, tight.hi) == (lo, hi)
+    # u^2, u (t+1)^2 and u (t^2-2)^2 isolate as their squarefree part does
+    for extra in (row, [F(1), F(2), F(1)], [F(4), F(0), F(-4), F(0), F(1)]):
+        u = _mul_rows(row, extra)
+        part = _sympy_sqf_part(u)
+        roots = isolate_real_roots(UnivariatePoly(u))
+        assert [(r.lo, r.hi) for r in roots] == oracles.sturm_isolate(part)
+        assert all(r.poly == UnivariatePoly(part).primitive()[0] for r in roots)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -245,6 +284,18 @@ def test_refine_lands_on_rational_roots():
     assert (tight.lo, tight.hi) == \
         oracles.bisect_refine([0, -1, 0, 1], F(-1, 2), F(1, 2), 1e-9)[:2]
     assert tight.lo == -tight.hi
+
+
+def test_isolating_a_squarefree_layer_takes_no_gcd(monkeypatch):
+    calls = oracles.count_calls(monkeypatch, gcd_univariate)
+    f = HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, -1]) \
+        * HomogeneousForm([2, 0, 1]).power(2) * HomogeneousForm([1, 3]).power(3)
+    layers = squarefree_decomposition(f.dehomogenized())
+    assert len(layers) == 3 and calls     # the wrapper sees Yun's gcds
+    calls.clear()
+    for w, _ in layers:
+        isolate_real_roots(w)
+    assert calls == []
 
 
 def test_factor_form_isolates_each_layer_once(monkeypatch):
