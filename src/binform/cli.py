@@ -3,8 +3,13 @@
 Every command takes a polynomial in the expression grammar and prints one
 JSON object to stdout.  Errors become a JSON object on stderr with exit
 code 1 for domain problems (wrong kind of polynomial), 2 for usage and
-parse problems, and 3 for a failed internal consistency check.
+parse problems, and 3 for a failed internal consistency check (kind
+Invariant) or any other exception (kind Internal).
 BINFORM_PRECISION overrides the default enclosure width.
+
+Each command imports the modules it uses when it runs, so the exact
+commands start without numpy and, unless a conjugate pair needs a
+certificate, without mpmath.
 """
 
 from __future__ import annotations
@@ -16,28 +21,8 @@ import os
 import sys
 from typing import Any, Optional
 
-from .dynamics import (
-    FlowConfig,
-    integrate_flow,
-    level_set,
-    orbit_portrait,
-    shift_map_apply,
-    shift_regularity,
-)
 from .errors import BinformError, DegreeZeroError, ExprSyntaxError, InvariantError
 from .exprparse import canonical_text, parse_polynomial, to_homogeneous
-from .hamfield import common_divisor, hamiltonian_field, reduced_field
-from .mat2 import Mat2
-from .realfactor import factor_form
-from .render import portrait_csv, portrait_svg
-from .symgroup import (
-    DiagonalFamily,
-    FiniteCyclicGroup,
-    RotationFamily,
-    ShearFamily,
-    symmetry_group,
-)
-from .verdict import classify_case, decide_theorem
 
 _DEFAULT_EPS = 1e-14
 _DEFAULT_TOL = 1e-9
@@ -79,7 +64,7 @@ def _json(value: Any) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _mat_json(m: Mat2) -> list:
+def _mat_json(m) -> list:
     a, b, c, d = (float(v) for v in m.entries())
     return [[a, b], [c, d]]
 
@@ -111,6 +96,8 @@ def _factor_payload(fs) -> dict:
 
 
 def _symmetry_payload(group, tol: float) -> dict:
+    from .symgroup import DiagonalFamily, FiniteCyclicGroup, RotationFamily, ShearFamily
+
     if isinstance(group, ShearFamily):
         return {"kind": "shear_family", "family": {
             "normalizer": _mat_json(group.normalizer),
@@ -137,17 +124,26 @@ def _symmetry_payload(group, tol: float) -> dict:
 
 
 def _cmd_factor(f, text, args) -> dict:
+    from .realfactor import factor_form
+
     fs = factor_form(f, eps=args.eps)
     return {"input": text, "degree": f.degree, "sign": fs.sign,
             "factors": _factor_payload(fs)}
 
 
 def _cmd_classify(f, text, args) -> dict:
+    from .realfactor import factor_form
+    from .verdict import classify_case
+
     fs = factor_form(f, eps=args.eps)
     return {"input": text, "degree": f.degree, "case": classify_case(fs)}
 
 
 def _cmd_symmetry(f, text, args) -> dict:
+    from .realfactor import factor_form
+    from .symgroup import symmetry_group
+    from .verdict import classify_case
+
     fs = factor_form(f, eps=args.eps)
     group = symmetry_group(f, fs, tol=args.tol, eps=args.eps)
     return {"input": text, "degree": f.degree, "case": classify_case(fs),
@@ -155,6 +151,9 @@ def _cmd_symmetry(f, text, args) -> dict:
 
 
 def _cmd_hamiltonian(f, text, args) -> dict:
+    from .hamfield import common_divisor, hamiltonian_field, reduced_field
+    from .realfactor import factor_form
+
     fs = factor_form(f, eps=args.eps)
     fld = hamiltonian_field(f)
     d = common_divisor(f, fs)
@@ -168,6 +167,9 @@ def _cmd_hamiltonian(f, text, args) -> dict:
 
 
 def _cmd_decide(f, text, args) -> dict:
+    from .realfactor import factor_form
+    from .verdict import decide_theorem
+
     v = decide_theorem(f, factor_form(f, eps=args.eps))
     return {"input": text, "degree": f.degree, "case": v.case,
             "stab1_ne_stab0": v.stab1_ne_stab0, "l": v.l, "k": v.k, "p": v.p,
@@ -183,6 +185,10 @@ def _default_seeds(window) -> list[tuple[float, float]]:
 
 
 def _cmd_portrait(f, text, args) -> dict:
+    from .dynamics import FlowConfig, orbit_portrait
+    from .realfactor import factor_form
+    from .render import portrait_csv, portrait_svg
+
     window = args.window
     seeds = args.seed_points if args.seed_points else _default_seeds(window)
     port = orbit_portrait(f, seeds, window, FlowConfig(), res=args.res,
@@ -192,8 +198,11 @@ def _cmd_portrait(f, text, args) -> dict:
         if not args.out:
             raise _UsageError("--out is required for svg/csv output")
         content = portrait_svg(port) if args.fmt == "svg" else portrait_csv(port)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as e:
+            raise _UsageError(f"cannot write --out file: {e}") from None
         written.append(args.out)
     return {"input": text, "degree": f.degree, "portrait": {
         "window": list(window),
@@ -208,6 +217,10 @@ def _cmd_portrait(f, text, args) -> dict:
 
 
 def _cmd_dynamics(f, text, args) -> dict:
+    from .dynamics import FlowConfig, shift_map_apply, shift_regularity
+    from .hamfield import reduced_field
+    from .realfactor import factor_form
+
     sigma = parse_polynomial(args.sigma)
     fld = reduced_field(f, factor_form(f, eps=args.eps))
     window = args.window
@@ -248,17 +261,29 @@ class _UsageError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # argument handling
+
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"not finite: {text!r}")
+    return v
+
 
 def _parse_window(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise _UsageError("--window needs X0,Y0,X1,Y1")
     try:
-        x0, y0, x1, y1 = (float(p) for p in parts)
+        x0, y0, x1, y1 = (_finite(p) for p in parts)
     except ValueError:
-        raise _UsageError("--window needs four numbers") from None
+        raise _UsageError("--window needs four finite numbers") from None
     if not (x0 < x1 and y0 < y1):
         raise _UsageError("--window must be a nonempty rectangle")
     return (x0, y0, x1, y1)
@@ -268,14 +293,14 @@ def _read_seeds(path: str) -> list[tuple[float, float]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise _UsageError(f"cannot read seeds file: {e}") from None
     seeds = []
     for row in rows:
         try:
-            seeds.append((float(row["x"]), float(row["y"])))
+            seeds.append((_finite(row["x"]), _finite(row["y"])))
         except (KeyError, TypeError, ValueError):
-            raise _UsageError("seeds file needs header x,y and numeric rows") from None
+            raise _UsageError("seeds file needs header x,y and finite numeric rows") from None
     if not seeds:
         raise _UsageError("seeds file is empty")
     return seeds
@@ -295,7 +320,7 @@ def _env_eps() -> Optional[float]:
 
 
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="binform",
         description="factorization, symmetries, and dynamics of binary forms")
     ap.add_argument("command", choices=sorted(_COMMANDS))
@@ -326,18 +351,14 @@ def _error(kind: str, message: str, code: int, **extra) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = _build_argparser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = _build_argparser().parse_args(argv)
         if args.eps is None:
             args.eps = _env_eps() or _DEFAULT_EPS
         if not (0 < args.eps < 1e-2):
             raise _UsageError("--eps must lie in (0, 1e-2)")
-        if args.tol <= 0:
-            raise _UsageError("--tol must be positive")
+        if not 0 < args.tol < math.inf:
+            raise _UsageError("--tol must be positive and finite")
         if args.res < 16:
             raise _UsageError("--res must be at least 16")
         args.window = _parse_window(args.window) if args.window else _DEFAULT_WINDOW
@@ -348,6 +369,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if f.degree < 1:
             raise DegreeZeroError("need a nonzero form of degree >= 1")
         payload = _COMMANDS[args.command](f, args.polynomial, args)
+    except SystemExit as e:         # --help
+        return int(e.code or 0)
     except ExprSyntaxError as e:
         return _error(_kind(e), str(e), 2, offset=e.offset)
     except _UsageError as e:
@@ -357,6 +380,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BinformError as e:
         extra = {"degrees": sorted(e.degrees)} if hasattr(e, "degrees") else {}
         return _error(_kind(e), str(e), 1, **extra)
+    except Exception as e:      # a defect of binform, reported where it was raised
+        import traceback
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        return _error("Internal", f"{type(e).__name__}: {e}", 3,
+                      where=f"{os.path.basename(frame.filename)}:{frame.lineno}")
     sys.stdout.write(_json(payload) + "\n")
     return 0
 

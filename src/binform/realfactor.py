@@ -23,7 +23,8 @@ n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic
 (mpmath.iv), so every enclosure is a mathematical statement, not a hope.
 Certification and refinement share one precision ladder and one Newton
 polish, and ``reconstruction_gap`` multiplies the enclosures in the same
-interval arithmetic.
+interval arithmetic.  mpmath is imported only on that path, so a form
+without definite quadratic factors is factored without loading it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from mpmath import iv, mp
 
 from .errors import InvariantError, NotRefinedError
 from .polyring import (
@@ -222,6 +221,8 @@ def isolate_real_roots(u: UnivariatePoly) -> list[IsolatedRoot]:
 # certified conjugate pairs
 
 def _mpf_to_fraction(x) -> Fraction:
+    from mpmath import mp
+
     x = mp.mpf(x)
     if not mp.isfinite(x):
         raise ArithmeticError("non-finite interval endpoint")
@@ -231,6 +232,8 @@ def _mpf_to_fraction(x) -> Fraction:
 
 def _iv_complex_horner(int_coeffs_high: list[int], zr, zi):
     """Evaluate an integer polynomial at the complex interval (zr, zi)."""
+    from mpmath import iv
+
     wr, wi = iv.mpf(0), iv.mpf(0)
     for c in int_coeffs_high:
         wr, wi = wr * zr - wi * zi + iv.mpf(c), wr * zi + wi * zr
@@ -245,6 +248,8 @@ def _disc_radius(ints, zeta):
     outward-rounded interval evaluation; raises when the derivative bound
     degenerates or the disc reaches the real axis.
     """
+    from mpmath import iv, mp
+
     w_high, dw_high = ints
     zr, zi = iv.mpf(mp.re(zeta)), iv.mpf(mp.im(zeta))
     wr, wi = _iv_complex_horner(w_high, zr, zi)
@@ -262,6 +267,8 @@ def _disc_radius(ints, zeta):
 
 def _newton(wp, dwp, z, steps: int):
     """``steps`` Newton steps on the polynomial wp (derivative dwp)."""
+    from mpmath import mp
+
     for _ in range(steps):
         dz = mp.polyval(dwp, z)
         if dz == 0:
@@ -277,6 +284,8 @@ def _ladder(layer: UnivariatePoly, eps: float, failure: str, attempt):
     ``ints`` holds the integer coefficients of the layer w and of w' (the
     same scaling, so Newton steps and disc radii are not skewed), highest
     degree first; wp and dwp are them as mpf numbers."""
+    from mpmath import iv, mp
+
     w = _int_coeffs(layer)
     ints = (w[::-1], [i * c for i, c in enumerate(w)][:0:-1])
     prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
@@ -440,6 +449,8 @@ class FactorizationStructure:
         coefficient: a lower bound on the mismatch, 0 when the enclosures
         hold f.  It shrinks as the enclosures are refined.
         """
+        from mpmath import iv
+
         def hull(lo: Fraction, hi: Fraction):
             return iv.mpf([_iv_fraction(lo).a, _iv_fraction(hi).b])
 
@@ -467,11 +478,15 @@ class FactorizationStructure:
 
 
 def _iv_fraction(x: Fraction):
+    from mpmath import iv
+
     return iv.mpf(x.numerator) / x.denominator
 
 
 def _iv_mul_poly(a: list, b: list, times: int) -> list:
     """a * b^times, coefficients lowest degree first."""
+    from mpmath import iv
+
     for _ in range(times):
         out = [iv.mpf(0)] * (len(a) + len(b) - 1)
         for i, xa in enumerate(a):
@@ -500,6 +515,7 @@ def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,
     n_pairs = (w.degree - len(real_roots)) // 2
     if n_pairs == 0:
         return []
+    from mpmath import mp
 
     def attempt(prec, ints, wp, dwp):
         # deflate polished real roots, find the remaining complex roots
@@ -538,6 +554,8 @@ def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,
 
 
 def _pair_from_disc(w, z, rad, beta, eps) -> QuadraticFactor:
+    from mpmath import iv, mp
+
     re_iv = iv.mpf([mp.re(z) - rad, mp.re(z) + rad])
     im_iv = iv.mpf([mp.im(z) - rad, mp.im(z) + rad])
     big_c = re_iv**2 + im_iv**2
@@ -614,6 +632,7 @@ def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
 def _refine_pair(qf: QuadraticFactor, eps: float) -> QuadraticFactor:
     if qf.width <= Fraction(eps):
         return qf
+    from mpmath import mp
 
     def attempt(prec, ints, wp, dwp):
         z = _newton(wp, dwp, mp.mpc(qf.mu, qf.nu), max(6, prec // 16))

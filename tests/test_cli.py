@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import binform.cli as cli
 from binform.polyring import gcd_bivariate, partials
@@ -254,3 +258,97 @@ def test_invariant_checks_survive_python_O():
     assert h.returncode == 0, h.stderr
     assert json.loads(h.stdout)["hamiltonian"] == \
         {"F": ["-2*x*y", "y^2"], "D": "y", "hFld": ["-2*x", "y"], "deg_hFld": 1}
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["symmetry", "x*y*(x-y)", "--tol", "nan"], None),
+    (["symmetry", "x*y*(x-y)", "--tol", "inf"], None),
+    (["portrait", "x^2+y^2", "--window=-inf,-1,1,1"], None),
+    (["portrait", "x^2+y^2", "--window=nan,-1,1,1"], None),
+    (["dynamics", "x^2+y^2"], "x,y\nnan,0.5\n"),
+    (["dynamics", "x^2+y^2"], "x,y\ninf,0.5\n"),
+    (["dynamics", "x^2+y^2"], "x,y\n\xff,0.5\n"),
+    (["decide", "x*y^2", "--res", "abc"], None),
+    (["portrait", "x*y^2", "--res", "16", "--format", "svg", "--out", "{tmp}/no/p.svg"],
+     "x,y\n0.5,0.25\n"),
+])
+def test_non_finite_and_malformed_flags_are_usage_errors(tmp_path, capsys, argv, rows):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if rows is not None:
+        (tmp_path / "s.csv").write_text(rows, encoding="latin-1")   # \xff is not UTF-8
+        argv = [*argv, "--seeds", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "Usage"
+
+
+def test_any_other_exception_is_internal_with_exit_3(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ValueError("max() arg is an empty sequence")
+    monkeypatch.setattr("binform.verdict.decide_theorem", boom)
+    assert cli.main(["decide", "x*y^2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)["error"]
+    assert err["kind"] == "Internal"
+    assert err["message"] == "ValueError: max() arg is an empty sequence"
+    assert err["where"].startswith("test_cli.py:")
+
+
+# Flag values for the fuzz: about half valid, the rest edge values, non-finite
+# numbers and garbage.
+_NUMBER = st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf",
+                           "abc", "", "1/2", "0x10"]) | st.floats(width=32).map(repr)
+_COORD = st.floats(-1.5, 1.5).map(repr)
+_WINDOW = st.one_of(
+    st.sampled_from(["-1,-1,1,1", "-2,-2,2,2", "0,0,1e-300,1e-300"]),
+    st.lists(_COORD, min_size=4, max_size=4).map(",".join),
+    st.lists(_NUMBER | _COORD, min_size=3, max_size=5).map(",".join))
+_SEEDS = st.one_of(
+    st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=2),
+    st.lists(st.tuples(_NUMBER | _COORD, _NUMBER | _COORD), max_size=2)).map(
+        lambda rows: "x,y\n" + "".join(f"{a},{b}\n" for a, b in rows)) | \
+    st.text(max_size=20)
+_FLAGS = {
+    "--tol": st.sampled_from(["1e-9", "1e-6", "1e-12"]) | _NUMBER,
+    "--eps": st.sampled_from(["1e-14", "1e-6", "1e-30"]) | _NUMBER,
+    "--window": _WINDOW,
+    "--res": st.sampled_from(["16", "16", "20", "8", "-1", "x", "1e2", ""]),
+    "--format": st.sampled_from(["json", "json", "svg", "csv", "xml"]),
+    "--sigma": st.sampled_from(["y", "x*y", "0", "x+", "1/0"]),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cmd=st.sampled_from(sorted(cli._COMMANDS) + ["frobnicate"]),
+       form=st.sampled_from(["x*y^2", "x*y*(x-y)", "x^2-y^2", "(x^2+y^2)*(x^2-y^2)",
+                             "x+*y", "5", "x^2+y^2+1"]),
+       flags=st.dictionaries(st.sampled_from(sorted(_FLAGS)), st.just(None), max_size=4)
+       .flatmap(lambda d: st.fixed_dictionaries({k: _FLAGS[k] for k in d})),
+       seeds=st.just("x,y\n0.5,0.25\n") | _SEEDS, out=st.booleans())
+def test_cli_fuzz_gives_json_and_a_documented_exit_code(cmd, form, flags, seeds, out):
+    """Every run prints one JSON object: the answer on stdout with exit 0,
+    or {"error": ...} on stderr with exit 1, 2 or 3.  A seeds file is always
+    given, and orbits of these forms leave the window quickly, so portraits
+    stay cheap."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "seeds.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(seeds)
+        argv = [cmd, form, *(f"{k}={v}" for k, v in flags.items()), "--seeds", path]
+        if out:
+            argv += ["--out", os.path.join(tmp, "p.out")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(argv)
+    text = stdout.getvalue() if rc == 0 else stderr.getvalue()
+    assert (stderr.getvalue() if rc == 0 else stdout.getvalue()) == ""
+    assert text.endswith("\n") and text.count("\n") == 1
+    obj = json.loads(text)
+    if rc == 0:
+        assert obj["input"] == form
+    else:
+        assert rc in (1, 2, 3)
+        assert set(obj) == {"error"} and isinstance(obj["error"]["message"], str)

@@ -75,7 +75,7 @@ def test_symmetry_payload_of_unknown_group():
 
 
 def test_cli_reports_invariant_with_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "symmetry_group", lambda *a, **k: object())
+    monkeypatch.setattr("binform.symgroup.symmetry_group", lambda *a, **k: object())
     rc = cli.main(["symmetry", "x^3-3*x*y^2"])
     out, err = capsys.readouterr()
     assert rc == 3
