@@ -19,7 +19,7 @@ _EXPORTS = {
         compose_linear divide_exact euler_check gcd_bivariate gcd_univariate
         jet_order partials quasi_homogeneous_check squarefree_decomposition""",
     "realfactor": """FactorizationStructure IsolatedRoot LinearFactor
-        QuadraticFactor dehomogenize factor_form isolate_real_roots refine""",
+        QuadraticFactor factor_form isolate_real_roots refine""",
     "symgroup": """DiagonalFamily FiniteCyclicGroup PermCandidate RotationFamily
         ShearFamily TransportFamily finite_order_of induced_permutation
         invariance_residual oracle_scan quadratic_transport symmetry_group""",
@@ -30,7 +30,7 @@ _EXPORTS = {
     "dynamics": """FlowConfig Orbit Portrait Trajectory integrate_flow
         invariant_contraction level_set mat_exp orbit_portrait shift_linear
         shift_map_apply shift_regularity""",
-    "exprparse": "canonical_text parse_expression parse_polynomial to_homogeneous",
+    "exprparse": "canonical_text parse_polynomial to_homogeneous",
     "render": "portrait_csv portrait_svg",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

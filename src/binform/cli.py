@@ -7,9 +7,10 @@ parse problems, and 3 for a failed internal consistency check (kind
 Invariant) or any other exception (kind Internal).
 BINFORM_PRECISION overrides the default enclosure width.
 
+main factors the form once and hands the factorization to the command.
 Each command imports the modules it uses when it runs, so the exact
 commands start without numpy and, unless a conjugate pair needs a
-certificate, without mpmath.
+certificate, without mpmath; a request that does not parse loads neither.
 """
 
 from __future__ import annotations
@@ -123,38 +124,29 @@ def _symmetry_payload(group, tol: float) -> dict:
             "residual": group.residual}
 
 
-def _cmd_factor(f, text, args) -> dict:
-    from .realfactor import factor_form
-
-    fs = factor_form(f, eps=args.eps)
+def _cmd_factor(f, fs, text, args) -> dict:
     return {"input": text, "degree": f.degree, "sign": fs.sign,
             "factors": _factor_payload(fs)}
 
 
-def _cmd_classify(f, text, args) -> dict:
-    from .realfactor import factor_form
+def _cmd_classify(f, fs, text, args) -> dict:
     from .verdict import classify_case
 
-    fs = factor_form(f, eps=args.eps)
     return {"input": text, "degree": f.degree, "case": classify_case(fs)}
 
 
-def _cmd_symmetry(f, text, args) -> dict:
-    from .realfactor import factor_form
+def _cmd_symmetry(f, fs, text, args) -> dict:
     from .symgroup import symmetry_group
     from .verdict import classify_case
 
-    fs = factor_form(f, eps=args.eps)
     group = symmetry_group(f, fs, tol=args.tol, eps=args.eps)
     return {"input": text, "degree": f.degree, "case": classify_case(fs),
             "symmetry": _symmetry_payload(group, args.tol)}
 
 
-def _cmd_hamiltonian(f, text, args) -> dict:
+def _cmd_hamiltonian(f, fs, text, args) -> dict:
     from .hamfield import common_divisor, hamiltonian_field, reduced_field
-    from .realfactor import factor_form
 
-    fs = factor_form(f, eps=args.eps)
     fld = hamiltonian_field(f)
     d = common_divisor(f, fs)
     red = reduced_field(f, fs, d)
@@ -166,11 +158,10 @@ def _cmd_hamiltonian(f, text, args) -> dict:
     }}
 
 
-def _cmd_decide(f, text, args) -> dict:
-    from .realfactor import factor_form
+def _cmd_decide(f, fs, text, args) -> dict:
     from .verdict import decide_theorem
 
-    v = decide_theorem(f, factor_form(f, eps=args.eps))
+    v = decide_theorem(f, fs)
     return {"input": text, "degree": f.degree, "case": v.case,
             "stab1_ne_stab0": v.stab1_ne_stab0, "l": v.l, "k": v.k, "p": v.p,
             "verdict": {"stab1_ne_stab0": v.stab1_ne_stab0, "chain": v.chain}}
@@ -184,15 +175,24 @@ def _default_seeds(window) -> list[tuple[float, float]]:
              cy + r * math.sin(2 * math.pi * i / 8)) for i in range(8)]
 
 
-def _cmd_portrait(f, text, args) -> dict:
+def _boxed_seeds(args, default) -> tuple:
+    """The integration box of the window and the seed points: the --seeds
+    rows, which must lie in the box, or else the default seeds."""
+    from .dynamics import _default_box, _outside
+
+    box = _default_box(args.window)
+    if args.seed_points and any(_outside(z, box) for z in args.seed_points):
+        raise _UsageError(f"--seeds rows must lie in the integration box {list(box)}")
+    return box, args.seed_points or default
+
+
+def _cmd_portrait(f, fs, text, args) -> dict:
     from .dynamics import FlowConfig, orbit_portrait
-    from .realfactor import factor_form
     from .render import portrait_csv, portrait_svg
 
     window = args.window
-    seeds = args.seed_points if args.seed_points else _default_seeds(window)
-    port = orbit_portrait(f, seeds, window, FlowConfig(), res=args.res,
-                          fs=factor_form(f, eps=args.eps))
+    box, seeds = _boxed_seeds(args, _default_seeds(window))
+    port = orbit_portrait(f, seeds, window, FlowConfig(box=box), res=args.res, fs=fs)
     written = []
     if args.fmt in ("svg", "csv"):
         if not args.out:
@@ -216,16 +216,14 @@ def _cmd_portrait(f, text, args) -> dict:
     }}
 
 
-def _cmd_dynamics(f, text, args) -> dict:
+def _cmd_dynamics(f, fs, text, args) -> dict:
     from .dynamics import FlowConfig, shift_map_apply, shift_regularity
     from .hamfield import reduced_field
-    from .realfactor import factor_form
 
     sigma = parse_polynomial(args.sigma)
-    fld = reduced_field(f, factor_form(f, eps=args.eps))
-    window = args.window
-    cfg = FlowConfig(box=(2 * window[0], 2 * window[1], 2 * window[2], 2 * window[3]))
-    seeds = args.seed_points if args.seed_points else [(1.0, 0.0)]
+    box, seeds = _boxed_seeds(args, [(1.0, 0.0)])
+    cfg = FlowConfig(box=box)
+    fld = reduced_field(f, fs)
     regs = shift_regularity(fld, sigma, seeds)
     rows = []
     for seed, reg in zip(seeds, regs):
@@ -368,7 +366,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         f = _parse_form(args.polynomial)
         if f.degree < 1:
             raise DegreeZeroError("need a nonzero form of degree >= 1")
-        payload = _COMMANDS[args.command](f, args.polynomial, args)
+        from .realfactor import factor_form
+
+        fs = factor_form(f, eps=args.eps)
+        payload = _COMMANDS[args.command](f, fs, args.polynomial, args)
     except SystemExit as e:         # --help
         return int(e.code or 0)
     except ExprSyntaxError as e:

@@ -3,16 +3,19 @@
 The grammar is deliberately small: x, y, rational literals (5, 5.25, 1/3),
 +, binary and unary -, explicit *, ^ with non-negative integer exponents
 (right associative), and parentheses.  Juxtaposition is not multiplication,
-so "xy" is an unknown identifier rather than a silent product.  All
-arithmetic during expansion is exact.
+so "xy" is an unknown identifier rather than a silent product.
+
+The parser builds exact BivariatePoly values as it reads, with no syntax
+tree in between: each grammar rule returns the expanded polynomial of the
+text it consumed.  A product or power whose expansion would pass the degree
+cap is reported at its operator as soon as it is read, so such an error can
+come before a grammar error later in the same text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     ExprSyntaxError,
@@ -22,52 +25,13 @@ from .errors import (
 )
 from .polyring import BivariatePoly, HomogeneousForm
 
+_X = BivariatePoly({(1, 0): Fraction(1)})
+_Y = BivariatePoly({(0, 1): Fraction(1)})
 
-# ---------------------------------------------------------------------------
-# AST
-
-@dataclass(frozen=True)
-class Var:
-    name: str                # "x" or "y"
-
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "Node"
-    right: "Node"
-    subtract: bool
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "Node"
-    right: "Node"
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class Group:
-    inner: "Node"
-
-
-Node = Union[Var, RationalLit, Neg, Sum, Product, Power, Group]
+# Exponents cap at a level no sane form reaches; the expansion degree cap
+# keeps 64-character adversarial inputs from allocating giant convolutions.
+_MAX_EXPONENT = 512
+_MAX_EXPAND_DEGREE = 1536
 
 
 # ---------------------------------------------------------------------------
@@ -113,48 +77,55 @@ class _Parser:
         if kind != "op" or val != op:
             raise ExprSyntaxError(f"expected {op!r}", off)
 
-    def parse(self) -> Node:
+    def parse(self) -> BivariatePoly:
         if not self.toks:
             raise ExprSyntaxError("empty input", 0)
-        node = self.expr()
+        poly = self.expr()
         kind, val, off = self._peek()
         if kind is not None:
             raise ExprSyntaxError(f"unexpected {val!r}", off)
-        return node
+        return poly
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> BivariatePoly:
+        poly = self.term()
         while True:
             kind, val, _ = self._peek()
             if kind == "op" and val in "+-":
                 self.i += 1
-                node = Sum(node, self.term(), subtract=(val == "-"))
+                right = self.term()
+                poly = poly - right if val == "-" else poly + right
             else:
-                return node
+                return poly
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> BivariatePoly:
+        poly = self.factor()
         while True:
             kind, val, off = self._peek()
             if kind == "op" and val == "*":
                 self.i += 1
-                node = Product(node, self.factor(), offset=off)
+                right = self.factor()
+                if poly.total_degree() + right.total_degree() > _MAX_EXPAND_DEGREE:
+                    raise ExprSyntaxError("expansion exceeds the degree cap", off)
+                poly = poly * right
             else:
-                return node
+                return poly
 
-    def factor(self) -> Node:
+    def factor(self) -> BivariatePoly:
         kind, val, _ = self._peek()
         if kind == "op" and val == "-":
             self.i += 1
-            return Neg(self.factor())
+            return -self.factor()
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> BivariatePoly:
         base = self.atom()
         kind, val, off = self._peek()
         if kind == "op" and val == "^":
             self.i += 1
-            return Power(base, self.exponent(), offset=off)
+            n = self.exponent()
+            if base.total_degree() * n > _MAX_EXPAND_DEGREE:
+                raise ExprSyntaxError("expansion exceeds the degree cap", off)
+            return base.power(n)
         return base
 
     def exponent(self) -> int:
@@ -180,70 +151,27 @@ class _Parser:
             raise ExprSyntaxError("exponent too large", off)
         return n
 
-    def atom(self) -> Node:
+    def atom(self) -> BivariatePoly:
         kind, val, off = self._next()
         if kind == "number":
             try:
-                return RationalLit(Fraction(val))
+                return BivariatePoly({(0, 0): Fraction(val)})
             except ZeroDivisionError:
                 raise ExprSyntaxError(f"zero denominator in {val!r}", off) from None
         if kind == "name":
             if val in ("x", "y"):
-                return Var(val)
+                return _X if val == "x" else _Y
             raise UnknownIdentifierError(val, off)
         if kind == "op" and val == "(":
             inner = self.expr()
             self._expect_op(")")
-            return Group(inner)
+            return inner
         raise ExprSyntaxError(f"unexpected {val!r}" if kind else "unexpected end of input", off)
-
-
-# ---------------------------------------------------------------------------
-# expansion
-
-_X = BivariatePoly({(1, 0): Fraction(1)})
-_Y = BivariatePoly({(0, 1): Fraction(1)})
-
-# Exponents cap at a level no sane form reaches; the expansion degree cap
-# keeps 64-character adversarial inputs from allocating giant convolutions.
-_MAX_EXPONENT = 512
-_MAX_EXPAND_DEGREE = 1536
-
-
-def _expand(node: Node) -> BivariatePoly:
-    if isinstance(node, Var):
-        return _X if node.name == "x" else _Y
-    if isinstance(node, RationalLit):
-        if node.value == 0:
-            return BivariatePoly()
-        return BivariatePoly({(0, 0): node.value})
-    if isinstance(node, Neg):
-        return -_expand(node.arg)
-    if isinstance(node, Sum):
-        l, r = _expand(node.left), _expand(node.right)
-        return l - r if node.subtract else l + r
-    if isinstance(node, Product):
-        l, r = _expand(node.left), _expand(node.right)
-        if l.total_degree() + r.total_degree() > _MAX_EXPAND_DEGREE:
-            raise ExprSyntaxError("expansion exceeds the degree cap", node.offset)
-        return l * r
-    if isinstance(node, Power):
-        base = _expand(node.base)
-        if base.total_degree() * node.exponent > _MAX_EXPAND_DEGREE:
-            raise ExprSyntaxError("expansion exceeds the degree cap", node.offset)
-        return base.power(node.exponent)
-    if isinstance(node, Group):
-        return _expand(node.inner)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def parse_expression(text: str) -> Node:
-    return _Parser(text).parse()
 
 
 def parse_polynomial(text: str) -> BivariatePoly:
     """Parse and expand to a sparse exact coefficient map."""
-    return _expand(parse_expression(text))
+    return _Parser(text).parse()
 
 
 def to_homogeneous(p: BivariatePoly) -> HomogeneousForm:

@@ -5,9 +5,9 @@ A *binary form* of degree p is a homogeneous polynomial in two variables,
     f(x, y) = c_0 x^p + c_1 x^(p-1) y + ... + c_p y^p.
 
 Coefficients are rational and every operation in this module is exact.
-Forms are kept in a primitive normalized shape (coprime integer
-coefficient vector, separate positive rational scale, separate sign) so
-that proportionality tests reduce to tuple equality.
+A form is the tuple (c_0, ..., c_p) of its Fraction coefficients; the
+coprime integer vector that decides proportionality is computed only when
+it is asked for.
 """
 
 from __future__ import annotations
@@ -93,16 +93,11 @@ class UnivariatePoly:
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, t):
-        """Horner evaluation; exact for int or Fraction input, float otherwise."""
-        if isinstance(t, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * t + c
-            return acc
-        acc = 0.0
+    def __call__(self, t: Rat) -> Fraction:
+        """Exact Horner evaluation at an int or Fraction."""
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+            acc = acc * t + c
         return acc
 
     def divmod(self, d: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
@@ -137,12 +132,8 @@ class UnivariatePoly:
         """
         if self.is_zero:
             return self, Fraction(0)
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return UnivariatePoly([Fraction(n, g) for n in ints]), Fraction(g, den)
+        ints = _int_coeffs(self)
+        return UnivariatePoly(ints), self.coeffs[-1] / ints[-1]
 
 
 def _int_coeffs(u: UnivariatePoly) -> list[int]:
@@ -379,36 +370,32 @@ class WeightVector:
 # homogeneous binary forms
 
 class HomogeneousForm:
-    """Binary form of degree p >= 1 in primitive normalized storage.
+    """Binary form sum(c_i * x^(p-i) * y^i) of degree p >= 1.
 
-    The value is sign * scale * sum(prim[i] * x^(p-i) * y^i) where prim is a
-    coprime integer vector whose first nonzero entry is positive, scale is a
-    positive rational, and sign is +1 or -1.  The zero form is rejected here;
-    a degree-tagged zero marker (needed for vanishing partial derivatives)
-    comes from :meth:`zero_marker` only.
+    The form is its tuple of p + 1 Fraction coefficients: equality and
+    hashing compare the tuples, so forms that differ by a constant factor
+    are different values, and :meth:`proportional_to` compares their
+    coprime integer vectors instead.  The zero form is rejected here; a
+    degree-tagged zero marker (needed for vanishing partial derivatives)
+    comes from :meth:`zero_marker` only, and degree 0 constants from
+    :func:`constant_form`.
     """
 
-    __slots__ = ("degree", "prim", "scale", "sign")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Sequence[Rat]):
-        cs = [_as_fraction(c) for c in coeffs]
+    def __new__(cls, coeffs: Sequence[Rat]) -> "HomogeneousForm":
+        cs = tuple(_as_fraction(c) for c in coeffs)
         if len(cs) < 2:
             raise DegreeZeroError("a form needs degree >= 1 (p + 1 coefficients)")
-        if all(c == 0 for c in cs):
+        if not any(cs):
             raise ValueError("the zero form is rejected; use zero_marker")
-        den = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * den) for c in cs]
-        g = math.gcd(*ints)
-        sign = 1
-        for n in ints:
-            if n:
-                if n < 0:
-                    sign = -1
-                break
-        object.__setattr__(self, "degree", len(cs) - 1)
-        object.__setattr__(self, "prim", tuple(n // (sign * g) for n in ints))
-        object.__setattr__(self, "scale", Fraction(g, den))
-        object.__setattr__(self, "sign", sign)
+        return cls._of(cs)
+
+    @classmethod
+    def _of(cls, cs: tuple[Fraction, ...]) -> "HomogeneousForm":
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_coeffs", cs)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("HomogeneousForm is immutable")
@@ -421,53 +408,58 @@ class HomogeneousForm:
         """Zero polynomial tagged with the degree it would have had."""
         if degree < 0:
             raise ValueError("marker degree must be >= 0")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "degree", degree)
-        object.__setattr__(obj, "prim", (0,) * (degree + 1))
-        object.__setattr__(obj, "scale", Fraction(0))
-        object.__setattr__(obj, "sign", 1)
-        return obj
+        return cls._of((Fraction(0),) * (degree + 1))
+
+    @property
+    def degree(self) -> int:
+        return len(self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.scale == 0
+        return not any(self._coeffs)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x^(p-i) y^i."""
-        return self.sign * self.scale * self.prim[i]
+        return self._coeffs[i]
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        s = self.sign * self.scale
-        return tuple(s * n for n in self.prim)
+        return self._coeffs
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, HomogeneousForm)
-                and self.degree == other.degree
-                and self.sign == other.sign
-                and self.scale == other.scale
-                and self.prim == other.prim)
+        return isinstance(other, HomogeneousForm) and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.degree, self.sign, self.scale, self.prim))
+        return hash(self._coeffs)
 
     def __repr__(self):
         return (f"HomogeneousForm(deg={self.degree}, "
-                f"coeffs={[str(c) for c in self.coefficients()]})")
+                f"coeffs={[str(c) for c in self._coeffs]})")
+
+    def _primitive_ints(self) -> tuple[int, ...]:
+        """The coprime integer vector proportional to the coefficients,
+        first nonzero entry positive."""
+        den = math.lcm(*(c.denominator for c in self._coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self._coeffs]
+        g = math.gcd(*ints)
+        if next(n for n in ints if n) < 0:
+            g = -g
+        return tuple(n // g for n in ints)
 
     def proportional_to(self, other: "HomogeneousForm") -> bool:
         """True when the forms differ by a nonzero constant factor."""
         if self.is_zero or other.is_zero:
             return False
-        return self.degree == other.degree and self.prim == other.prim
+        return (self.degree == other.degree
+                and self._primitive_ints() == other._primitive_ints())
 
     def primitive_part(self) -> "HomogeneousForm":
         """Same zero set, coefficients reduced to the coprime integer vector
-        with positive leading entry (scale 1, sign +1)."""
+        with positive leading entry."""
         if self.is_zero:
             raise ValueError("zero marker has no primitive part")
         if self.degree == 0:
             return constant_form(1)
-        return HomogeneousForm(self.prim)
+        return HomogeneousForm(self._primitive_ints())
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         if self.is_zero or other.is_zero:
@@ -506,32 +498,31 @@ class HomogeneousForm:
     def eval_exact(self, x: Rat, y: Rat) -> Fraction:
         x, y = _as_fraction(x), _as_fraction(y)
         p = self.degree
-        return sum((self.coefficient(i) * x ** (p - i) * y**i
-                    for i in range(p + 1)), Fraction(0))
+        return sum((c * x ** (p - i) * y**i for i, c in enumerate(self._coeffs)),
+                   Fraction(0))
 
     def eval_float(self, x: float, y: float) -> float:
         p = self.degree
-        return math.fsum(float(self.coefficient(i)) * x ** (p - i) * y**i
-                         for i in range(p + 1))
+        return math.fsum(float(c) * x ** (p - i) * y**i
+                         for i, c in enumerate(self._coeffs))
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coefficients()]
+        return [float(c) for c in self._coeffs]
 
     def to_bivariate(self) -> BivariatePoly:
         p = self.degree
-        return BivariatePoly({(p - i, i): self.coefficient(i)
-                              for i in range(p + 1) if self.prim[i]})
+        return BivariatePoly({(p - i, i): c for i, c in enumerate(self._coeffs) if c})
 
     def dehomogenized(self) -> UnivariatePoly:
         """f(1, t) as a univariate polynomial in t = y/x."""
-        return UnivariatePoly(self.coefficients())
+        return UnivariatePoly(self._coeffs)
 
     # monomial multiplicities, used when splitting off axis factors
     def y_multiplicity(self) -> int:
-        return min(i for i, n in enumerate(self.prim) if n)
+        return min(i for i, c in enumerate(self._coeffs) if c)
 
     def x_multiplicity(self) -> int:
-        return self.degree - max(i for i, n in enumerate(self.prim) if n)
+        return self.degree - max(i for i, c in enumerate(self._coeffs) if c)
 
 
 def constant_form(c: Rat) -> HomogeneousForm:
@@ -544,13 +535,7 @@ def constant_form(c: Rat) -> HomogeneousForm:
     c = _as_fraction(c)
     if c == 0:
         raise ValueError("zero constant")
-    obj = object.__new__(HomogeneousForm)
-    sign = 1 if c > 0 else -1
-    object.__setattr__(obj, "degree", 0)
-    object.__setattr__(obj, "prim", (1,))
-    object.__setattr__(obj, "scale", abs(c))
-    object.__setattr__(obj, "sign", sign)
-    return obj
+    return HomogeneousForm._of((c,))
 
 
 def partials(f: HomogeneousForm) -> tuple[HomogeneousForm, HomogeneousForm]:
@@ -694,16 +679,9 @@ def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
 def euler_check(f: HomogeneousForm) -> bool:
     """Exact check of the identity p*f = x*f_x + y*f_y."""
     p = f.degree
-    fx, fy = partials(f)
-    ex = fx.coefficients() if not fx.is_zero else (Fraction(0),) * p
-    ey = fy.coefficients() if not fy.is_zero else (Fraction(0),) * p
-    target = f.coefficients()
-    for i in range(p + 1):
-        lhs = (ex[i] if i < p else Fraction(0)) \
-            + (ey[i - 1] if i > 0 else Fraction(0))
-        if lhs != p * target[i]:
-            return False
-    return True
+    fx, fy = (d.coefficients() for d in partials(f))
+    return all((fx[i] if i < p else 0) + (fy[i - 1] if i > 0 else 0) == p * c
+               for i, c in enumerate(f.coefficients()))
 
 
 def quasi_homogeneous_check(g: BivariatePoly, w: WeightVector) -> bool:

@@ -496,17 +496,6 @@ def _iv_mul_poly(a: list, b: list, times: int) -> list:
     return a
 
 
-def dehomogenize(f: HomogeneousForm) -> tuple[UnivariatePoly, int]:
-    """(f(1, t), multiplicity of the factor x).
-
-    f(x, y) = x^x_mult * x^(deg g) * g(y/x) with g the returned polynomial.
-    """
-    if f.is_zero:
-        raise ValueError("zero marker cannot be dehomogenized")
-    g = f.dehomogenized()
-    return g, f.degree - g.degree
-
-
 def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,
                    eps: float) -> list[QuadraticFactor]:
     """Certified enclosures for every conjugate root pair of the squarefree
@@ -590,7 +579,8 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
         raise ValueError("cannot factor the zero marker")
     if f.degree < 1:
         raise ValueError("cannot factor a constant")
-    g, x_mult = dehomogenize(f)
+    g = f.dehomogenized()           # f = x^x_mult * x^(deg g) * g(y/x)
+    x_mult = f.degree - g.degree
     sign = 1 if g.coeffs[-1] > 0 else -1
 
     linear: list[LinearFactor] = []

@@ -4,6 +4,7 @@ Everything here is deliberately written against plain coefficient rows so it
 shares no code path with the package under test.
 """
 
+import math
 import sys
 from fractions import Fraction
 
@@ -51,6 +52,23 @@ def forms_coprime_oracle(p, q):
     if p.degree == 0 or q.degree == 0:
         return True
     return sylvester_det(p.coefficients(), q.coefficients()) != 0
+
+
+def old_normal_form(coeffs):
+    """(degree, sign, scale, prim): the normalized triple binary forms were
+    once stored as, with the degree.  prim is the coprime integer vector of
+    the coefficients whose first nonzero entry is positive, scale a positive
+    rational and sign +-1, so coeffs == sign * scale * prim.  An all-zero
+    row (a zero marker) is (degree, 1, 0, zeros)."""
+    coeffs = [F(c) for c in coeffs]
+    degree = len(coeffs) - 1
+    if not any(coeffs):
+        return degree, 1, F(0), (0,) * len(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    sign = 1 if next(n for n in ints if n) > 0 else -1
+    return degree, sign, F(g, den), tuple(n // (sign * g) for n in ints)
 
 
 def count_calls(monkeypatch, original):

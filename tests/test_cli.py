@@ -234,8 +234,10 @@ def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, cap
     assert sum(1 for args, _ in gcd_calls if args == (fx, fy)) == 1
 
 
-@pytest.mark.parametrize("cmd", ["hamiltonian", "decide", "dynamics", "portrait"])
+@pytest.mark.parametrize("cmd", ["hamiltonian", "decide", "dynamics", "portrait",
+                                 "factor", "classify", "symmetry"])
 def test_eps_reaches_the_factorization(monkeypatch, capsys, cmd):
+    """Every command factors once, in main, at the requested width."""
     opts = ["--res", "16"] if cmd == "portrait" else []
     factor_calls = count_calls(monkeypatch, factor_form)
     assert cli.main([cmd, *opts, "--eps", "1e-6", "(x^2+y^2)*(x-y)^2"]) == 0
@@ -243,6 +245,30 @@ def test_eps_reaches_the_factorization(monkeypatch, capsys, cmd):
     monkeypatch.setenv("BINFORM_PRECISION", "1e-9")
     assert cli.main([cmd, *opts, "(x^2+y^2)*(x-y)^2"]) == 0
     assert [kw.get("eps") for _, kw in factor_calls] == [1e-6, 1e-9]
+
+
+def test_dynamics_integrates_in_the_box_around_the_window(tmp_path, capsys):
+    """dynamics and portrait share one integration box, twice the window
+    about its centre: --window 1,1,3,3 gives (0,0,4,4), which holds the
+    seed (1.5, 1.5) and the rotated point."""
+    (tmp_path / "s.csv").write_text("x,y\n1.5,1.5\n")
+    assert cli.main(["dynamics", "x^2+y^2", "--window", "1,1,3,3", "--sigma", "1/10",
+                     "--seeds", str(tmp_path / "s.csv")]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["dynamics"]
+    assert "error" not in row
+    assert all(0 < v < 4 for v in row["shift"])
+
+
+@pytest.mark.parametrize("cmd", ["portrait", "dynamics"])
+@pytest.mark.parametrize("row", ["5,0", "1e300,1e300"])
+def test_seeds_outside_the_integration_box_are_usage_errors(tmp_path, capsys, cmd, row):
+    (tmp_path / "s.csv").write_text(f"x,y\n0.5,0.25\n{row}\n")
+    assert cli.main([cmd, "--res", "16", "--seeds", str(tmp_path / "s.csv"), "x*y*(x-y)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)["error"]
+    assert err["kind"] == "Usage"
+    assert err["message"] == "--seeds rows must lie in the integration box [-4.0, -4.0, 4.0, 4.0]"
 
 
 def test_invariant_checks_survive_python_O():

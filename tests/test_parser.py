@@ -87,6 +87,33 @@ def test_exponent_caps():
         parse_polynomial("((x+y)^512)^512")
 
 
+def test_degree_cap_offsets():
+    """The cap is checked at the operator whose expansion passes it."""
+    for text, offset in (("(x^512)^2*(x^512)^2", 9), ("((x+y)^512)^512", 11),
+                         ("x^512*x^512*x^512*x", 17)):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse_polynomial(text)
+        assert str(ei.value).startswith("expansion exceeds the degree cap")
+        assert ei.value.offset == offset
+    # a single exponent above 512 fails at the exponent, before any product
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_polynomial("x^1000*x^1000")
+    assert str(ei.value).startswith("exponent too large") and ei.value.offset == 2
+    assert parse_polynomial("x^512*x^512*x^512").terms == {(1536, 0): F(1)}
+
+
+def test_degree_cap_is_reported_before_a_later_syntax_error():
+    """Polynomials are built while the text is read, so a product that passes
+    the cap fails before the parser reaches the stray ')' after it."""
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_polynomial("(x^512)^2*(x^512)^2 + )")
+    assert str(ei.value).startswith("expansion exceeds the degree cap")
+    assert ei.value.offset == 9
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_polynomial("x^2 + )")
+    assert str(ei.value).startswith("unexpected") and ei.value.offset == 6
+
+
 def test_to_homogeneous():
     f = to_homogeneous(parse_polynomial("x*y^2"))
     assert f.coefficients() == (F(0), F(0), F(1), F(0))

@@ -13,6 +13,7 @@ from binform.polyring import (
     WeightVector,
     compose_coeffs,
     compose_linear,
+    constant_form,
     divide_exact,
     euler_check,
     gcd_bivariate,
@@ -24,6 +25,7 @@ from binform.polyring import (
 )
 
 from genforms import random_product
+from oracles import old_normal_form
 
 F = Fraction
 
@@ -206,3 +208,30 @@ def test_zero_marker_behaviour():
     prod = f * z
     assert prod.is_zero and prod.degree == 6
     assert (-z).is_zero
+
+
+def test_coefficient_storage_agrees_with_the_old_normalization():
+    """Forms store their coefficients; equality, hashing, proportionality and
+    the primitive part must behave as they did over the (sign, scale, prim)
+    triple, on random products, their rescalings, zero markers and
+    constants."""
+    rng = random.Random(73)
+    forms = []
+    for _ in range(30):
+        f = random_product(rng).form
+        s = F(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+        forms += [f, f.scale_by(s), -f, HomogeneousForm(list(f.coefficients()))]
+    forms += [HomogeneousForm.zero_marker(d) for d in (0, 1, 1, 3)]
+    forms += [constant_form(F(c, 3)) for c in (-3, -1, 1, 2, 2)]
+    old = [old_normal_form(f.coefficients()) for f in forms]
+    for f, (deg, _, scale, prim) in zip(forms, old):
+        assert f.degree == deg and f.is_zero == (scale == 0)
+        if not f.is_zero:
+            assert f.primitive_part().coefficients() == prim
+    for f, nf in zip(forms, old):
+        for g, ng in zip(forms, old):
+            assert (f == g) == (nf == ng)
+            if f == g:
+                assert hash(f) == hash(g)
+            same_line = nf[2] != 0 and ng[2] != 0 and (nf[0], nf[3]) == (ng[0], ng[3])
+            assert f.proportional_to(g) == same_line
