@@ -221,7 +221,8 @@ def _cmd_dynamics(f, fs, text, args) -> dict:
     from .hamfield import reduced_field
 
     sigma = parse_polynomial(args.sigma)
-    box, seeds = _boxed_seeds(args, [(1.0, 0.0)])
+    x0, y0, x1, y1 = args.window     # default seed: (1, 0) for the default window
+    box, seeds = _boxed_seeds(args, [((x0 + x1) / 2 + (x1 - x0) / 4, (y0 + y1) / 2)])
     cfg = FlowConfig(box=box)
     fld = reduced_field(f, fs)
     regs = shift_regularity(fld, sigma, seeds)

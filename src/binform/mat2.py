@@ -56,9 +56,6 @@ class Mat2:
     def det(self) -> Entry:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> Entry:
-        return self.a + self.d
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a * other.a + self.b * other.c,

@@ -5,9 +5,16 @@ A *binary form* of degree p is a homogeneous polynomial in two variables,
     f(x, y) = c_0 x^p + c_1 x^(p-1) y + ... + c_p y^p.
 
 Coefficients are rational and every operation in this module is exact.
-A form is the tuple (c_0, ..., c_p) of its Fraction coefficients; the
+A form is the tuple (c_0, ..., c_p) of its Fraction coefficients, and so
+are the degree 0 constants and the all-zero markers of a vanishing
+derivative: every operation builds its result as one such tuple.  The
 coprime integer vector that decides proportionality is computed only when
 it is asked for.
+
+Each job has one kernel: :func:`convolve` is the one dense product (of
+forms, of univariate polynomials and of the interval enclosures in
+``realfactor``), and :func:`remainder_sequence` the one integer remainder
+sequence (gcds here, Sturm counts in ``realfactor``).
 """
 
 from __future__ import annotations
@@ -23,10 +30,6 @@ from .mat2 import Mat2
 Rat = Union[int, Fraction]
 
 
-def _as_fraction(v) -> Fraction:
-    return Fraction(v)
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
@@ -40,7 +43,7 @@ class UnivariatePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat]):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -79,15 +82,10 @@ class UnivariatePoly:
     def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         if self.is_zero or other.is_zero:
             return UnivariatePoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UnivariatePoly(out)
+        return UnivariatePoly(convolve(self.coeffs, other.coeffs))
 
     def scale(self, s: Rat) -> "UnivariatePoly":
-        s = _as_fraction(s)
+        s = Fraction(s)
         return UnivariatePoly([c * s for c in self.coeffs])
 
     def derivative(self) -> "UnivariatePoly":
@@ -132,78 +130,76 @@ class UnivariatePoly:
         """
         if self.is_zero:
             return self, Fraction(0)
-        ints = _int_coeffs(self)
+        ints = _int_coeffs(self.coeffs)
         return UnivariatePoly(ints), self.coeffs[-1] / ints[-1]
 
 
-def _int_coeffs(u: UnivariatePoly) -> list[int]:
-    """The coefficients of u's primitive part: coprime integers with a
-    positive leading one.  u must be nonzero."""
-    den = math.lcm(*(c.denominator for c in u.coeffs))
-    return _iprimitive([c.numerator * (den // c.denominator) for c in u.coeffs])
+def convolve(a: Sequence, b: Sequence) -> list:
+    """Coefficients of the product of the polynomials with coefficients a
+    and b (both listed in the same order); a must be nonempty.
+
+    Any scalars closed under + and * will do: Fractions give the exact
+    product of forms and of univariate polynomials, mpmath intervals the
+    enclosure product of ``realfactor``.  Entries of a that test false
+    (exact zeros) are skipped, and every output entry starts from a[0] * 0,
+    so it has the type of the inputs.
+    """
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _ideg(a: list[int]) -> int:
-    return len(a) - 1
+# ---------------------------------------------------------------------------
+# integer core: polynomials as int lists, lowest degree first
 
-
-def _itrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _iprimitive(a: list[int]) -> list[int]:
-    g = math.gcd(*a)
-    if a[-1] < 0:
+def _int_coeffs(cs: Sequence[Fraction]) -> list[int]:
+    """The coprime integers proportional to the Fractions cs, signed so
+    that the last nonzero one is positive.  cs must not be all zero."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints)
+    if next(n for n in reversed(ints) if n) < 0:
         g = -g
-    return [c // g for c in a]
+    return [n // g for n in ints]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) * a  mod  b, all integer."""
-    lb = b[-1]
-    delta = _ideg(a) - _ideg(b)
-    r = list(a)
-    k = 0
-    while r and _ideg(r) >= _ideg(b):
-        shift = _ideg(r) - _ideg(b)
-        lr = r[-1]
+    """lc(b)^(deg a - deg b + 1) * a  mod  b, all integer; deg a >= deg b."""
+    lb, r, k = b[-1], list(a), len(a) - len(b) + 1
+    while len(r) >= len(b):
+        shift, lr = len(r) - len(b), r[-1]
         r = [lb * c for c in r]
         for i, bc in enumerate(b):
             r[shift + i] -= lr * bc
-        _itrim(r)
-        k += 1
-    return [c * lb ** (delta + 1 - k) for c in r]
+        while r and r[-1] == 0:
+            r.pop()
+        k -= 1
+    return [c * lb**k for c in r]
 
 
-def _exact_div_int(c: int, d: int) -> int:
-    q, rem = divmod(c, d)
-    if rem:
-        raise ArithmeticError("subresultant division not exact")
-    return q
+def remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed primitive remainder sequence of integer polynomials with
+    deg a >= deg b >= 0: a, b, then minus the remainder of the two entries
+    before, divided by its positive content.
 
-
-def _subresultant_gcd_int(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of nonzero primitive integer polynomials, subresultant PRS."""
-    if _ideg(a) < _ideg(b):
-        a, b = b, a
-    g, h = 1, 1
-    while True:
-        if _ideg(b) == 0:
-            return [1]
-        delta = _ideg(a) - _ideg(b)
+    Each entry is a positive multiple of the same sequence over Q, so sign
+    variations are those of the Sturm sequence (w, w', ...) when b = a'.
+    It stops at a constant entry or before a zero remainder, so its last
+    entry is a multiple of gcd(a, b)."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
         r = _pseudo_rem(a, b)
         if not r:
-            return _iprimitive(b)
-        beta = g * h**delta
-        r = [_exact_div_int(c, beta) for c in r]
-        a, b = b, r
-        g = a[-1]
-        if delta == 1:
-            h = abs(g)
-        elif delta > 1:
-            h = _exact_div_int(abs(g) ** delta, h ** (delta - 1))
+            break
+        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+            r = [-c for c in r]     # odd power of a negative lc(b)
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+    return chain
 
 
 def gcd_univariate(u: UnivariatePoly, v: UnivariatePoly) -> UnivariatePoly:
@@ -212,7 +208,10 @@ def gcd_univariate(u: UnivariatePoly, v: UnivariatePoly) -> UnivariatePoly:
         return v.primitive()[0]
     if v.is_zero:
         return u.primitive()[0]
-    return UnivariatePoly(_subresultant_gcd_int(_int_coeffs(u), _int_coeffs(v)))
+    a, b = _int_coeffs(u.coeffs), _int_coeffs(v.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    return UnivariatePoly(_int_coeffs(remainder_sequence(a, b)[-1]))
 
 
 def squarefree_decomposition(u: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
@@ -254,7 +253,7 @@ class BivariatePoly:
     def __init__(self, terms: dict[tuple[int, int], Rat] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in (terms or {}).items():
-            c = _as_fraction(c)
+            c = Fraction(c)
             if c != 0:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent in monomial")
@@ -306,7 +305,7 @@ class BivariatePoly:
         return BivariatePoly(out)
 
     def scale(self, s: Rat) -> "BivariatePoly":
-        s = _as_fraction(s)
+        s = Fraction(s)
         return BivariatePoly({m: c * s for m, c in self.terms.items()})
 
     def power(self, n: int) -> "BivariatePoly":
@@ -326,7 +325,7 @@ class BivariatePoly:
                               for (i, j), c in self.terms.items() if j > 0})
 
     def eval_exact(self, x: Rat, y: Rat) -> Fraction:
-        x, y = _as_fraction(x), _as_fraction(y)
+        x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
                    Fraction(0))
 
@@ -348,9 +347,7 @@ class BivariatePoly:
         coeffs = [Fraction(0)] * (p + 1)
         for (i, j), c in self.terms.items():
             coeffs[j] = c
-        if p == 0:
-            return constant_form(coeffs[0])
-        return HomogeneousForm(coeffs)
+        return HomogeneousForm._of(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -375,16 +372,17 @@ class HomogeneousForm:
     The form is its tuple of p + 1 Fraction coefficients: equality and
     hashing compare the tuples, so forms that differ by a constant factor
     are different values, and :meth:`proportional_to` compares their
-    coprime integer vectors instead.  The zero form is rejected here; a
-    degree-tagged zero marker (needed for vanishing partial derivatives)
-    comes from :meth:`zero_marker` only, and degree 0 constants from
-    :func:`constant_form`.
+    coprime integer vectors instead.  The public constructor rejects the
+    zero form and degree 0; a degree-tagged zero marker (needed for
+    vanishing partial derivatives) and a degree 0 constant are the same
+    kind of tuple, all zeros or of length 1, and the operations below
+    build every result, whichever of the three it is, with :meth:`_of`.
     """
 
     __slots__ = ("_coeffs",)
 
     def __new__(cls, coeffs: Sequence[Rat]) -> "HomogeneousForm":
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) < 2:
             raise DegreeZeroError("a form needs degree >= 1 (p + 1 coefficients)")
         if not any(cs):
@@ -435,57 +433,32 @@ class HomogeneousForm:
         return (f"HomogeneousForm(deg={self.degree}, "
                 f"coeffs={[str(c) for c in self._coeffs]})")
 
-    def _primitive_ints(self) -> tuple[int, ...]:
-        """The coprime integer vector proportional to the coefficients,
-        first nonzero entry positive."""
-        den = math.lcm(*(c.denominator for c in self._coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self._coeffs]
-        g = math.gcd(*ints)
-        if next(n for n in ints if n) < 0:
-            g = -g
-        return tuple(n // g for n in ints)
-
     def proportional_to(self, other: "HomogeneousForm") -> bool:
         """True when the forms differ by a nonzero constant factor."""
         if self.is_zero or other.is_zero:
             return False
-        return (self.degree == other.degree
-                and self._primitive_ints() == other._primitive_ints())
+        return _int_coeffs(self._coeffs) == _int_coeffs(other._coeffs)
 
     def primitive_part(self) -> "HomogeneousForm":
         """Same zero set, coefficients reduced to the coprime integer vector
-        with positive leading entry."""
+        with positive leading (first nonzero) entry."""
         if self.is_zero:
             raise ValueError("zero marker has no primitive part")
-        if self.degree == 0:
-            return constant_form(1)
-        return HomogeneousForm(self._primitive_ints())
+        ints = _int_coeffs(self._coeffs)
+        sign = -1 if next(n for n in ints if n) < 0 else 1
+        return HomogeneousForm._of(tuple(Fraction(sign * n) for n in ints))
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if self.is_zero or other.is_zero:
-            return HomogeneousForm.zero_marker(self.degree + other.degree)
-        a, b = self.coefficients(), other.coefficients()
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        if len(out) == 1:
-            return constant_form(out[0])
-        return HomogeneousForm(out)
+        return HomogeneousForm._of(tuple(convolve(self._coeffs, other._coeffs)))
 
     def __neg__(self) -> "HomogeneousForm":
-        if self.is_zero:
-            return self
         return self.scale_by(-1)
 
     def scale_by(self, s: Rat) -> "HomogeneousForm":
-        s = _as_fraction(s)
+        s = Fraction(s)
         if s == 0:
             raise ValueError("scaling a form to zero")
-        if self.degree == 0:
-            return constant_form(self.coefficient(0) * s)
-        return HomogeneousForm([c * s for c in self.coefficients()])
+        return HomogeneousForm._of(tuple(c * s for c in self._coeffs))
 
     def power(self, n: int) -> "HomogeneousForm":
         if n < 1:
@@ -496,7 +469,7 @@ class HomogeneousForm:
         return out
 
     def eval_exact(self, x: Rat, y: Rat) -> Fraction:
-        x, y = _as_fraction(x), _as_fraction(y)
+        x, y = Fraction(x), Fraction(y)
         p = self.degree
         return sum((c * x ** (p - i) * y**i for i, c in enumerate(self._coeffs)),
                    Fraction(0))
@@ -517,11 +490,9 @@ class HomogeneousForm:
         """f(1, t) as a univariate polynomial in t = y/x."""
         return UnivariatePoly(self._coeffs)
 
-    # monomial multiplicities, used when splitting off axis factors
-    def y_multiplicity(self) -> int:
-        return min(i for i, c in enumerate(self._coeffs) if c)
-
     def x_multiplicity(self) -> int:
+        """The power of x that divides f: f = x^m * x^(deg g) * g(y/x)
+        with g = f(1, t)."""
         return self.degree - max(i for i, c in enumerate(self._coeffs) if c)
 
 
@@ -532,7 +503,7 @@ def constant_form(c: Rat) -> HomogeneousForm:
     internally (derivatives of linear forms, gcd cofactors) and this keeps
     those code paths total.
     """
-    c = _as_fraction(c)
+    c = Fraction(c)
     if c == 0:
         raise ValueError("zero constant")
     return HomogeneousForm._of((c,))
@@ -550,17 +521,8 @@ def partials(f: HomogeneousForm) -> tuple[HomogeneousForm, HomogeneousForm]:
     if p == 0:
         raise DegreeZeroError("constants have no useful partials")
     cs = f.coefficients()
-    dx = [(p - i) * cs[i] for i in range(p)]
-    dy = [(i + 1) * cs[i + 1] for i in range(p)]
-
-    def build(v):
-        if all(c == 0 for c in v):
-            return HomogeneousForm.zero_marker(p - 1)
-        if len(v) == 1:
-            return constant_form(v[0])
-        return HomogeneousForm(v)
-
-    return build(dx), build(dy)
+    return (HomogeneousForm._of(tuple((p - i) * cs[i] for i in range(p))),
+            HomogeneousForm._of(tuple((i + 1) * cs[i + 1] for i in range(p))))
 
 
 def compose_linear(f: HomogeneousForm, h: Mat2):
@@ -571,14 +533,9 @@ def compose_linear(f: HomogeneousForm, h: Mat2):
     is a plain list of float coefficients of length p + 1, which is what
     the residual computations want.
     """
-    if f.is_zero:
-        return f if h.is_exact else [0.0] * (f.degree + 1)
     if not h.is_exact:
         return compose_coeffs(f.float_coeffs(), *(float(e) for e in h.entries()))
-    out = compose_coeffs(f.coefficients(), *h.entries())
-    if all(c == 0 for c in out):
-        return HomogeneousForm.zero_marker(f.degree)
-    return HomogeneousForm(out) if f.degree >= 1 else constant_form(out[0])
+    return HomogeneousForm._of(tuple(compose_coeffs(f.coefficients(), *h.entries())))
 
 
 def compose_coeffs(cs, a, b, c, d) -> list:
@@ -614,39 +571,12 @@ def _lin_mul(vec, a, b):
             + [vec[-1] * b])
 
 
-def split_monomials(f: HomogeneousForm) -> tuple[int, int, UnivariatePoly]:
-    """Write f = x^xm * y^ym * (core) and dehomogenize the core.
-
-    Returns (xm, ym, core(t)) where core has nonzero constant and leading
-    coefficients and f(x, y) = x^xm y^ym x^(deg core) core(y/x).
-    """
-    if f.is_zero:
-        raise ValueError("zero marker cannot be split")
-    xm, ym = f.x_multiplicity(), f.y_multiplicity()
-    cs = f.coefficients()
-    core = UnivariatePoly(cs[ym:f.degree - xm + 1])
-    return xm, ym, core
-
-
-def rehomogenize(u: UnivariatePoly, x_mult: int = 0, y_mult: int = 0) -> HomogeneousForm:
-    """Lift a univariate polynomial in t = y/x back to a binary form,
-    multiplied by x^x_mult y^y_mult."""
-    if u.is_zero:
-        raise ValueError("cannot rehomogenize the zero polynomial")
-    d = u.degree
-    coeffs = [Fraction(0)] * (x_mult + y_mult + d + 1)
-    for j, c in enumerate(u.coeffs):
-        coeffs[y_mult + j] = c
-    if len(coeffs) == 1:
-        return constant_form(coeffs[0])
-    return HomogeneousForm(coeffs)
-
-
 def gcd_bivariate(u: HomogeneousForm, v: HomogeneousForm) -> HomogeneousForm:
     """Gcd of two binary forms, primitive with positive leading coefficient.
 
-    Common x and y monomial factors split off first; what remains is a
-    subresultant gcd of the dehomogenized cores, lifted back to a form.
+    The gcd of f(1, t) over Q holds every common factor but the power of
+    x (a power of y is a power of t there); it is lifted back to a form
+    times the least x-multiplicity.
     """
     if u.is_zero and v.is_zero:
         raise ValueError("gcd of two zero markers")
@@ -654,10 +584,9 @@ def gcd_bivariate(u: HomogeneousForm, v: HomogeneousForm) -> HomogeneousForm:
         return v.primitive_part()
     if v.is_zero:
         return u.primitive_part()
-    xu, yu, cu = split_monomials(u)
-    xv, yv, cv = split_monomials(v)
-    g = gcd_univariate(cu, cv)
-    return rehomogenize(g, min(xu, xv), min(yu, yv)).primitive_part()
+    g = gcd_univariate(u.dehomogenized(), v.dehomogenized())
+    xm = min(u.x_multiplicity(), v.x_multiplicity())
+    return HomogeneousForm._of(g.coeffs + (Fraction(0),) * xm).primitive_part()
 
 
 def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
@@ -668,12 +597,11 @@ def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
         if d.degree > u.degree:
             raise ValueError("divisor degree exceeds marker degree")
         return HomogeneousForm.zero_marker(u.degree - d.degree)
-    xu, yu, cu = split_monomials(u)
-    xd, yd, cd = split_monomials(d)
-    if xd > xu or yd > yu:
-        raise ValueError("division is not exact (monomial part)")
-    q = cu.div_exact(cd)
-    return rehomogenize(q, xu - xd, yu - yd)
+    xm = u.x_multiplicity() - d.x_multiplicity()
+    if xm < 0:
+        raise ValueError("division is not exact (power of x)")
+    q = u.dehomogenized().div_exact(d.dehomogenized())
+    return HomogeneousForm._of(q.coeffs + (Fraction(0),) * xm)
 
 
 def euler_check(f: HomogeneousForm) -> bool:
@@ -700,7 +628,7 @@ def jet_order(f: HomogeneousForm, z: tuple[Rat, Rat]) -> int:
     """
     if f.is_zero:
         raise ValueError("zero marker has no jet order")
-    z1, z2 = _as_fraction(z[0]), _as_fraction(z[1])
+    z1, z2 = Fraction(z[0]), Fraction(z[1])
     p = f.degree
     shifted: dict[tuple[int, int], Fraction] = {}
     for i in range(p + 1):

@@ -13,8 +13,9 @@ Each squarefree layer w of the dehomogenization is isolated once.  Its real
 roots are split by Sturm counts and refined by bisection, both in plain
 integers: w is kept as a primitive integer polynomial, every endpoint is a
 rational p/q (the Cauchy bound times a dyadic number), and the sign of
-w(p/q) is that of sum c_i p^i q^(n-i).  The Sturm chain ends in gcd(w, w'),
-so a polynomial that is not squarefree needs no separate gcd.  The same
+w(p/q) is that of sum c_i p^i q^(n-i).  The Sturm chain is the remainder
+sequence that also gives polyring's gcds; it ends in gcd(w, w'), so a
+polynomial that is not squarefree needs no separate gcd.  The same
 isolation serves the linear factors and the deflation that finds the
 complex pairs.
 
@@ -23,8 +24,9 @@ n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic
 (mpmath.iv), so every enclosure is a mathematical statement, not a hope.
 Certification and refinement share one precision ladder and one Newton
 polish, and ``reconstruction_gap`` multiplies the enclosures in the same
-interval arithmetic.  mpmath is imported only on that path, so a form
-without definite quadratic factors is factored without loading it.
+interval arithmetic with polyring's one dense product, ``convolve``.
+mpmath is imported only on that path, so a form without definite
+quadratic factors is factored without loading it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .polyring import (
     HomogeneousForm,
     UnivariatePoly,
     _int_coeffs,
-    _pseudo_rem,
+    convolve,
+    remainder_sequence,
     squarefree_decomposition,
 )
 
@@ -48,11 +51,12 @@ _MAX_PREC_BITS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# integer core: signs at rationals, Sturm chains, dyadic bisection
+# integer core: signs at rationals, Sturm counts, dyadic bisection
 #
 # Integer polynomials are coefficient lists, lowest degree first.  Every
 # point where a sign is taken is a rational p/q with q > 0, and the sign of
-# w(p/q) is that of the integer sum c_i p^i q^(n-i).
+# w(p/q) is that of the integer sum c_i p^i q^(n-i).  The Sturm chain of w
+# is polyring's remainder sequence of (w, w').
 
 def _sign_at(w: list[int], p: int, q: int) -> int:
     """Sign of w(p/q) for q > 0, by homogeneous Horner."""
@@ -61,25 +65,6 @@ def _sign_at(w: list[int], p: int, q: int) -> int:
         acc = acc * p + c * qk
         qk *= q
     return (acc > 0) - (acc < 0)
-
-
-def _sturm_chain(w: list[int]) -> list[list[int]]:
-    """Sturm chain of an integer polynomial; its last entry is a multiple
-    of gcd(w, w').
-
-    Each entry is a positive multiple of the chain over Q (w, w', then minus
-    the successive remainders), so the sign variations are the same."""
-    chain = [w, [i * c for i, c in enumerate(w)][1:]]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _pseudo_rem(a, b)       # lc(b)^(deg a - deg b + 1) * rem(a, b)
-        if not r:
-            break
-        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
-            r = [-c for c in r]     # odd power of a negative lc(b)
-        g = math.gcd(*r)
-        chain.append([-c // g for c in r])
-    return chain
 
 
 def _variations(chain: list[list[int]], t: Fraction) -> int:
@@ -125,7 +110,7 @@ class IsolatedRoot:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("empty isolation interval")
-        w = _int_coeffs(self.poly)
+        w = _int_coeffs(self.poly.coeffs)
         sa = _sign_at(w, self.lo.numerator, self.lo.denominator)
         sb = _sign_at(w, self.hi.numerator, self.hi.denominator)
         if sa == 0 or sb == 0 or sa == sb:
@@ -153,7 +138,7 @@ class IsolatedRoot:
         if self.width < target:
             return self
         tn, td = target.numerator, target.denominator
-        w = _int_coeffs(self.poly)
+        w = _int_coeffs(self.poly.coeffs)
         d = math.lcm(self.lo.denominator, self.hi.denominator)
         a = self.lo.numerator * (d // self.lo.denominator)
         b = self.hi.numerator * (d // self.hi.denominator)
@@ -192,10 +177,10 @@ def isolate_real_roots(u: UnivariatePoly) -> list[IsolatedRoot]:
     """
     if u.is_zero or u.degree < 1:
         return []
-    w = _int_coeffs(u)
-    chain = _sturm_chain(w)
+    w = _int_coeffs(u.coeffs)
+    chain = remainder_sequence(w, [i * c for i, c in enumerate(w)][1:])
     if len(chain[-1]) > 1:      # u is not squarefree
-        w = _int_coeffs(u.div_exact(UnivariatePoly(chain[-1])))
+        w = _int_coeffs(u.div_exact(UnivariatePoly(chain[-1])).coeffs)
     wq = UnivariatePoly(w)
     # Cauchy bound 1 + max |c_i| / lc, strict, so neither -B nor B is a root
     bound = Fraction(w[-1] + max(abs(c) for c in w[:-1]), w[-1])
@@ -286,7 +271,7 @@ def _ladder(layer: UnivariatePoly, eps: float, failure: str, attempt):
     degree first; wp and dwp are them as mpf numbers."""
     from mpmath import iv, mp
 
-    w = _int_coeffs(layer)
+    w = _int_coeffs(layer.coeffs)
     ints = (w[::-1], [i * c for i, c in enumerate(w)][:0:-1])
     prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
     last = None
@@ -454,14 +439,15 @@ class FactorizationStructure:
         def hull(lo: Fraction, hi: Fraction):
             return iv.mpf([_iv_fraction(lo).a, _iv_fraction(hi).b])
 
+        # the forms x or y - t*x, then x^2 + b*x*y + c*y^2, with multiplicity
+        factors = [([1, 0] if lf.is_axis else [-hull(lf.root.lo, lf.root.hi), 1],
+                    lf.alpha) for lf in self.linear]
+        factors += [([1, hull(qf.b_lo, qf.b_hi), hull(qf.c_lo, qf.c_hi)], qf.beta)
+                    for qf in self.quadratic]
         prod = [iv.mpf(1)]  # coefficient enclosures, index = y-exponent
-        for lf in self.linear:
-            # the form x, or y - t*x
-            fac = [1, 0] if lf.is_axis else [-hull(lf.root.lo, lf.root.hi), 1]
-            prod = _iv_mul_poly(prod, fac, lf.alpha)
-        for qf in self.quadratic:
-            fac = [1, hull(qf.b_lo, qf.b_hi), hull(qf.c_lo, qf.c_hi)]
-            prod = _iv_mul_poly(prod, fac, qf.beta)     # x^2 + b*x*y + c*y^2
+        for fac, times in factors:
+            for _ in range(times):
+                prod = convolve(prod, fac)
         p = self.form.degree
         if len(prod) != p + 1:
             raise InvariantError(f"factor product has degree {len(prod) - 1}, form has {p}")
@@ -481,19 +467,6 @@ def _iv_fraction(x: Fraction):
     from mpmath import iv
 
     return iv.mpf(x.numerator) / x.denominator
-
-
-def _iv_mul_poly(a: list, b: list, times: int) -> list:
-    """a * b^times, coefficients lowest degree first."""
-    from mpmath import iv
-
-    for _ in range(times):
-        out = [iv.mpf(0)] * (len(a) + len(b) - 1)
-        for i, xa in enumerate(a):
-            for j, xb in enumerate(b):
-                out[i + j] += xa * xb
-        a = out
-    return a
 
 
 def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,

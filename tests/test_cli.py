@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,21 @@ def test_dynamics_integrates_in_the_box_around_the_window(tmp_path, capsys):
     (row,) = json.loads(capsys.readouterr().out)["dynamics"]
     assert "error" not in row
     assert all(0 < v < 4 for v in row["shift"])
+
+
+def test_dynamics_default_seed_follows_the_window(capsys):
+    """Without --seeds, dynamics starts at (cx + (x1 - x0)/4, cy): (1, 0)
+    for the default window, and inside any other window.  x^2 + y^2 turns
+    at rate 2, so sigma = 1/100 is a rotation by 1/50 that stays in the box
+    around --window 5,5,6,6."""
+    assert cli.main(["dynamics", "x^2+y^2", "--sigma", "1"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["dynamics"]
+    assert row["seed"] == [1.0, 0.0] and "error" not in row
+    assert cli.main(["dynamics", "x^2+y^2", "--window", "5,5,6,6", "--sigma", "1/100"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["dynamics"]
+    assert row["seed"] == [5.75, 5.5]
+    c, s = math.cos(0.02), math.sin(0.02)
+    assert row["shift"] == pytest.approx([5.75 * c - 5.5 * s, 5.75 * s + 5.5 * c], abs=1e-9)
 
 
 @pytest.mark.parametrize("cmd", ["portrait", "dynamics"])

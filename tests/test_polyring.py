@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from binform.errors import NotHomogeneousError
 from binform.mat2 import Mat2
@@ -21,6 +24,7 @@ from binform.polyring import (
     jet_order,
     partials,
     quasi_homogeneous_check,
+    remainder_sequence,
     squarefree_decomposition,
 )
 
@@ -235,3 +239,148 @@ def test_coefficient_storage_agrees_with_the_old_normalization():
                 assert hash(f) == hash(g)
             same_line = nf[2] != 0 and ng[2] != 0 and (nf[0], nf[3]) == (ng[0], ng[3])
             assert f.proportional_to(g) == same_line
+
+
+# ---------------------------------------------------------------------------
+# sympy as the oracle of the exact core
+
+_X, _Y, _T = sympy.symbols("x y t")
+
+
+@st.composite
+def _factor(draw):
+    """An integer line, a power x^i y^j or a definite quadratic, repeated."""
+    kind = draw(st.sampled_from(["line", "monomial", "quadratic"]))
+    if kind == "line":
+        a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+        base = HomogeneousForm([a, b])
+    elif kind == "monomial":
+        i, j = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any))
+        base = HomogeneousForm([0] * j + [1] + [0] * i)        # x^i y^j
+    else:
+        a, b = draw(st.integers(1, 3)), draw(st.integers(-4, 4))
+        base = HomogeneousForm([a, b, b * b // (4 * a) + draw(st.integers(1, 3))])
+    return base.power(draw(st.integers(1, 3)))
+
+
+@st.composite
+def _forms(draw):
+    """A scaled product of one or two factors, a constant or a zero marker."""
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return HomogeneousForm.zero_marker(draw(st.integers(0, 4)))
+    scale = F(draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1))),
+              draw(st.integers(1, 4)))
+    if kind == 1:
+        return constant_form(scale)
+    out = constant_form(scale)
+    for _ in range(draw(st.integers(1, 2))):
+        out = out * draw(_factor())
+    return out
+
+
+def _expr(f):
+    p = f.degree
+    return sum((sympy.Rational(c.numerator, c.denominator) * _X ** (p - i) * _Y ** i
+                for i, c in enumerate(f.coefficients())), sympy.Integer(0))
+
+
+def _frac(r):
+    return F(int(r.p), int(r.q))
+
+
+def _form_coeffs(expr, p):
+    """The coefficients of x^(p-i) y^i of a sympy expression, as Fractions."""
+    poly = sympy.Poly(expr, _X, _Y)
+    return tuple(_frac(poly.coeff_monomial(_X ** (p - i) * _Y ** i)) for i in range(p + 1))
+
+
+def _t_poly(u):
+    return sympy.Poly(list(reversed(u.coeffs)) or [0], _T, domain="QQ")
+
+
+def _t_coeffs(poly):
+    """Coefficients of a sympy polynomial in t, lowest degree first, the
+    zero polynomial as ()."""
+    cs = [_frac(c) for c in reversed(poly.all_coeffs())]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _primitive(cs, first=False):
+    """cs as coprime integers whose last (or first) nonzero entry is positive."""
+    cs = [F(c) for c in cs]
+    if not any(cs):
+        return tuple(cs)
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    lead = [n for n in ints if n][0 if first else -1]
+    g = math.gcd(*ints) * (1 if lead > 0 else -1)
+    return tuple(n // g for n in ints)
+
+
+def _check_sequence(a, b):
+    """remainder_sequence(a, b) is a positive multiple, entry by entry, of
+    a, b, -rem(a, b), ... over Q, and as long."""
+    want = [_t_poly(UnivariatePoly(a)), _t_poly(UnivariatePoly(b))]
+    while want[-1].degree() > 0:
+        r = want[-2].rem(want[-1])
+        if r.is_zero:
+            break
+        want.append(-r)
+    got = remainder_sequence(a, b)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        w = _t_coeffs(w)
+        ratio = F(g[-1]) / w[-1]
+        assert ratio > 0 and tuple(g) == tuple(ratio * c for c in w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_forms(), _forms(), _forms())
+def test_exact_core_matches_sympy(c, u, v):
+    """Products, gcds, exact quotients, square-free layers and the
+    remainder sequence against sympy, on f = c*u and g = c*v."""
+    f, g = c * u, c * v
+    for a, b in ((c, u), (f, g)):
+        assert (a * b).coefficients() == _form_coeffs(sympy.expand(_expr(a) * _expr(b)),
+                                                      a.degree + b.degree)
+    fe, ge = _expr(f), _expr(g)
+    # univariate gcd of f(1, t) and g(1, t), both primitive with lc > 0
+    fu, gu = f.dehomogenized(), g.dehomogenized()
+    want = _primitive(_t_coeffs(sympy.gcd(_t_poly(fu), _t_poly(gu))))
+    assert gcd_univariate(fu, gu).coeffs == want
+    # bivariate gcd, primitive with the first nonzero coefficient positive
+    if f.is_zero and g.is_zero:
+        with pytest.raises(ValueError):
+            gcd_bivariate(f, g)
+    else:
+        d = gcd_bivariate(f, g)
+        assert d.coefficients() == _primitive(_form_coeffs(sympy.gcd(fe, ge), d.degree),
+                                              first=True)
+    # exact quotients, and ValueError exactly when sympy leaves a remainder
+    for num, den in ((f, c), (f, u), (g, v), (f, g), (g, f)):
+        if den.is_zero:
+            continue
+        q, r = sympy.div(_expr(num), _expr(den), _X, _Y)
+        if (num.is_zero or r == 0) and den.degree <= num.degree:
+            quot = divide_exact(num, den)
+            assert quot.coefficients() == _form_coeffs(q, num.degree - den.degree)
+        else:
+            with pytest.raises(ValueError):
+                divide_exact(num, den)
+    # square-free layers of f(1, t) against sqf_list, constants dropped
+    if fu.degree >= 1:
+        layers = [(w.coeffs, m) for w, m in squarefree_decomposition(fu)]
+        _, facs = sympy.sqf_list(_t_poly(fu))
+        assert layers == [(_primitive(_t_coeffs(w)), m)
+                          for w, m in sorted(facs, key=lambda wm: wm[1]) if w.degree() > 0]
+    # remainder sequences of f(1, t) with its derivative and with -g(1, t)
+    # (a negative leading coefficient needs the sign fix at even gaps)
+    if fu.degree >= 1:
+        a = list(_primitive(fu.coeffs))
+        _check_sequence(a, [i * x for i, x in enumerate(a)][1:])
+        if not gu.is_zero:
+            b = [-x for x in _primitive(gu.coeffs)]
+            _check_sequence(*((a, b) if len(a) >= len(b) else (b, a)))
