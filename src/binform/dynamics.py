@@ -121,9 +121,28 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
 
     Returns the trajectory with a status flag instead of raising: polynomial
     fields blow up in finite time routinely and callers decide whether that
-    is exceptional.  Stationary starts stall out rather than burning the
-    step budget.
+    is exceptional.  A stage that is not finite, or whose field value
+    overflows (``OverflowError``) or sums inf and -inf (``ValueError`` from
+    ``fsum``), halves the step.  Stationary starts stall out rather than
+    burning the step budget.
+
+    The stage sums are plain left-to-right sums in tableau order, zero
+    coefficients included: bit for bit what ``sum()`` gave on Python 3.11,
+    whose start 0 changes nothing here (each sum opens with a positive
+    tableau entry times an ``fsum`` value, never -0.0).  Python 3.12 made
+    float ``sum()`` compensated, so flows of a ``sum()`` loop depend on the
+    interpreter; these do not.
     """
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76)) = _DP_A[1:]
+    b1, b2, b3, b4, b5, b6, b7 = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = (p - q for p, q in zip(_DP_B5, _DP_B4))
+
+    def stage(ax, ay):
+        if not (math.isfinite(ax) and math.isfinite(ay)):
+            raise OverflowError          # handled like an overflowing field value
+        return fld.at(ax, ay)
+
     times = [0.0]
     pts = [(float(z0[0]), float(z0[1]))]
     if T == 0.0:
@@ -142,25 +161,33 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
         clipped = direction * (t + h) >= direction * T
         if clipped:
             h = T - t
-        kx = [fx]
-        ky = [fy]
-        bad = False
-        for i in range(1, 7):
-            ax = x + h * sum(aij * kxj for aij, kxj in zip(_DP_A[i], kx))
-            ay = y + h * sum(aij * kyj for aij, kyj in zip(_DP_A[i], ky))
-            if not (math.isfinite(ax) and math.isfinite(ay)):
-                bad = True
-                break
-            vx, vy = fld.at(ax, ay)
-            kx.append(vx)
-            ky.append(vy)
-        if bad:
+        try:
+            k2x, k2y = stage(x + h * (a21 * fx), y + h * (a21 * fy))
+            k3x, k3y = stage(x + h * (a31 * fx + a32 * k2x),
+                             y + h * (a31 * fy + a32 * k2y))
+            k4x, k4y = stage(x + h * (a41 * fx + a42 * k2x + a43 * k3x),
+                             y + h * (a41 * fy + a42 * k2y + a43 * k3y))
+            k5x, k5y = stage(x + h * (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x),
+                             y + h * (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y))
+            k6x, k6y = stage(
+                x + h * (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x),
+                y + h * (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y))
+            k7x, k7y = stage(
+                x + h * (a71 * fx + a72 * k2x + a73 * k3x + a74 * k4x + a75 * k5x
+                         + a76 * k6x),
+                y + h * (a71 * fy + a72 * k2y + a73 * k3y + a74 * k4y + a75 * k5y
+                         + a76 * k6y))
+        except (OverflowError, ValueError):
             h *= 0.5
             continue
-        x5 = x + h * sum(b * k for b, k in zip(_DP_B5, kx))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ky))
-        ex = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, kx))
-        ey = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ky))
+        x5 = x + h * (b1 * fx + b2 * k2x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x
+                      + b7 * k7x)
+        y5 = y + h * (b1 * fy + b2 * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y
+                      + b7 * k7y)
+        ex = h * (e1 * fx + e2 * k2x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x
+                  + e7 * k7x)
+        ey = h * (e1 * fy + e2 * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y
+                  + e7 * k7y)
         if not (math.isfinite(x5) and math.isfinite(y5)):
             h *= 0.5
             continue
@@ -171,7 +198,7 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
             # t + h can land one rounding short of T; a clipped step ends the run
             t = T if clipped else t + h
             x, y = x5, y5
-            fx, fy = kx[6], ky[6]        # FSAL: stage 7 is the next stage 1
+            fx, fy = k7x, k7y            # FSAL: stage 7 is the next stage 1
             times.append(t)
             pts.append((x, y))
             if cfg.box is not None and _outside((x, y), cfg.box):

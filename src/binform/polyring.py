@@ -246,9 +246,11 @@ def squarefree_decomposition(u: UnivariatePoly) -> list[tuple[UnivariatePoly, in
 
 class BivariatePoly:
     """Sparse bivariate polynomial: {(i, j): coeff} with i, j the exponents
-    of x and y.  Zero coefficients are never stored."""
+    of x and y.  Zero coefficients are never stored.  The first
+    :meth:`eval_float` keeps the terms as (i, j, float) triples, so the
+    terms must not change after it."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_floats")
 
     def __init__(self, terms: dict[tuple[int, int], Rat] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -330,10 +332,11 @@ class BivariatePoly:
                    Fraction(0))
 
     def eval_float(self, x: float, y: float) -> float:
-        if not self.terms:
-            return 0.0
-        return math.fsum(float(c) * x**i * y**j
-                         for (i, j), c in self.terms.items())
+        try:
+            fl = self._floats
+        except AttributeError:
+            fl = self._floats = [(i, j, float(c)) for (i, j), c in self.terms.items()]
+        return math.fsum([c * x**i * y**j for i, j, c in fl])
 
     def to_form(self) -> "HomogeneousForm":
         """Convert to a homogeneous form; raises NotHomogeneousError when
@@ -377,9 +380,11 @@ class HomogeneousForm:
     vanishing partial derivatives) and a degree 0 constant are the same
     kind of tuple, all zeros or of length 1, and the operations below
     build every result, whichever of the three it is, with :meth:`_of`.
+    The first float evaluation keeps the coefficients as floats, which
+    neither equality nor hashing sees.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_floats")
 
     def __new__(cls, coeffs: Sequence[Rat]) -> "HomogeneousForm":
         cs = tuple(Fraction(c) for c in coeffs)
@@ -474,13 +479,20 @@ class HomogeneousForm:
         return sum((c * x ** (p - i) * y**i for i, c in enumerate(self._coeffs)),
                    Fraction(0))
 
+    def _float_tuple(self) -> tuple[float, ...]:
+        try:
+            return self._floats
+        except AttributeError:
+            object.__setattr__(self, "_floats", tuple(map(float, self._coeffs)))
+            return self._floats
+
     def eval_float(self, x: float, y: float) -> float:
-        p = self.degree
-        return math.fsum(float(c) * x ** (p - i) * y**i
-                         for i, c in enumerate(self._coeffs))
+        fl = self._float_tuple()
+        p = len(fl) - 1
+        return math.fsum([c * x ** (p - i) * y**i for i, c in enumerate(fl)])
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self._coeffs]
+        return list(self._float_tuple())
 
     def to_bivariate(self) -> BivariatePoly:
         p = self.degree

@@ -180,3 +180,111 @@ def bisect_refine(row, lo, hi, eps):
         else:
             hi = mid
     return lo, hi, False
+
+
+# ---------------------------------------------------------------------------
+# float evaluation and the Dormand-Prince loop in their generic form: one
+# Fraction -> float conversion per term per call, and stage sums that loop
+# over the tableau rows.  The reference for the cached coefficients and the
+# unrolled stages, which must agree with these bit for bit.
+
+def plain_sum(terms):
+    """Left-to-right float sum from the integer 0: what ``sum()`` computes on
+    Python 3.11 (3.12 compensates float sums, so it is not used here)."""
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def bivariate_eval_float(terms, x, y):
+    """A BivariatePoly's {(i, j): Fraction} terms at the float point (x, y)."""
+    if not terms:
+        return 0.0
+    return math.fsum(float(c) * x**i * y**j for (i, j), c in terms.items())
+
+
+def form_eval_float(coeffs, x, y):
+    """The form with coefficients (c_0, ..., c_p) of x^(p-i) y^i at (x, y)."""
+    p = len(coeffs) - 1
+    return math.fsum(float(c) * x ** (p - i) * y**i for i, c in enumerate(coeffs))
+
+
+def generic_flow(fld, z0, T, cfg):
+    """integrate_flow with the stage sums looped over the tableau rows and
+    each field value from :func:`bivariate_eval_float`; returns
+    (times, points, status).  Like integrate_flow, a stage whose field value
+    overflows or sums inf and -inf halves the step."""
+    from binform.dynamics import _DP_A, _DP_B4, _DP_B5, _STALL_SPEED
+
+    def at(x, y):
+        return (bivariate_eval_float(fld.P.terms, x, y),
+                bivariate_eval_float(fld.Q.terms, x, y))
+
+    def done(status):
+        return tuple(times), tuple(pts), status
+
+    times = [0.0]
+    pts = [(float(z0[0]), float(z0[1]))]
+    if T == 0.0:
+        return done("ok")
+    direction = 1.0 if T > 0 else -1.0
+    t, (x, y) = 0.0, pts[0]
+    fx, fy = at(x, y)
+    h = direction * min(cfg.max_step, abs(T))
+    steps = 0
+    while direction * (T - t) > 0:
+        if steps >= cfg.max_steps:
+            return done("step_limit")
+        steps += 1
+        if math.hypot(fx, fy) < _STALL_SPEED:
+            return done("stalled")
+        clipped = direction * (t + h) >= direction * T
+        if clipped:
+            h = T - t
+        kx = [fx]
+        ky = [fy]
+        bad = False
+        for i in range(1, 7):
+            ax = x + h * plain_sum(aij * kxj for aij, kxj in zip(_DP_A[i], kx))
+            ay = y + h * plain_sum(aij * kyj for aij, kyj in zip(_DP_A[i], ky))
+            if not (math.isfinite(ax) and math.isfinite(ay)):
+                bad = True
+                break
+            try:
+                vx, vy = at(ax, ay)
+            except (OverflowError, ValueError):
+                bad = True
+                break
+            kx.append(vx)
+            ky.append(vy)
+        if bad:
+            h *= 0.5
+            continue
+        x5 = x + h * plain_sum(b * k for b, k in zip(_DP_B5, kx))
+        y5 = y + h * plain_sum(b * k for b, k in zip(_DP_B5, ky))
+        ex = h * plain_sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, kx))
+        ey = h * plain_sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ky))
+        if not (math.isfinite(x5) and math.isfinite(y5)):
+            h *= 0.5
+            continue
+        sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(x5))
+        sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y5))
+        err = max(abs(ex) / sx, abs(ey) / sy)
+        if err <= 1.0:
+            t = T if clipped else t + h
+            x, y = x5, y5
+            fx, fy = kx[6], ky[6]
+            times.append(t)
+            pts.append((x, y))
+            if cfg.box is not None:
+                x0, y0, x1, y1 = cfg.box
+                if not (x0 <= x <= x1 and y0 <= y <= y1):
+                    return done("blowup")
+        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+        if abs(h) > cfg.max_step:
+            h = direction * cfg.max_step
+        if t != T and abs(h) < 1e-15 * max(1.0, abs(t)):
+            return done("step_limit")
+    return done("ok")
