@@ -20,9 +20,8 @@ _EXPORTS = {
         jet_order partials quasi_homogeneous_check squarefree_decomposition""",
     "realfactor": """FactorizationStructure IsolatedRoot LinearFactor
         QuadraticFactor factor_form isolate_real_roots refine""",
-    "symgroup": """DiagonalFamily FiniteCyclicGroup PermCandidate RotationFamily
-        ShearFamily TransportFamily finite_order_of induced_permutation
-        invariance_residual oracle_scan quadratic_transport symmetry_group""",
+    "symgroup": """DiagonalFamily FiniteCyclicGroup RotationFamily ShearFamily
+        finite_order_of invariance_residual symmetry_group""",
     "hamfield": """PartitionDescription PlanarPolyField common_divisor
         conservation_defect hamiltonian_field partition_description
         reduced_field""",

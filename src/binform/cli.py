@@ -96,7 +96,7 @@ def _factor_payload(fs) -> dict:
     return {"linear": linear, "quadratic": quadratic}
 
 
-def _symmetry_payload(group, tol: float) -> dict:
+def _symmetry_payload(group) -> dict:
     from .symgroup import DiagonalFamily, FiniteCyclicGroup, RotationFamily, ShearFamily
 
     if isinstance(group, ShearFamily):
@@ -136,12 +136,15 @@ def _cmd_classify(f, fs, text, args) -> dict:
 
 
 def _cmd_symmetry(f, fs, text, args) -> dict:
-    from .symgroup import symmetry_group
+    from .symgroup import _STOP_DEFECT, symmetry_group
     from .verdict import classify_case
 
+    if args.tol < _STOP_DEFECT:
+        raise _UsageError(f"--tol must be at least {_STOP_DEFECT:g}, "
+                          "where the symmetry polish stops")
     group = symmetry_group(f, fs, tol=args.tol, eps=args.eps)
     return {"input": text, "degree": f.degree, "case": classify_case(fs),
-            "symmetry": _symmetry_payload(group, args.tol)}
+            "symmetry": _symmetry_payload(group)}
 
 
 def _cmd_hamiltonian(f, fs, text, args) -> dict:
@@ -360,6 +363,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise _UsageError("--tol must be positive and finite")
         if args.res < 16:
             raise _UsageError("--res must be at least 16")
+        if args.res > 1024:
+            raise _UsageError("--res must be at most 1024")
         args.window = _parse_window(args.window) if args.window else _DEFAULT_WINDOW
         args.seed_points = _read_seeds(args.seeds) if args.seeds else None
         if args.fmt != "json" and args.command != "portrait":

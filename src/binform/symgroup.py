@@ -11,18 +11,17 @@ assigns to the factor counts (l, k):
     E  (l >= 1)     finite cyclic of order dividing 2l, found through
                     cyclic ray shifts; just +-id when l = 1
 
-Two routes are provided for the finite cases: a structured solver
-(transport families and ray combinatorics) and a brute-force parameter
-scan over SL(2, R); tests play them against each other.  Both compose
-through polyring.compose_coeffs and refine with the one Gauss-Newton
-routine here, which takes exact Jacobians; what they do not share is the
-search for starting points.
+The finite cases build candidates from the factor geometry (quadratic
+transport, cyclic ray shifts), polish each with the one Gauss-Newton
+routine here, which takes exact Jacobians, and close the verified ones
+under products.  The tests hold an independent check: a dense scan over
+SL(2, R) that finds its starting points without the factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -40,6 +39,9 @@ from .realfactor import FactorizationStructure, factor_form, refine
 from .verdict import classify_case
 
 _DEDUPE_TOL = 1e-6
+# Gauss-Newton stops once the max-abs defect drops below this, so a
+# residual tolerance under it can verify nothing.
+_STOP_DEFECT = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,7 @@ def _gauss_newton(fun, x0, iters: int):
         r = float(np.max(np.abs(e)))
         if r < best_r:
             best, best_r = x, r
-        if it == iters or r < 1e-15 or size < 1e-14:
+        if it == iters or r < _STOP_DEFECT or size < 1e-14:
             break
         step, *_ = np.linalg.lstsq(jac, e, rcond=None)
         size = float(np.max(np.abs(step)))
@@ -136,107 +138,6 @@ def _spd_roots(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rot(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-@dataclass(frozen=True)
-class TransportFamily:
-    """All orientation-preserving h with h^T B h = lam * A, lam > 0.
-
-    Parametrized as member(theta, lam) = sqrt(lam) * B^(-1/2) R(theta)
-    A^(1/2); the determinant is coupled to the scale by
-    det h = lam * sqrt(det A / det B).
-    """
-
-    A: tuple[tuple[float, float], tuple[float, float]]
-    B: tuple[tuple[float, float], tuple[float, float]]
-    _sqrt_A: np.ndarray = field(repr=False)
-    _inv_sqrt_B: np.ndarray = field(repr=False)
-
-    def member(self, theta: float, lam: float = 1.0) -> Mat2:
-        if lam <= 0:
-            raise ValueError("scale must be positive")
-        m = math.sqrt(lam) * (self._inv_sqrt_B @ _rot(theta) @ self._sqrt_A)
-        return Mat2.approx(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    def member_det(self, lam: float = 1.0) -> float:
-        a = np.asarray(self.A)
-        b = np.asarray(self.B)
-        return lam * math.sqrt(np.linalg.det(a) / np.linalg.det(b))
-
-
-def quadratic_transport(A, B) -> TransportFamily:
-    """Family of orientation-preserving maps taking the quadratic with Gram
-    matrix B to a positive multiple of the one with Gram matrix A (so that
-    Q_B(h z) = lam * Q_A(z))."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    sqrt_A, _ = _spd_roots(A)
-    _, inv_sqrt_B = _spd_roots(B)
-    return TransportFamily(
-        A=((A[0, 0], A[0, 1]), (A[1, 0], A[1, 1])),
-        B=((B[0, 0], B[0, 1]), (B[1, 0], B[1, 1])),
-        _sqrt_A=sqrt_A,
-        _inv_sqrt_B=inv_sqrt_B,
-    )
-
-
-# ---------------------------------------------------------------------------
-# permutation bookkeeping
-
-@dataclass(frozen=True)
-class PermCandidate:
-    """A permutation of the linear factors (sigma) and of the quadratic
-    factors (tau), both 0-indexed images, preserving multiplicities."""
-
-    sigma: tuple[int, ...]
-    tau: tuple[int, ...]
-
-    def validate(self, fs: FactorizationStructure) -> None:
-        if sorted(self.sigma) != list(range(fs.l)) or sorted(self.tau) != list(range(fs.k)):
-            raise ValueError("not a permutation")
-        for i, j in enumerate(self.sigma):
-            if fs.linear[i].alpha != fs.linear[j].alpha:
-                raise ValueError("linear multiplicity not preserved")
-        for i, j in enumerate(self.tau):
-            if fs.quadratic[i].beta != fs.quadratic[j].beta:
-                raise ValueError("quadratic multiplicity not preserved")
-
-
-def induced_permutation(h: Mat2, fs: FactorizationStructure,
-                        tol: float = 1e-6) -> PermCandidate:
-    """Which factor goes where under h; raises ValueError if the matching
-    is not a clean multiplicity-preserving bijection at this tolerance."""
-    hf = h.to_float()
-    dirs = []
-    for lf in fs.linear:
-        dx, dy = lf.line_direction()
-        n = math.hypot(dx, dy)
-        dirs.append((dx / n, dy / n))
-    sigma = []
-    for dx, dy in dirs:
-        ix, iy = hf.apply(dx, dy)
-        n = math.hypot(ix, iy)
-        match = [j for j, (ex, ey) in enumerate(dirs)
-                 if abs(ix * ey - iy * ex) / n < tol]
-        if len(match) != 1:
-            raise ValueError("line image matches none or several factors")
-        sigma.append(match[0])
-    H = np.array([[float(hf.a), float(hf.b)], [float(hf.c), float(hf.d)]])
-    mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
-    tau = []
-    for M in mats:
-        S = H.T @ M @ H
-        match = []
-        for j, T in enumerate(mats):
-            lam = np.trace(S @ np.linalg.inv(T)) / 2
-            if lam > 0 and np.max(np.abs(S - lam * T)) / np.max(np.abs(S)) < tol:
-                match.append(j)
-        if len(match) != 1:
-            raise ValueError("quadratic image matches none or several factors")
-        tau.append(match[0])
-    cand = PermCandidate(tuple(sigma), tuple(tau))
-    cand.validate(fs)
-    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +258,12 @@ def symmetry_group(f: HomogeneousForm, fs: Optional[FactorizationStructure] = No
     """Identify the linear symmetry group of f.
 
     The factorization is refined to enclosure width eps first; tol is the
-    residual below which a candidate matrix counts as verified.
+    residual below which a candidate matrix counts as verified, at least
+    the Gauss-Newton stopping defect _STOP_DEFECT.
     """
+    if not tol >= _STOP_DEFECT:
+        raise ValueError(f"tol must be at least {_STOP_DEFECT:g}, "
+                         "where the Gauss-Newton polish stops")
     if fs is None:
         fs = factor_form(f, eps=eps)
     elif fs.max_width() > Fraction(eps):
@@ -391,14 +296,7 @@ def _mat_from_columns(col1, col2) -> Mat2:
 
 def _case_single_line(fs: FactorizationStructure) -> ShearFamily:
     lf = fs.linear[0]
-    if lf.is_axis:
-        n = Mat2.exact(0, 1, -1, 0)           # sends the line x = 0 to y = 0
-    else:
-        t = _exact_slope(lf.root)
-        if t is not None:
-            n = Mat2.exact(1, 0, t, 1)
-        else:
-            n = Mat2.approx(1.0, 0.0, lf.root.approx, 1.0)
+    n = _mat_from_columns(_line_column(lf), (1, 0) if lf.is_axis else (0, 1))
     parity = "even" if lf.alpha % 2 == 0 else "odd"
     return ShearFamily(normalizer=n, parity=parity)
 
@@ -432,26 +330,43 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
     finite-order element of GL+(2) that fixes a line is +-id, so the
     identity and -id are the only candidates then."""
     target = _unit_target(f)
-    found: list[tuple[tuple[float, float, float, float], float]] = []
+    cap = 4 * max(2 * fs.l, 2 * sum(q.beta for q in fs.quadratic), 16)
+    elems: list[tuple[Mat2, float]] = []
 
-    def try_candidate(entries) -> None:
+    def verify(entries) -> bool:
+        """Polish a candidate and keep it if it is a new symmetry."""
         a, b, c, d = entries
         if abs(a * d - b * c) < 1e-12:
-            return
+            return False
         sol = _polish(target, entries)
-        if sol is not None and sol[1] < tol:
-            found.append((tuple(sol[0].tolist()), sol[1]))
+        if sol is None or sol[1] >= tol:
+            return False
+        m = Mat2.approx(*sol[0].tolist())
+        if any(e.dist(m) < _DEDUPE_TOL for e, _ in elems):
+            return False
+        elems.append((m, sol[1]))
+        if len(elems) > cap:
+            raise ToleranceTooLooseError(
+                f"more than {cap} distinct verified elements; tol admits noise")
+        return True
 
-    try_candidate((1.0, 0.0, 0.0, 1.0))
+    verify((1.0, 0.0, 0.0, 1.0))
     if f.degree % 2 == 0:
-        try_candidate((-1.0, 0.0, 0.0, -1.0))
+        verify((-1.0, 0.0, 0.0, -1.0))
     if fs.l == 0:
-        _candidates_quadratic(fs, target[0], try_candidate)
+        _candidates_quadratic(fs, target[0], verify)
     elif fs.l >= 2:
-        _candidates_ray_shift(fs, target, try_candidate)
+        _candidates_ray_shift(fs, target, verify)
+    # close under products, one snapshot of the verified set per round
+    changed = True
+    while changed:
+        changed = False
+        snapshot = [m for m, _ in elems]
+        for m1 in snapshot:
+            for m2 in snapshot:
+                changed |= verify([float(v) for v in (m1 @ m2).entries()])
 
-    cap = 4 * max(2 * fs.l, 2 * sum(q.beta for q in fs.quadratic), 16)
-    elems, worst = _close_group(found, target, tol, cap)
+    worst = max(r for _, r in elems)
     elems.sort(key=lambda e: (round(e[0].polar_angle(), 9),) + tuple(
         round(float(v), 9) for v in e[0].entries()))
     mats = tuple(e[0] for e in elems)
@@ -474,41 +389,7 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
                              elements=mats, case_label=label)
 
 
-def _close_group(found, target, tol, cap):
-    """Dedupe verified elements and close them under multiplication."""
-    elems: list[tuple[Mat2, float]] = []
-
-    def add(entries, r) -> bool:
-        m = Mat2.approx(*entries)
-        for e, _ in elems:
-            if e.dist(m) < _DEDUPE_TOL:
-                return False
-        elems.append((m, r))
-        return True
-
-    for entries, r in found:
-        add(entries, r)
-        if len(elems) > cap:
-            raise ToleranceTooLooseError(
-                f"more than {cap} distinct verified elements; tol admits noise")
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(elems)
-        for m1, _ in snapshot:
-            for m2, _ in snapshot:
-                prod = m1 @ m2
-                sol = _polish(target, [float(v) for v in prod.entries()])
-                if sol is not None and sol[1] < tol and add(sol[0].tolist(), sol[1]):
-                    changed = True
-                    if len(elems) > cap:
-                        raise ToleranceTooLooseError(
-                            f"closure exceeded {cap} elements; tol admits noise")
-    worst = max(r for _, r in elems)
-    return elems, worst
-
-
-def _candidates_quadratic(fs, fn, try_candidate):
+def _candidates_quadratic(fs, fn, verify):
     """Case of k >= 2 definite factors and no lines: transport the first
     quadratic onto each compatible target t1, pin the rotation angle by
     making the second quadratic proportional to a target t2, fix the scale
@@ -525,29 +406,28 @@ def _candidates_quadratic(fs, fn, try_candidate):
     mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
     betas = [qf.beta for qf in fs.quadratic]
     second = 1
-    inv_sqrt = [_spd_roots(M)[1] for M in mats]
+    sqrt, inv_sqrt = zip(*(_spd_roots(M) for M in mats))
     _, U = np.linalg.eigh(inv_sqrt[0] @ mats[second] @ inv_sqrt[0])
-    for t1, M_t1 in enumerate(mats):
+    for t1 in range(len(mats)):
         if betas[t1] != betas[0]:
             continue
-        fam = quadratic_transport(M_t1, mats[0])
         for t2 in range(len(mats)):
             if t2 == t1 or betas[t2] != betas[second]:
                 continue
             _, V = np.linalg.eigh(inv_sqrt[t1] @ mats[t2] @ inv_sqrt[t1])
             R = U @ np.diag([1.0, np.linalg.det(U) * np.linalg.det(V)]) @ V.T
-            h1 = fam.member(math.atan2(R[1, 0], R[0, 0]), 1.0)
-            scaled = _fix_scale(fn, h1)
+            h1 = inv_sqrt[0] @ _rot(math.atan2(R[1, 0], R[0, 0])) @ sqrt[t1]
+            scaled = _fix_scale(fn, *h1.ravel().tolist())
             if scaled is not None:
-                try_candidate(scaled)
+                verify(scaled)
 
 
-def _candidates_ray_shift(fs, target, try_candidate):
+def _candidates_ray_shift(fs, target, verify):
     """l >= 2 lines: symmetries permute the 2l zero rays by a cyclic shift
     that preserves multiplicities; two ray images pin the matrix up to two
     positive scalars, found by Gauss-Newton in their logarithms."""
     rays = []
-    for idx, lf in enumerate(fs.linear):
+    for lf in fs.linear:
         dx, dy = lf.line_direction()
         nrm = math.hypot(dx, dy)
         for sgn in (1.0, -1.0):
@@ -577,13 +457,12 @@ def _candidates_ray_shift(fs, target, try_candidate):
             if sol is None or sol[1] >= 1e-7:
                 continue
             mu, nu = np.exp(sol[0])
-            try_candidate(tuple((mu * P01[0] + nu * P01[1]).ravel().tolist()))
+            verify(tuple((mu * P01[0] + nu * P01[1]).ravel().tolist()))
 
 
-def _fix_scale(fn, h1: Mat2):
-    """Rescale a projective candidate so f o h = f on the nose; None when
-    the sign cannot be repaired."""
-    a, b, c, d = (float(v) for v in h1.entries())
+def _fix_scale(fn, a: float, b: float, c: float, d: float):
+    """Rescale the projective candidate [[a, b], [c, d]] so f o h = f on
+    the nose; None when the sign cannot be repaired."""
     comp = compose_coeffs(fn, a, b, c, d)
     p = len(fn) - 1
     denom = sum(v * v for v in fn)
@@ -600,7 +479,7 @@ def _fix_scale(fn, h1: Mat2):
 
 
 # ---------------------------------------------------------------------------
-# order computation and the brute-force oracle
+# order computation
 
 def finite_order_of(h: Mat2, max_n: int = 64, tol: float = 1e-9) -> int:
     """Smallest n >= 1 with h^n = id, with determinant renormalization per
@@ -616,116 +495,3 @@ def finite_order_of(h: Mat2, max_n: int = 64, tol: float = 1e-9) -> int:
             return n
         acc = acc @ h.to_float()
     raise NotFiniteOrderError(f"no order up to {max_n} at tol {tol}")
-
-
-def _scan_span(fs: FactorizationStructure) -> float:
-    """Half-width of the log-singular-value axis, from how badly conditioned
-    the factor geometry is; finite symmetries live inside this box."""
-    s = 1.5
-    for qf in fs.quadratic:
-        w = np.linalg.eigvalsh(np.array(qf.gram_matrix()))
-        s = max(s, 0.5 * math.log(w[1] / w[0]) + 1.0)
-    angles = sorted(a for lf in fs.linear for a in lf.ray_angles())
-    if len(angles) >= 2:
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
-        gaps.append(2 * math.pi - angles[-1] + angles[0])
-        gap = min(g for g in gaps if g > 1e-9)
-        s = max(s, math.log(1.0 / math.sin(min(gap, math.pi / 2))) + 1.5)
-    return min(s, 6.0)
-
-
-def oracle_scan(f: HomogeneousForm, resolution: int = 64,
-                tol: float = 1e-9) -> list[Mat2]:
-    """Brute-force search for all symmetries in SL(2, R).
-
-    Grids h = R(phi) diag(e^s, e^-s) R(psi), refines every grid-local
-    minimum of the invariance residual by Gauss-Newton, keeps the verified
-    ones.  It shares the composition kernel and the Gauss-Newton step with
-    the structured solver but not the search: a dense grid over the whole
-    group here, candidates built from the factor geometry there.
-    """
-    if resolution < 64:
-        raise ValueError("resolution must be at least 64")
-    fs = factor_form(f, eps=1e-12)
-    if classify_case(fs) not in ("D", "E"):
-        raise ValueError("the scan only makes sense for the finite cases")
-    span = _scan_span(fs)
-    target = _unit_target(f)
-    fn = target[0]
-
-    phis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    psis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    ns = max(9, resolution // 4) | 1
-    svals = np.linspace(-span, span, ns)
-
-    PH, SS, PS = np.meshgrid(phis, svals, psis, indexing="ij")
-    ph, ss, ps = PH.ravel(), SS.ravel(), PS.ravel()
-    cph, sph, cps, sps = np.cos(ph), np.sin(ph), np.cos(ps), np.sin(ps)
-    es, esi = np.exp(ss), np.exp(-ss)
-    A = cph * es * cps - sph * esi * sps
-    B = -cph * es * sps - sph * esi * cps
-    C = sph * es * cps + cph * esi * sps
-    D = -sph * es * sps + cph * esi * cps
-    comp = np.array(compose_coeffs(fn, A, B, C, D)).T
-    mc = np.max(np.abs(comp), axis=1)
-    mc[mc == 0.0] = np.inf
-    resid = np.max(np.abs(comp / mc[:, None] - np.array(fn)[None, :]), axis=1)
-    R = resid.reshape(PH.shape)
-
-    neighbors = []
-    for axis, periodic in ((0, True), (1, False), (2, True)):
-        for shift in (1, -1):
-            rolled = np.roll(R, shift, axis=axis)
-            if not periodic:
-                sl = [slice(None)] * 3
-                sl[axis] = 0 if shift == 1 else -1
-                rolled[tuple(sl)] = np.inf
-            neighbors.append(rolled)
-    is_min = np.ones_like(R, dtype=bool)
-    for nb in neighbors:
-        is_min &= R <= nb
-    cand_idx = np.argwhere(is_min)
-    scores = R[is_min]
-    order = np.argsort(scores, kind="stable")
-    cand_idx = cand_idx[order]
-
-    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])   # dR/dtheta = R quarter
-
-    def h_of(params):
-        phi, s, psi = params
-        return _rot(phi) @ np.diag([math.exp(s), math.exp(-s)]) @ _rot(psi)
-
-    def fun(params):
-        phi, s, psi = params
-        Rphi, Rpsi = _rot(phi), _rot(psi)
-        Dg = np.diag([math.exp(s), math.exp(-s)])
-        dH = np.array([Rphi @ quarter @ Dg @ Rpsi,
-                       Rphi @ (Dg * [[1.0], [-1.0]]) @ Rpsi,
-                       Rphi @ Dg @ quarter @ Rpsi])
-        return _defect(target, Rphi @ Dg @ Rpsi, dH)
-
-    # The angle split is redundant where s = 0 (only phi + psi matters), so
-    # many grid minima carry the same matrix; drop those before refining.
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    for (i, j, kk) in cand_idx:
-        x = np.array([phis[i], svals[j], psis[kk]])
-        m = h_of(x)
-        if any(np.max(np.abs(m - pm)) < 1e-9 for _, pm in starts):
-            continue
-        starts.append((x, m))
-        if len(starts) >= 600:
-            break
-
-    out: list[Mat2] = []
-    for x, m0 in starts:
-        if any(Mat2.approx(*m0.ravel()).dist(e) < 1e-7 for e in out):
-            continue
-        sol = _gauss_newton(fun, x, 30)
-        if sol is None or sol[1] >= tol:
-            continue
-        cand = Mat2.approx(*h_of(sol[0]).ravel())
-        if all(cand.dist(e) >= _DEDUPE_TOL for e in out):
-            out.append(cand)
-    out.sort(key=lambda e: (round(e.polar_angle(), 9),) + tuple(
-        round(float(v), 9) for v in e.entries()))
-    return out

@@ -1,12 +1,34 @@
 """Independent cross-checks used by several test modules.
 
 Everything here is deliberately written against plain coefficient rows so it
-shares no code path with the package under test.
+shares no code path with the package under test.  The exceptions are the
+two symmetry sections at the end: the dense SL(2, R) scan reuses the
+solver's defect and Gauss-Newton step on purpose, and stays independent of
+it in how it searches; the case-D reference candidates
+reuse the solver's matrix square roots and scale fix, since they pin the bits
+of its candidate construction.
 """
 
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from binform.mat2 import Mat2
+from binform.polyring import HomogeneousForm, compose_coeffs
+from binform.realfactor import FactorizationStructure, factor_form
+from binform.symgroup import (
+    _DEDUPE_TOL,
+    _defect,
+    _fix_scale,
+    _gauss_newton,
+    _rot,
+    _spd_roots,
+    _unit_target,
+)
+from binform.verdict import classify_case
 
 F = Fraction
 
@@ -288,3 +310,219 @@ def generic_flow(fld, z0, T, cfg):
         if t != T and abs(h) < 1e-15 * max(1.0, abs(t)):
             return done("step_limit")
     return done("ok")
+
+
+# ---------------------------------------------------------------------------
+# symmetries: the dense scan over SL(2, R) and the factor permutations.
+# Unlike the rest of this file the scan shares the solver's _defect and
+# _gauss_newton on purpose, so that a disagreement points at the search for
+# starting points: a grid over the whole group here, candidates built from
+# the factor geometry in binform.symgroup.  The permutations read only the
+# factorization.
+
+@dataclass(frozen=True)
+class PermCandidate:
+    """A permutation of the linear factors (sigma) and of the quadratic
+    factors (tau), both 0-indexed images, preserving multiplicities."""
+
+    sigma: tuple[int, ...]
+    tau: tuple[int, ...]
+
+    def validate(self, fs: FactorizationStructure) -> None:
+        if sorted(self.sigma) != list(range(fs.l)) or sorted(self.tau) != list(range(fs.k)):
+            raise ValueError("not a permutation")
+        for i, j in enumerate(self.sigma):
+            if fs.linear[i].alpha != fs.linear[j].alpha:
+                raise ValueError("linear multiplicity not preserved")
+        for i, j in enumerate(self.tau):
+            if fs.quadratic[i].beta != fs.quadratic[j].beta:
+                raise ValueError("quadratic multiplicity not preserved")
+
+
+def induced_permutation(h: Mat2, fs: FactorizationStructure,
+                        tol: float = 1e-6) -> PermCandidate:
+    """Which factor goes where under h; raises ValueError if the matching
+    is not a clean multiplicity-preserving bijection at this tolerance."""
+    hf = h.to_float()
+    dirs = []
+    for lf in fs.linear:
+        dx, dy = lf.line_direction()
+        n = math.hypot(dx, dy)
+        dirs.append((dx / n, dy / n))
+    sigma = []
+    for dx, dy in dirs:
+        ix, iy = hf.apply(dx, dy)
+        n = math.hypot(ix, iy)
+        match = [j for j, (ex, ey) in enumerate(dirs)
+                 if abs(ix * ey - iy * ex) / n < tol]
+        if len(match) != 1:
+            raise ValueError("line image matches none or several factors")
+        sigma.append(match[0])
+    H = np.array([[float(hf.a), float(hf.b)], [float(hf.c), float(hf.d)]])
+    mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
+    tau = []
+    for M in mats:
+        S = H.T @ M @ H
+        match = []
+        for j, T in enumerate(mats):
+            lam = np.trace(S @ np.linalg.inv(T)) / 2
+            if lam > 0 and np.max(np.abs(S - lam * T)) / np.max(np.abs(S)) < tol:
+                match.append(j)
+        if len(match) != 1:
+            raise ValueError("quadratic image matches none or several factors")
+        tau.append(match[0])
+    cand = PermCandidate(tuple(sigma), tuple(tau))
+    cand.validate(fs)
+    return cand
+
+
+def _scan_span(fs: FactorizationStructure) -> float:
+    """Half-width of the log-singular-value axis, from how badly conditioned
+    the factor geometry is; finite symmetries live inside this box."""
+    s = 1.5
+    for qf in fs.quadratic:
+        w = np.linalg.eigvalsh(np.array(qf.gram_matrix()))
+        s = max(s, 0.5 * math.log(w[1] / w[0]) + 1.0)
+    angles = sorted(a for lf in fs.linear for a in lf.ray_angles())
+    if len(angles) >= 2:
+        gaps = [b - a for a, b in zip(angles, angles[1:])]
+        gaps.append(2 * math.pi - angles[-1] + angles[0])
+        gap = min(g for g in gaps if g > 1e-9)
+        s = max(s, math.log(1.0 / math.sin(min(gap, math.pi / 2))) + 1.5)
+    return min(s, 6.0)
+
+
+def oracle_scan(f: HomogeneousForm, resolution: int = 64,
+                tol: float = 1e-9) -> list[Mat2]:
+    """Brute-force search for all symmetries in SL(2, R).
+
+    Grids h = R(phi) diag(e^s, e^-s) R(psi), refines every grid-local
+    minimum of the invariance residual by Gauss-Newton, keeps the verified
+    ones.  It shares the composition kernel and the Gauss-Newton step with
+    the structured solver but not the search: a dense grid over the whole
+    group here, candidates built from the factor geometry there.
+    """
+    if resolution < 64:
+        raise ValueError("resolution must be at least 64")
+    fs = factor_form(f, eps=1e-12)
+    if classify_case(fs) not in ("D", "E"):
+        raise ValueError("the scan only makes sense for the finite cases")
+    span = _scan_span(fs)
+    target = _unit_target(f)
+    fn = target[0]
+
+    phis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
+    psis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
+    ns = max(9, resolution // 4) | 1
+    svals = np.linspace(-span, span, ns)
+
+    PH, SS, PS = np.meshgrid(phis, svals, psis, indexing="ij")
+    ph, ss, ps = PH.ravel(), SS.ravel(), PS.ravel()
+    cph, sph, cps, sps = np.cos(ph), np.sin(ph), np.cos(ps), np.sin(ps)
+    es, esi = np.exp(ss), np.exp(-ss)
+    A = cph * es * cps - sph * esi * sps
+    B = -cph * es * sps - sph * esi * cps
+    C = sph * es * cps + cph * esi * sps
+    D = -sph * es * sps + cph * esi * cps
+    comp = np.array(compose_coeffs(fn, A, B, C, D)).T
+    mc = np.max(np.abs(comp), axis=1)
+    mc[mc == 0.0] = np.inf
+    resid = np.max(np.abs(comp / mc[:, None] - np.array(fn)[None, :]), axis=1)
+    R = resid.reshape(PH.shape)
+
+    neighbors = []
+    for axis, periodic in ((0, True), (1, False), (2, True)):
+        for shift in (1, -1):
+            rolled = np.roll(R, shift, axis=axis)
+            if not periodic:
+                sl = [slice(None)] * 3
+                sl[axis] = 0 if shift == 1 else -1
+                rolled[tuple(sl)] = np.inf
+            neighbors.append(rolled)
+    is_min = np.ones_like(R, dtype=bool)
+    for nb in neighbors:
+        is_min &= R <= nb
+    cand_idx = np.argwhere(is_min)
+    scores = R[is_min]
+    order = np.argsort(scores, kind="stable")
+    cand_idx = cand_idx[order]
+
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])   # dR/dtheta = R quarter
+
+    def h_of(params):
+        phi, s, psi = params
+        return _rot(phi) @ np.diag([math.exp(s), math.exp(-s)]) @ _rot(psi)
+
+    def fun(params):
+        phi, s, psi = params
+        Rphi, Rpsi = _rot(phi), _rot(psi)
+        Dg = np.diag([math.exp(s), math.exp(-s)])
+        dH = np.array([Rphi @ quarter @ Dg @ Rpsi,
+                       Rphi @ (Dg * [[1.0], [-1.0]]) @ Rpsi,
+                       Rphi @ Dg @ quarter @ Rpsi])
+        return _defect(target, Rphi @ Dg @ Rpsi, dH)
+
+    # The angle split is redundant where s = 0 (only phi + psi matters), so
+    # many grid minima carry the same matrix; drop those before refining.
+    starts: list[tuple[np.ndarray, np.ndarray]] = []
+    for (i, j, kk) in cand_idx:
+        x = np.array([phis[i], svals[j], psis[kk]])
+        m = h_of(x)
+        if any(np.max(np.abs(m - pm)) < 1e-9 for _, pm in starts):
+            continue
+        starts.append((x, m))
+        if len(starts) >= 600:
+            break
+
+    out: list[Mat2] = []
+    for x, m0 in starts:
+        if any(Mat2.approx(*m0.ravel()).dist(e) < 1e-7 for e in out):
+            continue
+        sol = _gauss_newton(fun, x, 30)
+        if sol is None or sol[1] >= tol:
+            continue
+        cand = Mat2.approx(*h_of(sol[0]).ravel())
+        if all(cand.dist(e) >= _DEDUPE_TOL for e in out):
+            out.append(cand)
+    out.sort(key=lambda e: (round(e.polar_angle(), 9),) + tuple(
+        round(float(v), 9) for v in e.entries()))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# case-D candidates as the finite-group solver built them through a transport
+# family object, each member a Mat2: the bit-for-bit reference for the
+# candidates it now builds from the square roots of the Gram matrices.
+
+def transport_member(A, B, theta: float, lam: float = 1.0) -> Mat2:
+    """sqrt(lam) * B^(-1/2) R(theta) A^(1/2): the orientation-preserving h
+    with h^T B h = lam * A."""
+    if lam <= 0:
+        raise ValueError("scale must be positive")
+    sqrt_A, _ = _spd_roots(np.asarray(A, dtype=float))
+    _, inv_sqrt_B = _spd_roots(np.asarray(B, dtype=float))
+    m = math.sqrt(lam) * (inv_sqrt_B @ _rot(theta) @ sqrt_A)
+    return Mat2.approx(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+
+
+def transport_candidates(fs, fn) -> list:
+    """The case-D candidates, built with transport_member at lam = 1 and the
+    scale fixed from the entries of the resulting Mat2."""
+    mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
+    betas = [qf.beta for qf in fs.quadratic]
+    inv_sqrt = [_spd_roots(M)[1] for M in mats]
+    _, U = np.linalg.eigh(inv_sqrt[0] @ mats[1] @ inv_sqrt[0])
+    out = []
+    for t1, M_t1 in enumerate(mats):
+        if betas[t1] != betas[0]:
+            continue
+        for t2 in range(len(mats)):
+            if t2 == t1 or betas[t2] != betas[1]:
+                continue
+            _, V = np.linalg.eigh(inv_sqrt[t1] @ mats[t2] @ inv_sqrt[t1])
+            R = U @ np.diag([1.0, np.linalg.det(U) * np.linalg.det(V)]) @ V.T
+            h1 = transport_member(M_t1, mats[0], math.atan2(R[1, 0], R[0, 0]))
+            scaled = _fix_scale(fn, *(float(v) for v in h1.entries()))
+            if scaled is not None:
+                out.append(scaled)
+    return out

@@ -47,13 +47,12 @@ from binform.symgroup import (
     RotationFamily,
     ShearFamily,
     invariance_residual,
-    oracle_scan,
     symmetry_group,
 )
 from binform.verdict import classify_case, decide_theorem
 
 from genforms import random_product
-from oracles import forms_coprime_oracle
+from oracles import forms_coprime_oracle, oracle_scan
 
 F = Fraction
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -182,6 +183,27 @@ def test_portrait_resolution_checked_before_work():
     r = run_cli("portrait", "x^2+y^2", "--res", "8")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"]["kind"] == "Usage"
+
+
+def test_portrait_resolution_is_capped(capsys):
+    # 1025^2 grid values would be the first request past the cap
+    assert cli.main(["portrait", "x^2+y^2", "--res", "1025"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "Usage"
+
+
+def test_tol_below_the_polish_floor_is_a_usage_error(capsys):
+    # no symmetry can verify below the Gauss-Newton stopping defect, so the
+    # search would answer n = 1 for a group of order 3
+    assert cli.main(["symmetry", "x*y*(x-y)", "--tol", "1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "Usage"
+    assert cli.main(["symmetry", "x*y*(x-y)", "--tol", "1e-15"]) == 0
+    out, err = capsys.readouterr()
+    sym = json.loads(out)["symmetry"]
+    assert sym["n"] == 3 and sym["residual"] < 1e-15
 
 
 def test_portrait_format_requires_out():
@@ -394,3 +416,31 @@ def test_cli_fuzz_gives_json_and_a_documented_exit_code(cmd, form, flags, seeds,
     else:
         assert rc in (1, 2, 3)
         assert set(obj) == {"error"} and isinstance(obj["error"]["message"], str)
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each "$ binform ..." line of README.md,
+    the JSON after it joined back onto one line."""
+    examples, lines = [], (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("$ binform "):
+            body = []
+            for nxt in lines[i + 1:]:
+                if not nxt.strip() or nxt.startswith(("$", "```")):
+                    break
+                body.append(nxt.strip())
+            examples.append((shlex.split(line[len("$ binform "):]),
+                             cli._json(json.loads(" ".join(body))) + "\n"))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", _readme_examples(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_readme_examples_print_what_the_readme_shows(argv, expected, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (expected, "")
+
+
+def test_readme_has_examples():
+    assert [argv[0] for argv, _ in _readme_examples()] == ["decide", "hamiltonian", "symmetry"]

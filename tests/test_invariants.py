@@ -71,7 +71,7 @@ def test_verdict_flag_and_case_disagree():
 
 def test_symmetry_payload_of_unknown_group():
     with pytest.raises(InvariantError):
-        cli._symmetry_payload(object(), 1e-9)
+        cli._symmetry_payload(object())
 
 
 def test_cli_reports_invariant_with_exit_3(monkeypatch, capsys):

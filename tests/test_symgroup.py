@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,23 +14,27 @@ from binform.errors import (
 from binform.mat2 import Mat2
 from binform.polyring import HomogeneousForm, compose_linear
 from binform.realfactor import factor_form
+from binform import symgroup
+from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.symgroup import (
     _ENTRY_BASIS,
+    _STOP_DEFECT,
+    _candidates_quadratic,
     _defect,
+    _rot,
+    _spd_roots,
     _unit_target,
     DiagonalFamily,
     FiniteCyclicGroup,
     RotationFamily,
     ShearFamily,
     finite_order_of,
-    induced_permutation,
     invariance_residual,
-    oracle_scan,
-    quadratic_transport,
     symmetry_group,
 )
 
 from genforms import random_case_de
+from oracles import induced_permutation, oracle_scan, transport_candidates
 
 
 def form(*coeffs):
@@ -50,24 +55,28 @@ def test_invariance_residual_detects_symmetry():
 
 
 def test_quadratic_transport_carries_form():
-    # gram matrices of x^2+y^2 and x^2+2y^2
-    fam = quadratic_transport([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]])
+    # gram matrices A of x^2+y^2 and B of x^2+2y^2; h = B^(-1/2) R A^(1/2)
+    # takes the second quadratic to a positive multiple of the first
+    sqrt_A, _ = _spd_roots([[1.0, 0.0], [0.0, 1.0]])
+    _, inv_sqrt_B = _spd_roots([[1.0, 0.0], [0.0, 2.0]])
     src = form(1, 0, 1)
     dst = form(1, 0, 2)
     for theta in (0.0, 0.7, 2.0):
-        h = fam.member(theta, 1.0)
+        h = Mat2.approx(*(inv_sqrt_B @ _rot(theta) @ sqrt_A).ravel())
         moved = compose_linear(dst, h)       # float coefficient list
         ratio = moved[0] / src.float_coeffs()[0]
         assert ratio > 0
         defect = max(abs(a - ratio * b)
                      for a, b in zip(moved, src.float_coeffs()))
         assert defect < 1e-12
-        assert fam.member_det(1.0) > 0
+        # det h = sqrt(det A / det B) > 0
+        assert h.det() > 0
+        assert math.isclose(h.det(), math.sqrt(0.5), rel_tol=1e-14)
 
 
 def test_transport_rejects_indefinite_gram():
     with pytest.raises(NotPositiveDefiniteError):
-        quadratic_transport([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        _spd_roots([[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_shear_family_case_a():
@@ -252,3 +261,90 @@ def test_scale_invariance_of_group():
     assert g1.n == g2.n
     for a, b in zip(g1.elements, g2.elements):
         assert a.dist(b) < 1e-8
+
+
+def parsed(text):
+    return to_homogeneous(parse_polynomial(text))
+
+
+@pytest.mark.parametrize("text, normalizer", [
+    ("x^3", Mat2.exact(0, 1, -1, 0)),            # the axis line x = 0
+    ("(y-2*x)^3", Mat2.exact(1, 0, 2, 1)),       # slope 2
+])
+def test_case_a_normalizer_is_exact(text, normalizer):
+    f = parsed(text)
+    g = symmetry_group(f)
+    assert isinstance(g, ShearFamily)
+    assert g.normalizer.is_exact
+    assert g.normalizer == normalizer
+    # it sends the line y = 0 onto the factor's line: f o n = c y^3 exactly
+    assert compose_linear(f, g.normalizer).coefficients()[:-1] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("text, exact", [
+    ("x*(y-2*x)^2", True),                 # the axis and slope 2
+    ("(3*y-x)*(y+5*x)^3", True),           # slopes 1/3 and -5
+    ("x^2-2*y^2", False),                  # slopes +-1/sqrt(2)
+])
+def test_case_b_normalizer_exact_where_the_slopes_are(text, exact):
+    f = parsed(text)
+    g = symmetry_group(f)
+    assert isinstance(g, DiagonalFamily)
+    n = g.normalizer
+    assert n.is_exact == exact
+    assert n.det() > 0
+    # the normalizer sends the axes onto the two lines: f o n = c x^a y^b
+    moved = compose_linear(f, n)
+    if exact:
+        moved = moved.coefficients()
+    else:
+        scale = max(abs(v) for v in moved)
+        moved = [v / scale if abs(v) > 1e-12 * scale else 0 for v in moved]
+    nonzero = [i for i, v in enumerate(moved) if v != 0]
+    assert nonzero == [g.alpha_y]
+
+
+def _case_d_forms():
+    rng = random.Random(7)
+    samples = [s.form for s in (random_case_de(rng) for _ in range(80)) if s.l == 0]
+    assert len(samples) >= 5
+    return samples[:8]
+
+
+@pytest.mark.parametrize("f", [
+    TWO_QUADS,
+    form(1, 0, 1) * form(1, 0, 2) * form(2, 0, 1),   # three definite quadratics
+    *_case_d_forms(),
+])
+def test_quadratic_candidates_match_the_transport_reference(f):
+    fs = factor_form(f)
+    fn = _unit_target(f)[0]
+    handed = []
+    _candidates_quadratic(fs, fn, handed.append)
+    assert handed
+    assert handed == transport_candidates(fs, fn)
+
+
+@pytest.mark.parametrize("f", [THREE_LINES, TWO_QUADS])
+def test_verified_elements_are_capped(monkeypatch, f):
+    # every polish "verifies" a new matrix; the cap must stop the search
+    count = itertools.count(1)
+
+    def fake_polish(target, entries):
+        return np.array([1.0 + 1e-3 * next(count), 0.0, 0.0, 1.0]), 0.0
+
+    monkeypatch.setattr(symgroup, "_polish", fake_polish)
+    with pytest.raises(ToleranceTooLooseError, match="more than 64 distinct"):
+        symmetry_group(f)
+    assert next(count) == 66          # raised at the 65th distinct element
+
+
+def test_tol_below_the_polish_floor_is_an_error():
+    f = parsed("x*y*(x-y)")
+    with pytest.raises(ValueError):
+        symmetry_group(f, tol=1e-300)
+    with pytest.raises(ValueError):
+        symmetry_group(f, tol=_STOP_DEFECT / 2)
+    g = symmetry_group(f, tol=_STOP_DEFECT)
+    assert g.n == 3
+    assert g.residual < _STOP_DEFECT
