@@ -7,13 +7,14 @@ assigns to the factor counts (l, k):
     A  (1, 0)       shear family in coordinates where the line is y = 0
     B  (2, 0)       diagonal scaling family, finite part inside Z_4
     C  (0, 1)       conjugated rotation circle
-    D  (0, k >= 2)  finite cyclic, found through quadratic transport
-    E  (l >= 1)     finite cyclic of order dividing 2l, found through
-                    cyclic ray shifts; just +-id when l = 1
+    D  (0, k >= 2)  finite cyclic
+    E  (l >= 1)     finite cyclic of order dividing 2l; just +-id when l = 1
 
-The finite cases build candidates from the factor geometry (quadratic
-transport, cyclic ray shifts), polish each with the one Gauss-Newton
-routine here, which takes exact Jacobians, and close the verified ones
+A finite-case symmetry acts on the slope t = y/x as a real Moebius map of
+positive determinant, so three factor roots and their images fix it.  The
+candidates are these maps, one per target triple that the cyclic order and
+the multiplicities allow; each is polished with the one Gauss-Newton
+routine here, which takes exact Jacobians, and the verified ones are closed
 under products.  The tests hold an independent check: a dense scan over
 SL(2, R) that finds its starting points without the factors.
 """
@@ -66,24 +67,19 @@ def _unit_target(f: HomogeneousForm):
     return tuple([v / mf for v in g.float_coeffs()] for g in (f, *partials(f)))
 
 
-_ENTRY_BASIS = np.eye(4).reshape(4, 2, 2)
+def _defect(target, entries):
+    """The defect fn o h - fn at h = [[a, b], [c, d]] and its exact
+    Jacobian in (a, b, c, d).
 
-
-def _defect(target, H: np.ndarray, dH: np.ndarray):
-    """The defect fn o H - fn and its exact Jacobian in the parameters of H,
-    given dH[j] = dH / dparam_j.
-
-    In the matrix entries d(f o h)/d(a, b, c, d) = (x, y, x, y) times
-    (f_x o h, f_x o h, f_y o h, f_y o h); in coefficient order a factor x
-    appends a zero and a factor y prepends one.
+    d(f o h)/d(a, b, c, d) = (x, y, x, y) times (f_x o h, f_x o h, f_y o h,
+    f_y o h); in coefficient order a factor x appends a zero and a factor y
+    prepends one.
     """
     fn, fx, fy = target
-    entries = H.ravel().tolist()
     e = np.array(compose_coeffs(fn, *entries)) - fn
     gx = compose_coeffs(fx, *entries)
     gy = compose_coeffs(fy, *entries)
-    jac = np.array([gx + [0.0], [0.0] + gx, gy + [0.0], [0.0] + gy]).T
-    return e, jac @ dH.reshape(len(dH), 4).T
+    return e, np.array([gx + [0.0], [0.0] + gx, gy + [0.0], [0.0] + gy]).T
 
 
 def _gauss_newton(fun, x0, iters: int):
@@ -116,28 +112,7 @@ def _polish(target, entries):
     """Gauss-Newton over the four matrix entries; symmetries are isolated
     zeros of the defect in the finite cases, so this converges
     quadratically."""
-    return _gauss_newton(
-        lambda v: _defect(target, v.reshape(2, 2), _ENTRY_BASIS), entries, 12)
-
-
-# ---------------------------------------------------------------------------
-# positive definite transport
-
-def _spd_roots(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M^(1/2), M^(-1/2)) of a symmetric positive definite 2x2 matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12 * (1 + abs(M[0, 1])):
-        raise NotPositiveDefiniteError("matrix is not symmetric")
-    w, V = np.linalg.eigh(M)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    s = np.sqrt(w)
-    return (V * s) @ V.T, (V / s) @ V.T
-
-
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _gauss_newton(lambda v: _defect(target, v.tolist()), entries, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +289,18 @@ def _case_two_lines(f: HomogeneousForm, fs: FactorizationStructure,
     return group
 
 
+def _spd_roots(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M^(1/2), M^(-1/2)) of a symmetric positive definite 2x2 matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12 * (1 + abs(M[0, 1])):
+        raise NotPositiveDefiniteError("matrix is not symmetric")
+    w, V = np.linalg.eigh(M)
+    if w[0] <= 0:
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    s = np.sqrt(w)
+    return (V * s) @ V.T, (V / s) @ V.T
+
+
 def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
     M = np.array(fs.quadratic[0].gram_matrix())
     _, inv_sqrt = _spd_roots(M)
@@ -333,16 +320,19 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
     cap = 4 * max(2 * fs.l, 2 * sum(q.beta for q in fs.quadratic), 16)
     elems: list[tuple[Mat2, float]] = []
 
+    def known(m: Mat2) -> bool:
+        return any(e.dist(m) < _DEDUPE_TOL for e, _ in elems)
+
     def verify(entries) -> bool:
         """Polish a candidate and keep it if it is a new symmetry."""
         a, b, c, d = entries
-        if abs(a * d - b * c) < 1e-12:
+        if a * d - b * c < 1e-12:
             return False
         sol = _polish(target, entries)
         if sol is None or sol[1] >= tol:
             return False
         m = Mat2.approx(*sol[0].tolist())
-        if any(e.dist(m) < _DEDUPE_TOL for e, _ in elems):
+        if m.det() <= 0 or known(m):
             return False
         elems.append((m, sol[1]))
         if len(elems) > cap:
@@ -353,18 +343,19 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
     verify((1.0, 0.0, 0.0, 1.0))
     if f.degree % 2 == 0:
         verify((-1.0, 0.0, 0.0, -1.0))
-    if fs.l == 0:
-        _candidates_quadratic(fs, target[0], verify)
-    elif fs.l >= 2:
-        _candidates_ray_shift(fs, target, verify)
-    # close under products, one snapshot of the verified set per round
+    if fs.l != 1:
+        _candidates_moebius(fs, target[0], verify)
+    # close under products, one snapshot of the verified set per round;
+    # a product already known needs no polish
     changed = True
     while changed:
         changed = False
         snapshot = [m for m, _ in elems]
         for m1 in snapshot:
             for m2 in snapshot:
-                changed |= verify([float(v) for v in (m1 @ m2).entries()])
+                m = m1 @ m2
+                if not known(m):
+                    changed |= verify([float(v) for v in m.entries()])
 
     worst = max(r for _, r in elems)
     elems.sort(key=lambda e: (round(e[0].polar_angle(), 9),) + tuple(
@@ -389,75 +380,57 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
                              elements=mats, case_label=label)
 
 
-def _candidates_quadratic(fs, fn, verify):
-    """Case of k >= 2 definite factors and no lines: transport the first
-    quadratic onto each compatible target t1, pin the rotation angle by
-    making the second quadratic proportional to a target t2, fix the scale
-    from f itself.
+def _candidates_moebius(fs, fn, verify):
+    """Hand verify the candidates.  A symmetry acts on the slope t = y/x
+    as a real Moebius map of positive determinant: it keeps the cyclic
+    order of the lines (fs.linear is in that order) and their
+    multiplicities, and sends the upper root of each definite quadratic to
+    that of one with the same multiplicity.  Three points fix it: three
+    lines (l >= 3), two lines and the first quadratic's root (l = 2), or
+    that root, its conjugate and the second's (l = 0).  Points are
+    homogeneous (x, y) pairs; the slopes are refined to the last bit, so a
+    candidate is a symmetry up to rounding."""
+    lines = [(0.0, 1.0) if lf.is_axis else
+             (1.0, lf.root.refine(1e-17 * max(1.0, abs(lf.root.approx))).approx)
+             for lf in fs.linear]
+    alphas = [lf.alpha for lf in fs.linear]
+    roots = [((1.0, complex(qf.mu, qf.nu)), (1.0, complex(qf.mu, -qf.nu)), qf.beta)
+             for qf in fs.quadratic]
+    shifts = [lines[s:] + lines[:s] for s in range(fs.l)
+              if alphas[s:] + alphas[:s] == alphas]
+    if fs.l >= 3:
+        source, images = lines[:3], [w[:3] for w in shifts]
+    elif fs.l == 2:
+        (r0, _, b0), *_ = roots
+        source = [*lines, r0]
+        images = [[*w, r] for w in shifts for r, _, beta in roots if beta == b0]
+    else:
+        (r0, c0, b0), (r1, _, b1), *_ = roots
+        source = [r0, c0, r1]
+        images = [[r, c, r2] for r, c, beta in roots if beta == b0
+                  for r2, _, beta2 in roots if r2 != r and beta2 == b1]
+    for image in images:
+        scaled = _fix_scale(fn, *_moebius(source, image))
+        if scaled is not None:
+            verify(scaled)
 
-    With h = B^(-1/2) R A^(1/2) (B the first Gram matrix, A that of t1)
-    the second quadratic goes to a multiple of t2 exactly when R^T N R is
-    proportional to P, where N = B^(-1/2) M_2 B^(-1/2) and
-    P = A^(-1/2) M_t2 A^(-1/2).  Both are symmetric, so R = U D V^T from
-    their eigenvectors, with D = +-1 on the diagonal and det R = 1; that
-    fixes the angle mod pi.  The other half-turn differs by -id, which
-    _fix_scale absorbs for odd degree and the closure supplies for even.
-    """
-    mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
-    betas = [qf.beta for qf in fs.quadratic]
-    second = 1
-    sqrt, inv_sqrt = zip(*(_spd_roots(M) for M in mats))
-    _, U = np.linalg.eigh(inv_sqrt[0] @ mats[second] @ inv_sqrt[0])
-    for t1 in range(len(mats)):
-        if betas[t1] != betas[0]:
-            continue
-        for t2 in range(len(mats)):
-            if t2 == t1 or betas[t2] != betas[second]:
-                continue
-            _, V = np.linalg.eigh(inv_sqrt[t1] @ mats[t2] @ inv_sqrt[t1])
-            R = U @ np.diag([1.0, np.linalg.det(U) * np.linalg.det(V)]) @ V.T
-            h1 = inv_sqrt[0] @ _rot(math.atan2(R[1, 0], R[0, 0])) @ sqrt[t1]
-            scaled = _fix_scale(fn, *h1.ravel().tolist())
-            if scaled is not None:
-                verify(scaled)
 
+def _moebius(source, image):
+    """Real entries, the largest 1, of the H with H v ~ w for the three
+    points v of source and their images w.  With v3 = alpha v1 + beta v2
+    and w3 = gamma w1 + delta w2, H = W diag(gamma/alpha, delta/beta)
+    V^(-1), which Cramer's rule makes W diag(p, q) adj(V) up to a scalar.
+    A real map through the points is H times a complex number, which
+    dividing by the largest entry removes."""
+    def det(u, v):
+        return u[0] * v[1] - u[1] * v[0]
 
-def _candidates_ray_shift(fs, target, verify):
-    """l >= 2 lines: symmetries permute the 2l zero rays by a cyclic shift
-    that preserves multiplicities; two ray images pin the matrix up to two
-    positive scalars, found by Gauss-Newton in their logarithms."""
-    rays = []
-    for lf in fs.linear:
-        dx, dy = lf.line_direction()
-        nrm = math.hypot(dx, dy)
-        for sgn in (1.0, -1.0):
-            ux, uy = sgn * dx / nrm, sgn * dy / nrm
-            rays.append((math.atan2(uy, ux) % (2 * math.pi), (ux, uy), lf.alpha))
-    rays.sort(key=lambda r: r[0])
-    m = len(rays)
-    pattern = [r[2] for r in rays]
-    V = np.array([[rays[0][1][0], rays[1][1][0]],
-                  [rays[0][1][1], rays[1][1][1]]])
-    Vinv = np.linalg.inv(V)
-
-    for s in range(m):
-        if any(pattern[(i + s) % m] != pattern[i] for i in range(m)):
-            continue
-        W = np.array([[rays[s][1][0], rays[(1 + s) % m][1][0]],
-                      [rays[s][1][1], rays[(1 + s) % m][1][1]]])
-        # H = mu P0 + nu P1, so dH/dlog(mu) = mu P0 and dH/dlog(nu) = nu P1
-        P01 = np.array([np.outer(W[:, j], Vinv[j]) for j in range(2)])
-
-        def fun(ab):
-            terms = np.exp(ab)[:, None, None] * P01
-            return _defect(target, terms[0] + terms[1], terms)
-
-        for seed in [(0.0, 0.0), (0.4, -0.4), (-0.4, 0.4), (0.25, 0.25)]:
-            sol = _gauss_newton(fun, seed, 40)
-            if sol is None or sol[1] >= 1e-7:
-                continue
-            mu, nu = np.exp(sol[0])
-            verify(tuple((mu * P01[0] + nu * P01[1]).ravel().tolist()))
+    (v1, v2, v3), (w1, w2, w3) = source, image
+    p, q = det(w3, w2) * det(v1, v3), det(w1, w3) * det(v3, v2)
+    h = (p * w1[0] * v2[1] - q * w2[0] * v1[1], q * w2[0] * v1[0] - p * w1[0] * v2[0],
+         p * w1[1] * v2[1] - q * w2[1] * v1[1], q * w2[1] * v1[0] - p * w1[1] * v2[0])
+    top = max(h, key=abs) or 1.0     # zero only on underflow; _fix_scale drops it
+    return [(v / top).real for v in h]
 
 
 def _fix_scale(fn, a: float, b: float, c: float, d: float):
@@ -465,16 +438,10 @@ def _fix_scale(fn, a: float, b: float, c: float, d: float):
     the nose; None when the sign cannot be repaired."""
     comp = compose_coeffs(fn, a, b, c, d)
     p = len(fn) - 1
-    denom = sum(v * v for v in fn)
-    kappa = sum(u * v for u, v in zip(comp, fn)) / denom
-    if abs(kappa) < 1e-12:
+    kappa = sum(u * v for u, v in zip(comp, fn)) / sum(v * v for v in fn)
+    if abs(kappa) < 1e-12 or (p % 2 == 0 and kappa < 0):
         return None
-    if p % 2 == 0:
-        if kappa <= 0:
-            return None
-        s = kappa ** (-1.0 / p)
-    else:
-        s = math.copysign(abs(kappa) ** (-1.0 / p), kappa)
+    s = math.copysign(abs(kappa) ** (-1.0 / p), kappa)
     return (s * a, s * b, s * c, s * d)
 
 

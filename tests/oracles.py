@@ -4,9 +4,9 @@ Everything here is deliberately written against plain coefficient rows so it
 shares no code path with the package under test.  The exceptions are the
 two symmetry sections at the end: the dense SL(2, R) scan reuses the
 solver's defect and Gauss-Newton step on purpose, and stays independent of
-it in how it searches; the case-D reference candidates
-reuse the solver's matrix square roots and scale fix, since they pin the bits
-of its candidate construction.
+it in how it searches; the case-D transport candidates reuse the solver's
+matrix square roots, scale fix and polish, and are closed into a group here
+to check the group the solver builds from its own candidates.
 """
 
 import math
@@ -24,7 +24,7 @@ from binform.symgroup import (
     _defect,
     _fix_scale,
     _gauss_newton,
-    _rot,
+    _polish,
     _spd_roots,
     _unit_target,
 )
@@ -376,6 +376,33 @@ def induced_permutation(h: Mat2, fs: FactorizationStructure,
     return cand
 
 
+def _rot(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+_QUARTER = np.array([[0.0, -1.0], [1.0, 0.0]])     # dR/dtheta = R _QUARTER
+
+
+def scan_matrix(params) -> np.ndarray:
+    """h = R(phi) diag(e^s, e^-s) R(psi) for params (phi, s, psi)."""
+    phi, s, psi = params
+    return _rot(phi) @ np.diag([math.exp(s), math.exp(-s)]) @ _rot(psi)
+
+
+def scan_defect(target, params):
+    """The solver's defect at scan_matrix(params), its Jacobian taken from
+    the four matrix entries to (phi, s, psi) by the chain rule."""
+    phi, s, psi = params
+    Rphi, Rpsi = _rot(phi), _rot(psi)
+    Dg = np.diag([math.exp(s), math.exp(-s)])
+    dH = np.array([Rphi @ _QUARTER @ Dg @ Rpsi,
+                   Rphi @ (Dg * [[1.0], [-1.0]]) @ Rpsi,
+                   Rphi @ Dg @ _QUARTER @ Rpsi])
+    e, jac = _defect(target, (Rphi @ Dg @ Rpsi).ravel().tolist())
+    return e, jac @ dH.reshape(3, 4).T
+
+
 def _scan_span(fs: FactorizationStructure) -> float:
     """Half-width of the log-singular-value axis, from how badly conditioned
     the factor geometry is; finite symmetries live inside this box."""
@@ -447,27 +474,12 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
     order = np.argsort(scores, kind="stable")
     cand_idx = cand_idx[order]
 
-    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])   # dR/dtheta = R quarter
-
-    def h_of(params):
-        phi, s, psi = params
-        return _rot(phi) @ np.diag([math.exp(s), math.exp(-s)]) @ _rot(psi)
-
-    def fun(params):
-        phi, s, psi = params
-        Rphi, Rpsi = _rot(phi), _rot(psi)
-        Dg = np.diag([math.exp(s), math.exp(-s)])
-        dH = np.array([Rphi @ quarter @ Dg @ Rpsi,
-                       Rphi @ (Dg * [[1.0], [-1.0]]) @ Rpsi,
-                       Rphi @ Dg @ quarter @ Rpsi])
-        return _defect(target, Rphi @ Dg @ Rpsi, dH)
-
     # The angle split is redundant where s = 0 (only phi + psi matters), so
     # many grid minima carry the same matrix; drop those before refining.
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     for (i, j, kk) in cand_idx:
         x = np.array([phis[i], svals[j], psis[kk]])
-        m = h_of(x)
+        m = scan_matrix(x)
         if any(np.max(np.abs(m - pm)) < 1e-9 for _, pm in starts):
             continue
         starts.append((x, m))
@@ -478,10 +490,10 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
     for x, m0 in starts:
         if any(Mat2.approx(*m0.ravel()).dist(e) < 1e-7 for e in out):
             continue
-        sol = _gauss_newton(fun, x, 30)
+        sol = _gauss_newton(lambda v: scan_defect(target, v), x, 30)
         if sol is None or sol[1] >= tol:
             continue
-        cand = Mat2.approx(*h_of(sol[0]).ravel())
+        cand = Mat2.approx(*scan_matrix(sol[0]).ravel())
         if all(cand.dist(e) >= _DEDUPE_TOL for e in out):
             out.append(cand)
     out.sort(key=lambda e: (round(e.polar_angle(), 9),) + tuple(
@@ -490,9 +502,11 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# case-D candidates as the finite-group solver built them through a transport
-# family object, each member a Mat2: the bit-for-bit reference for the
-# candidates it now builds from the square roots of the Gram matrices.
+# case D through quadratic transport: h = B^(-1/2) R(theta) A^(1/2) carries
+# the Gram matrix B of the first quadratic to A of a target one, and theta
+# makes the second quadratic proportional to its target.  The finite-group
+# solver built its candidates this way before it took the Moebius map
+# through three factor roots; the group closed from them is the reference.
 
 def transport_member(A, B, theta: float, lam: float = 1.0) -> Mat2:
     """sqrt(lam) * B^(-1/2) R(theta) A^(1/2): the orientation-preserving h
@@ -507,7 +521,12 @@ def transport_member(A, B, theta: float, lam: float = 1.0) -> Mat2:
 
 def transport_candidates(fs, fn) -> list:
     """The case-D candidates, built with transport_member at lam = 1 and the
-    scale fixed from the entries of the resulting Mat2."""
+    scale fixed from the entries of the resulting Mat2.
+
+    With N = B^(-1/2) M_2 B^(-1/2) and P = A^(-1/2) M_t2 A^(-1/2), both
+    symmetric, R^T N R is proportional to P for R = U D V^T from their
+    eigenvectors, D = +-1 on the diagonal and det R = 1.
+    """
     mats = [np.array(qf.gram_matrix()) for qf in fs.quadratic]
     betas = [qf.beta for qf in fs.quadratic]
     inv_sqrt = [_spd_roots(M)[1] for M in mats]
@@ -526,3 +545,24 @@ def transport_candidates(fs, fn) -> list:
             if scaled is not None:
                 out.append(scaled)
     return out
+
+
+def transport_group(f: HomogeneousForm, fs: FactorizationStructure,
+                    tol: float = 1e-9) -> list[Mat2]:
+    """+-id and the transport candidates, polished, kept below tol and
+    closed under products: the case-D group as a list of matrices."""
+    target = _unit_target(f)
+    elems: list[Mat2] = []
+    todo = [(1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0),
+            *transport_candidates(fs, target[0])]
+    while todo:
+        sol = _polish(target, todo.pop(0))
+        if sol is None or sol[1] >= tol:
+            continue
+        m = Mat2.approx(*sol[0].tolist())
+        if m.det() > 0 and all(m.dist(e) >= _DEDUPE_TOL for e in elems):
+            elems.append(m)
+            todo += [(m @ e).entries() for e in elems]
+            todo += [(e @ m).entries() for e in elems]
+            assert len(elems) <= 64, "tol admits noise"
+    return elems

@@ -17,11 +17,8 @@ from binform.realfactor import factor_form
 from binform import symgroup
 from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.symgroup import (
-    _ENTRY_BASIS,
     _STOP_DEFECT,
-    _candidates_quadratic,
     _defect,
-    _rot,
     _spd_roots,
     _unit_target,
     DiagonalFamily,
@@ -34,7 +31,14 @@ from binform.symgroup import (
 )
 
 from genforms import random_case_de
-from oracles import induced_permutation, oracle_scan, transport_candidates
+from oracles import (
+    _rot,
+    count_calls,
+    induced_permutation,
+    oracle_scan,
+    scan_defect,
+    transport_group,
+)
 
 
 def form(*coeffs):
@@ -139,9 +143,18 @@ def test_rotation_family_skewed_quadratic():
     (LINE_AND_CIRCLE, 2),
     (TWO_QUADS, 4),
     (FOUR_LINES, 4),
+    (form(0, 1, -1, 0), 3),                # xy(x - y)
+    # y(y + 3x)(x^2 - 4xy + 7y^2): the candidate swapping the lines has
+    # det < 0 and polishes to a reflection, which must not be kept
+    (form(0, 1) * form(3, 1) * form(1, -4, 7), 2),
 ])
-def test_finite_orders(f, n):
+def test_finite_orders(monkeypatch, f, n):
+    # the Moebius candidates are symmetries before any polish: closed form,
+    # no search; so are the products the closure hands over
+    handed = count_calls(monkeypatch, symgroup._polish)
     g = symmetry_group(f)
+    for (_, entries), _ in handed:
+        assert invariance_residual(f, Mat2.approx(*entries)) < 1e-15
     assert isinstance(g, FiniteCyclicGroup)
     assert g.n == n
     assert g.order_of_generator() == n
@@ -154,21 +167,18 @@ def test_finite_orders(f, n):
 def test_defect_jacobian_matches_central_differences(f):
     rng = random.Random(f.degree)
     target = _unit_target(f)
-    H = np.array([[rng.uniform(-1.5, 1.5) for _ in range(2)] for _ in range(2)])
-    # the four matrix entries, and a two-parameter family through the chain rule
-    P = np.array([[[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
-                  for _ in range(2)])
-    cases = [(lambda v: v.reshape(2, 2), lambda v: _ENTRY_BASIS, H.ravel()),
-             (lambda v: v[0] * P[0] + v[1] * P[1], lambda v: P, np.array([0.7, -1.2]))]
-    for h_of, dh_of, x in cases:
-        _, jac = _defect(target, h_of(x), dh_of(x))
+    # the four matrix entries of the solver, and the scan's (phi, s, psi)
+    # through the chain rule of the oracle
+    entries = np.array([rng.uniform(-1.5, 1.5) for _ in range(4)])
+    cases = [(lambda v: _defect(target, v.tolist()), entries),
+             (lambda v: scan_defect(target, v), np.array([0.7, -0.4, 2.1]))]
+    for defect, x in cases:
+        _, jac = defect(x)
         assert jac.shape == (f.degree + 1, len(x))
         for j in range(len(x)):
             dx = np.zeros(len(x))
             dx[j] = 1e-6
-            ep, _ = _defect(target, h_of(x + dx), dh_of(x + dx))
-            em, _ = _defect(target, h_of(x - dx), dh_of(x - dx))
-            fd = (ep - em) / 2e-6
+            fd = (defect(x + dx)[0] - defect(x - dx)[0]) / 2e-6
             assert np.max(np.abs(fd - jac[:, j])) < 1e-6 * (1 + np.max(np.abs(jac)))
 
 
@@ -317,12 +327,25 @@ def _case_d_forms():
     *_case_d_forms(),
 ])
 def test_quadratic_candidates_match_the_transport_reference(f):
-    fs = factor_form(f)
-    fn = _unit_target(f)[0]
-    handed = []
-    _candidates_quadratic(fs, fn, handed.append)
-    assert handed
-    assert handed == transport_candidates(fs, fn)
+    # the group from the Moebius candidates is the one closed from the
+    # quadratic transport candidates
+    g = symmetry_group(f)
+    ref = transport_group(f, factor_form(f, eps=1e-14))
+    assert g.n == len(ref)
+    for a in g.elements:
+        assert min(a.dist(b) for b in ref) < 1e-9
+    for b in ref:
+        assert min(b.dist(a) for a in g.elements) < 1e-9
+
+
+@pytest.mark.parametrize("text, n, polished", [
+    ("x^5-10*x^3*y^2+5*x*y^4", 5, 6),
+    ("x^4-6*x^2*y^2+y^4", 4, 5),
+])
+def test_closure_polishes_no_known_product(monkeypatch, text, n, polished):
+    calls = count_calls(monkeypatch, symgroup._polish)
+    assert symmetry_group(parsed(text)).n == n
+    assert len(calls) <= polished
 
 
 @pytest.mark.parametrize("f", [THREE_LINES, TWO_QUADS])
