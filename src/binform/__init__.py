@@ -15,7 +15,7 @@ _EXPORTS = {
         StepLimitError ToleranceTooLooseError UnclassifiableCountsError
         UnknownIdentifierError ZeroPolynomialError""",
     "mat2": "Mat2",
-    "polyring": """BivariatePoly HomogeneousForm UnivariatePoly WeightVector
+    "polyring": """BivariatePoly HomogeneousForm WeightVector
         compose_linear divide_exact euler_check gcd_bivariate gcd_univariate
         jet_order partials quasi_homogeneous_check squarefree_decomposition""",
     "realfactor": """FactorizationStructure IsolatedRoot LinearFactor

@@ -2,9 +2,10 @@
 
 Every command takes a polynomial in the expression grammar and prints one
 JSON object to stdout.  Errors become a JSON object on stderr with exit
-code 1 for domain problems (wrong kind of polynomial), 2 for usage and
-parse problems, and 3 for a failed internal consistency check (kind
-Invariant) or any other exception (kind Internal).
+code 1 for domain problems (wrong kind of polynomial, or a value that
+leaves the float range, kind FloatRange), 2 for usage and parse problems,
+and 3 for a failed internal consistency check (kind Invariant) or any
+other exception (kind Internal).
 BINFORM_PRECISION overrides the default enclosure width.
 
 main factors the form once and hands the factorization to the command.
@@ -387,6 +388,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BinformError as e:
         extra = {"degrees": sorted(e.degrees)} if hasattr(e, "degrees") else {}
         return _error(_kind(e), str(e), 1, **extra)
+    except OverflowError as e:
+        return _error("FloatRange", f"a value left the float range: {e}", 1)
     except Exception as e:      # a defect of binform, reported where it was raised
         import traceback
         frame = traceback.extract_tb(e.__traceback__)[-1]

@@ -11,10 +11,15 @@ derivative: every operation builds its result as one such tuple.  The
 coprime integer vector that decides proportionality is computed only when
 it is asked for.
 
+A univariate polynomial, such as f(1, t), is a sequence of ints, lowest
+degree first.  Yun's algorithm runs over Z, where a division by a
+primitive gcd is exact (Gauss's lemma), and returns the square-free
+layers as primitive integer tuples.
+
 Each job has one kernel: :func:`convolve` is the one dense product (of
-forms, of univariate polynomials and of the interval enclosures in
-``realfactor``), and :func:`remainder_sequence` the one integer remainder
-sequence (gcds here, Sturm counts in ``realfactor``).
+forms and of the interval enclosures in ``realfactor``), and
+:func:`remainder_sequence` the one integer remainder sequence (gcds here,
+Sturm counts in ``realfactor``).
 """
 
 from __future__ import annotations
@@ -22,116 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import zip_longest
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import DegreeZeroError, NotHomogeneousError
-from .mat2 import Mat2
+
+if TYPE_CHECKING:
+    from .mat2 import Mat2
 
 Rat = Union[int, Fraction]
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomials
-
-class UnivariatePoly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first.
-
-    The zero polynomial is the empty coefficient tuple.  Trailing zeros are
-    stripped on construction, so ``coeffs[-1] != 0`` whenever nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial given degree -1."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UnivariatePoly({[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UnivariatePoly(a)
-
-    def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if self.is_zero or other.is_zero:
-            return UnivariatePoly([])
-        return UnivariatePoly(convolve(self.coeffs, other.coeffs))
-
-    def scale(self, s: Rat) -> "UnivariatePoly":
-        s = Fraction(s)
-        return UnivariatePoly([c * s for c in self.coeffs])
-
-    def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, t: Rat) -> Fraction:
-        """Exact Horner evaluation at an int or Fraction."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def divmod(self, d: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        r = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(r) - len(d.coeffs) + 1)
-        dl = d.coeffs[-1]
-        while True:
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(d.coeffs):
-                break
-            shift = len(r) - len(d.coeffs)
-            factor = r[-1] / dl
-            q[shift] = factor
-            for i, dc in enumerate(d.coeffs):
-                r[shift + i] -= factor * dc
-        return UnivariatePoly(q), UnivariatePoly(r)
-
-    def div_exact(self, d: "UnivariatePoly") -> "UnivariatePoly":
-        q, r = self.divmod(d)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
-
-    def primitive(self) -> tuple["UnivariatePoly", Fraction]:
-        """Split into (primitive part, content).
-
-        The part has coprime integer coefficients and positive leading
-        coefficient; self = content * part.
-        """
-        if self.is_zero:
-            return self, Fraction(0)
-        ints = _int_coeffs(self.coeffs)
-        return UnivariatePoly(ints), self.coeffs[-1] / ints[-1]
 
 
 def convolve(a: Sequence, b: Sequence) -> list:
@@ -139,10 +43,11 @@ def convolve(a: Sequence, b: Sequence) -> list:
     and b (both listed in the same order); a must be nonempty.
 
     Any scalars closed under + and * will do: Fractions give the exact
-    product of forms and of univariate polynomials, mpmath intervals the
-    enclosure product of ``realfactor``.  Entries of a that test false
-    (exact zeros) are skipped, and every output entry starts from a[0] * 0,
-    so it has the type of the inputs.
+    product of forms, ints that of integer polynomials such as the
+    square-free layers (primitive integer tuples, from Yun's algorithm
+    over Z), mpmath intervals the enclosure product of ``realfactor``.
+    Entries of a that test false (exact zeros) are skipped, and every
+    output entry starts from a[0] * 0, so it has the type of the inputs.
     """
     out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -153,10 +58,10 @@ def convolve(a: Sequence, b: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer core: polynomials as int lists, lowest degree first
+# integer core: univariate polynomials as int sequences, lowest degree first
 
-def _int_coeffs(cs: Sequence[Fraction]) -> list[int]:
-    """The coprime integers proportional to the Fractions cs, signed so
+def _int_coeffs(cs: Sequence[Rat]) -> list[int]:
+    """The coprime integers proportional to the rationals cs, signed so
     that the last nonzero one is positive.  cs must not be all zero."""
     den = math.lcm(*(c.denominator for c in cs))
     ints = [c.numerator * (den // c.denominator) for c in cs]
@@ -164,6 +69,35 @@ def _int_coeffs(cs: Sequence[Fraction]) -> list[int]:
     if next(n for n in reversed(ints) if n) < 0:
         g = -g
     return [n // g for n in ints]
+
+
+def _trim(a: Sequence[int]) -> list[int]:
+    """a without its trailing zeros; the zero polynomial is []."""
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return list(a[:n])
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b in Z[t] for trimmed a and b; raises ValueError
+    when b does not divide a there.  By Gauss's lemma a primitive b that
+    divides a over Q divides it over Z."""
+    r, lb, n = list(a), b[-1], len(b) - 1
+    q = [0] * (len(a) - n)
+    for shift in range(len(a) - 1 - n, -1, -1):
+        # a remainder of this floor division stays in r[shift + n]
+        q[shift] = c = r[shift + n] // lb
+        if c:
+            for i, bc in enumerate(b):
+                r[shift + i] -= c * bc
+    if any(r):
+        raise ValueError("division is not exact")
+    return q
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -202,41 +136,41 @@ def remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     return chain
 
 
-def gcd_univariate(u: UnivariatePoly, v: UnivariatePoly) -> UnivariatePoly:
-    """Gcd over Q, returned primitive with positive leading coefficient."""
-    if u.is_zero:
-        return v.primitive()[0]
-    if v.is_zero:
-        return u.primitive()[0]
-    a, b = _int_coeffs(u.coeffs), _int_coeffs(v.coeffs)
-    if len(a) < len(b):
-        a, b = b, a
-    return UnivariatePoly(_int_coeffs(remainder_sequence(a, b)[-1]))
+def gcd_univariate(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """Gcd of two integer polynomials, primitive with positive leading
+    coefficient; () when both are zero."""
+    a, b = sorted((_trim(u), _trim(v)), key=len, reverse=True)
+    if not b:
+        return tuple(_int_coeffs(a)) if a else ()
+    return tuple(_int_coeffs(remainder_sequence(_int_coeffs(a), _int_coeffs(b))[-1]))
 
 
-def squarefree_decomposition(u: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
-    """Yun's algorithm over Q.
+def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's algorithm over Z.
 
-    Returns [(w_1, m_1), (w_2, m_2), ...] with each w squarefree, primitive,
-    pairwise coprime, of degree >= 1, the m strictly increasing, and u
-    proportional to the product of w^m.  Constant layers are omitted.
+    Returns [(w_1, m_1), (w_2, m_2), ...] with each w a squarefree,
+    primitive integer tuple with positive leading coefficient, pairwise
+    coprime, of degree >= 1, the m strictly increasing, and u proportional
+    to the product of w^m.  Constant layers are omitted.  Every division
+    is by a primitive gcd, so all quotients are integral.
     """
-    if u.is_zero or u.degree < 1:
+    u = _trim(u)
+    if len(u) < 2:
         raise ValueError("need a polynomial of degree >= 1")
-    up = u.derivative()
-    g = gcd_univariate(u, up)
-    if g.degree == 0:
-        return [(u.primitive()[0], 1)]
-    c = u.div_exact(g)
-    d = up.div_exact(g) - c.derivative()
-    out: list[tuple[UnivariatePoly, int]] = []
+    u = _int_coeffs(u)
+    du = _derivative(u)
+    g = gcd_univariate(u, du)
+    if len(g) == 1:
+        return [(tuple(u), 1)]
+    c, d = _div_exact(u, g), _div_exact(du, g)
+    out: list[tuple[tuple[int, ...], int]] = []
     m = 1
-    while c.degree > 0:
+    while len(c) > 1:
+        d = _trim([x - y for x, y in zip_longest(d, _derivative(c), fillvalue=0)])
         a = gcd_univariate(c, d)
-        if a.degree > 0:
+        if len(a) > 1:
             out.append((a, m))
-        c = c.div_exact(a)
-        d = d.div_exact(a) - c.derivative()
+        c, d = _div_exact(c, a), _div_exact(d, a)
         m += 1
     return out
 
@@ -498,10 +432,6 @@ class HomogeneousForm:
         p = self.degree
         return BivariatePoly({(p - i, i): c for i, c in enumerate(self._coeffs) if c})
 
-    def dehomogenized(self) -> UnivariatePoly:
-        """f(1, t) as a univariate polynomial in t = y/x."""
-        return UnivariatePoly(self._coeffs)
-
     def x_multiplicity(self) -> int:
         """The power of x that divides f: f = x^m * x^(deg g) * g(y/x)
         with g = f(1, t)."""
@@ -586,9 +516,9 @@ def _lin_mul(vec, a, b):
 def gcd_bivariate(u: HomogeneousForm, v: HomogeneousForm) -> HomogeneousForm:
     """Gcd of two binary forms, primitive with positive leading coefficient.
 
-    The gcd of f(1, t) over Q holds every common factor but the power of
-    x (a power of y is a power of t there); it is lifted back to a form
-    times the least x-multiplicity.
+    The gcd of the integer vectors of f(1, t) holds every common factor
+    but the power of x (a power of y is a power of t there); it is lifted
+    back to a form times the least x-multiplicity.
     """
     if u.is_zero and v.is_zero:
         raise ValueError("gcd of two zero markers")
@@ -596,9 +526,9 @@ def gcd_bivariate(u: HomogeneousForm, v: HomogeneousForm) -> HomogeneousForm:
         return v.primitive_part()
     if v.is_zero:
         return u.primitive_part()
-    g = gcd_univariate(u.dehomogenized(), v.dehomogenized())
+    g = gcd_univariate(_int_coeffs(u._coeffs), _int_coeffs(v._coeffs))
     xm = min(u.x_multiplicity(), v.x_multiplicity())
-    return HomogeneousForm._of(g.coeffs + (Fraction(0),) * xm).primitive_part()
+    return HomogeneousForm._of(g + (0,) * xm).primitive_part()
 
 
 def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
@@ -612,8 +542,11 @@ def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
     xm = u.x_multiplicity() - d.x_multiplicity()
     if xm < 0:
         raise ValueError("division is not exact (power of x)")
-    q = u.dehomogenized().div_exact(d.dehomogenized())
-    return HomogeneousForm._of(q.coeffs + (Fraction(0),) * xm)
+    a, b = _trim(_int_coeffs(u._coeffs)), _trim(_int_coeffs(d._coeffs))
+    # the ratio of the contents, u = cu * a(t) and d = cd * b(t)
+    s = u._coeffs[len(a) - 1] / a[-1] * b[-1] / d._coeffs[len(b) - 1]
+    q = _div_exact(a, b)
+    return HomogeneousForm._of(tuple(s * c for c in q) + (Fraction(0),) * xm)
 
 
 def euler_check(f: HomogeneousForm) -> bool:

@@ -9,9 +9,10 @@ positive definite quadratic forms Q_j.  This module computes that structure
 exactly where it can and with certified enclosures where it cannot
 (quadratic coefficients, which live over the reals).
 
-Each squarefree layer w of the dehomogenization is isolated once.  Its real
-roots are split by Sturm counts and refined by bisection, both in plain
-integers: w is kept as a primitive integer polynomial, every endpoint is a
+Each squarefree layer w of the dehomogenization f(1, t), which polyring's
+Yun algorithm over Z returns as a primitive integer tuple (lowest degree
+first), is isolated once.  Its real roots are split by Sturm counts and
+refined by bisection, both in plain integers: every endpoint is a
 rational p/q (the Cauchy bound times a dyadic number), and the sign of
 w(p/q) is that of sum c_i p^i q^(n-i).  The Sturm chain is the remainder
 sequence that also gives polyring's gcds; it ends in gcd(w, w'), so a
@@ -34,13 +35,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InvariantError, NotRefinedError
 from .polyring import (
     HomogeneousForm,
-    UnivariatePoly,
+    _derivative,
+    _div_exact,
     _int_coeffs,
+    _trim,
     convolve,
     remainder_sequence,
     squarefree_decomposition,
@@ -52,13 +55,8 @@ _MAX_PREC_BITS = 1 << 14
 
 # ---------------------------------------------------------------------------
 # integer core: signs at rationals, Sturm counts, dyadic bisection
-#
-# Integer polynomials are coefficient lists, lowest degree first.  Every
-# point where a sign is taken is a rational p/q with q > 0, and the sign of
-# w(p/q) is that of the integer sum c_i p^i q^(n-i).  The Sturm chain of w
-# is polyring's remainder sequence of (w, w').
 
-def _sign_at(w: list[int], p: int, q: int) -> int:
+def _sign_at(w: Sequence[int], p: int, q: int) -> int:
     """Sign of w(p/q) for q > 0, by homogeneous Horner."""
     acc, qk = 0, 1
     for c in reversed(w):
@@ -82,7 +80,7 @@ def _count_roots(chain, a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _nonroot_point(w: list[int], a: Fraction, b: Fraction) -> Fraction:
+def _nonroot_point(w: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
     """A point strictly inside (a, b) where w does not vanish."""
     span = b - a
     m = a + span / 2
@@ -97,22 +95,22 @@ def _nonroot_point(w: list[int], a: Fraction, b: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """One real root of a squarefree rational polynomial.
+    """One real root of a squarefree integer polynomial.
 
-    The open interval (lo, hi) contains exactly one root of ``poly``;
-    neither endpoint is a root and the endpoint signs differ.
+    ``poly`` holds the coefficients, lowest degree first.  The open
+    interval (lo, hi) contains exactly one root of it; neither endpoint is
+    a root and the endpoint signs differ.
     """
 
-    poly: UnivariatePoly
+    poly: tuple[int, ...]
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ValueError("empty isolation interval")
-        w = _int_coeffs(self.poly.coeffs)
-        sa = _sign_at(w, self.lo.numerator, self.lo.denominator)
-        sb = _sign_at(w, self.hi.numerator, self.hi.denominator)
+        sa = _sign_at(self.poly, self.lo.numerator, self.lo.denominator)
+        sb = _sign_at(self.poly, self.hi.numerator, self.hi.denominator)
         if sa == 0 or sb == 0 or sa == sb:
             raise ValueError("interval endpoints must straddle a single root")
 
@@ -138,7 +136,7 @@ class IsolatedRoot:
         if self.width < target:
             return self
         tn, td = target.numerator, target.denominator
-        w = _int_coeffs(self.poly.coeffs)
+        w = self.poly
         d = math.lcm(self.lo.denominator, self.hi.denominator)
         a = self.lo.numerator * (d // self.lo.denominator)
         b = self.hi.numerator * (d // self.hi.denominator)
@@ -165,25 +163,27 @@ class IsolatedRoot:
         return self.lo < t < self.hi
 
 
-def isolate_real_roots(u: UnivariatePoly) -> list[IsolatedRoot]:
-    """Exact isolation of all real roots, sorted increasing.
+def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
+    """Exact isolation of all real roots of the integer polynomial u
+    (lowest degree first), sorted increasing.
 
     The returned intervals refer to the squarefree part of u, which is u
-    divided by the last entry of its Sturm chain, gcd(u, u').  The chain of
-    u counts distinct roots between points that are not roots (the
-    generalized Sturm theorem).  The endpoints are the Cauchy bound B of
-    the squarefree part times dyadic rationals, and Sturm counts on the
-    integer chain split them.
+    divided by the last entry of its Sturm chain, gcd(u, u'), taken with
+    positive leading coefficient, so a layer of ``squarefree_decomposition``
+    comes back as itself.  The chain of u counts distinct roots between
+    points that are not roots (the generalized Sturm theorem).  The
+    endpoints are the Cauchy bound B of the squarefree part times dyadic
+    rationals, and Sturm counts on the integer chain split them.
     """
-    if u.is_zero or u.degree < 1:
+    w = _trim(u)
+    if len(w) < 2:
         return []
-    w = _int_coeffs(u.coeffs)
-    chain = remainder_sequence(w, [i * c for i, c in enumerate(w)][1:])
+    chain = remainder_sequence(w, _derivative(w))
     if len(chain[-1]) > 1:      # u is not squarefree
-        w = _int_coeffs(u.div_exact(UnivariatePoly(chain[-1])).coeffs)
-    wq = UnivariatePoly(w)
-    # Cauchy bound 1 + max |c_i| / lc, strict, so neither -B nor B is a root
-    bound = Fraction(w[-1] + max(abs(c) for c in w[:-1]), w[-1])
+        w = _div_exact(w, _int_coeffs(chain[-1]))
+    wq = tuple(w)
+    # Cauchy bound 1 + max |c_i| / |lc|, strict, so neither -B nor B is a root
+    bound = Fraction(abs(w[-1]) + max(abs(c) for c in w[:-1]), abs(w[-1]))
     out: list[IsolatedRoot] = []
 
     def split(a: Fraction, b: Fraction, count: int):
@@ -262,7 +262,7 @@ def _newton(wp, dwp, z, steps: int):
     return z
 
 
-def _ladder(layer: UnivariatePoly, eps: float, failure: str, attempt):
+def _ladder(w: tuple[int, ...], eps: float, failure: str, attempt):
     """attempt(prec, ints, wp, dwp) with mpmath and interval precision prec,
     doubled from eps's bits + 60 (at least 80) up to 2^14 while it raises.
 
@@ -271,8 +271,7 @@ def _ladder(layer: UnivariatePoly, eps: float, failure: str, attempt):
     degree first; wp and dwp are them as mpf numbers."""
     from mpmath import iv, mp
 
-    w = _int_coeffs(layer.coeffs)
-    ints = (w[::-1], [i * c for i, c in enumerate(w)][:0:-1])
+    ints = (w[::-1], _derivative(w)[::-1])
     prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
     last = None
     while prec <= _MAX_PREC_BITS:
@@ -295,12 +294,12 @@ class QuadraticFactor:
     """Positive definite factor x^2 + b*x*y + c*y^2 with certified bounds.
 
     The true coefficients lie in [b_lo, b_hi] and [c_lo, c_hi]; (mu, nu) is
-    a float approximation of the root pair mu +- i*nu of the dehomogenized
-    layer, nu > 0.  ``layer`` is the exact squarefree polynomial the pair
-    certifies against, which is what refinement reuses.
+    a float approximation of the root pair mu +- i*nu of the layer, nu > 0.
+    ``layer`` is the exact squarefree layer the pair certifies against, a
+    primitive integer tuple, which is what refinement reuses.
     """
 
-    layer: UnivariatePoly
+    layer: tuple[int, ...]
     b_lo: Fraction
     b_hi: Fraction
     c_lo: Fraction
@@ -469,12 +468,12 @@ def _iv_fraction(x: Fraction):
     return iv.mpf(x.numerator) / x.denominator
 
 
-def _certify_pairs(w: UnivariatePoly, real_roots: list[IsolatedRoot], beta: int,
+def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int,
                    eps: float) -> list[QuadraticFactor]:
     """Certified enclosures for every conjugate root pair of the squarefree
-    layer w, each returned as a normalized quadratic factor.  ``real_roots``
-    is the isolation of w's real roots."""
-    n_pairs = (w.degree - len(real_roots)) // 2
+    layer w (a primitive integer tuple), each returned as a normalized
+    quadratic factor.  ``real_roots`` is the isolation of w's real roots."""
+    n_pairs = (len(w) - 1 - len(real_roots)) // 2
     if n_pairs == 0:
         return []
     from mpmath import mp
@@ -552,16 +551,16 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
         raise ValueError("cannot factor the zero marker")
     if f.degree < 1:
         raise ValueError("cannot factor a constant")
-    g = f.dehomogenized()           # f = x^x_mult * x^(deg g) * g(y/x)
-    x_mult = f.degree - g.degree
-    sign = 1 if g.coeffs[-1] > 0 else -1
+    x_mult = f.x_multiplicity()     # f = x^x_mult * x^(deg g) * g(y/x)
+    cs = f.coefficients()           # g = f(1, t) has the coefficients cs
+    sign = 1 if cs[f.degree - x_mult] > 0 else -1
 
     linear: list[LinearFactor] = []
     quadratic: list[QuadraticFactor] = []
     if x_mult:
         linear.append(LinearFactor(None, x_mult))
-    if g.degree >= 1:
-        for w, m in squarefree_decomposition(g):
+    if x_mult < f.degree:
+        for w, m in squarefree_decomposition(_int_coeffs(cs)):
             roots = isolate_real_roots(w)
             for r in roots:
                 linear.append(LinearFactor(r.refine(eps), m))

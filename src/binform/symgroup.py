@@ -211,8 +211,8 @@ SymmetryGroup = Union[ShearFamily, DiagonalFamily, RotationFamily, FiniteCyclicG
 def _exact_slope(root) -> Optional[object]:
     """Fraction slope when the defining layer is linear, else None."""
     w = root.poly
-    if w.degree == 1:
-        t = -w.coeffs[0] / w.coeffs[1]
+    if len(w) == 2:
+        t = Fraction(-w[0], w[1])
         if root.contains(t) or t == root.lo or t == root.hi:
             return t
     return None

@@ -360,6 +360,23 @@ def test_any_other_exception_is_internal_with_exit_3(monkeypatch, capsys):
     assert err["where"].startswith("test_cli.py:")
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["dynamics", "x^2+y^2", "--sigma", "x^500*x^300"], "x,y\n2.5,0.1\n"),
+    (["portrait", "x^2+y^2", "--window=-1e200,-1e200,1e200,1e200"], None),
+    (["dynamics", "x^2+y^2", "--window=-1e200,-1e200,1e200,1e200"], None),
+    (["symmetry", "10^200*10^200*x*y*(x-y)"], None),
+])
+def test_float_overflow_is_a_float_range_error(tmp_path, capsys, argv, rows):
+    if rows is not None:
+        (tmp_path / "s.csv").write_text(rows)
+        argv = [*argv, "--seeds", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)["error"]
+    assert err["kind"] == "FloatRange" and "float range" in err["message"]
+
+
 # Flag values for the fuzz: about half valid, the rest edge values, non-finite
 # numbers and garbage.
 _NUMBER = st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf",

@@ -1,5 +1,6 @@
-"""The import contract: each command loads numpy and mpmath only when its
-work needs them, and the package's lazy exports are its modules' objects."""
+"""The import contract: each command loads numpy, mpmath and binform.mat2
+only when its work needs them, and the package's lazy exports are its
+modules' objects."""
 
 import importlib
 import json
@@ -19,7 +20,8 @@ import contextlib, io, json, sys
 from binform import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in ("numpy", "mpmath") if m in sys.modules)]))
+print(json.dumps([rc, sorted(m for m in ("numpy", "mpmath", "binform.mat2")
+                             if m in sys.modules)]))
 """
 
 
@@ -39,7 +41,7 @@ def _loaded(*argv):
     (["factor", "x*y^2"], 0, []),
     (["decide", "x+*y"], 2, []),
     (["factor", "(x^2+y^2)*(x^2+2*y^2)"], 0, ["mpmath"]),
-    (["symmetry", "x*y*(x-y)"], 0, ["numpy"]),
+    (["symmetry", "x*y*(x-y)"], 0, ["binform.mat2", "numpy"]),
 ])
 def test_command_loads_only_what_it_uses(argv, rc, loaded):
     assert _loaded(*argv) == [rc, loaded]

@@ -12,11 +12,13 @@ from binform.mat2 import Mat2
 from binform.polyring import (
     BivariatePoly,
     HomogeneousForm,
-    UnivariatePoly,
     WeightVector,
+    _derivative,
+    _div_exact,
     compose_coeffs,
     compose_linear,
     constant_form,
+    convolve,
     divide_exact,
     euler_check,
     gcd_bivariate,
@@ -34,55 +36,55 @@ from oracles import old_normal_form
 F = Fraction
 
 
-def U(*coeffs):
-    return UnivariatePoly(coeffs)
-
-
 def test_univariate_arithmetic():
-    f = U(-1, 0, 1)            # t^2 - 1
-    g = U(1, 1)                # t + 1
-    assert f.degree == 2
-    assert (f + g).coeffs == (F(0), F(1), F(1))
-    assert (f * g).coeffs == (F(-1), F(-1), F(1), F(1))
-    assert f(F(3)) == 8
-    assert f.derivative().coeffs == (F(0), F(2))
+    # univariate polynomials are int lists, lowest degree first
+    f, g = [-1, 0, 1], [1, 1]  # t^2 - 1, t + 1
+    assert convolve(f, g) == [-1, -1, 1, 1]
+    assert _derivative(f) == [0, 2]
+    assert _derivative([5]) == []
 
 
 def test_univariate_divmod_exact():
-    f = U(-1, 0, 1)
-    q, r = f.divmod(U(1, 1))
-    assert r.is_zero
-    assert q.coeffs == (F(-1), F(1))
-    assert f.div_exact(U(-1, 1)).coeffs == (F(1), F(1))
+    f = [-1, 0, 1]
+    assert _div_exact(f, [1, 1]) == [-1, 1]
+    assert _div_exact(f, [-1, 1]) == [1, 1]
+    assert _div_exact([], [1, 1]) == []
     with pytest.raises(ValueError):
-        U(1, 1, 1).div_exact(U(1, 1))
+        _div_exact([1, 1, 1], [1, 1])
+    with pytest.raises(ValueError):     # a divisor of higher degree
+        _div_exact([1, 1], [1, 0, 1])
+    with pytest.raises(ValueError):     # exact over Q, not over Z
+        _div_exact([1, 1], [2, 2])
 
 
 def test_gcd_univariate():
-    f = U(-1, 0, 1)            # (t-1)(t+1)
-    g = U(-1, 0, 0, 1)         # (t-1)(t^2+t+1)
+    f = [-1, 0, 1]             # (t-1)(t+1)
+    g = [-1, 0, 0, 1]          # (t-1)(t^2+t+1)
     d = gcd_univariate(f, g)
-    assert d.degree == 1
-    assert d(F(1)) == 0
-    assert f.divmod(d)[1].is_zero and g.divmod(d)[1].is_zero
+    assert d == (-1, 1)        # primitive, positive leading coefficient
+    assert _div_exact(f, d) == [1, 1] and _div_exact(g, d) == [1, 1, 1]
     # coprime pair collapses to degree zero
-    assert gcd_univariate(U(1, 1), U(-1, 1)).degree == 0
+    assert gcd_univariate([1, 1], [-1, 1]) == (1,)
+    # content, sign and trailing zeros of the inputs do not matter
+    assert gcd_univariate([3, 0, -3, 0], [-2, 0, 0, 2]) == (-1, 1)
+    assert gcd_univariate([0, 0], [0, -4, 6]) == (0, -2, 3)
+    assert gcd_univariate([], [0]) == ()
 
 
 def test_squarefree_decomposition():
-    # (t+2)(t-1)^2
-    f = U(2, 1) * U(-1, 1) * U(-1, 1)
+    f = convolve(convolve([2, 1], [-1, 1]), [-1, 1])       # (t+2)(t-1)^2
     parts = squarefree_decomposition(f)
-    by_mult = {m: w for w, m in parts}
-    assert sorted(by_mult) == [1, 2]
-    assert by_mult[1](F(-2)) == 0
-    assert by_mult[2](F(1)) == 0
+    assert parts == [((2, 1), 1), ((-1, 1), 2)]
     # reassembly
-    prod = U(1)
+    prod = [1]
     for w, m in parts:
         for _ in range(m):
-            prod = prod * w
-    assert prod.primitive()[0] == f.primitive()[0]
+            prod = convolve(prod, w)
+    assert prod == f
+    # the same layers from -3 f with a trailing zero
+    assert squarefree_decomposition([-3 * c for c in f] + [0]) == parts
+    with pytest.raises(ValueError):
+        squarefree_decomposition([5, 0])
 
 
 def test_bivariate_expansion():
@@ -295,8 +297,9 @@ def _form_coeffs(expr, p):
     return tuple(_frac(poly.coeff_monomial(_X ** (p - i) * _Y ** i)) for i in range(p + 1))
 
 
-def _t_poly(u):
-    return sympy.Poly(list(reversed(u.coeffs)) or [0], _T, domain="QQ")
+def _t_poly(cs):
+    """The polynomial in t with coefficients cs, lowest degree first."""
+    return sympy.Poly(list(reversed(cs)) or [0], _T, domain="QQ")
 
 
 def _t_coeffs(poly):
@@ -320,10 +323,21 @@ def _primitive(cs, first=False):
     return tuple(n // g for n in ints)
 
 
+def _int_row(f):
+    """f(1, t) as integers proportional to f's coefficients, lowest degree
+    first, with no trailing zeros: f's sign, and a content of 3 at least,
+    so that the functions under test must remove it."""
+    cs = list(f.coefficients())
+    while cs and cs[-1] == 0:
+        cs.pop()
+    den = math.lcm(*(c.denominator for c in cs))
+    return [int(c * den) * 3 for c in cs]
+
+
 def _check_sequence(a, b):
     """remainder_sequence(a, b) is a positive multiple, entry by entry, of
     a, b, -rem(a, b), ... over Q, and as long."""
-    want = [_t_poly(UnivariatePoly(a)), _t_poly(UnivariatePoly(b))]
+    want = [_t_poly(a), _t_poly(b)]
     while want[-1].degree() > 0:
         r = want[-2].rem(want[-1])
         if r.is_zero:
@@ -347,10 +361,12 @@ def test_exact_core_matches_sympy(c, u, v):
         assert (a * b).coefficients() == _form_coeffs(sympy.expand(_expr(a) * _expr(b)),
                                                       a.degree + b.degree)
     fe, ge = _expr(f), _expr(g)
-    # univariate gcd of f(1, t) and g(1, t), both primitive with lc > 0
-    fu, gu = f.dehomogenized(), g.dehomogenized()
-    want = _primitive(_t_coeffs(sympy.gcd(_t_poly(fu), _t_poly(gu))))
-    assert gcd_univariate(fu, gu).coeffs == want
+    # univariate gcd of f(1, t) and g(1, t), given as integer rows with a
+    # content, primitive with lc > 0
+    fu, gu = _int_row(f), _int_row(g)
+    want = _primitive(_t_coeffs(sympy.gcd(_t_poly(f.coefficients()),
+                                          _t_poly(g.coefficients()))))
+    assert gcd_univariate(fu, gu) == want
     # bivariate gcd, primitive with the first nonzero coefficient positive
     if f.is_zero and g.is_zero:
         with pytest.raises(ValueError):
@@ -371,16 +387,16 @@ def test_exact_core_matches_sympy(c, u, v):
             with pytest.raises(ValueError):
                 divide_exact(num, den)
     # square-free layers of f(1, t) against sqf_list, constants dropped
-    if fu.degree >= 1:
-        layers = [(w.coeffs, m) for w, m in squarefree_decomposition(fu)]
-        _, facs = sympy.sqf_list(_t_poly(fu))
+    if len(fu) >= 2:
+        layers = squarefree_decomposition(fu)
+        _, facs = sympy.sqf_list(_t_poly(f.coefficients()))
         assert layers == [(_primitive(_t_coeffs(w)), m)
                           for w, m in sorted(facs, key=lambda wm: wm[1]) if w.degree() > 0]
     # remainder sequences of f(1, t) with its derivative and with -g(1, t)
     # (a negative leading coefficient needs the sign fix at even gaps)
-    if fu.degree >= 1:
-        a = list(_primitive(fu.coeffs))
+    if len(fu) >= 2:
+        a = list(_primitive(fu))
         _check_sequence(a, [i * x for i, x in enumerate(a)][1:])
-        if not gu.is_zero:
-            b = [-x for x in _primitive(gu.coeffs)]
+        if gu:
+            b = [-x for x in _primitive(gu)]
             _check_sequence(*((a, b) if len(a) >= len(b) else (b, a)))

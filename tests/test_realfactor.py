@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import binform.realfactor as rf
 from binform.polyring import (
     HomogeneousForm,
-    UnivariatePoly,
     gcd_univariate,
     squarefree_decomposition,
 )
@@ -26,13 +26,9 @@ from genforms import random_product
 F = Fraction
 
 
-def U(*coeffs):
-    return UnivariatePoly(coeffs)
-
-
 def test_isolate_three_roots():
     # (t-1)(t-2)(t+3) = t^3 - 7t + 6
-    u = U(6, -7, 0, 1)
+    u = [6, -7, 0, 1]
     roots = sorted(isolate_real_roots(u), key=lambda r: r.mid)
     assert len(roots) == 3
     for r, target in zip(roots, (F(-3), F(1), F(2))):
@@ -43,17 +39,35 @@ def test_isolate_three_roots():
 
 
 def test_isolate_no_real_roots():
-    assert isolate_real_roots(U(1, 0, 1)) == []
-    assert isolate_real_roots(U(4, 0, 1, 0, 1)) == []
+    assert isolate_real_roots([1, 0, 1]) == []
+    assert isolate_real_roots([4, 0, 1, 0, 1]) == []
+    assert isolate_real_roots([3]) == isolate_real_roots([3, 0]) == []
 
 
 def test_root_refine_keeps_root():
-    u = U(-2, 0, 1)            # t^2 - 2
+    u = [-2, 0, 1]             # t^2 - 2
     r = max(isolate_real_roots(u), key=lambda r: r.mid)
     tight = r.refine(1e-12)
     assert tight.width <= F(1e-12)
     assert tight.lo > 0
     assert tight.lo ** 2 <= 2 <= tight.hi ** 2
+
+
+def test_isolated_root_rejects_what_does_not_isolate_one_root():
+    w = (-2, 0, 1)             # t^2 - 2
+    IsolatedRoot(w, F(1), F(2))
+    with pytest.raises(ValueError, match="empty"):
+        IsolatedRoot(w, F(2), F(1))
+    with pytest.raises(ValueError, match="empty"):
+        IsolatedRoot(w, F(1), F(1))
+    # an endpoint that is a root: t^2 - 1 at 1, at either end
+    for lo, hi in ((F(1), F(2)), (F(0), F(1))):
+        with pytest.raises(ValueError, match="straddle"):
+            IsolatedRoot((-1, 0, 1), lo, hi)
+    # endpoints of the same sign: no root between them, or two
+    for lo, hi in ((F(2), F(3)), (F(-2), F(2))):
+        with pytest.raises(ValueError, match="straddle"):
+            IsolatedRoot(w, lo, hi)
 
 
 def test_factor_xy2():
@@ -220,9 +234,22 @@ def _sympy_sqf_part(row):
     return [F(int(c.p), int(c.q)) for c in reversed(part.all_coeffs())]
 
 
+def _ints(row, primitive=False):
+    """The integers proportional to a rational row: the row times the lcm
+    of its denominators, or the coprime ones with a positive last entry."""
+    ints = [int(c * math.lcm(*(F(x).denominator for x in row))) for c in row]
+    if not primitive:
+        return ints
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(n // g for n in ints)
+
+
 def _check_against_oracle(row):
-    roots = isolate_real_roots(UnivariatePoly(row))
+    roots = isolate_real_roots(_ints(row, primitive=True))
     assert [(r.lo, r.hi) for r in roots] == oracles.sturm_isolate(row)
+    # the isolation does not depend on the row's content or sign
+    assert isolate_real_roots([-3 * c for c in _ints(row)]) == \
+        [IsolatedRoot(tuple(-3 * c for c in _ints(row)), r.lo, r.hi) for r in roots]
     assert len(roots) == _sympy_count(row)
     for r in roots:
         for eps in (1e-3, 1e-12, 2.0**-50):
@@ -233,9 +260,9 @@ def _check_against_oracle(row):
     for extra in (row, [F(1), F(2), F(1)], [F(4), F(0), F(-4), F(0), F(1)]):
         u = _mul_rows(row, extra)
         part = _sympy_sqf_part(u)
-        roots = isolate_real_roots(UnivariatePoly(u))
+        roots = isolate_real_roots(_ints(u, primitive=True))
         assert [(r.lo, r.hi) for r in roots] == oracles.sturm_isolate(part)
-        assert all(r.poly == UnivariatePoly(part).primitive()[0] for r in roots)
+        assert all(r.poly == _ints(part, primitive=True) for r in roots)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -266,7 +293,7 @@ def test_split_points_skip_rational_roots():
     # the first split is at 1/2
     row = [F(0), F(-1), F(0), F(1)]
     _check_against_oracle(row)
-    ivs = [(r.lo, r.hi) for r in isolate_real_roots(UnivariatePoly(row))]
+    ivs = [(r.lo, r.hi) for r in isolate_real_roots(_ints(row))]
     assert ivs == [(F(-2), F(-3, 4)), (F(-3, 4), F(1, 2)), (F(1, 2), F(2))]
 
 
@@ -274,13 +301,13 @@ def test_refine_lands_on_rational_roots():
     # (t+3)(t+1)(t-1): B = 4 and every root is the midpoint of its interval
     row = [F(-3), F(-1), F(3), F(1)]
     _check_against_oracle(row)
-    for r in isolate_real_roots(UnivariatePoly(row)):
+    for r in isolate_real_roots(_ints(row)):
         for eps in (1e-3, 1e-12):
             assert oracles.bisect_refine(row, r.lo, r.hi, eps)[2]
             tight = r.refine(eps)
             assert tight.mid in (-3, -1, 1) and tight.width < F(eps)
     # t^3 - t on (-1/2, 1/2): the first midpoint is the root 0
-    tight = IsolatedRoot(UnivariatePoly([0, -1, 0, 1]), F(-1, 2), F(1, 2)).refine(1e-9)
+    tight = IsolatedRoot((0, -1, 0, 1), F(-1, 2), F(1, 2)).refine(1e-9)
     assert (tight.lo, tight.hi) == \
         oracles.bisect_refine([0, -1, 0, 1], F(-1, 2), F(1, 2), 1e-9)[:2]
     assert tight.lo == -tight.hi
@@ -290,7 +317,7 @@ def test_isolating_a_squarefree_layer_takes_no_gcd(monkeypatch):
     calls = oracles.count_calls(monkeypatch, gcd_univariate)
     f = HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, -1]) \
         * HomogeneousForm([2, 0, 1]).power(2) * HomogeneousForm([1, 3]).power(3)
-    layers = squarefree_decomposition(f.dehomogenized())
+    layers = squarefree_decomposition([int(c) for c in f.coefficients()])
     assert len(layers) == 3 and calls     # the wrapper sees Yun's gcds
     calls.clear()
     for w, _ in layers:
@@ -308,6 +335,6 @@ def test_factor_form_isolates_each_layer_once(monkeypatch):
         * HomogeneousForm([2, 0, 1]).power(2) * HomogeneousForm([1, 3]).power(2) \
         * HomogeneousForm([1, 1, 1]).power(3)
     fs = factor_form(f)
-    layers = [w for w, _ in squarefree_decomposition(f.dehomogenized())]
+    layers = [w for w, _ in squarefree_decomposition([int(c) for c in f.coefficients()])]
     assert (fs.l, fs.k) == (2, 3)
     assert calls == layers
