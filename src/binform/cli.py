@@ -8,10 +8,11 @@ and 3 for a failed internal consistency check (kind Invariant) or any
 other exception (kind Internal).
 BINFORM_PRECISION overrides the default enclosure width.
 
-main factors the form once and hands the factorization to the command.
+main factors the form once and hands the factorization to the command;
+only factor and symmetry read its enclosures, the others its exact counts.
 Each command imports the modules it uses when it runs, so the exact
-commands start without numpy and, unless a conjugate pair needs a
-certificate, without mpmath; a request that does not parse loads neither.
+commands start without numpy and load mpmath only to certify a conjugate
+pair for factor; a request that does not parse loads neither.
 """
 
 from __future__ import annotations

@@ -57,10 +57,10 @@ def common_divisor(f: HomogeneousForm,
                    fs: Optional[FactorizationStructure] = None) -> HomogeneousForm:
     """gcd(f_x, f_y), primitive with positive leading coefficient.
 
-    The degree is cross-checked against the certified factor counts: it must
-    equal sum(alpha - 1) + 2 sum(beta - 1).  A mismatch would mean the exact
-    gcd and the numeric factorization disagree about multiplicity, so it
-    raises InvariantError.
+    The degree is cross-checked against the exact factor counts: it must
+    equal sum(alpha - 1) + 2 sum(beta - 1).  A mismatch would mean the gcd
+    of the partials and the Sturm counts of the layers disagree about
+    multiplicity, so it raises InvariantError.
     """
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
@@ -70,8 +70,7 @@ def common_divisor(f: HomogeneousForm,
     d = gcd_bivariate(fx, fy)
     if fs is None:
         fs = factor_form(f)
-    predicted = sum(lf.alpha - 1 for lf in fs.linear) \
-        + 2 * sum(qf.beta - 1 for qf in fs.quadratic)
+    predicted = sum(a - 1 for a in fs.line_mults) + 2 * sum(b - 1 for b in fs.quad_mults)
     if d.degree != predicted:
         raise InvariantError(
             f"divisor degree {d.degree} != {predicted} predicted by the factor counts")
@@ -85,7 +84,7 @@ def reduced_field(f: HomogeneousForm,
 
     ``d`` is ``common_divisor(f, fs)`` when the caller already has it.  The
     result is homogeneous of degree l + 2k - 1 with coprime components;
-    both facts are checked against the certified factorization.
+    both facts are checked, the degree against the exact factor counts.
     """
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")

@@ -6,8 +6,8 @@ Over the reals a binary form splits, up to sign and a positive constant, as
 
 with pairwise non-proportional linear forms L_i and pairwise non-proportional
 positive definite quadratic forms Q_j.  This module computes that structure
-exactly where it can and with certified enclosures where it cannot
-(quadratic coefficients, which live over the reals).
+exactly, from Sturm counts, and on first access certified enclosures of the
+roots and of the quadratic coefficients, which live over the reals.
 
 Each squarefree layer w of the dehomogenization f(1, t), which polyring's
 Yun algorithm over Z returns as a primitive integer tuple (lowest degree
@@ -26,8 +26,8 @@ n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic
 Certification and refinement share one precision ladder and one Newton
 polish, and ``reconstruction_gap`` multiplies the enclosures in the same
 interval arithmetic with polyring's one dense product, ``convolve``.
-mpmath is imported only on that path, so a form without definite
-quadratic factors is factored without loading it.
+mpmath is imported only on that path, so it is loaded only when the
+enclosures of a form with a definite quadratic factor are read.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InvariantError, NotRefinedError
@@ -375,35 +376,70 @@ class LinearFactor:
         return (a, (a + math.pi) % (2 * math.pi))
 
 
-@dataclass(frozen=True)
 class FactorizationStructure:
-    """Certified multiplicative structure of a binary form."""
+    """Multiplicative structure of a binary form: exact counts at once,
+    enclosures on first access.
 
-    form: HomogeneousForm
-    sign: int
-    linear: tuple[LinearFactor, ...]
-    quadratic: tuple[QuadraticFactor, ...]
+    A squarefree layer (w, m, roots) of f(1, t) gives len(roots) lines and
+    (deg w - len(roots))/2 definite quadratics of multiplicity m, which fixes
+    ``l``, ``k``, ``line_mults`` and ``quad_mults`` (sorted).  ``linear`` and
+    ``quadratic`` are computed when first read, unless given instead of layers.
+    """
 
-    def __post_init__(self):
-        total = sum(lf.alpha for lf in self.linear) \
-            + 2 * sum(qf.beta for qf in self.quadratic)
-        if total != self.form.degree:
-            raise ValueError(
-                f"multiplicities sum to {total}, degree is {self.form.degree}")
-        if self.sign not in (-1, 1):
+    def __init__(self, form: HomogeneousForm, sign: int,
+                 linear: Optional[Sequence[LinearFactor]] = None,
+                 quadratic: Optional[Sequence[QuadraticFactor]] = None,
+                 layers: Sequence = (), eps: float = _DEFAULT_EPS):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-
-    @property
-    def l(self) -> int:
-        return len(self.linear)
-
-    @property
-    def k(self) -> int:
-        return len(self.quadratic)
+        self.form, self.sign, self._layers, self._eps = form, sign, tuple(layers), eps
+        if linear is None:
+            x_mult = form.x_multiplicity()
+            lines, pairs = [x_mult] if x_mult else [], []
+            for w, m, roots in self._layers:
+                lines += [m] * len(roots)
+                pairs += [m] * ((len(w) - 1 - len(roots)) // 2)
+        else:
+            self._enclosures = (tuple(linear), tuple(quadratic))
+            lines, pairs = [lf.alpha for lf in linear], [qf.beta for qf in quadratic]
+        self.line_mults, self.quad_mults = tuple(sorted(lines)), tuple(sorted(pairs))
+        self.l, self.k = len(lines), len(pairs)
+        total = sum(lines) + 2 * sum(pairs)
+        if total != form.degree:
+            raise ValueError(f"multiplicities sum to {total}, degree is {form.degree}")
 
     @property
     def degree(self) -> int:
         return self.form.degree
+
+    @property
+    def linear(self) -> tuple[LinearFactor, ...]:
+        return self._enclosures[0]
+
+    @property
+    def quadratic(self) -> tuple[QuadraticFactor, ...]:
+        return self._enclosures[1]
+
+    @cached_property
+    def _enclosures(self) -> tuple[tuple[LinearFactor, ...], tuple[QuadraticFactor, ...]]:
+        """Lines refined to eps and certified pairs, sorted (the axis first),
+        refined by factors of 16 until pairwise disjoint."""
+        eps, x_mult = self._eps, self.form.x_multiplicity()
+        linear = [LinearFactor(None, x_mult)] if x_mult else []
+        quadratic: list[QuadraticFactor] = []
+        for w, m, roots in self._layers:
+            linear += [LinearFactor(r.refine(eps), m) for r in roots]
+            quadratic += _certify_pairs(w, roots, m, eps)
+        linear.sort(key=lambda lf: (not lf.is_axis, lf.root.approx if lf.root else 0.0))
+        quadratic.sort(key=lambda qf: (qf.mu, qf.nu))
+        fs = FactorizationStructure(self.form, self.sign, linear, quadratic)
+        for guard in range(41):
+            if fs.is_separated():
+                return fs._enclosures
+            if guard == 40:
+                raise NotRefinedError("could not separate factor enclosures")
+            eps /= 16
+            fs = refine(fs, eps)
 
     def max_width(self) -> Fraction:
         widths = [lf.root.width for lf in self.linear if not lf.is_axis]
@@ -542,10 +578,10 @@ def _deflate_real(coeffs_high, r):
 def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationStructure:
     """Factor a binary form into lines and definite quadratics.
 
-    The linear factors come out exactly (axis factor plus Sturm-isolated
-    roots); quadratic factors carry certified coefficient enclosures of
-    width at most eps.  Factors are ordered deterministically: the axis
-    first, then roots by increasing midpoint; quadratics by root location.
+    The counts, multiplicities and sign come out exactly from Yun's layers
+    and their Sturm isolations; the enclosures (lines refined to eps,
+    quadratic coefficients certified to width at most eps) are computed
+    when ``linear`` or ``quadratic`` is first read.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero marker")
@@ -554,31 +590,10 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
     x_mult = f.x_multiplicity()     # f = x^x_mult * x^(deg g) * g(y/x)
     cs = f.coefficients()           # g = f(1, t) has the coefficients cs
     sign = 1 if cs[f.degree - x_mult] > 0 else -1
-
-    linear: list[LinearFactor] = []
-    quadratic: list[QuadraticFactor] = []
-    if x_mult:
-        linear.append(LinearFactor(None, x_mult))
-    if x_mult < f.degree:
-        for w, m in squarefree_decomposition(_int_coeffs(cs)):
-            roots = isolate_real_roots(w)
-            for r in roots:
-                linear.append(LinearFactor(r.refine(eps), m))
-            quadratic.extend(_certify_pairs(w, roots, m, eps))
-
-    linear.sort(key=lambda lf: (not lf.is_axis,
-                                lf.root.approx if lf.root else 0.0))
-    quadratic.sort(key=lambda qf: (qf.mu, qf.nu))
-    fs = FactorizationStructure(form=f, sign=sign,
-                                linear=tuple(linear), quadratic=tuple(quadratic))
-    guard = 0
-    while not fs.is_separated():
-        eps /= 16
-        fs = refine(fs, eps)
-        guard += 1
-        if guard > 40:
-            raise NotRefinedError("could not separate factor enclosures")
-    return fs
+    layers = [] if x_mult == f.degree else [
+        (w, m, isolate_real_roots(w))
+        for w, m in squarefree_decomposition(_int_coeffs(cs))]
+    return FactorizationStructure(f, sign, layers=layers, eps=eps)
 
 
 def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
@@ -587,8 +602,7 @@ def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
         lf if lf.is_axis else LinearFactor(lf.root.refine(eps), lf.alpha)
         for lf in fs.linear)
     quadratic = tuple(_refine_pair(qf, eps) for qf in fs.quadratic)
-    return FactorizationStructure(form=fs.form, sign=fs.sign,
-                                  linear=linear, quadratic=quadratic)
+    return FactorizationStructure(fs.form, fs.sign, linear, quadratic)
 
 
 def _refine_pair(qf: QuadraticFactor, eps: float) -> QuadraticFactor:

@@ -5,7 +5,8 @@ identity components StabId^r, one per smoothness grade r of the allowed
 isotopies.  All grades from infinity down to 1 always coincide; the C^1 and
 C^0 components differ exactly when f is a product of at least two distinct
 definite quadratics, which is the factor-count case D.  Everything here is
-exact integer bookkeeping on top of the certified factorization.
+exact integer bookkeeping on the exact Sturm counts (l, k) of the
+factorization; no enclosure is read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ _CHAIN_SPLIT = "StabId^inf = ... = StabId^1 != StabId^0"
 
 
 def classify_case(fs: FactorizationStructure) -> str:
-    """Map the certified counts (l, k) to the case letter."""
+    """Map the exact counts (l, k) to the case letter."""
     l, k = fs.l, fs.k
     if (l, k) == (1, 0):
         return "A"

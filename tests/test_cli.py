@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import binform.cli as cli
+import binform.realfactor as rf
 from binform.polyring import gcd_bivariate, partials
 from binform.realfactor import factor_form
 
@@ -375,6 +376,44 @@ def test_float_overflow_is_a_float_range_error(tmp_path, capsys, argv, rows):
     assert out == ""
     err = json.loads(err)["error"]
     assert err["kind"] == "FloatRange" and "float range" in err["message"]
+
+
+# Roots at +-1e-100 and at +-1e-50 i: the Sturm counts are exact, but the
+# enclosures do not separate in 40 refinements, and polyroots does not
+# converge on the pair.
+@pytest.mark.parametrize("form, case, lk", [("x^2-10^200*y^2", "B", (2, 0)),
+                                            ("x^2+10^100*y^2", "C", (0, 1))])
+def test_counts_only_commands_answer_on_widely_scaled_roots(capsys, form, case, lk):
+    assert cli.main(["classify", form]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == case
+    assert cli.main(["decide", form]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["case"], out["l"], out["k"]) == (case, *lk)
+    assert cli.main(["hamiltonian", form]) == 0
+    h = json.loads(capsys.readouterr().out)["hamiltonian"]
+    assert (h["D"], h["deg_hFld"]) == ("1", 1)
+
+
+@pytest.mark.parametrize("form, message", [
+    ("x^2-10^200*y^2", "could not separate factor enclosures"),
+    ("x^2+10^100*y^2", "polyroots: Didn't converge"),
+])
+def test_factor_on_widely_scaled_roots_is_not_refined(capsys, form, message):
+    assert cli.main(["factor", form]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)["error"]
+    assert err["kind"] == "NotRefined" and message in err["message"]
+
+
+@pytest.mark.parametrize("cmd", ["classify", "decide", "hamiltonian"])
+def test_counts_only_commands_certify_no_pair(monkeypatch, capsys, cmd):
+    def boom(*args, **kwargs):
+        raise AssertionError("a counts-only command certified a pair")
+    monkeypatch.setattr(rf, "_certify_pairs", boom)
+    assert cli.main([cmd, "(x^2+y^2)*(x^2+2*y^2)*(x-y)"]) == 0
+    assert cli.main([cmd, "(x^2+y^2)*(x^2+2*y^2)"]) == 0
+    capsys.readouterr()
 
 
 # Flag values for the fuzz: about half valid, the rest edge values, non-finite

@@ -55,6 +55,7 @@ def test_partition_ray_count(monkeypatch):
 
 def test_reconstruction_gap_degree():
     fs = factor_form(XY2)
+    fs.linear       # enclose for x*y^2 before the form is swapped
     object.__setattr__(fs, "form", FOUR_LINES)
     with pytest.raises(InvariantError):
         fs.reconstruction_gap()

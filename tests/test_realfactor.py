@@ -21,7 +21,7 @@ from binform.realfactor import (
 )
 
 import oracles
-from genforms import random_product
+from genforms import random_case_de, random_product
 
 F = Fraction
 
@@ -146,6 +146,44 @@ def test_random_products_recover_structure():
         assert fs.degree == s.degree
         assert fs.is_separated()
         assert fs.reconstruction_gap() < 1e-7
+
+
+def _sympy_counts(f):
+    """The sign and the sorted line and quadratic multiplicities of f, from
+    sympy: sqf_list of f(1, t), count_roots per layer, the power of x."""
+    t = sympy.Symbol("t")
+    g = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(f.coefficients())], t)
+    lines = [f.degree - g.degree()] if f.degree > g.degree() else []
+    pairs = []
+    for w, m in g.sqf_list()[1]:
+        r = w.count_roots()
+        lines += [m] * r
+        pairs += [m] * ((w.degree() - r) // 2)
+    return (1 if g.LC() > 0 else -1), tuple(sorted(lines)), tuple(sorted(pairs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([random_product, random_case_de]), st.randoms(use_true_random=False))
+def test_counts_match_the_enclosures_and_sympy(sample, rng):
+    f = sample(rng, 8).form
+    fs = factor_form(f)
+    counts = (fs.sign, fs.line_mults, fs.quad_mults)
+    assert (fs.l, fs.k) == (len(fs.line_mults), len(fs.quad_mults))
+    assert counts == _sympy_counts(f)
+    eager = FactorizationStructure(f, fs.sign, fs.linear, fs.quadratic)
+    assert (eager.sign, eager.line_mults, eager.quad_mults) == counts
+    assert (eager.l, eager.k) == (fs.l, fs.k)
+
+
+def test_enclosures_are_computed_once_on_first_read(monkeypatch):
+    calls = oracles.count_calls(monkeypatch, rf._certify_pairs)
+    fs = factor_form(HomogeneousForm([1, 0, 3, 0, 2]))     # (x^2+y^2)(x^2+2y^2)
+    assert (fs.l, fs.k) == (0, 2) and calls == []
+    first = fs.quadratic
+    assert len(calls) == 1
+    assert fs.quadratic is first and fs.linear == ()
+    assert len(calls) == 1
 
 
 def test_reconstruction_gap_detects_a_moved_coefficient():
