@@ -11,14 +11,17 @@ BINFORM_PRECISION overrides the default enclosure width.
 main factors the form once and hands the factorization to the command;
 only factor and symmetry read its enclosures, the others its exact counts.
 Each command imports the modules it uses when it runs, so the exact
-commands start without numpy and load mpmath only to certify a conjugate
-pair for factor; a request that does not parse loads neither.
+commands start without numpy, and the exact certificate of a conjugate
+pair loads mpmath only when its seeds need a later rung; a request that
+does not parse loads neither.  The argument parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -323,7 +326,10 @@ def _env_eps() -> Optional[float]:
     return v
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged."""
     ap = _ArgumentParser(
         prog="binform",
         description="factorization, symmetries, and dynamics of binary forms")

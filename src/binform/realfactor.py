@@ -20,19 +20,24 @@ polynomial that is not squarefree needs no separate gcd.  The same
 isolation serves the linear factors and the deflation that finds the
 complex pairs.
 
-Certification of a conjugate root pair uses the bound |z - root| <=
-n |w(z)| / |w'(z)|, evaluated in outward-rounded interval arithmetic
-(mpmath.iv), so every enclosure is a mathematical statement, not a hope.
-Certification and refinement share one precision ladder and one Newton
-polish, and ``reconstruction_gap`` multiplies the enclosures in the same
-interval arithmetic with polyring's one dense product, ``convolve``.
-mpmath is imported only on that path, so it is loaded only when the
-enclosures of a form with a definite quadratic factor are read.
+Certification of a conjugate root pair is exact.  Aberth-Ehrlich seeds
+(in Python complex on the first rung of a precision ladder, in mpmath on
+a later one) are polished by Newton steps in Gaussian integers on the
+rung's dyadic grid, and the disc bound |z - root| <= n |w(z)| / |w'(z)|,
+which holds however z was found, is checked with its separation and its
+distance to the axis in integers; the enclosures of the quadratic
+coefficients follow in Fractions.  ``reconstruction_gap`` multiplies the
+enclosures in outward-rounded interval arithmetic (mpmath.iv), an
+independent cross-check, with polyring's one dense product, ``convolve``.
+mpmath is imported only there and on a later rung, so ordinary forms are
+factored and certified without it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -127,7 +132,7 @@ class IsolatedRoot:
     def approx(self) -> float:
         return float(self.mid)
 
-    def refine(self, eps: float) -> "IsolatedRoot":
+    def refine(self, eps: float | Fraction) -> "IsolatedRoot":
         """Bisect until the interval is narrower than eps.
 
         The bisection runs in integers: lo = a/d and hi = b/d over one
@@ -205,89 +210,131 @@ def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
 
 # ---------------------------------------------------------------------------
 # certified conjugate pairs
+#
+# Rung k of the precision ladder works on the grid of the points
+# z = (a + ib)/2^k, each held as the Gaussian integer (a, b).  For the layer
+# w of degree n, W = 2^(kn) w(z) and D = 2^(k(n-1)) w'(z) are Gaussian
+# integers, so a Newton step moves (a, b) by W/D and the disc bound
+# |z - root| <= n |w(z)/w'(z)| is n |W|/|D| grid steps: the certificate
+# runs in integers and needs no rounding.
 
-def _mpf_to_fraction(x) -> Fraction:
-    from mpmath import mp
-
-    x = mp.mpf(x)
-    if not mp.isfinite(x):
-        raise ArithmeticError("non-finite interval endpoint")
-    sign, man, exp, _ = x._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-def _iv_complex_horner(int_coeffs_high: list[int], zr, zi):
-    """Evaluate an integer polynomial at the complex interval (zr, zi)."""
-    from mpmath import iv
-
-    wr, wi = iv.mpf(0), iv.mpf(0)
-    for c in int_coeffs_high:
-        wr, wi = wr * zr - wi * zi + iv.mpf(c), wr * zi + wi * zr
-    return wr, wi
-
-
-def _disc_radius(ints, zeta):
-    """Rigorous radius so that disc(zeta, radius) contains a root of w.
-
-    ``ints`` holds the integer coefficients of w and w', highest degree
-    first.  Uses |zeta - root| <= n |w(zeta)| / |w'(zeta)| with
-    outward-rounded interval evaluation; raises when the derivative bound
-    degenerates or the disc reaches the real axis.
-    """
-    from mpmath import iv, mp
-
-    w_high, dw_high = ints
-    zr, zi = iv.mpf(mp.re(zeta)), iv.mpf(mp.im(zeta))
-    wr, wi = _iv_complex_horner(w_high, zr, zi)
-    dr, di = _iv_complex_horner(dw_high, zr, zi)
-    num = abs(wr) + abs(wi)                         # >= |w(zeta)| interval
-    den_lo = max(abs(dr).a, abs(di).a)              # <= |w'(zeta)|
-    if den_lo == 0:
-        raise ArithmeticError("derivative enclosure straddles zero")
-    ratio = iv.mpf(len(w_high) - 1) * num / iv.mpf(den_lo)
-    rad = mp.mpf(ratio.b) * mp.mpf("1.0000000001")
-    if not rad < mp.im(zeta):   # disc must stay strictly above the axis
-        raise NotRefinedError("disc touches the real axis")
-    return rad
+def _ladder(eps: float, failure: str, attempt):
+    """attempt(k) for k doubled from eps's bits + 60 (at least 80) up to
+    2^14 while it raises."""
+    k = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
+    last = None
+    while k <= _MAX_PREC_BITS:
+        try:
+            return attempt(k)
+        except (ArithmeticError, NotRefinedError) as exc:
+            last = exc
+            k *= 2
+    raise NotRefinedError(f"{failure} eps={eps}: {last}")
 
 
-def _newton(wp, dwp, z, steps: int):
-    """``steps`` Newton steps on the polynomial wp (derivative dwp)."""
-    from mpmath import mp
+def _on_grid(x: float, k: int) -> int:
+    """The integer nearest x * 2^k, exactly."""
+    p, q = x.as_integer_ratio()
+    return ((p << (k + 1)) + q) // (2 * q)
 
-    for _ in range(steps):
-        dz = mp.polyval(dwp, z)
-        if dz == 0:
+
+def _gauss_eval(w: Sequence[int], a: int, b: int, k: int) -> tuple[int, int]:
+    """2^(kn) w((a + ib)/2^k) for n = len(w) - 1, by homogeneous Horner."""
+    re = im = 0
+    qk = 1
+    for c in reversed(w):
+        re, im = re * a - im * b + c * qk, re * b + im * a
+        qk <<= k
+    return re, im
+
+
+def _polish(w, dw, a: int, b: int, k: int, steps: int) -> tuple[int, int, int]:
+    """Newton steps on w (derivative dw) from the grid point (a, b) of rung
+    k, until a step rounds to zero or ``steps`` are taken.  Returns the last
+    point and the least integer radius r >= n |W|/|D| there, in grid steps:
+    the disc of radius r/2^k about it holds a root of w."""
+    for i in range(steps + 1):
+        wr, wi = _gauss_eval(w, a, b, k)
+        dr, di = _gauss_eval(dw, a, b, k)
+        den = dr * dr + di * di
+        if den == 0:
+            raise ArithmeticError("the derivative vanishes at a seed")
+        # W/D = W conj(D)/|D|^2, rounded to the nearest grid point
+        sa = (2 * (wr * dr + wi * di) + den) // (2 * den)
+        sb = (2 * (wi * dr - wr * di) + den) // (2 * den)
+        if i == steps or not (sa or sb):
             break
-        z = z - mp.polyval(wp, z) / dz
+        a, b = a - sa, b - sb
+    n2w2 = (len(w) - 1) ** 2 * (wr * wr + wi * wi)
+    ratio = -(-n2w2 // den)             # ceil(n^2 |W|^2 / |D|^2)
+    r = math.isqrt(ratio)
+    return a, b, r + (r * r < ratio)
+
+
+def _aberth(p, z, tol):
+    """Aberth-Ehrlich iteration for all roots of p (highest degree first)
+    from the start points z, until no point moves by more than tol times
+    its modulus or 100 sweeps are done.  Arithmetic operators only,
+    so it runs in Python complex and in mpmath.mpc alike."""
+    z = list(z)
+    for _ in range(100):
+        done = True
+        for i, zi in enumerate(z):
+            pv = dv = 0
+            for c in p:                 # p(zi) and p'(zi) by one Horner pass
+                dv = dv * zi + pv
+                pv = pv * zi + c
+            ratio = pv / dv
+            step = ratio / (1 - ratio * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+            z[i] = zi - step
+            done = done and abs(step) <= tol * abs(zi)
+        if done:
+            break
     return z
 
 
-def _ladder(w: tuple[int, ...], eps: float, failure: str, attempt):
-    """attempt(prec, ints, wp, dwp) with mpmath and interval precision prec,
-    doubled from eps's bits + 60 (at least 80) up to 2^14 while it raises.
+def _deflated(w, real_roots, k: int, real):
+    """The layer w (highest degree first, in the number type ``real``)
+    divided by t - x for each real root x, x refined to 2^-(k/2)."""
+    p = [real(c) for c in reversed(w)]
+    for r in real_roots:
+        x = r.refine(Fraction(1, 1 << (k // 2))).mid
+        x = real(x.numerator) / x.denominator
+        out = [p[0]]
+        for c in p[1:-1]:               # synthetic division, remainder dropped
+            out.append(c + out[-1] * x)
+        p = out
+    return p
 
-    ``ints`` holds the integer coefficients of the layer w and of w' (the
-    same scaling, so Newton steps and disc radii are not skewed), highest
-    degree first; wp and dwp are them as mpf numbers."""
-    from mpmath import iv, mp
 
-    ints = (w[::-1], _derivative(w)[::-1])
-    prec = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
-    last = None
-    while prec <= _MAX_PREC_BITS:
-        saved_iv_prec = iv.prec
-        try:
-            iv.prec = prec
-            with mp.workprec(prec):
-                wp, dwp = ([mp.mpf(c) for c in cs] for cs in ints)
-                return attempt(prec, ints, wp, dwp)
-        except (ArithmeticError, NotRefinedError) as exc:
-            last = exc
-            prec *= 2
-        finally:
-            iv.prec = saved_iv_prec
-    raise NotRefinedError(f"{failure} eps={eps}: {last}")
+def _approximate(w, real_roots, k: int, start):
+    """The non-real roots of the layer w, approximated by the Aberth-Ehrlich
+    iteration on w deflated by its real roots, and the upper ones as points
+    of the grid of rung k.  The first rung (``start`` None) works in Python
+    complex; a later one works in mpmath at k bits and starts from
+    ``start``, the previous rung's approximations, or from a circle of
+    radius |p(0)/lc(p)|^(1/m) when there are none."""
+    if start is None:
+        p = _deflated(w, real_roots, k, float)
+        roots = _aberth(p, _circle(p), 2.0 ** -40)
+        if not all(cmath.isfinite(z) for z in roots):
+            raise ArithmeticError("an Aberth iterate left the float range")
+        return roots, [(_on_grid(z.real, k), _on_grid(z.imag, k)) for z in roots if z.imag > 0]
+    from mpmath import mp
+
+    with mp.workprec(k):
+        p = _deflated(w, real_roots, k, mp.mpf)
+        roots = _aberth(p, [mp.mpc(z) for z in start] or _circle(p), mp.ldexp(1, -(k // 2)))
+        return roots, [(int(mp.nint(mp.ldexp(z.real, k))), int(mp.nint(mp.ldexp(z.imag, k))))
+                       for z in roots if z.imag > 0]
+
+
+def _circle(p):
+    """m points on the circle about 0 whose radius is the geometric mean of
+    the moduli of the m roots of p."""
+    m = len(p) - 1
+    r = abs(p[-1] / p[0]) ** (1 / m)
+    return [r * cmath.rect(1.0, 2 * math.pi * j / m + 0.4) for j in range(m)]
 
 
 @dataclass(frozen=True)
@@ -512,67 +559,52 @@ def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int
     n_pairs = (len(w) - 1 - len(real_roots)) // 2
     if n_pairs == 0:
         return []
-    from mpmath import mp
+    dw = _derivative(w)
+    found = None        # the last rung's approximations, [] if it found none
 
-    def attempt(prec, ints, wp, dwp):
-        # deflate polished real roots, find the remaining complex roots
-        deflated = wp
-        for r in real_roots:
-            rr = r.refine(2.0 ** (-min(60, prec // 2)))
-            z = (mp.mpf(rr.lo.numerator) / rr.lo.denominator
-                 + mp.mpf(rr.hi.numerator) / rr.hi.denominator) / 2
-            deflated = _deflate_real(deflated, _newton(wp, dwp, z, 6))
-        if len(deflated) - 1 != 2 * n_pairs:
-            raise ArithmeticError("deflation lost degree")
-        try:
-            roots = mp.polyroots(deflated, maxsteps=100, extraprec=max(60, prec // 2))
-        except Exception as exc:  # mpmath NoConvergence, keep the ladder going
-            raise ArithmeticError(f"polyroots: {exc}")
-        cand = [mp.mpc(z) for z in roots if mp.im(z) > 0]
-        if len(cand) != n_pairs:
+    def attempt(k):
+        nonlocal found
+        start, found = found, []
+        found, upper = _approximate(w, real_roots, k, start)
+        if len(upper) != n_pairs:
             raise ArithmeticError("conjugate pairing failed")
-        discs = []
-        for z in cand:
-            z = _newton(wp, dwp, z, 4)      # polish against the exact layer
-            discs.append((z, _disc_radius(ints, z)))
-        for i in range(len(discs)):
-            for j in range(i + 1, len(discs)):
-                zi, ri = discs[i]
-                zj, rj = discs[j]
-                if not abs(zi - zj) > 4 * (ri + rj):
+        discs = [_polish(w, dw, a, b, k, k.bit_length()) for a, b in upper]
+        for i, (ai, bi, ri) in enumerate(discs):
+            for aj, bj, rj in discs[i + 1:]:
+                if (ai - aj) ** 2 + (bi - bj) ** 2 <= 16 * (ri + rj) ** 2:
                     raise NotRefinedError("discs not separated")
         # Each disc sits strictly above the axis, its mirror strictly
         # below, real roots are accounted for exactly by Sturm, and the
         # discs are pairwise disjoint; since the counts add up to deg w,
         # every disc holds exactly one root.
-        return [_pair_from_disc(w, z, rad, beta, eps) for z, rad in discs]
+        return [_pair_from_disc(w, disc, k, beta, eps) for disc in discs]
 
-    return _ladder(w, eps, "certification failed at", attempt)
+    pairs = _ladder(eps, "certification failed at", attempt)
+    if any(qf.c_hi > sys.float_info.max for qf in pairs):
+        raise NotRefinedError("a quadratic factor's c is beyond the float range")
+    return pairs
 
 
-def _pair_from_disc(w, z, rad, beta, eps) -> QuadraticFactor:
-    from mpmath import iv, mp
-
-    re_iv = iv.mpf([mp.re(z) - rad, mp.re(z) + rad])
-    im_iv = iv.mpf([mp.im(z) - rad, mp.im(z) + rad])
-    big_c = re_iv**2 + im_iv**2
-    b_iv = (-2 * re_iv) / big_c
-    c_iv = 1 / big_c
-    b_lo, b_hi = _mpf_to_fraction(b_iv.a), _mpf_to_fraction(b_iv.b)
-    c_lo, c_hi = _mpf_to_fraction(c_iv.a), _mpf_to_fraction(c_iv.b)
+def _pair_from_disc(w, disc: tuple[int, int, int], k: int, beta: int,
+                    eps: float) -> QuadraticFactor:
+    """The factor x^2 + b x y + c y^2 of the root z in the disc (a, b, r) of
+    rung k: b = -2 Re z/|z|^2 and c = 1/|z|^2, enclosed in Fractions."""
+    a, b, r = disc
+    if not r < b:
+        raise NotRefinedError("disc touches the real axis")
+    # 2^k Re z lies in [a - r, a + r] and 4^k |z|^2 in [m_lo, m_hi]
+    re_lo, re_hi = a - r, a + r
+    re2 = (re_lo * re_lo, re_hi * re_hi)
+    m_lo = (0 if re_lo <= 0 <= re_hi else min(re2)) + (b - r) ** 2
+    m_hi = max(re2) + (b + r) ** 2
+    q = 1 << k
+    bs = [Fraction(-2 * q * x, m) for x in (re_lo, re_hi) for m in (m_lo, m_hi)]
+    b_lo, b_hi = min(bs), max(bs)
+    c_lo, c_hi = Fraction(q * q, m_hi), Fraction(q * q, m_lo)
     if max(b_hi - b_lo, c_hi - c_lo) > Fraction(eps):
         raise NotRefinedError("enclosure wider than eps")
     return QuadraticFactor(layer=w, b_lo=b_lo, b_hi=b_hi, c_lo=c_lo, c_hi=c_hi,
-                           beta=beta, mu=float(mp.re(z)), nu=float(mp.im(z)))
-
-
-def _deflate_real(coeffs_high, r):
-    # synthetic division by (t - r); the remainder is dropped, r is a
-    # polished root so it is far below working precision anyway
-    out = [coeffs_high[0]]
-    for c in coeffs_high[1:-1]:
-        out.append(c + out[-1] * r)
-    return out
+                           beta=beta, mu=a / q, nu=b / q)
 
 
 def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationStructure:
@@ -608,13 +640,20 @@ def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
 def _refine_pair(qf: QuadraticFactor, eps: float) -> QuadraticFactor:
     if qf.width <= Fraction(eps):
         return qf
-    from mpmath import mp
+    w, dw = qf.layer, _derivative(qf.layer)
+    b, c = qf.b_mid, qf.c_mid
 
-    def attempt(prec, ints, wp, dwp):
-        z = _newton(wp, dwp, mp.mpc(qf.mu, qf.nu), max(6, prec // 16))
-        new = _pair_from_disc(qf.layer, z, _disc_radius(ints, z), qf.beta, eps)
+    def attempt(k):
+        # the seed is the root (-b + i sqrt(4c - b^2))/2c of 1 + bt + ct^2
+        # at the enclosure's midpoint, as close to the pair's root as the
+        # enclosure is narrow, where (mu, nu) may be as close to another
+        q = 1 << k
+        seed = (round(-b * q / (2 * c)),
+                round(math.isqrt(math.floor((4 * c - b * b) * q * q)) / (2 * c)))
+        disc = _polish(w, dw, *seed, k, k.bit_length())
+        new = _pair_from_disc(w, disc, k, qf.beta, eps)
         if not new.overlaps(qf):
             raise NotRefinedError("refinement drifted to another root")
         return new
 
-    return _ladder(qf.layer, eps, "refinement failed to reach", attempt)
+    return _ladder(eps, "refinement failed to reach", attempt)

@@ -22,6 +22,7 @@ class SampleForm:
     sign: int
     line_mults: tuple[int, ...]
     quad_mults: tuple[int, ...]
+    quads: tuple[tuple[Fraction, Fraction], ...] = ()   # (b, c) of each x^2 + bxy + cy^2
 
     @property
     def l(self) -> int:
@@ -86,7 +87,7 @@ def random_product(rng: random.Random, max_degree: int = 8) -> SampleForm:
     sign = rng.choice((1, -1))
     scale = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
     return SampleForm(prod.scale_by(sign * scale), sign,
-                      tuple(alphas), tuple(betas))
+                      tuple(alphas), tuple(betas), tuple(sorted(grams)))
 
 
 def random_case_de(rng: random.Random, max_degree: int = 8) -> SampleForm:

@@ -378,9 +378,8 @@ def test_float_overflow_is_a_float_range_error(tmp_path, capsys, argv, rows):
     assert err["kind"] == "FloatRange" and "float range" in err["message"]
 
 
-# Roots at +-1e-100 and at +-1e-50 i: the Sturm counts are exact, but the
-# enclosures do not separate in 40 refinements, and polyroots does not
-# converge on the pair.
+# Roots at +-1e-100 and at +-1e-50 i: the Sturm counts are exact, and the
+# counts-only commands answer on both forms.
 @pytest.mark.parametrize("form, case, lk", [("x^2-10^200*y^2", "B", (2, 0)),
                                             ("x^2+10^100*y^2", "C", (0, 1))])
 def test_counts_only_commands_answer_on_widely_scaled_roots(capsys, form, case, lk):
@@ -394,9 +393,9 @@ def test_counts_only_commands_answer_on_widely_scaled_roots(capsys, form, case, 
     assert (h["D"], h["deg_hFld"]) == ("1", 1)
 
 
+# The line enclosures at +-1e-100 do not separate in 40 refinements.
 @pytest.mark.parametrize("form, message", [
     ("x^2-10^200*y^2", "could not separate factor enclosures"),
-    ("x^2+10^100*y^2", "polyroots: Didn't converge"),
 ])
 def test_factor_on_widely_scaled_roots_is_not_refined(capsys, form, message):
     assert cli.main(["factor", form]) == 1
@@ -404,6 +403,14 @@ def test_factor_on_widely_scaled_roots_is_not_refined(capsys, form, message):
     assert out == ""
     err = json.loads(err)["error"]
     assert err["kind"] == "NotRefined" and message in err["message"]
+
+
+def test_factor_certifies_a_pair_at_1e_minus_50_i(capsys):
+    # the grid of the first rungs rounds the seed 1e-50 i to 0 or leaves c
+    # wider than eps; the ladder climbs until the disc certifies c = 1e100
+    assert cli.main(["factor", "x^2+10^100*y^2"]) == 0
+    quad = json.loads(capsys.readouterr().out)["factors"]["quadratic"]
+    assert quad == [{"a": 1.0, "b": 0.0, "c": 1e100, "beta": 1}]
 
 
 @pytest.mark.parametrize("cmd", ["classify", "decide", "hamiltonian"])

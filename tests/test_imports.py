@@ -40,11 +40,12 @@ def _loaded(*argv):
     (["hamiltonian", "x*y^2"], 0, []),
     (["factor", "x*y^2"], 0, []),
     (["decide", "x+*y"], 2, []),
-    (["factor", "(x^2+y^2)*(x^2+2*y^2)"], 0, ["mpmath"]),
+    (["factor", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
     (["decide", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
     (["classify", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
     (["hamiltonian", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
     (["symmetry", "x*y*(x-y)"], 0, ["binform.mat2", "numpy"]),
+    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, ["binform.mat2", "numpy"]),
 ])
 def test_command_loads_only_what_it_uses(argv, rc, loaded):
     assert _loaded(*argv) == [rc, loaded]

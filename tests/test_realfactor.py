@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import binform.realfactor as rf
+from binform import cli
 from binform.polyring import (
     HomogeneousForm,
     gcd_univariate,
@@ -174,6 +176,113 @@ def test_counts_match_the_enclosures_and_sympy(sample, rng):
     eager = FactorizationStructure(f, fs.sign, fs.linear, fs.quadratic)
     assert (eager.sign, eager.line_mults, eager.quad_mults) == counts
     assert (eager.l, eager.k) == (fs.l, fs.k)
+
+
+def _assert_enclosed_once(fs, quads, eps):
+    """Each exact (b, c) lies in exactly one certified enclosure, of width
+    at most eps."""
+    for b, c in quads:
+        holders = [qf for qf in fs.quadratic
+                   if qf.b_lo <= b <= qf.b_hi and qf.c_lo <= c <= qf.c_hi]
+        assert len(holders) == 1, (b, c)
+        assert holders[0].width <= F(eps)
+
+
+def test_random_product_quadratics_lie_in_their_enclosures():
+    rng = random.Random(23)
+    for _ in range(60):
+        s = random_product(rng)
+        _assert_enclosed_once(factor_form(s.form), s.quads, 1e-12)
+        _assert_enclosed_once(refine(factor_form(s.form, eps=1e-6), 1e-14), s.quads, 1e-14)
+
+
+@st.composite
+def definite_products(draw):
+    """A product of distinct rational definite quadratics, some rational
+    lines and a rational scalar, with the quadratics' exact (b, c)."""
+    quads = set()
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.fractions(-6, 6, max_denominator=7))
+        quads.add((b, b * b / 4 + draw(st.fractions(F(1, 49), 9, max_denominator=49))))
+    factors = [HomogeneousForm([-t, 1]) for t in
+               draw(st.lists(st.fractions(-5, 5, max_denominator=4), max_size=3, unique=True))]
+    for b, c in quads:
+        factors.append(HomogeneousForm([1, b, c]).power(draw(st.integers(1, 2))))
+    f = factors[0]
+    for g in factors[1:]:
+        f = f * g
+    f = f.scale_by(draw(st.fractions(F(1, 9), 9, max_denominator=9)))
+    return f, quads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(definite_products())
+def test_constructed_quadratics_lie_in_exactly_one_enclosure(sample):
+    f, quads = sample
+    fs = factor_form(f)
+    assert fs.k == len(quads)
+    _assert_enclosed_once(fs, quads, 1e-12)
+    _assert_enclosed_once(refine(fs, 1e-14), quads, 1e-14)
+
+
+# Pairs 5e-13 i and 5e-21 i apart: the float seeds do not separate them, a
+# later rung's seeds, computed in mpmath from them, do.  The expected lines
+# are what the certificate printed when it took its seeds from mpmath's
+# polyroots.
+@pytest.mark.parametrize("form, expected", [
+    ("(x^2+y^2)*(x^2+(1+1/10^12)*y^2)",
+     '"quadratic": [{"a": 1, "b": 0, "c": 1.0000000000010001, "beta": 1}, '
+     '{"a": 1, "b": 0, "c": 1, "beta": 1}]'),
+    ("(x^2+y^2)*(x^2+(1+1/10^20)*y^2)",
+     '"quadratic": [{"a": 1, "b": 0, "c": 1, "beta": 1}, '
+     '{"a": 1, "b": 0, "c": 1, "beta": 1}]'),
+])
+def test_close_pairs_certify_on_a_later_rung(monkeypatch, capsys, form, expected):
+    assert cli.main(["factor", form]) == 0
+    out = capsys.readouterr().out
+    assert out == ('{"input": "%s", "degree": 4, "sign": 1, "factors": '
+                   '{"linear": [], %s}}\n' % (form, expected))
+    approximate = rf._approximate
+    monkeypatch.setattr(rf, "_approximate",
+                        lambda w, real, k, start: approximate(w, real, k, None))
+    assert cli.main(["factor", form]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "NotRefined" and "discs not separated" in err["message"]
+
+
+def test_refine_tells_apart_pairs_that_agree_in_floats():
+    # the roots i and i/sqrt(1 + 10^-16) have the same float (mu, nu), so
+    # refinement seeds from the enclosures, not from those floats
+    c = 1 + F(1, 10**16)
+    fs = refine(factor_form(HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, 0, c]), eps=1e-6),
+                1e-60)
+    _assert_enclosed_once(fs, {(F(0), F(1)), (F(0), c)}, 1e-60)
+
+
+def test_a_failed_first_rung_still_certifies(monkeypatch, capsys):
+    form = "(x^2+y^2)*(x^2+2*y^2)*(x^2+x*y+3*y^2)*(x-y)"
+    assert cli.main(["factor", form]) == 0
+    expected = capsys.readouterr().out
+    approximate, rungs = rf._approximate, []
+
+    def no_first_rung(w, real, k, start):
+        rungs.append(k)
+        if start is None:
+            raise ArithmeticError("no float seeds")
+        return approximate(w, real, k, start)
+
+    monkeypatch.setattr(rf, "_approximate", no_first_rung)
+    assert cli.main(["factor", form]) == 0
+    assert capsys.readouterr().out == expected
+    assert rungs == [106, 212]
+
+
+def test_a_pair_beyond_the_float_range_is_not_refined(capsys):
+    # the seed overflows floats on the first rung; c = 10^400 has no float
+    assert cli.main(["factor", "x^2+10^400*y^2"]) == 1
+    out, err = capsys.readouterr()
+    err = json.loads(err)["error"]
+    assert out == "" and err["kind"] == "NotRefined"
 
 
 def test_enclosures_are_computed_once_on_first_read(monkeypatch):
