@@ -2,10 +2,10 @@
 dynamics and the component-chain verdict, with a JSON command line.
 
 The exports are resolved on first use (PEP 562), so importing the package
-or one of its modules loads numpy and mpmath only where they are needed:
-numpy with ``symgroup``; mpmath with ``reconstruction_gap`` and the later
-rungs of the conjugate-pair certificate of ``realfactor``, which on
-ordinary forms runs in Python complex and exact integers."""
+or one of its modules loads mpmath only where it is needed: with
+``reconstruction_gap`` and the later rungs of the conjugate-pair
+certificate of ``realfactor``, which on ordinary forms runs in Python
+complex and exact integers.  Every float path runs on Python floats."""
 
 import importlib
 

@@ -411,10 +411,11 @@ class LinearFactor:
         return self.root is None
 
     def line_direction(self) -> tuple[float, float]:
-        """A direction vector of the zero line of the factor."""
+        """A direction vector of the zero line of the factor, its slope
+        refined to about 1e-17 relative so it is the nearest float."""
         if self.is_axis:
             return (0.0, 1.0)
-        return (1.0, self.root.approx)
+        return (1.0, self.root.refine(1e-17 * max(1.0, abs(self.root.approx))).approx)
 
     def ray_angles(self) -> tuple[float, float]:
         """Angles of the two antipodal rays of the line, in [0, 2*pi)."""

@@ -14,9 +14,11 @@ A finite-case symmetry acts on the slope t = y/x as a real Moebius map of
 positive determinant, so three factor roots and their images fix it.  The
 candidates are these maps, one per target triple that the cyclic order and
 the multiplicities allow; each is polished with the one Gauss-Newton
-routine here, which takes exact Jacobians, and the verified ones are closed
-under products.  The tests hold an independent check: a dense scan over
-SL(2, R) that finds its starting points without the factors.
+routine here, which takes exact Jacobians and solves its steps by
+Householder QR, and the verified ones are closed under products.  The
+case-C normalizer is a closed-form matrix square root.  The tests hold an
+independent check: a dense scan over SL(2, R) that finds its starting
+points without the factors.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
-
-import numpy as np
 
 from .errors import (
     NotFiniteOrderError,
@@ -68,43 +68,64 @@ def _unit_target(f: HomogeneousForm):
 
 
 def _defect(target, entries):
-    """The defect fn o h - fn at h = [[a, b], [c, d]] and its exact
-    Jacobian in (a, b, c, d).
+    """The defect fn o h - fn at h = [[a, b], [c, d]] and the four columns
+    of its exact Jacobian in (a, b, c, d).
 
     d(f o h)/d(a, b, c, d) = (x, y, x, y) times (f_x o h, f_x o h, f_y o h,
     f_y o h); in coefficient order a factor x appends a zero and a factor y
     prepends one.
     """
     fn, fx, fy = target
-    e = np.array(compose_coeffs(fn, *entries)) - fn
+    e = [u - v for u, v in zip(compose_coeffs(fn, *entries), fn)]
     gx = compose_coeffs(fx, *entries)
     gy = compose_coeffs(fy, *entries)
-    return e, np.array([gx + [0.0], [0.0] + gx, gy + [0.0], [0.0] + gy]).T
+    return e, [gx + [0.0], [0.0] + gx, gy + [0.0], [0.0] + gy]
+
+
+def _lstsq(cols, e):
+    """The s minimizing |sum_j s_j cols[j] - e|, by Householder QR of the
+    columns; None when they are dependent (a pivot at rounding level)."""
+    cols, e = [list(c) for c in cols], list(e)
+    tiny = 1e-14 * max(math.hypot(*c) for c in cols)
+    for k, ck in enumerate(cols):
+        alpha = -math.copysign(math.hypot(*ck[k:]), ck[k])
+        if not abs(alpha) > tiny:
+            return None
+        v = [ck[k] - alpha, *ck[k + 1:]]
+        vv = -2.0 * alpha * v[0]                     # |v|^2
+        for c in (*cols[k + 1:], e):
+            t = 2.0 * sum(p * q for p, q in zip(v, c[k:])) / vv
+            c[k:] = [q - t * p for p, q in zip(v, c[k:])]
+        ck[k] = alpha
+    s = []                                           # back substitution
+    for k in reversed(range(len(cols))):
+        s.insert(0, (e[k] - sum(c[k] * v for c, v in zip(cols[k + 1:], s))) / cols[k][k])
+    return s
 
 
 def _gauss_newton(fun, x0, iters: int):
-    """Damped Gauss-Newton on fun(x) = (defect, exact Jacobian).
+    """Damped Gauss-Newton on fun(x) = (defect, exact Jacobian columns).
 
     Steps are capped at max-norm 1.  Returns the best iterate and its
     max-abs defect, or None once the defect, the Jacobian or the step is
-    not finite.
+    not finite, or the columns are dependent.
     """
-    x = np.array(x0, dtype=float)
+    x = [float(v) for v in x0]
     best, best_r, size = x, math.inf, math.inf
     for it in range(iters + 1):
-        e, jac = fun(x)
-        if not (np.isfinite(e).all() and np.isfinite(jac).all()):
+        e, cols = fun(x)
+        if not all(map(math.isfinite, [*e, *(v for c in cols for v in c)])):
             return None
-        r = float(np.max(np.abs(e)))
+        r = max(map(abs, e))
         if r < best_r:
             best, best_r = x, r
         if it == iters or r < _STOP_DEFECT or size < 1e-14:
             break
-        step, *_ = np.linalg.lstsq(jac, e, rcond=None)
-        size = float(np.max(np.abs(step)))
+        step = _lstsq(cols, e)
+        size = math.nan if step is None else max(map(abs, step))
         if not math.isfinite(size):
             return None
-        x = x - step / max(size, 1.0)
+        x = [u - s / max(size, 1.0) for u, s in zip(x, step)]
     return best, best_r
 
 
@@ -112,7 +133,7 @@ def _polish(target, entries):
     """Gauss-Newton over the four matrix entries; symmetries are isolated
     zeros of the defect in the finite cases, so this converges
     quadratically."""
-    return _gauss_newton(lambda v: _defect(target, v.tolist()), entries, 12)
+    return _gauss_newton(lambda v: _defect(target, v), entries, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +246,7 @@ def _line_column(lf):
     t = _exact_slope(lf.root)
     if t is not None:
         return (Fraction(1), t)
-    return (1.0, lf.root.approx)
+    return lf.line_direction()
 
 
 def symmetry_group(f: HomogeneousForm, fs: Optional[FactorizationStructure] = None,
@@ -289,23 +310,18 @@ def _case_two_lines(f: HomogeneousForm, fs: FactorizationStructure,
     return group
 
 
-def _spd_roots(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M^(1/2), M^(-1/2)) of a symmetric positive definite 2x2 matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12 * (1 + abs(M[0, 1])):
-        raise NotPositiveDefiniteError("matrix is not symmetric")
-    w, V = np.linalg.eigh(M)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    s = np.sqrt(w)
-    return (V * s) @ V.T, (V / s) @ V.T
-
-
 def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
-    M = np.array(fs.quadratic[0].gram_matrix())
-    _, inv_sqrt = _spd_roots(M)
-    n = Mat2.approx(inv_sqrt[0, 0], inv_sqrt[0, 1], inv_sqrt[1, 0], inv_sqrt[1, 1])
-    return RotationFamily(normalizer=n)
+    """N = Q^(-1/2) for the Gram matrix Q of the quadratic, in closed form:
+    with s = sqrt(det Q), Q^(1/2) = (Q + s I) / sqrt(tr Q + 2 s), and
+    N = adj(Q^(1/2)) / s."""
+    (p, q), (_, r) = fs.quadratic[0].gram_matrix()
+    det = p * r - q * q
+    if not det > 0:
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    s = math.sqrt(det)
+    t = math.sqrt(p + r + 2.0 * s) * s
+    o = (0.0 - q) / t                  # 0.0 - q: a zero stays +0.0
+    return RotationFamily(normalizer=Mat2.approx((r + s) / t, o, o, (p + s) / t))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +347,7 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
         sol = _polish(target, entries)
         if sol is None or sol[1] >= tol:
             return False
-        m = Mat2.approx(*sol[0].tolist())
+        m = Mat2.approx(*sol[0])
         if m.det() <= 0 or known(m):
             return False
         elems.append((m, sol[1]))
@@ -390,9 +406,7 @@ def _candidates_moebius(fs, fn, verify):
     that root, its conjugate and the second's (l = 0).  Points are
     homogeneous (x, y) pairs; the slopes are refined to the last bit, so a
     candidate is a symmetry up to rounding."""
-    lines = [(0.0, 1.0) if lf.is_axis else
-             (1.0, lf.root.refine(1e-17 * max(1.0, abs(lf.root.approx))).approx)
-             for lf in fs.linear]
+    lines = [lf.line_direction() for lf in fs.linear]
     alphas = [lf.alpha for lf in fs.linear]
     roots = [((1.0, complex(qf.mu, qf.nu)), (1.0, complex(qf.mu, -qf.nu)), qf.beta)
              for qf in fs.quadratic]

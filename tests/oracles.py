@@ -5,8 +5,10 @@ shares no code path with the package under test.  The exceptions are the
 two symmetry sections at the end: the dense SL(2, R) scan reuses the
 solver's defect and Gauss-Newton step on purpose, and stays independent of
 it in how it searches; the case-D transport candidates reuse the solver's
-matrix square roots, scale fix and polish, and are closed into a group here
-to check the group the solver builds from its own candidates.
+scale fix and polish, and are closed into a group here to check the group
+the solver builds from its own candidates.  The matrix square roots here
+come from numpy's eigh, which the package itself does not use: numpy is a
+test-only dependency.
 """
 
 import math
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from binform.errors import NotPositiveDefiniteError
 from binform.mat2 import Mat2
 from binform.polyring import HomogeneousForm, compose_coeffs
 from binform.realfactor import FactorizationStructure, factor_form
@@ -25,7 +28,6 @@ from binform.symgroup import (
     _fix_scale,
     _gauss_newton,
     _polish,
-    _spd_roots,
     _unit_target,
 )
 from binform.verdict import classify_case
@@ -399,8 +401,8 @@ def scan_defect(target, params):
     dH = np.array([Rphi @ _QUARTER @ Dg @ Rpsi,
                    Rphi @ (Dg * [[1.0], [-1.0]]) @ Rpsi,
                    Rphi @ Dg @ _QUARTER @ Rpsi])
-    e, jac = _defect(target, (Rphi @ Dg @ Rpsi).ravel().tolist())
-    return e, jac @ dH.reshape(3, 4).T
+    e, cols = _defect(target, (Rphi @ Dg @ Rpsi).ravel().tolist())
+    return e, (dH.reshape(3, 4) @ np.array(cols)).tolist()
 
 
 def _scan_span(fs: FactorizationStructure) -> float:
@@ -508,6 +510,20 @@ def oracle_scan(f: HomogeneousForm, resolution: int = 64,
 # solver built its candidates this way before it took the Moebius map
 # through three factor roots; the group closed from them is the reference.
 
+def _spd_roots(M) -> tuple[np.ndarray, np.ndarray]:
+    """(M^(1/2), M^(-1/2)) of a symmetric positive definite 2x2 matrix, from
+    its eigen-decomposition; binform.symgroup takes the case-C normalizer
+    from the closed form instead."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12 * (1 + abs(M[0, 1])):
+        raise NotPositiveDefiniteError("matrix is not symmetric")
+    w, V = np.linalg.eigh(M)
+    if w[0] <= 0:
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    s = np.sqrt(w)
+    return (V * s) @ V.T, (V / s) @ V.T
+
+
 def transport_member(A, B, theta: float, lam: float = 1.0) -> Mat2:
     """sqrt(lam) * B^(-1/2) R(theta) A^(1/2): the orientation-preserving h
     with h^T B h = lam * A."""
@@ -559,7 +575,7 @@ def transport_group(f: HomogeneousForm, fs: FactorizationStructure,
         sol = _polish(target, todo.pop(0))
         if sol is None or sol[1] >= tol:
             continue
-        m = Mat2.approx(*sol[0].tolist())
+        m = Mat2.approx(*sol[0])
         if m.det() > 0 and all(m.dist(e) >= _DEDUPE_TOL for e in elems):
             elems.append(m)
             todo += [(m @ e).entries() for e in elems]

@@ -94,6 +94,25 @@ def test_symmetry_family_kinds():
         assert out["symmetry"]["kind"] == kind
 
 
+@pytest.mark.parametrize("expr, slope", [
+    ("x^2-2*y^2", -0.70710678118654757),
+    ("x^2-3*y^2", -0.57735026918962573),
+])
+def test_family_normalizer_slope_is_the_nearest_float(expr, slope):
+    # -1/sqrt(2) and -1/sqrt(3) to the last bit, not the midpoint of the
+    # enclosure
+    out = json.loads(run_cli("symmetry", expr).stdout)
+    assert out["symmetry"]["family"]["normalizer"][1] == [slope, slope]
+
+
+def test_nearly_singular_gram_is_not_positive_definite():
+    # c = 1 + 10^-20 rounds to 1, so the float Gram matrix is singular
+    r = run_cli("symmetry", "x^2+2*x*y+(1+1/10^20)*y^2")
+    assert r.returncode == 1
+    assert json.loads(r.stderr)["error"]["kind"] == "NotPositiveDefinite"
+    assert r.stdout == ""
+
+
 def test_not_homogeneous_is_domain_error():
     r = run_cli("decide", "x^2 - y")
     assert r.returncode == 1

@@ -1,6 +1,6 @@
-"""The import contract: each command loads numpy, mpmath and binform.mat2
-only when its work needs them, and the package's lazy exports are its
-modules' objects."""
+"""The import contract: no command loads numpy, each loads mpmath and
+binform.mat2 only when its work needs them, and the package's lazy exports
+are its modules' objects."""
 
 import importlib
 import json
@@ -44,8 +44,11 @@ def _loaded(*argv):
     (["decide", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
     (["classify", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
     (["hamiltonian", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
-    (["symmetry", "x*y*(x-y)"], 0, ["binform.mat2", "numpy"]),
-    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, ["binform.mat2", "numpy"]),
+    (["symmetry", "x*y*(x-y)"], 0, ["binform.mat2"]),
+    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, ["binform.mat2"]),
+    (["symmetry", "x^2+2*y^2"], 0, ["binform.mat2"]),
+    (["portrait", "x^2+y^2", "--res", "16"], 0, ["binform.mat2"]),
+    (["dynamics", "x^2+y^2", "--sigma", "x"], 0, ["binform.mat2"]),
 ])
 def test_command_loads_only_what_it_uses(argv, rc, loaded):
     assert _loaded(*argv) == [rc, loaded]

@@ -19,7 +19,7 @@ from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.symgroup import (
     _STOP_DEFECT,
     _defect,
-    _spd_roots,
+    _gauss_newton,
     _unit_target,
     DiagonalFamily,
     FiniteCyclicGroup,
@@ -33,6 +33,7 @@ from binform.symgroup import (
 from genforms import random_case_de
 from oracles import (
     _rot,
+    _spd_roots,
     count_calls,
     induced_permutation,
     oracle_scan,
@@ -169,17 +170,69 @@ def test_defect_jacobian_matches_central_differences(f):
     target = _unit_target(f)
     # the four matrix entries of the solver, and the scan's (phi, s, psi)
     # through the chain rule of the oracle
-    entries = np.array([rng.uniform(-1.5, 1.5) for _ in range(4)])
-    cases = [(lambda v: _defect(target, v.tolist()), entries),
-             (lambda v: scan_defect(target, v), np.array([0.7, -0.4, 2.1]))]
+    entries = [rng.uniform(-1.5, 1.5) for _ in range(4)]
+    cases = [(lambda v: _defect(target, v), entries),
+             (lambda v: scan_defect(target, v), [0.7, -0.4, 2.1])]
     for defect, x in cases:
-        _, jac = defect(x)
-        assert jac.shape == (f.degree + 1, len(x))
-        for j in range(len(x)):
-            dx = np.zeros(len(x))
-            dx[j] = 1e-6
-            fd = (defect(x + dx)[0] - defect(x - dx)[0]) / 2e-6
-            assert np.max(np.abs(fd - jac[:, j])) < 1e-6 * (1 + np.max(np.abs(jac)))
+        _, cols = defect(x)
+        assert [len(col) for col in cols] == [f.degree + 1] * len(x)
+        top = max(abs(v) for col in cols for v in col)
+        for j, col in enumerate(cols):
+            up = [v + 1e-6 * (i == j) for i, v in enumerate(x)]
+            down = [v - 1e-6 * (i == j) for i, v in enumerate(x)]
+            fd = [(p - q) / 2e-6 for p, q in zip(defect(up)[0], defect(down)[0])]
+            assert max(abs(a - b) for a, b in zip(fd, col)) < 1e-6 * (1 + top)
+
+
+@pytest.mark.parametrize("cols", [
+    [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],                 # equal columns
+    [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]],                 # a zero column
+    [[0.1, 0.2, 0.3], [0.3, 0.6, 0.9], [1.0, 0.0, 0.0]],  # dependent up to rounding
+])
+def test_gauss_newton_gives_up_on_dependent_columns(cols):
+    assert _gauss_newton(lambda x: ([1.0, -1.0, 0.5], cols), [0.0] * len(cols), 5) is None
+
+
+def test_gauss_newton_solves_a_full_rank_least_squares_step():
+    # e(x) = A x - b with A of full column rank: the first, capped step and
+    # the second reach the least-squares solution, taken here from the
+    # normal equations
+    A = [[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]]
+    b = [1.0, 2.0, 4.0]
+    cols = [[row[j] for row in A] for j in range(2)]
+
+    def fun(x):
+        return [sum(a * v for a, v in zip(row, x)) - t for row, t in zip(A, b)], cols
+
+    sol, _ = _gauss_newton(fun, [0.0, 0.0], 3)
+    want = np.linalg.solve(np.array(A).T @ A, np.array(A).T @ b)
+    assert max(abs(u - v) for u, v in zip(sol, want)) < 1e-14
+
+
+def test_case_c_normalizer_matches_eigh_square_root():
+    # the closed form against the oracle's eigen-decomposition, and N^T Q N
+    # = I in exact arithmetic on the float entries of N; both to a few ulp
+    # times the condition number of Q
+    ulp = 2.0 ** -52
+    rng = random.Random(15)
+    for _ in range(200):
+        b = Fraction(rng.randint(-3000, 3000), 1000)
+        c = b * b / 4 + Fraction(rng.randint(1, 5000), 1000)
+        fs = factor_form(form(1, b, c), eps=1e-14)
+        g = symmetry_group(form(1, b, c), fs)
+        assert isinstance(g, RotationFamily)
+        qf = fs.quadratic[0]
+        lo, hi = np.linalg.eigvalsh(qf.gram_matrix())
+        n = [float(v) for v in g.normalizer.entries()]
+        want = _spd_roots(qf.gram_matrix())[1].ravel().tolist()
+        top = max(map(abs, want))
+        assert max(abs(u - v) for u, v in zip(n, want)) <= 2 * ulp * (hi / lo) * top
+        q = ((1, qf.b_mid / 2), (qf.b_mid / 2, qf.c_mid))
+        cols = [[Fraction(n[0]), Fraction(n[2])], [Fraction(n[1]), Fraction(n[3])]]
+        for i, j in itertools.product(range(2), repeat=2):
+            v = sum(cols[i][r] * q[r][s] * cols[j][s]
+                    for r, s in itertools.product(range(2), repeat=2))
+            assert abs(v - (i == j)) <= 2 * ulp * (hi / lo)
 
 
 def test_one_line_groups_are_plus_minus_id():
@@ -354,7 +407,7 @@ def test_verified_elements_are_capped(monkeypatch, f):
     count = itertools.count(1)
 
     def fake_polish(target, entries):
-        return np.array([1.0 + 1e-3 * next(count), 0.0, 0.0, 1.0]), 0.0
+        return [1.0 + 1e-3 * next(count), 0.0, 0.0, 1.0], 0.0
 
     monkeypatch.setattr(symgroup, "_polish", fake_polish)
     with pytest.raises(ToleranceTooLooseError, match="more than 64 distinct"):
