@@ -1,11 +1,9 @@
 """Real binary forms: exact factorization, linear symmetries, Hamiltonian
 dynamics and the component-chain verdict, with a JSON command line.
 
-The exports are resolved on first use (PEP 562), so importing the package
-or one of its modules loads mpmath only where it is needed: with
-``reconstruction_gap`` and the later rungs of the conjugate-pair
-certificate of ``realfactor``, which on ordinary forms runs in Python
-complex and exact integers.  Every float path runs on Python floats."""
+The exports are resolved on first use (PEP 562).  The package needs only
+the standard library: the certificates run in exact integers and
+Fractions, and every float path runs on Python floats."""
 
 import importlib
 

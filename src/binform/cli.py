@@ -11,10 +11,9 @@ BINFORM_PRECISION overrides the default enclosure width.
 main factors the form once and hands the factorization to the command;
 only factor and symmetry read its enclosures, the others its exact counts.
 Each command imports the modules it uses when it runs, so the exact
-commands start without binform.mat2, and the exact certificate of a
-conjugate pair loads mpmath only when its seeds need a later rung; a
-request that does not parse loads neither.  The argument parser is built
-once per process.
+commands and a request that does not parse start without binform.mat2;
+no command loads mpmath or numpy.  The argument parser is built once per
+process.
 """
 
 from __future__ import annotations

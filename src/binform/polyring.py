@@ -45,7 +45,7 @@ def convolve(a: Sequence, b: Sequence) -> list:
     Any scalars closed under + and * will do: Fractions give the exact
     product of forms, ints that of integer polynomials such as the
     square-free layers (primitive integer tuples, from Yun's algorithm
-    over Z), mpmath intervals the enclosure product of ``realfactor``.
+    over Z), Fraction intervals the enclosure product of ``realfactor``.
     Entries of a that test false (exact zeros) are skipped, and every
     output entry starts from a[0] * 0, so it has the type of the inputs.
     """

@@ -17,20 +17,19 @@ rational p/q (the Cauchy bound times a dyadic number), and the sign of
 w(p/q) is that of sum c_i p^i q^(n-i).  The Sturm chain is the remainder
 sequence that also gives polyring's gcds; it ends in gcd(w, w'), so a
 polynomial that is not squarefree needs no separate gcd.  The same
-isolation serves the linear factors and the deflation that finds the
+isolation serves the linear factors and the Aberth seeds of the
 complex pairs.
 
 Certification of a conjugate root pair is exact.  Aberth-Ehrlich seeds
-(in Python complex on the first rung of a precision ladder, in mpmath on
-a later one) are polished by Newton steps in Gaussian integers on the
-rung's dyadic grid, and the disc bound |z - root| <= n |w(z)| / |w'(z)|,
+(in Python complex on the first rung of a precision ladder, in Gaussian
+integers on the rung's dyadic grid on a later one) are polished by Newton
+steps on that grid, and the disc bound |z - root| <= n |w(z)| / |w'(z)|,
 which holds however z was found, is checked with its separation and its
 distance to the axis in integers; the enclosures of the quadratic
 coefficients follow in Fractions.  ``reconstruction_gap`` multiplies the
-enclosures in outward-rounded interval arithmetic (mpmath.iv), an
-independent cross-check, with polyring's one dense product, ``convolve``.
-mpmath is imported only there and on a later rung, so ordinary forms are
-factored and certified without it.
+enclosures as closed Fraction intervals, an independent cross-check, with
+polyring's one dense product, ``convolve``.  The module needs no number
+type beyond int, Fraction, float and complex.
 """
 
 from __future__ import annotations
@@ -232,10 +231,17 @@ def _ladder(eps: float, failure: str, attempt):
     raise NotRefinedError(f"{failure} eps={eps}: {last}")
 
 
-def _on_grid(x: float, k: int) -> int:
+def _on_grid(x: float | Fraction, k: int) -> int:
     """The integer nearest x * 2^k, exactly."""
     p, q = x.as_integer_ratio()
     return ((p << (k + 1)) + q) // (2 * q)
+
+
+def _grid_points(zs, k: int) -> list[tuple[int, int]]:
+    """The Python complex points zs on the grid of rung k."""
+    if not all(cmath.isfinite(z) for z in zs):
+        raise ArithmeticError("an Aberth iterate left the float range")
+    return [(_on_grid(z.real, k), _on_grid(z.imag, k)) for z in zs]
 
 
 def _gauss_eval(w: Sequence[int], a: int, b: int, k: int) -> tuple[int, int]:
@@ -246,6 +252,13 @@ def _gauss_eval(w: Sequence[int], a: int, b: int, k: int) -> tuple[int, int]:
         re, im = re * a - im * b + c * qk, re * b + im * a
         qk <<= k
     return re, im
+
+
+def _gauss_div(xr: int, xi: int, yr: int, yi: int) -> tuple[int, int]:
+    """The Gaussian integer nearest (xr + i xi)/(yr + i yi)."""
+    den = yr * yr + yi * yi
+    return ((2 * (xr * yr + xi * yi) + den) // (2 * den),
+            (2 * (xi * yr - xr * yi) + den) // (2 * den))
 
 
 def _polish(w, dw, a: int, b: int, k: int, steps: int) -> tuple[int, int, int]:
@@ -259,9 +272,7 @@ def _polish(w, dw, a: int, b: int, k: int, steps: int) -> tuple[int, int, int]:
         den = dr * dr + di * di
         if den == 0:
             raise ArithmeticError("the derivative vanishes at a seed")
-        # W/D = W conj(D)/|D|^2, rounded to the nearest grid point
-        sa = (2 * (wr * dr + wi * di) + den) // (2 * den)
-        sb = (2 * (wi * dr - wr * di) + den) // (2 * den)
+        sa, sb = _gauss_div(wr, wi, dr, di)     # W/D, rounded to the grid
         if i == steps or not (sa or sb):
             break
         a, b = a - sa, b - sb
@@ -272,10 +283,9 @@ def _polish(w, dw, a: int, b: int, k: int, steps: int) -> tuple[int, int, int]:
 
 
 def _aberth(p, z, tol):
-    """Aberth-Ehrlich iteration for all roots of p (highest degree first)
-    from the start points z, until no point moves by more than tol times
-    its modulus or 100 sweeps are done.  Arithmetic operators only,
-    so it runs in Python complex and in mpmath.mpc alike."""
+    """Aberth-Ehrlich iteration in Python complex for all roots of p
+    (highest degree first) from the start points z, until no point moves
+    by more than tol times its modulus or 100 sweeps are done."""
     z = list(z)
     for _ in range(100):
         done = True
@@ -293,47 +303,56 @@ def _aberth(p, z, tol):
     return z
 
 
-def _deflated(w, real_roots, k: int, real):
-    """The layer w (highest degree first, in the number type ``real``)
-    divided by t - x for each real root x, x refined to 2^-(k/2)."""
-    p = [real(c) for c in reversed(w)]
-    for r in real_roots:
-        x = r.refine(Fraction(1, 1 << (k // 2))).mid
-        x = real(x.numerator) / x.denominator
-        out = [p[0]]
-        for c in p[1:-1]:               # synthetic division, remainder dropped
-            out.append(c + out[-1] * x)
-        p = out
-    return p
-
-
-def _approximate(w, real_roots, k: int, start):
+def _approximate(w, real_roots, k: int, start) -> list[tuple[int, int]]:
     """The non-real roots of the layer w, approximated by the Aberth-Ehrlich
-    iteration on w deflated by its real roots, and the upper ones as points
-    of the grid of rung k.  The first rung (``start`` None) works in Python
-    complex; a later one works in mpmath at k bits and starts from
-    ``start``, the previous rung's approximations, or from a circle of
-    radius |p(0)/lc(p)|^(1/m) when there are none."""
+    iteration, as points of the grid of rung k.  The first rung (``start``
+    None) runs ``_aberth`` on w deflated in floats by its real roots, each
+    refined to 2^-(k/2).  A later rung runs the iteration on w itself, in
+    Gaussian integers on its grid, with the real roots refined to 2^-k held
+    fixed as repellers.  It starts from ``start``, the previous rung's
+    points, or from ``_circle`` when there are none, and stops when no step
+    exceeds 2^-(k/2) of its point."""
     if start is None:
-        p = _deflated(w, real_roots, k, float)
-        roots = _aberth(p, _circle(p), 2.0 ** -40)
-        if not all(cmath.isfinite(z) for z in roots):
-            raise ArithmeticError("an Aberth iterate left the float range")
-        return roots, [(_on_grid(z.real, k), _on_grid(z.imag, k)) for z in roots if z.imag > 0]
-    from mpmath import mp
+        p = [float(c) for c in reversed(w)]     # highest degree first
+        for r in real_roots:
+            x = float(r.refine(Fraction(1, 1 << (k // 2))).mid)
+            out = [p[0]]
+            for c in p[1:-1]:           # synthetic division, remainder dropped
+                out.append(c + out[-1] * x)
+            p = out
+        m = len(p) - 1
+        return _grid_points(_aberth(p, _circle(m, abs(p[-1] / p[0]) ** (1 / m)), 2.0 ** -40), k)
+    zs = [(a << k // 2, b << k // 2) for a, b in start]
+    fixed = [(_on_grid(r.refine(Fraction(1, 1 << k)).mid, k), 0) for r in real_roots]
+    if not zs:      # radius: the geometric mean of the m non-real roots' moduli, whose
+        # product is |w_j/w_n| (w_j the lowest nonzero) over the real roots' moduli
+        m, xs = len(w) - 1 - len(fixed), [abs(x) for x, _ in fixed if x]
+        log_r = math.log(abs(w[0] or w[1]) << k * len(xs)) - math.log(abs(w[-1]) * math.prod(xs))
+        zs = _grid_points(_circle(m, math.exp(log_r / m)), k)
+    dw, k2 = _derivative(w), 2 * k
+    for _ in range(100):
+        done = True
+        for i, (a, b) in enumerate(zs):
+            sr = si = 0         # S = 4^k times the sum of 1/(Z_i - Z_j), per term floored
+            for c, d in zs[:i] + zs[i + 1:] + fixed:
+                c, d = a - c, b - d
+                sq = c * c + d * d
+                sr, si = sr + (c << k2) // sq, si - (d << k2) // sq
+            wr, wi = _gauss_eval(w, a, b, k)
+            dr, di = _gauss_eval(dw, a, b, k)
+            # the step W/(D - W S/4^k), in grid steps
+            sa, sb = _gauss_div(wr << k2, wi << k2,
+                                (dr << k2) - wr * sr + wi * si, (di << k2) - wr * si - wi * sr)
+            zs[i] = (a - sa, b - sb)
+            done = done and (sa * sa + sb * sb) << k <= a * a + b * b
+        if done:
+            break
+    return zs
 
-    with mp.workprec(k):
-        p = _deflated(w, real_roots, k, mp.mpf)
-        roots = _aberth(p, [mp.mpc(z) for z in start] or _circle(p), mp.ldexp(1, -(k // 2)))
-        return roots, [(int(mp.nint(mp.ldexp(z.real, k))), int(mp.nint(mp.ldexp(z.imag, k))))
-                       for z in roots if z.imag > 0]
 
-
-def _circle(p):
-    """m points on the circle about 0 whose radius is the geometric mean of
-    the moduli of the m roots of p."""
-    m = len(p) - 1
-    r = abs(p[-1] / p[0]) ** (1 / m)
+def _circle(m: int, r: float) -> list[complex]:
+    """m points on the circle of radius r about 0, which should be the
+    geometric mean of the moduli of the m roots sought."""
     return [r * cmath.rect(1.0, 2 * math.pi * j / m + 0.4) for j in range(m)]
 
 
@@ -510,24 +529,19 @@ class FactorizationStructure:
     def reconstruction_gap(self) -> float:
         """Distance between f and the expanded certified factor product.
 
-        The enclosed factors are multiplied out in outward-rounded interval
-        arithmetic (mpmath.iv) and matched to f at its largest coefficient.
+        The enclosed factors are multiplied out exactly, as closed intervals
+        with Fraction endpoints, and matched to f at its largest coefficient.
         The result is the worst distance from a coefficient of f to the
         corresponding product enclosure, relative to f's largest
-        coefficient: a lower bound on the mismatch, 0 when the enclosures
+        coefficient and rounded to the nearest float: 0 when the enclosures
         hold f.  It shrinks as the enclosures are refined.
         """
-        from mpmath import iv
-
-        def hull(lo: Fraction, hi: Fraction):
-            return iv.mpf([_iv_fraction(lo).a, _iv_fraction(hi).b])
-
         # the forms x or y - t*x, then x^2 + b*x*y + c*y^2, with multiplicity
-        factors = [([1, 0] if lf.is_axis else [-hull(lf.root.lo, lf.root.hi), 1],
-                    lf.alpha) for lf in self.linear]
-        factors += [([1, hull(qf.b_lo, qf.b_hi), hull(qf.c_lo, qf.c_hi)], qf.beta)
+        factors = [([1, 0] if lf.is_axis else [_Interval((-lf.root.hi, -lf.root.lo)), 1],
+                     lf.alpha) for lf in self.linear]
+        factors += [([1, _Interval((qf.b_lo, qf.b_hi)), _Interval((qf.c_lo, qf.c_hi))], qf.beta)
                     for qf in self.quadratic]
-        prod = [iv.mpf(1)]  # coefficient enclosures, index = y-exponent
+        prod = [_Interval((1, 1))]  # coefficient enclosures, index = y-exponent
         for fac, times in factors:
             for _ in range(times):
                 prod = convolve(prod, fac)
@@ -536,20 +550,25 @@ class FactorizationStructure:
             raise InvariantError(f"factor product has degree {len(prod) - 1}, form has {p}")
         cs = self.form.coefficients()
         imax = max(range(p + 1), key=lambda i: abs(cs[i]))
-        if 0 in prod[imax]:
+        lo, hi = prod[imax]
+        if lo <= 0 <= hi:
             return math.inf
-        f_ivs = [_iv_fraction(c) for c in cs]
-        lam = f_ivs[imax] / prod[imax]
-        # the lower ends of f_i - t and t - f_i bound the distance from below
-        gap = max(d.a for fc, c in zip(f_ivs, prod)
-                  for d in (fc - lam * c, lam * c - fc))
-        return max(0.0, float((gap / abs(f_ivs[imax])).a))
+        lam = _Interval(sorted((cs[imax] / lo, cs[imax] / hi)))
+        gap = max(max(u - c, c - v) for c, (u, v) in zip(cs, (lam * t for t in prod)))
+        return max(0.0, float(gap / abs(cs[imax])))
 
 
-def _iv_fraction(x: Fraction):
-    from mpmath import iv
+class _Interval(tuple):
+    """A closed interval (lo, hi) with exact endpoints, closed under + and *
+    for ``convolve``; a number n stands for (n, n)."""
 
-    return iv.mpf(x.numerator) / x.denominator
+    def __add__(self, other):
+        return _Interval((self[0] + other[0], self[1] + other[1]))
+
+    def __mul__(self, other):
+        lo, hi = other if isinstance(other, tuple) else (other, other)
+        ps = (self[0] * lo, self[0] * hi, self[1] * lo, self[1] * hi)
+        return _Interval((min(ps), max(ps)))
 
 
 def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int,
@@ -566,7 +585,8 @@ def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int
     def attempt(k):
         nonlocal found
         start, found = found, []
-        found, upper = _approximate(w, real_roots, k, start)
+        found = _approximate(w, real_roots, k, start)
+        upper = [(a, b) for a, b in found if b > 0]
         if len(upper) != n_pairs:
             raise ArithmeticError("conjugate pairing failed")
         discs = [_polish(w, dw, a, b, k, k.bit_length()) for a, b in upper]

@@ -282,7 +282,7 @@ def _mat_from_columns(col1, col2) -> Mat2:
     b, d = col2
     det = a * d - b * c
     if det == 0:
-        raise ValueError("degenerate column pair")
+        raise NotRefinedError("two lines have the same float direction")
     if det < 0:
         a, c = -a, -c
     if exact:

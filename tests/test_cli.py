@@ -113,6 +113,16 @@ def test_nearly_singular_gram_is_not_positive_definite():
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("form", ["(x-y)*(x-(1+1/10^17)*y)", "(x-y)*(x-(1+1/10^40)*y)"])
+def test_two_lines_with_one_float_direction_are_not_refined(capsys, form):
+    # the slopes 1 and 1 + 10^-17 round to the same float, so the case-B
+    # normalizer built from them would be singular
+    assert cli.main(["symmetry", form]) == 1
+    out, err = capsys.readouterr()
+    err = json.loads(err)["error"]
+    assert out == "" and err["kind"] == "NotRefined"
+
+
 def test_not_homogeneous_is_domain_error():
     r = run_cli("decide", "x^2 - y")
     assert r.returncode == 1

@@ -1,5 +1,5 @@
-"""The import contract: no command loads numpy, each loads mpmath and
-binform.mat2 only when its work needs them, and the package's lazy exports
+"""The import contract: no command loads numpy or mpmath, each loads
+binform.mat2 only when its work needs it, and the package's lazy exports
 are its modules' objects."""
 
 import importlib
@@ -25,13 +25,18 @@ print(json.dumps([rc, sorted(m for m in ("numpy", "mpmath", "binform.mat2")
 """
 
 
-def _loaded(*argv):
+def _run(code, *argv):
+    """The stdout of ``python -c code argv...`` on this checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    r = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=ROOT,
+    r = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
                        capture_output=True, text=True, env=env, check=True)
-    return json.loads(r.stdout)
+    return r.stdout
+
+
+def _loaded(*argv):
+    return json.loads(_run(_PROBE, *argv))
 
 
 @pytest.mark.parametrize("argv, rc, loaded", [
@@ -49,9 +54,21 @@ def _loaded(*argv):
     (["symmetry", "x^2+2*y^2"], 0, ["binform.mat2"]),
     (["portrait", "x^2+y^2", "--res", "16"], 0, ["binform.mat2"]),
     (["dynamics", "x^2+y^2", "--sigma", "x"], 0, ["binform.mat2"]),
+    # a pair 5e-21 i apart certifies only on a later rung
+    (["factor", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, []),
+    (["symmetry", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, ["binform.mat2"]),
 ])
 def test_command_loads_only_what_it_uses(argv, rc, loaded):
     assert _loaded(*argv) == [rc, loaded]
+
+
+def test_reconstruction_gap_loads_no_mpmath():
+    probe = ("import sys\n"
+             "from binform.polyring import HomogeneousForm\n"
+             "from binform.realfactor import factor_form\n"
+             "f = HomogeneousForm([1, 0, 3, 0, 2]) * HomogeneousForm([-1, 1])\n"
+             "print(factor_form(f).reconstruction_gap(), 'mpmath' in sys.modules)")
+    assert _run(probe).split() == ["0.0", "False"]
 
 
 def test_lazy_exports_are_the_module_objects():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -226,9 +227,9 @@ def test_constructed_quadratics_lie_in_exactly_one_enclosure(sample):
 
 
 # Pairs 5e-13 i and 5e-21 i apart: the float seeds do not separate them, a
-# later rung's seeds, computed in mpmath from them, do.  The expected lines
-# are what the certificate printed when it took its seeds from mpmath's
-# polyroots.
+# later rung's seeds, iterated from them in Gaussian integers on its grid,
+# do.  The expected lines are what the certificate printed when it took
+# its seeds from mpmath's polyroots.
 @pytest.mark.parametrize("form, expected", [
     ("(x^2+y^2)*(x^2+(1+1/10^12)*y^2)",
      '"quadratic": [{"a": 1, "b": 0, "c": 1.0000000000010001, "beta": 1}, '
@@ -248,6 +249,25 @@ def test_close_pairs_certify_on_a_later_rung(monkeypatch, capsys, form, expected
     assert cli.main(["factor", form]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "NotRefined" and "discs not separated" in err["message"]
+
+
+def _close_pair(e):
+    """(x^2 + y^2)(x^2 + (1 + 10^-e) y^2), a pair 10^-e/2 i apart."""
+    return HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, 0, 1 + F(1, 10**e)])
+
+
+def test_later_rungs_certify_alike_in_two_threads():
+    # the later rungs keep no precision state, so concurrent certificates
+    # of the close pairs are those of a serial run
+    jobs = [(_close_pair(e), eps) for e in (20, 12) for eps in (1e-14, 1e-40)]
+
+    def enclosures(job):
+        fs = factor_form(job[0], eps=job[1])
+        return [(qf.b_lo, qf.b_hi, qf.c_lo, qf.c_hi) for qf in fs.quadratic]
+
+    serial = [enclosures(job) for job in jobs]
+    with ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(enclosures, jobs * 2)) == serial * 2
 
 
 def test_refine_tells_apart_pairs_that_agree_in_floats():
@@ -307,6 +327,13 @@ def test_reconstruction_gap_detects_a_moved_coefficient():
         moved = FactorizationStructure(form=HomogeneousForm(cs), sign=fs.sign,
                                        linear=fs.linear, quadratic=fs.quadratic)
         assert 5e-7 <= moved.reconstruction_gap() <= 2e-6
+
+
+def test_reconstruction_gap_is_exactly_zero_when_the_enclosures_hold_f():
+    rng = random.Random(23)
+    forms = [random_product(rng).form for _ in range(60)] + [_close_pair(12), _close_pair(20)]
+    for f in forms:
+        assert factor_form(f).reconstruction_gap() == 0.0
 
 
 def test_quadratic_enclosures_are_definite():

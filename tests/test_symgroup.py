@@ -279,6 +279,16 @@ def test_nearly_parallel_lines_give_order_six_or_a_typed_error():
     assert g.n == 6
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the Moebius candidates come from the float (mu, nu) of "
+    "each quadratic, which agree for both pairs, so the order-4 element "
+    "(x, y) -> (-c^(1/4) y, c^(-1/4) x) is not found and n = 2 is reported"))
+def test_two_quadratics_that_agree_in_floats_have_order_four():
+    c = 1 + Fraction(1, 10**20)
+    g = symmetry_group(HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, 0, c]))
+    assert g.n == 4
+
+
 def test_finite_order_of():
     assert finite_order_of(Mat2.rotation(2 * math.pi / 5)) == 5
     assert finite_order_of(Mat2.exact(-1, 0, 0, -1)) == 2
