@@ -141,14 +141,14 @@ def _cmd_classify(f, fs, text, args) -> dict:
 
 def _cmd_symmetry(f, fs, text, args) -> dict:
     from .symgroup import _STOP_DEFECT, symmetry_group
-    from .verdict import classify_case
 
     if args.tol < _STOP_DEFECT:
         raise _UsageError(f"--tol must be at least {_STOP_DEFECT:g}, "
                           "where the symmetry polish stops")
     group = symmetry_group(f, fs, tol=args.tol, eps=args.eps)
-    return {"input": text, "degree": f.degree, "case": classify_case(fs),
-            "symmetry": _symmetry_payload(group)}
+    payload = _symmetry_payload(group)      # InvariantError on an unknown group
+    return {"input": text, "degree": f.degree, "case": group.case_label,
+            "symmetry": payload}
 
 
 def _cmd_hamiltonian(f, fs, text, args) -> dict:

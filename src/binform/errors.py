@@ -36,7 +36,7 @@ class NotFiniteOrderError(BinformError):
 
 
 class ToleranceTooLooseError(BinformError):
-    """Group closure kept producing new elements, so the tolerance admits spurious ones."""
+    """The verified symmetries are not one generator's powers; tol admits spurious ones."""
 
 
 class UnclassifiableCountsError(BinformError):

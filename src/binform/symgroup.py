@@ -15,10 +15,11 @@ positive determinant, so three factor roots and their images fix it.  The
 candidates are these maps, one per target triple that the cyclic order and
 the multiplicities allow; each is polished with the one Gauss-Newton
 routine here, which takes exact Jacobians and solves its steps by
-Householder QR, and the verified ones are closed under products.  The
-case-C normalizer is a closed-form matrix square root.  The tests hold an
-independent check: a dense scan over SL(2, R) that finds its starting
-points without the factors.
+Householder QR.  The group is the identity, the verified candidates and,
+at even degree, their exact negatives; it is accepted only when it is the
+powers of one generator.  The case-C normalizer is a closed-form matrix
+square root.  The tests hold an independent check: a dense scan over
+SL(2, R) that finds its starting points without the factors.
 """
 
 from __future__ import annotations
@@ -139,6 +140,15 @@ def _polish(target, entries):
 # ---------------------------------------------------------------------------
 # group payloads
 
+_QUARTER_TURN = Mat2.approx(0.0, -1.0, 1.0, 0.0)
+
+
+def _conjugate(normalizer: Mat2, m: Mat2) -> Mat2:
+    """N m N^(-1) in floats, for the normalizer N of a family."""
+    n = normalizer.to_float()
+    return n @ m @ n.inverse()
+
+
 @dataclass(frozen=True)
 class ShearFamily:
     """Symmetries of +- L^p: in coordinates where L = y the identity
@@ -152,8 +162,7 @@ class ShearFamily:
     def member(self, a: float, b: float) -> Mat2:
         if a <= 0:
             raise ValueError("the identity component needs a > 0")
-        n = self.normalizer.to_float()
-        return n @ Mat2.approx(a, b, 0.0, 1.0) @ n.inverse()
+        return _conjugate(self.normalizer, Mat2.approx(a, b, 0.0, 1.0))
 
     def component_count(self) -> int:
         return 2 if self.parity == "even" else 1
@@ -175,14 +184,11 @@ class DiagonalFamily:
     case_label: str = "B"
 
     def member(self, t: float) -> Mat2:
-        n = self.normalizer.to_float()
-        d = Mat2.approx(math.exp(self.alpha_y * t), 0.0,
-                        0.0, math.exp(-self.alpha_x * t))
-        return n @ d @ n.inverse()
+        return _conjugate(self.normalizer, Mat2.approx(
+            math.exp(self.alpha_y * t), 0.0, 0.0, math.exp(-self.alpha_x * t)))
 
     def quarter_turn(self) -> Mat2:
-        n = self.normalizer.to_float()
-        return n @ Mat2.approx(0.0, -1.0, 1.0, 0.0) @ n.inverse()
+        return _conjugate(self.normalizer, _QUARTER_TURN)
 
     def contains_minus_id(self) -> bool:
         return (self.alpha_x + self.alpha_y) % 2 == 0
@@ -197,8 +203,7 @@ class RotationFamily:
     case_label: str = "C"
 
     def member(self, theta: float) -> Mat2:
-        n = self.normalizer.to_float()
-        return n @ Mat2.rotation(theta) @ n.inverse()
+        return _conjugate(self.normalizer, Mat2.rotation(theta))
 
     def contains_minus_id(self) -> bool:
         return True
@@ -301,13 +306,9 @@ def _case_two_lines(f: HomogeneousForm, fs: FactorizationStructure,
                     tol: float) -> DiagonalFamily:
     lf1, lf2 = fs.linear
     n = _mat_from_columns(_line_column(lf2), _line_column(lf1))
-    group = DiagonalFamily(normalizer=n, alpha_x=lf1.alpha, alpha_y=lf2.alpha,
-                           quarter_turn_in_group=False)
-    qt = group.quarter_turn()
-    if invariance_residual(f, qt) < tol:
-        group = DiagonalFamily(normalizer=n, alpha_x=lf1.alpha, alpha_y=lf2.alpha,
-                               quarter_turn_in_group=True)
-    return group
+    qt = _conjugate(n, _QUARTER_TURN)
+    return DiagonalFamily(normalizer=n, alpha_x=lf1.alpha, alpha_y=lf2.alpha,
+                          quarter_turn_in_group=invariance_residual(f, qt) < tol)
 
 
 def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
@@ -329,49 +330,34 @@ def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
 
 def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
                   tol: float, label: str) -> FiniteCyclicGroup:
-    """Cases D and E.  With one line the group fixes that line, and a
-    finite-order element of GL+(2) that fixes a line is +-id, so the
-    identity and -id are the only candidates then."""
+    """Cases D and E.  Every symmetry is, up to sign, one of the Moebius
+    candidates, so the verified set is the identity, the verified
+    candidates and, at even degree, the exact negative of each: the defect
+    is even in h there, so -h has the same residual.  With one line the
+    group fixes that line, and a finite-order element of GL+(2) that
+    fixes a line is +-id, so the identity is the only candidate then."""
     target = _unit_target(f)
-    cap = 4 * max(2 * fs.l, 2 * sum(q.beta for q in fs.quadratic), 16)
     elems: list[tuple[Mat2, float]] = []
 
-    def known(m: Mat2) -> bool:
-        return any(e.dist(m) < _DEDUPE_TOL for e, _ in elems)
-
-    def verify(entries) -> bool:
-        """Polish a candidate and keep it if it is a new symmetry."""
+    def verify(entries) -> None:
+        """Polish a candidate and keep it, with its negative at even
+        degree, where it is a new symmetry."""
         a, b, c, d = entries
         if a * d - b * c < 1e-12:
-            return False
+            return
         sol = _polish(target, entries)
         if sol is None or sol[1] >= tol:
-            return False
-        m = Mat2.approx(*sol[0])
-        if m.det() <= 0 or known(m):
-            return False
-        elems.append((m, sol[1]))
-        if len(elems) > cap:
-            raise ToleranceTooLooseError(
-                f"more than {cap} distinct verified elements; tol admits noise")
-        return True
+            return
+        found = [Mat2.approx(*sol[0])]
+        if f.degree % 2 == 0:             # 0.0 - v: a zero stays +0.0
+            found.append(Mat2.approx(*(0.0 - v for v in sol[0])))
+        for m in found:
+            if m.det() > 0 and not any(e.dist(m) < _DEDUPE_TOL for e, _ in elems):
+                elems.append((m, sol[1]))
 
     verify((1.0, 0.0, 0.0, 1.0))
-    if f.degree % 2 == 0:
-        verify((-1.0, 0.0, 0.0, -1.0))
     if fs.l != 1:
         _candidates_moebius(fs, target[0], verify)
-    # close under products, one snapshot of the verified set per round;
-    # a product already known needs no polish
-    changed = True
-    while changed:
-        changed = False
-        snapshot = [m for m, _ in elems]
-        for m1 in snapshot:
-            for m2 in snapshot:
-                m = m1 @ m2
-                if not known(m):
-                    changed |= verify([float(v) for v in m.entries()])
 
     worst = max(r for _, r in elems)
     elems.sort(key=lambda e: (round(e[0].polar_angle(), 9),) + tuple(
@@ -388,7 +374,8 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
         order = finite_order_of(gen, max_n=n, tol=_DEDUPE_TOL)
     except NotFiniteOrderError:
         order = None
-    if order != n:
+    powers = [gen.power(i) for i in range(n)]
+    if order != n or any(min(m.dist(p) for p in powers) >= _DEDUPE_TOL for m in mats):
         raise ToleranceTooLooseError(
             f"the {n} verified elements are not the powers of one generator; "
             "tol admits noise")

@@ -83,6 +83,15 @@ def test_symmetry_finite():
     assert len(gen) == 2 and len(gen[0]) == 2
 
 
+def test_minus_identity_prints_without_negative_zeros(capsys):
+    # -id is the exact negative of the polished identity, built so that its
+    # zero entries stay +0.0 and print as 0, not -0
+    assert cli.main(["symmetry", "x*y*(x^2+y^2)"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["symmetry"]["n"] == 2
+    assert '"generator": [[-1, 0], [0, -1]]' in out
+
+
 def test_symmetry_family_kinds():
     kinds = {
         "y^3": "shear_family",

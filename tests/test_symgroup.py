@@ -151,7 +151,7 @@ def test_rotation_family_skewed_quadratic():
 ])
 def test_finite_orders(monkeypatch, f, n):
     # the Moebius candidates are symmetries before any polish: closed form,
-    # no search; so are the products the closure hands over
+    # no search
     handed = count_calls(monkeypatch, symgroup._polish)
     g = symmetry_group(f)
     for (_, entries), _ in handed:
@@ -266,17 +266,19 @@ def test_generator_powers_cover_group():
         assert min(h.dist(p) for p in powers) < 1e-8
 
 
-def test_nearly_parallel_lines_give_order_six_or_a_typed_error():
+def test_nearly_parallel_lines_give_order_six_or_a_typed_error(monkeypatch):
     # 3/2 (y+5x)^2 (y+2x)^2 (y+6x)^2 has order 6, like x^2 y^2 (x-y)^2, but
-    # the defect is so flat near its symmetries that polished products
-    # drift apart; the solver must not report a wrong order then
+    # the defect is so flat near its symmetries that polished candidates
+    # drift apart; the solver must not report a wrong order then, and it
+    # polishes the identity and the three line shifts, nothing more
+    calls = count_calls(monkeypatch, symgroup._polish)
     lines = form(5, 1).power(2) * form(2, 1).power(2) * form(6, 1).power(2)
     f = HomogeneousForm([Fraction(3, 2) * c for c in lines.coefficients()])
     try:
-        g = symmetry_group(f)
+        assert symmetry_group(f).n == 6
     except ToleranceTooLooseError:
-        return
-    assert g.n == 6
+        pass
+    assert len(calls) <= 4
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -402,27 +404,80 @@ def test_quadratic_candidates_match_the_transport_reference(f):
 
 
 @pytest.mark.parametrize("text, n, polished", [
+    # the identity and the five line shifts, all rotations
     ("x^5-10*x^3*y^2+5*x*y^4", 5, 6),
-    ("x^4-6*x^2*y^2+y^4", 4, 5),
+    # the identity and the two shifts by an even number of lines; the odd
+    # shifts send f to -f and are dropped before any polish, and -id and
+    # the other quarter turn are negatives, not polished
+    ("x^4-6*x^2*y^2+y^4", 4, 3),
 ])
-def test_closure_polishes_no_known_product(monkeypatch, text, n, polished):
+def test_finite_group_polishes_only_the_candidates(monkeypatch, text, n, polished):
     calls = count_calls(monkeypatch, symgroup._polish)
     assert symmetry_group(parsed(text)).n == n
-    assert len(calls) <= polished
+    assert len(calls) == polished
 
 
-@pytest.mark.parametrize("f", [THREE_LINES, TWO_QUADS])
-def test_verified_elements_are_capped(monkeypatch, f):
-    # every polish "verifies" a new matrix; the cap must stop the search
+def test_an_element_off_the_generator_powers_is_too_loose(monkeypatch):
+    # the rotation by 240 degrees polishes to a point 1e-5 off; the
+    # generator still has order 3, but the set is not its powers
+    polish = symgroup._polish
+
+    def drifting(target, entries):
+        (a, b, c, d), r = polish(target, entries)
+        return ([a + 1e-5, b, c, d] if c < -0.5 else [a, b, c, d]), r
+
+    monkeypatch.setattr(symgroup, "_polish", drifting)
+    with pytest.raises(ToleranceTooLooseError, match="not the powers of one generator"):
+        symmetry_group(THREE_LINES)
+
+
+@pytest.mark.parametrize("f, polished", [
+    (THREE_LINES, 4),                 # the identity and three line shifts
+    (TWO_QUADS, 3),                   # the identity and two root triples
+])
+def test_always_verifying_polish_is_too_loose(monkeypatch, f, polished):
+    # every polish "verifies" a new matrix; the set is then not the powers
+    # of one generator, and the search stops with the candidates
     count = itertools.count(1)
 
     def fake_polish(target, entries):
         return [1.0 + 1e-3 * next(count), 0.0, 0.0, 1.0], 0.0
 
     monkeypatch.setattr(symgroup, "_polish", fake_polish)
-    with pytest.raises(ToleranceTooLooseError, match="more than 64 distinct"):
+    with pytest.raises(ToleranceTooLooseError, match="not the powers of one generator"):
         symmetry_group(f)
-    assert next(count) == 66          # raised at the 65th distinct element
+    assert next(count) == polished + 1
+
+
+def _even_case_de_forms():
+    rng = random.Random(7)
+    samples = [s.form for s in (random_case_de(rng) for _ in range(40)) if s.degree % 2 == 0]
+    assert len(samples) >= 8
+    return samples[:8]
+
+
+@pytest.mark.parametrize("f", [LINE_AND_CIRCLE, TWO_QUADS, FOUR_LINES, *_even_case_de_forms()])
+def test_even_degree_groups_are_closed_under_exact_negation(monkeypatch, f):
+    polished, polish = [], symgroup._polish
+
+    def recording(target, entries):
+        sol = polish(target, entries)
+        if sol is not None:
+            polished.append(bits(sol[0]))
+        return sol
+
+    def bits(values):                 # tells -0.0 from +0.0
+        return tuple(float(v).hex() for v in values)
+
+    monkeypatch.setattr(symgroup, "_polish", recording)
+    g = symmetry_group(f)
+    assert g.n % 2 == 0
+    for h in g.elements:
+        assert Mat2.approx(*(0.0 - v for v in h.entries())) in g.elements
+        if bits(h.entries()) not in polished:
+            # a negative, not polished itself: its zeros are +0.0, so it
+            # never prints as -0
+            assert all(math.copysign(1.0, v) == 1.0 for v in h.entries() if v == 0.0)
 
 
 def test_tol_below_the_polish_floor_is_an_error():
