@@ -30,6 +30,11 @@ coefficients follow in Fractions.  ``reconstruction_gap`` multiplies the
 enclosures as closed Fraction intervals, an independent cross-check, with
 polyring's one dense product, ``convolve``.  The module needs no number
 type beyond int, Fraction, float and complex.
+
+Enclosures have one route: the layers' isolations refined to eps and
+``_certify_pairs`` at eps.  While two enclosures overlap, the structure
+certifies its layers again at eps/16, and ``refine`` to a smaller eps is
+the structure of the same layers at that eps.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InvariantError, NotRefinedError
@@ -217,20 +223,6 @@ def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
 # |z - root| <= n |w(z)/w'(z)| is n |W|/|D| grid steps: the certificate
 # runs in integers and needs no rounding.
 
-def _ladder(eps: float, failure: str, attempt):
-    """attempt(k) for k doubled from eps's bits + 60 (at least 80) up to
-    2^14 while it raises."""
-    k = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
-    last = None
-    while k <= _MAX_PREC_BITS:
-        try:
-            return attempt(k)
-        except (ArithmeticError, NotRefinedError) as exc:
-            last = exc
-            k *= 2
-    raise NotRefinedError(f"{failure} eps={eps}: {last}")
-
-
 def _on_grid(x: float | Fraction, k: int) -> int:
     """The integer nearest x * 2^k, exactly."""
     p, q = x.as_integer_ratio()
@@ -362,11 +354,8 @@ class QuadraticFactor:
 
     The true coefficients lie in [b_lo, b_hi] and [c_lo, c_hi]; (mu, nu) is
     a float approximation of the root pair mu +- i*nu of the layer, nu > 0.
-    ``layer`` is the exact squarefree layer the pair certifies against, a
-    primitive integer tuple, which is what refinement reuses.
     """
 
-    layer: tuple[int, ...]
     b_lo: Fraction
     b_hi: Fraction
     c_lo: Fraction
@@ -447,28 +436,23 @@ class FactorizationStructure:
     """Multiplicative structure of a binary form: exact counts at once,
     enclosures on first access.
 
-    A squarefree layer (w, m, roots) of f(1, t) gives len(roots) lines and
-    (deg w - len(roots))/2 definite quadratics of multiplicity m, which fixes
-    ``l``, ``k``, ``line_mults`` and ``quad_mults`` (sorted).  ``linear`` and
-    ``quadratic`` are computed when first read, unless given instead of layers.
+    ``layers`` holds the squarefree layers (w, m, roots) of f(1, t), each
+    with the Sturm isolation of its real roots.  A layer gives len(roots)
+    lines and (deg w - len(roots))/2 definite quadratics of multiplicity m,
+    which fixes ``l``, ``k``, ``line_mults`` and ``quad_mults`` (sorted).
+    ``linear`` and ``quadratic`` are certified from the layers at width
+    ``eps`` when first read.
     """
 
-    def __init__(self, form: HomogeneousForm, sign: int,
-                 linear: Optional[Sequence[LinearFactor]] = None,
-                 quadratic: Optional[Sequence[QuadraticFactor]] = None,
-                 layers: Sequence = (), eps: float = _DEFAULT_EPS):
+    def __init__(self, form: HomogeneousForm, sign: int, layers: Sequence, eps: float):
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        self.form, self.sign, self._layers, self._eps = form, sign, tuple(layers), eps
-        if linear is None:
-            x_mult = form.x_multiplicity()
-            lines, pairs = [x_mult] if x_mult else [], []
-            for w, m, roots in self._layers:
-                lines += [m] * len(roots)
-                pairs += [m] * ((len(w) - 1 - len(roots)) // 2)
-        else:
-            self._enclosures = (tuple(linear), tuple(quadratic))
-            lines, pairs = [lf.alpha for lf in linear], [qf.beta for qf in quadratic]
+        self.form, self.sign, self.layers, self.eps = form, sign, tuple(layers), eps
+        x_mult = form.x_multiplicity()
+        lines, pairs = [x_mult] if x_mult else [], []
+        for w, m, roots in self.layers:
+            lines += [m] * len(roots)
+            pairs += [m] * ((len(w) - 1 - len(roots)) // 2)
         self.line_mults, self.quad_mults = tuple(sorted(lines)), tuple(sorted(pairs))
         self.l, self.k = len(lines), len(pairs)
         total = sum(lines) + 2 * sum(pairs)
@@ -490,23 +474,20 @@ class FactorizationStructure:
     @cached_property
     def _enclosures(self) -> tuple[tuple[LinearFactor, ...], tuple[QuadraticFactor, ...]]:
         """Lines refined to eps and certified pairs, sorted (the axis first),
-        refined by factors of 16 until pairwise disjoint."""
-        eps, x_mult = self._eps, self.form.x_multiplicity()
-        linear = [LinearFactor(None, x_mult)] if x_mult else []
-        quadratic: list[QuadraticFactor] = []
-        for w, m, roots in self._layers:
-            linear += [LinearFactor(r.refine(eps), m) for r in roots]
-            quadratic += _certify_pairs(w, roots, m, eps)
-        linear.sort(key=lambda lf: (not lf.is_axis, lf.root.approx if lf.root else 0.0))
-        quadratic.sort(key=lambda qf: (qf.mu, qf.nu))
-        fs = FactorizationStructure(self.form, self.sign, linear, quadratic)
-        for guard in range(41):
-            if fs.is_separated():
-                return fs._enclosures
-            if guard == 40:
-                raise NotRefinedError("could not separate factor enclosures")
+        certified again at eps/16 until pairwise disjoint."""
+        eps, x_mult = self.eps, self.form.x_multiplicity()
+        for _ in range(41):
+            linear = [LinearFactor(None, x_mult)] if x_mult else []
+            quadratic: list[QuadraticFactor] = []
+            for w, m, roots in self.layers:
+                linear += [LinearFactor(r.refine(eps), m) for r in roots]
+                quadratic += _certify_pairs(w, roots, m, eps)
+            linear.sort(key=lambda lf: (not lf.is_axis, lf.root.approx if lf.root else 0.0))
+            quadratic.sort(key=lambda qf: (qf.mu, qf.nu))
+            if _disjoint(linear, quadratic):
+                return tuple(linear), tuple(quadratic)
             eps /= 16
-            fs = refine(fs, eps)
+        raise NotRefinedError("could not separate factor enclosures")
 
     def max_width(self) -> Fraction:
         widths = [lf.root.width for lf in self.linear if not lf.is_axis]
@@ -515,16 +496,7 @@ class FactorizationStructure:
 
     def is_separated(self) -> bool:
         """All enclosures pairwise disjoint, so factors are provably distinct."""
-        roots = [lf.root for lf in self.linear if not lf.is_axis]
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if not (roots[i].hi < roots[j].lo or roots[j].hi < roots[i].lo):
-                    return False
-        for i in range(len(self.quadratic)):
-            for j in range(i + 1, len(self.quadratic)):
-                if self.quadratic[i].overlaps(self.quadratic[j]):
-                    return False
-        return True
+        return _disjoint(self.linear, self.quadratic)
 
     def reconstruction_gap(self) -> float:
         """Distance between f and the expanded certified factor product.
@@ -558,6 +530,12 @@ class FactorizationStructure:
         return max(0.0, float(gap / abs(cs[imax])))
 
 
+def _disjoint(linear: Sequence[LinearFactor], quadratic: Sequence[QuadraticFactor]) -> bool:
+    roots = [lf.root for lf in linear if not lf.is_axis]
+    return not (any(r.lo <= s.hi and s.lo <= r.hi for r, s in combinations(roots, 2))
+                or any(p.overlaps(q) for p, q in combinations(quadratic, 2)))
+
+
 class _Interval(tuple):
     """A closed interval (lo, hi) with exact endpoints, closed under + and *
     for ``convolve``; a number n stands for (n, n)."""
@@ -575,38 +553,43 @@ def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int
                    eps: float) -> list[QuadraticFactor]:
     """Certified enclosures for every conjugate root pair of the squarefree
     layer w (a primitive integer tuple), each returned as a normalized
-    quadratic factor.  ``real_roots`` is the isolation of w's real roots."""
+    quadratic factor.  ``real_roots`` is the isolation of w's real roots.
+    The rungs k of the ladder double from eps's bits + 60 (at least 80) up
+    to 2^14 until one certifies every pair."""
     n_pairs = (len(w) - 1 - len(real_roots)) // 2
     if n_pairs == 0:
         return []
     dw = _derivative(w)
     found = None        # the last rung's approximations, [] if it found none
-
-    def attempt(k):
-        nonlocal found
+    k = max(80, int(-math.log2(max(eps, 1e-300))) + 60)
+    while k <= _MAX_PREC_BITS:
         start, found = found, []
-        found = _approximate(w, real_roots, k, start)
-        upper = [(a, b) for a, b in found if b > 0]
-        if len(upper) != n_pairs:
-            raise ArithmeticError("conjugate pairing failed")
-        discs = [_polish(w, dw, a, b, k, k.bit_length()) for a, b in upper]
-        for i, (ai, bi, ri) in enumerate(discs):
-            for aj, bj, rj in discs[i + 1:]:
-                if (ai - aj) ** 2 + (bi - bj) ** 2 <= 16 * (ri + rj) ** 2:
-                    raise NotRefinedError("discs not separated")
-        # Each disc sits strictly above the axis, its mirror strictly
-        # below, real roots are accounted for exactly by Sturm, and the
-        # discs are pairwise disjoint; since the counts add up to deg w,
-        # every disc holds exactly one root.
-        return [_pair_from_disc(w, disc, k, beta, eps) for disc in discs]
-
-    pairs = _ladder(eps, "certification failed at", attempt)
+        try:
+            found = _approximate(w, real_roots, k, start)
+            upper = [(a, b) for a, b in found if b > 0]
+            if len(upper) != n_pairs:
+                raise ArithmeticError("conjugate pairing failed")
+            discs = [_polish(w, dw, a, b, k, k.bit_length()) for a, b in upper]
+            for i, (ai, bi, ri) in enumerate(discs):
+                for aj, bj, rj in discs[i + 1:]:
+                    if (ai - aj) ** 2 + (bi - bj) ** 2 <= 16 * (ri + rj) ** 2:
+                        raise NotRefinedError("discs not separated")
+            # Each disc sits strictly above the axis, its mirror strictly
+            # below, real roots are accounted for exactly by Sturm, and the
+            # discs are pairwise disjoint; since the counts add up to deg w,
+            # every disc holds exactly one root.
+            pairs = [_pair_from_disc(disc, k, beta, eps) for disc in discs]
+            break
+        except (ArithmeticError, NotRefinedError) as exc:
+            last, k = exc, 2 * k
+    else:
+        raise NotRefinedError(f"certification failed at eps={eps}: {last}")
     if any(qf.c_hi > sys.float_info.max for qf in pairs):
         raise NotRefinedError("a quadratic factor's c is beyond the float range")
     return pairs
 
 
-def _pair_from_disc(w, disc: tuple[int, int, int], k: int, beta: int,
+def _pair_from_disc(disc: tuple[int, int, int], k: int, beta: int,
                     eps: float) -> QuadraticFactor:
     """The factor x^2 + b x y + c y^2 of the root z in the disc (a, b, r) of
     rung k: b = -2 Re z/|z|^2 and c = 1/|z|^2, enclosed in Fractions."""
@@ -624,7 +607,7 @@ def _pair_from_disc(w, disc: tuple[int, int, int], k: int, beta: int,
     c_lo, c_hi = Fraction(q * q, m_hi), Fraction(q * q, m_lo)
     if max(b_hi - b_lo, c_hi - c_lo) > Fraction(eps):
         raise NotRefinedError("enclosure wider than eps")
-    return QuadraticFactor(layer=w, b_lo=b_lo, b_hi=b_hi, c_lo=c_lo, c_hi=c_hi,
+    return QuadraticFactor(b_lo=b_lo, b_hi=b_hi, c_lo=c_lo, c_hi=c_hi,
                            beta=beta, mu=a / q, nu=b / q)
 
 
@@ -650,31 +633,10 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
 
 
 def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
-    """Shrink every enclosure below eps; counts and ordering are preserved."""
-    linear = tuple(
-        lf if lf.is_axis else LinearFactor(lf.root.refine(eps), lf.alpha)
-        for lf in fs.linear)
-    quadratic = tuple(_refine_pair(qf, eps) for qf in fs.quadratic)
-    return FactorizationStructure(fs.form, fs.sign, linear, quadratic)
-
-
-def _refine_pair(qf: QuadraticFactor, eps: float) -> QuadraticFactor:
-    if qf.width <= Fraction(eps):
-        return qf
-    w, dw = qf.layer, _derivative(qf.layer)
-    b, c = qf.b_mid, qf.c_mid
-
-    def attempt(k):
-        # the seed is the root (-b + i sqrt(4c - b^2))/2c of 1 + bt + ct^2
-        # at the enclosure's midpoint, as close to the pair's root as the
-        # enclosure is narrow, where (mu, nu) may be as close to another
-        q = 1 << k
-        seed = (round(-b * q / (2 * c)),
-                round(math.isqrt(math.floor((4 * c - b * b) * q * q)) / (2 * c)))
-        disc = _polish(w, dw, *seed, k, k.bit_length())
-        new = _pair_from_disc(w, disc, k, qf.beta, eps)
-        if not new.overlaps(qf):
-            raise NotRefinedError("refinement drifted to another root")
-        return new
-
-    return _ladder(eps, "refinement failed to reach", attempt)
+    """The structure of fs's layers at enclosure width eps: the enclosures
+    are certified again from the layers when first read.  Counts and
+    ordering are preserved.  fs itself when eps >= fs.eps, so refining never
+    coarsens."""
+    if eps >= fs.eps:
+        return fs
+    return FactorizationStructure(fs.form, fs.sign, fs.layers, eps)

@@ -258,19 +258,15 @@ def symmetry_group(f: HomogeneousForm, fs: Optional[FactorizationStructure] = No
                    tol: float = 1e-9, eps: float = 1e-14) -> SymmetryGroup:
     """Identify the linear symmetry group of f.
 
-    The factorization is refined to enclosure width eps first; tol is the
-    residual below which a candidate matrix counts as verified, at least
-    the Gauss-Newton stopping defect _STOP_DEFECT.
+    A factorization fs certified at a width fs.eps above eps is refined to
+    eps first; its enclosures are pairwise disjoint by construction.  tol
+    is the residual below which a candidate matrix counts as verified, at
+    least the Gauss-Newton stopping defect _STOP_DEFECT.
     """
     if not tol >= _STOP_DEFECT:
         raise ValueError(f"tol must be at least {_STOP_DEFECT:g}, "
                          "where the Gauss-Newton polish stops")
-    if fs is None:
-        fs = factor_form(f, eps=eps)
-    elif fs.max_width() > Fraction(eps):
-        fs = refine(fs, eps)
-    if not fs.is_separated():
-        raise NotRefinedError("factor enclosures overlap; refine first")
+    fs = factor_form(f, eps=eps) if fs is None else refine(fs, eps)
     case = classify_case(fs)
     if case == "A":
         return _case_single_line(fs)

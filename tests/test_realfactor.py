@@ -174,9 +174,8 @@ def test_counts_match_the_enclosures_and_sympy(sample, rng):
     counts = (fs.sign, fs.line_mults, fs.quad_mults)
     assert (fs.l, fs.k) == (len(fs.line_mults), len(fs.quad_mults))
     assert counts == _sympy_counts(f)
-    eager = FactorizationStructure(f, fs.sign, fs.linear, fs.quadratic)
-    assert (eager.sign, eager.line_mults, eager.quad_mults) == counts
-    assert (eager.l, eager.k) == (fs.l, fs.k)
+    assert tuple(sorted(lf.alpha for lf in fs.linear)) == fs.line_mults
+    assert tuple(sorted(qf.beta for qf in fs.quadratic)) == fs.quad_mults
 
 
 def _assert_enclosed_once(fs, quads, eps):
@@ -279,6 +278,47 @@ def test_refine_tells_apart_pairs_that_agree_in_floats():
     _assert_enclosed_once(fs, {(F(0), F(1)), (F(0), c)}, 1e-60)
 
 
+# Two factors in two layers, 1e-30 apart for lines, 1e-20 and 1e-40 for
+# pairs.  The lines and the pairs 1e-40 apart overlap at the default eps,
+# so the structure is certified again at eps/16 until they are disjoint;
+# a pair's certificate runs 60 bits finer than eps, which keeps the pairs
+# 1e-20 apart disjoint at once.  The expected lines are what factor
+# printed when refinement seeded each pair from the midpoint of its
+# enclosure.
+@pytest.mark.parametrize("f, form, expected", [
+    (HomogeneousForm([1, -1]).power(2) * HomogeneousForm([1, -1 - F(1, 10**30)]),
+     "(x-y)^2*(x-(1+1/10^30)*y)",
+     '"degree": 3, "sign": -1, "factors": {"linear": [{"root_interval": [1, 1], "alpha": 1}, '
+     '{"root_interval": [1, 1], "alpha": 2}], "quadratic": []}'),
+    (HomogeneousForm([1, 0, 1]).power(2) * HomogeneousForm([1, 0, 1 + F(1, 10**20)]),
+     "(x^2+y^2)^2*(x^2+(1+1/10^20)*y^2)",
+     '"degree": 6, "sign": 1, "factors": {"linear": [], "quadratic": [{"a": 1, "b": 0, '
+     '"c": 1, "beta": 1}, {"a": 1, "b": 0, "c": 1, "beta": 2}]}'),
+    (HomogeneousForm([1, 0, 1]).power(2) * HomogeneousForm([1, 0, 1 + F(1, 10**40)]),
+     "(x^2+y^2)^2*(x^2+(1+1/10^40)*y^2)",
+     '"degree": 6, "sign": 1, "factors": {"linear": [], "quadratic": [{"a": 1, "b": 0, '
+     '"c": 1, "beta": 1}, {"a": 1, "b": 0, "c": 1, "beta": 2}]}'),
+])
+def test_overlapping_enclosures_are_certified_again_until_disjoint(capsys, f, form, expected):
+    assert cli.main(["factor", form]) == 0
+    assert capsys.readouterr().out == '{"input": "%s", %s}\n' % (form, expected)
+    fs = factor_form(f)
+    assert fs.is_separated()
+    assert 0 < fs.max_width() <= F(1e-12) / 16
+    assert sorted(lf.alpha for lf in fs.linear) == list(fs.line_mults)
+    assert sorted(qf.beta for qf in fs.quadratic) == list(fs.quad_mults)
+
+
+def test_refine_never_coarsens():
+    for f in (HomogeneousForm([1, -1]).power(2) * HomogeneousForm([1, -1 - F(1, 10**30)]),
+              HomogeneousForm([1, 0, 3, 0, 2]) * HomogeneousForm([1, -3])):
+        fs = factor_form(f, eps=1e-20)
+        assert refine(fs, 1e-20) is fs and refine(fs, 1e-6) is fs
+        finer = refine(fs, 1e-40)
+        assert finer.eps == 1e-40 and finer.layers == fs.layers
+        assert finer.is_separated() and finer.max_width() <= F(1e-40)
+
+
 def test_a_failed_first_rung_still_certifies(monkeypatch, capsys):
     form = "(x^2+y^2)*(x^2+2*y^2)*(x^2+x*y+3*y^2)*(x-y)"
     assert cli.main(["factor", form]) == 0
@@ -324,8 +364,7 @@ def test_reconstruction_gap_detects_a_moved_coefficient():
         cs = list(fs.form.coefficients())
         imax = max(range(len(cs)), key=lambda i: abs(cs[i]))
         cs[(imax + 1) % len(cs)] += (-1) ** n * abs(cs[imax]) / 10**6
-        moved = FactorizationStructure(form=HomogeneousForm(cs), sign=fs.sign,
-                                       linear=fs.linear, quadratic=fs.quadratic)
+        moved = FactorizationStructure(HomogeneousForm(cs), fs.sign, fs.layers, fs.eps)
         assert 5e-7 <= moved.reconstruction_gap() <= 2e-6
 
 
