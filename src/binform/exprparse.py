@@ -5,9 +5,12 @@ The grammar is deliberately small: x, y, rational literals (5, 5.25, 1/3),
 (right associative), and parentheses.  Juxtaposition is not multiplication,
 so "xy" is an unknown identifier rather than a silent product.
 
-The parser builds exact BivariatePoly values as it reads, with no syntax
-tree in between: each grammar rule returns the expanded polynomial of the
-text it consumed.  A product or power whose expansion would pass the degree
+The parser expands as it reads, with no syntax tree in between: each grammar
+rule returns the expansion of the text it consumed as a pair (terms, den), a
+sparse {(i, j): int} map without zero entries over one positive int
+denominator, and a power n takes at most 2*log2(n) + 1 sparse products by
+repeated squaring.  Only the finished expansion becomes an exact
+BivariatePoly.  A product or power whose expansion would pass the degree
 cap is reported at its operator as soon as it is read, so such an error can
 come before a grammar error later in the same text.
 """
@@ -24,9 +27,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .polyring import BivariatePoly, HomogeneousForm
-
-_X = BivariatePoly({(1, 0): Fraction(1)})
-_Y = BivariatePoly({(0, 1): Fraction(1)})
 
 # Exponents cap at a level no sane form reaches; the expansion degree cap
 # keeps 64-character adversarial inputs from allocating giant convolutions.
@@ -58,6 +58,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _degree(terms: dict) -> int:
+    """Total degree of a term map; -1 for the empty (zero) one."""
+    return max((i + j for i, j in terms), default=-1)
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Sparse product of two {(i, j): int} term maps, zeros dropped."""
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -80,53 +95,63 @@ class _Parser:
     def parse(self) -> BivariatePoly:
         if not self.toks:
             raise ExprSyntaxError("empty input", 0)
-        poly = self.expr()
+        terms, den = self.expr()
         kind, val, off = self._peek()
         if kind is not None:
             raise ExprSyntaxError(f"unexpected {val!r}", off)
-        return poly
+        return BivariatePoly({m: Fraction(c, den) for m, c in terms.items()})
 
-    def expr(self) -> BivariatePoly:
-        poly = self.term()
+    def expr(self) -> tuple[dict, int]:
+        terms, den = self.term()
         while True:
             kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self.i += 1
-                right = self.term()
-                poly = poly - right if val == "-" else poly + right
-            else:
-                return poly
+            if kind != "op" or val not in "+-":
+                return terms, den
+            self.i += 1
+            right, rden = self.term()
+            mult = -den if val == "-" else den
+            out = {m: c * rden for m, c in terms.items()}
+            for m, c in right.items():
+                out[m] = out.get(m, 0) + mult * c
+            terms, den = {m: c for m, c in out.items() if c}, den * rden
 
-    def term(self) -> BivariatePoly:
-        poly = self.factor()
+    def term(self) -> tuple[dict, int]:
+        terms, den = self.factor()
         while True:
             kind, val, off = self._peek()
-            if kind == "op" and val == "*":
-                self.i += 1
-                right = self.factor()
-                if poly.total_degree() + right.total_degree() > _MAX_EXPAND_DEGREE:
-                    raise ExprSyntaxError("expansion exceeds the degree cap", off)
-                poly = poly * right
-            else:
-                return poly
+            if kind != "op" or val != "*":
+                return terms, den
+            self.i += 1
+            right, rden = self.factor()
+            if _degree(terms) + _degree(right) > _MAX_EXPAND_DEGREE:
+                raise ExprSyntaxError("expansion exceeds the degree cap", off)
+            terms, den = _mul(terms, right), den * rden
 
-    def factor(self) -> BivariatePoly:
+    def factor(self) -> tuple[dict, int]:
         kind, val, _ = self._peek()
         if kind == "op" and val == "-":
             self.i += 1
-            return -self.factor()
+            terms, den = self.factor()
+            return {m: -c for m, c in terms.items()}, den
         return self.power()
 
-    def power(self) -> BivariatePoly:
-        base = self.atom()
+    def power(self) -> tuple[dict, int]:
+        base, den = self.atom()
         kind, val, off = self._peek()
-        if kind == "op" and val == "^":
-            self.i += 1
-            n = self.exponent()
-            if base.total_degree() * n > _MAX_EXPAND_DEGREE:
-                raise ExprSyntaxError("expansion exceeds the degree cap", off)
-            return base.power(n)
-        return base
+        if kind != "op" or val != "^":
+            return base, den
+        self.i += 1
+        n = self.exponent()
+        if _degree(base) * n > _MAX_EXPAND_DEGREE:
+            raise ExprSyntaxError("expansion exceeds the degree cap", off)
+        out, k = {(0, 0): 1}, n          # repeated squaring
+        while k:
+            if k & 1:
+                out = _mul(out, base)
+            k >>= 1
+            if k:
+                base = _mul(base, base)
+        return out, den ** n
 
     def exponent(self) -> int:
         """Non-negative integer, right associative so 2^3^2 is 2^9."""
@@ -151,16 +176,18 @@ class _Parser:
             raise ExprSyntaxError("exponent too large", off)
         return n
 
-    def atom(self) -> BivariatePoly:
+    def atom(self) -> tuple[dict, int]:
         kind, val, off = self._next()
         if kind == "number":
-            try:
-                return BivariatePoly({(0, 0): Fraction(val)})
-            except ZeroDivisionError:
-                raise ExprSyntaxError(f"zero denominator in {val!r}", off) from None
+            num, slash, den = val.partition("/")
+            whole, _, frac = num.partition(".")
+            n, d = int(whole + frac), int(den) if slash else 10 ** len(frac)
+            if d == 0:
+                raise ExprSyntaxError(f"zero denominator in {val!r}", off)
+            return ({(0, 0): n} if n else {}), d
         if kind == "name":
             if val in ("x", "y"):
-                return _X if val == "x" else _Y
+                return {(1, 0) if val == "x" else (0, 1): 1}, 1
             raise UnknownIdentifierError(val, off)
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -205,11 +232,14 @@ def canonical_text(p: BivariatePoly | HomogeneousForm) -> str:
     """Stable text form: monomials by descending x-exponent then descending
     y-exponent, explicit *, ^ only from exponent 2 up."""
     if isinstance(p, HomogeneousForm):
-        p = p.to_bivariate()
-    if p.is_zero:
+        deg = p.degree
+        mons = [(deg - j, j, c) for j, c in enumerate(p.coefficients()) if c]
+    else:
+        mons = p.monomials()
+    if not mons:
         return "0"
     out = []
-    for i, j, c in p.monomials():
+    for i, j, c in mons:
         txt = _monomial_text(i, j, c)
         if not out:
             out.append(txt if c > 0 else f"-{txt}")

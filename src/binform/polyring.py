@@ -226,12 +226,6 @@ class BivariatePoly:
             out[m] = out.get(m, Fraction(0)) + c
         return BivariatePoly(out)
 
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
-
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), c1 in self.terms.items():
@@ -243,14 +237,6 @@ class BivariatePoly:
     def scale(self, s: Rat) -> "BivariatePoly":
         s = Fraction(s)
         return BivariatePoly({m: c * s for m, c in self.terms.items()})
-
-    def power(self, n: int) -> "BivariatePoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = BivariatePoly({(0, 0): 1})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def partial_x(self) -> "BivariatePoly":
         return BivariatePoly({(i - 1, j): c * i

@@ -359,7 +359,7 @@ def test_criterion_11_regularity_trichotomy():
                                homogeneous=False, degree=None)
     samples = [(0, 0), (2, -3)]
     sigma_y = BivariatePoly({(0, 1): F(1)})
-    assert shift_regularity(vertical, -sigma_y, samples) == ["degenerate"] * 2
+    assert shift_regularity(vertical, sigma_y.scale(-1), samples) == ["degenerate"] * 2
     assert shift_regularity(vertical, BivariatePoly({}), samples) == ["regular"] * 2
     assert shift_regularity(vertical, sigma_y, samples) == ["regular"] * 2
     assert shift_regularity(vertical, sigma_y.scale(-2), samples) == ["folding"] * 2

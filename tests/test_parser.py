@@ -1,8 +1,17 @@
+import math
 import random
 import string
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    parse_expr,
+    rationalize,
+    standard_transformations,
+)
 
 from binform.errors import (
     ExprSyntaxError,
@@ -11,6 +20,7 @@ from binform.errors import (
     UnknownIdentifierError,
     ZeroPolynomialError,
 )
+from binform import exprparse
 from binform.exprparse import (
     canonical_text,
     parse_polynomial,
@@ -19,6 +29,7 @@ from binform.exprparse import (
 from binform.polyring import HomogeneousForm
 
 from genforms import random_product
+from oracles import count_calls
 
 F = Fraction
 
@@ -142,6 +153,7 @@ def test_round_trip_random_forms():
         f = random_product(rng).form
         again = to_homogeneous(parse_polynomial(canonical_text(f)))
         assert again == f
+        assert canonical_text(f) == canonical_text(f.to_bivariate())
 
 
 def test_fuzz_never_crashes():
@@ -154,3 +166,110 @@ def test_fuzz_never_crashes():
             parse_polynomial(text)
         except ExprSyntaxError as e:
             assert 0 <= e.offset <= len(text)
+
+
+# ---------------------------------------------------------------------------
+# sympy as the oracle of the parser
+
+_SX, _SY = sympy.symbols("x y")
+
+# A drawn expression is (text, precedence, degree bound).  Precedence 0 is a
+# sum, 1 a product, 2 a unary minus, 3 a power and 4 an atom; an operand of
+# lower precedence than its place needs is put in parentheses.  A fraction
+# literal such as 2/3 is an atom to the parser but a quotient to sympy, so it
+# goes in parentheses as the base of a power, where the two would differ.
+_NAMES = st.sampled_from([("x", 4, 1), ("y", 4, 1)])
+_LEAVES = st.one_of(
+    _NAMES, _NAMES,
+    st.integers(0, 20).map(lambda n: (str(n), 4, 0)),
+    st.from_regex(r"[0-9]{1,2}\.[0-9]{1,2}", fullmatch=True).map(lambda t: (t, 4, 0)),
+    st.tuples(st.integers(0, 20), st.integers(1, 20)).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}", 3, 0)),
+)
+
+# exponents: a digit string, n^e (right associative) or (e), kept small
+_EXPONENTS = st.recursive(
+    st.integers(0, 3).map(lambda n: (str(n), n)),
+    lambda inner: st.one_of(
+        st.tuples(st.integers(0, 3), inner).map(
+            lambda ne: (f"{ne[0]}^{ne[1][0]}", ne[0] ** ne[1][1])),
+        inner.map(lambda e: (f"({e[0]})", e[1])),
+    ),
+    max_leaves=3,
+).filter(lambda e: e[1] <= 3)
+
+
+def _wrap(node, need):
+    return node[0] if node[1] >= need else f"({node[0]})"
+
+
+@st.composite
+def _expression(draw, depth=5):
+    """A tree of at most ``depth`` levels, binary operators drawn more often
+    than unary minus and parentheses."""
+    kind = draw(st.sampled_from("++**^-()")) if depth and draw(st.integers(0, 4)) else "leaf"
+    if kind == "leaf":
+        return draw(_LEAVES)
+    a = draw(_expression(depth - 1))
+    if kind in "+*":
+        b = draw(_expression(depth - 1))
+        if kind == "*":
+            return f"{_wrap(a, 1)}*{_wrap(b, 2)}", 1, a[2] + b[2]
+        op = draw(st.sampled_from(["+", "-"]))
+        return f"{_wrap(a, 0)} {op} {_wrap(b, 1)}", 0, max(a[2], b[2])
+    if kind == "^":
+        e = draw(_EXPONENTS)
+        return f"{_wrap(a, 4)}^{e[0]}", 3, a[2] * e[1]
+    if kind == "-":
+        return f"-{_wrap(a, 2)}", 2, a[2]
+    return f"({a[0]})", 4, a[2]
+
+
+_TEXTS = _expression().filter(lambda node: node[2] <= 12).map(lambda node: node[0])
+
+
+def _sympy_terms(text):
+    expr = parse_expr(text, local_dict={"x": _SX, "y": _SY},
+                      transformations=standard_transformations + (convert_xor, rationalize))
+    poly = sympy.Poly(sympy.expand(expr), _SX, _SY)
+    return {m: F(int(c.p), int(c.q)) for m, c in poly.terms() if c != 0}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TEXTS)
+def test_parse_matches_sympy_expand(text):
+    assert parse_polynomial(text).terms == _sympy_terms(text)
+
+
+@pytest.mark.parametrize("text, kind, message, offset", [
+    ("1/0*x", ExprSyntaxError, "zero denominator in '1/0'", 0),
+    ("x*(", ExprSyntaxError, "unexpected end of input", 3),
+    ("x^600", ExprSyntaxError, "exponent too large", 2),
+    ("xy", UnknownIdentifierError, "unknown identifier 'xy'", 0),
+    ("(x-x)^1000", ExprSyntaxError, "exponent too large", 6),
+    ("x^2 - y^-1", NegativeExponentError, "negative exponent", 8),
+    ("(x^512)^2*(x^512)^2 + )", ExprSyntaxError, "expansion exceeds the degree cap", 9),
+])
+def test_error_kind_and_offset(text, kind, message, offset):
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse_polynomial(text)
+    assert type(ei.value) is kind
+    assert str(ei.value) == f"{message} (at offset {offset})"
+    assert ei.value.offset == offset
+
+
+def test_pinned_texts_that_parse():
+    assert parse_polynomial("((x))^2^3").terms == {(8, 0): F(1)}
+    assert parse_polynomial("0*x").terms == {}
+    with pytest.raises(ZeroPolynomialError):
+        to_homogeneous(parse_polynomial("0*x"))
+
+
+def test_power_costs_log_n_products(monkeypatch):
+    """(x-y)^512 by repeated squaring: a count of sparse products, not a
+    timing, bounds the work."""
+    calls = count_calls(monkeypatch, exprparse._mul)
+    p = parse_polynomial("(x-y)^512")
+    assert p.terms == {(512 - k, k): F((-1) ** k * math.comb(512, k)) for k in range(513)}
+    assert len(calls) <= 2 * math.ceil(math.log2(512)) + 1
+    assert len(parse_polynomial("x^512*y^512*(x-y)^512").terms) == 513
