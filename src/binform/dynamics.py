@@ -138,10 +138,13 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
     b1, b2, b3, b4, b5, b6, b7 = _DP_B5
     e1, e2, e3, e4, e5, e6, e7 = (p - q for p, q in zip(_DP_B5, _DP_B4))
 
+    at, inf = fld.at, math.inf
+
     def stage(ax, ay):
-        if not (math.isfinite(ax) and math.isfinite(ay)):
+        # -inf < v < inf is math.isfinite(v) without a call (nan fails it)
+        if not (-inf < ax < inf and -inf < ay < inf):
             raise OverflowError          # handled like an overflowing field value
-        return fld.at(ax, ay)
+        return at(ax, ay)
 
     times = [0.0]
     pts = [(float(z0[0]), float(z0[1]))]
@@ -149,7 +152,7 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
         return Trajectory(tuple(times), tuple(pts), "ok")
     direction = 1.0 if T > 0 else -1.0
     t, (x, y) = 0.0, pts[0]
-    fx, fy = fld.at(x, y)
+    fx, fy = at(x, y)
     h = direction * min(cfg.max_step, abs(T))
     steps = 0
     while direction * (T - t) > 0:

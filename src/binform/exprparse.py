@@ -164,7 +164,10 @@ class _Parser:
             return inner
         if kind != "number" or not val.isdigit():
             raise ExprSyntaxError("exponent must be a non-negative integer", off)
-        n = int(val)
+        try:
+            n = int(val)
+        except ValueError:              # past the interpreter's digit limit
+            raise ExprSyntaxError("exponent too large", off) from None
         kind, nxt, noff = self._peek()
         if kind == "op" and nxt == "^":
             self.i += 1
@@ -181,7 +184,10 @@ class _Parser:
         if kind == "number":
             num, slash, den = val.partition("/")
             whole, _, frac = num.partition(".")
-            n, d = int(whole + frac), int(den) if slash else 10 ** len(frac)
+            try:
+                n, d = int(whole + frac), int(den) if slash else 10 ** len(frac)
+            except ValueError:          # past the interpreter's digit limit
+                raise ExprSyntaxError("number literal too long", off) from None
             if d == 0:
                 raise ExprSyntaxError(f"zero denominator in {val!r}", off)
             return ({(0, 0): n} if n else {}), d

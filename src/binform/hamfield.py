@@ -18,6 +18,7 @@ from .polyring import (
     BivariatePoly,
     HomogeneousForm,
     divide_exact,
+    float_kernel,
     gcd_bivariate,
     partials,
 )
@@ -27,7 +28,10 @@ from .verdict import classify_case
 
 @dataclass(frozen=True)
 class PlanarPolyField:
-    """Polynomial vector field P d/dx + Q d/dy."""
+    """Polynomial vector field P d/dx + Q d/dy.
+
+    The first :meth:`at` compiles P and Q into one :func:`float_kernel`
+    that shares their powers of x and y and returns the pair."""
 
     P: BivariatePoly
     Q: BivariatePoly
@@ -35,7 +39,13 @@ class PlanarPolyField:
     degree: Optional[int]   # common degree of the components when homogeneous
 
     def at(self, x: float, y: float) -> tuple[float, float]:
-        return (self.P.eval_float(x, y), self.Q.eval_float(x, y))
+        try:
+            k = self._kernel
+        except AttributeError:
+            k = float_kernel(*([(i, j, c) for (i, j), c in g.terms.items()]
+                               for g in (self.P, self.Q)))
+            object.__setattr__(self, "_kernel", k)
+        return k(x, y)
 
 
 def _field_from_forms(P: HomogeneousForm, Q: HomogeneousForm) -> PlanarPolyField:

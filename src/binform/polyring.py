@@ -17,9 +17,11 @@ primitive gcd is exact (Gauss's lemma), and returns the square-free
 layers as primitive integer tuples.
 
 Each job has one kernel: :func:`convolve` is the one dense product (of
-forms and of the interval enclosures in ``realfactor``), and
+forms and of the interval enclosures in ``realfactor``),
 :func:`remainder_sequence` the one integer remainder sequence (gcds here,
-Sturm counts in ``realfactor``).
+Sturm counts in ``realfactor``), and :func:`float_kernel` the one float
+evaluation (of forms, of sparse polynomials and of the planar fields in
+``hamfield``), compiled once per object on its first float evaluation.
 """
 
 from __future__ import annotations
@@ -36,6 +38,44 @@ if TYPE_CHECKING:
     from .mat2 import Mat2
 
 Rat = Union[int, Fraction]
+
+
+def float_kernel(*term_lists: Sequence[tuple[int, int, Rat]]):
+    """One straight-line function of the float point (x, y) that evaluates
+    each list of (i, j, c) terms as fsum([float(c) * x**i * y**j, ...]):
+    a float for one list, a tuple of floats for several.
+
+    Each power x**i (i >= 2) is computed once, only for the exponents the
+    terms use; x**0 = 1.0 and x**1 = x are left out, which changes no bit.
+    The products keep the term order, zero coefficients included, so the
+    values are those of the generic formula, and so are the exceptions:
+    a power that leaves the float range raises OverflowError, and fsum
+    raises ValueError on inf + -inf.  A list's powers are taken just
+    before its sum, so the first failure is the one the lists evaluated
+    one after the other would give.
+    """
+    ns: dict = {"fsum": math.fsum}
+    lines = ["def k(x, y):"]
+    done: set[str] = set()
+    for s, terms in enumerate(term_lists):
+        products = []
+        for i, j, c in terms:
+            name = f"c{len(ns)}"
+            ns[name] = float(c)
+            factors = [name]
+            for v, e in (("x", i), ("y", j)):
+                power = v if e == 1 else f"{v}{e}"
+                if e >= 2 and power not in done:
+                    done.add(power)
+                    lines.append(f"    {power} = {v}**{e}")
+                if e:
+                    factors.append(power)
+            products.append(" * ".join(factors) + ",")
+        lines.append(f"    s{s} = fsum(({' '.join(products)}))")
+    lines.append(f"    return {', '.join(f's{s}' for s in range(len(term_lists)))}")
+    exec("\n".join(lines), ns)
+    # the function keeps ns as its globals; ns must not keep the function
+    return ns.pop("k")
 
 
 def convolve(a: Sequence, b: Sequence) -> list:
@@ -181,10 +221,10 @@ def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], in
 class BivariatePoly:
     """Sparse bivariate polynomial: {(i, j): coeff} with i, j the exponents
     of x and y.  Zero coefficients are never stored.  The first
-    :meth:`eval_float` keeps the terms as (i, j, float) triples, so the
-    terms must not change after it."""
+    :meth:`eval_float` compiles the terms, in storage order, into a
+    :func:`float_kernel`, so the terms must not change after it."""
 
-    __slots__ = ("terms", "_floats")
+    __slots__ = ("terms", "_kernel")
 
     def __init__(self, terms: dict[tuple[int, int], Rat] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -253,10 +293,10 @@ class BivariatePoly:
 
     def eval_float(self, x: float, y: float) -> float:
         try:
-            fl = self._floats
+            k = self._kernel
         except AttributeError:
-            fl = self._floats = [(i, j, float(c)) for (i, j), c in self.terms.items()]
-        return math.fsum([c * x**i * y**j for i, j, c in fl])
+            k = self._kernel = float_kernel([(i, j, c) for (i, j), c in self.terms.items()])
+        return k(x, y)
 
     def to_form(self) -> "HomogeneousForm":
         """Convert to a homogeneous form; raises NotHomogeneousError when
@@ -300,11 +340,12 @@ class HomogeneousForm:
     vanishing partial derivatives) and a degree 0 constant are the same
     kind of tuple, all zeros or of length 1, and the operations below
     build every result, whichever of the three it is, with :meth:`_of`.
-    The first float evaluation keeps the coefficients as floats, which
-    neither equality nor hashing sees.
+    The first :meth:`float_coeffs` keeps the coefficients as floats, and
+    the first :meth:`eval_float` compiles them, zeros included, into a
+    :func:`float_kernel`; neither equality nor hashing sees either.
     """
 
-    __slots__ = ("_coeffs", "_floats")
+    __slots__ = ("_coeffs", "_floats", "_kernel")
 
     def __new__(cls, coeffs: Sequence[Rat]) -> "HomogeneousForm":
         cs = tuple(Fraction(c) for c in coeffs)
@@ -407,9 +448,13 @@ class HomogeneousForm:
             return self._floats
 
     def eval_float(self, x: float, y: float) -> float:
-        fl = self._float_tuple()
-        p = len(fl) - 1
-        return math.fsum([c * x ** (p - i) * y**i for i, c in enumerate(fl)])
+        try:
+            k = self._kernel
+        except AttributeError:
+            p = self.degree
+            k = float_kernel([(p - i, i, c) for i, c in enumerate(self._coeffs)])
+            object.__setattr__(self, "_kernel", k)
+        return k(x, y)
 
     def float_coeffs(self) -> list[float]:
         return list(self._float_tuple())

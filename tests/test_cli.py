@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import binform.cli as cli
 import binform.realfactor as rf
-from binform.polyring import gcd_bivariate, partials
+from binform.polyring import float_kernel, gcd_bivariate, partials
 from binform.realfactor import factor_form
 
 from oracles import count_calls
@@ -294,6 +294,29 @@ def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, cap
     assert len(factor_calls) == 1
     fx, fy = partials(factor_calls[0][0][0])
     assert sum(1 for args, _ in gcd_calls if args == (fx, fy)) == 1
+
+
+_KERNEL_FORMS = ["x*y^2", "(x^2+y^2)*(x^2+2*y^2)", "x^3-3*x*y^2", "(x-y)^3*(x^2+x*y+y^2)"]
+
+
+@pytest.mark.parametrize("cmd", ["classify", "decide", "hamiltonian", "factor"])
+def test_exact_commands_compile_no_float_kernel(monkeypatch, capsys, cmd):
+    import binform.dynamics  # noqa: F401  (binds float_kernel before the count)
+
+    calls = count_calls(monkeypatch, float_kernel)
+    for form in _KERNEL_FORMS:
+        assert cli.main([cmd, form]) == 0
+    assert calls == []
+
+
+def test_a_portrait_compiles_one_kernel_per_object(monkeypatch, capsys):
+    """The reduced field (P and Q in one kernel) and f, each once, although
+    the field is evaluated at every stage and f on the whole grid."""
+    import binform.dynamics  # noqa: F401
+
+    calls = count_calls(monkeypatch, float_kernel)
+    assert cli.main(["portrait", "--res", "32", "(x^2+y^2)*(x-y)^2"]) == 0
+    assert sorted(len(args) for args, _ in calls) == [1, 2]
 
 
 @pytest.mark.parametrize("cmd", ["hamiltonian", "decide", "dynamics", "portrait",

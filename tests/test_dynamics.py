@@ -17,6 +17,7 @@ from binform.dynamics import (
     shift_regularity,
 )
 from binform.errors import BlowUpError
+from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.hamfield import PlanarPolyField, reduced_field
 from binform.mat2 import Mat2
 from binform.polyring import BivariatePoly, HomogeneousForm, WeightVector
@@ -131,6 +132,31 @@ def test_stalled_flag():
     assert traj.status == "stalled"
     x, y = traj.endpoint()
     assert math.hypot(x, y) < 1e-9
+
+
+# Step counts and endpoints recorded before the float evaluators were
+# compiled; any change to the kernels or the loop that moves a bit fails.
+_PINNED_FLOWS = [
+    # a closed orbit of the linear reduced field (4x - 12y, 8x - 4y)
+    ("4*(x^2 - x*y + 3/2*y^2)", (0.7, 0.3), 20.0, 2566, "ok",
+     ("-0x1.68b36e00bd3bcp-1", "-0x1.a236eaed5ecfep-3"), "0x1.4000000000000p+4"),
+    ("4*(x^2 - x*y + 3/2*y^2)", (0.7, 0.3), -20.0, 2567, "ok",
+     ("-0x1.57d28dacca774p-1", "-0x1.8ac5191ea0054p-2"), "-0x1.4000000000000p+4"),
+    # orbits of x*y*(x-y) that leave the box
+    ("x*y*(x-y)", (0.5, 0.2), 20.0, 287, "blowup",
+     ("0x1.04aeab599d142p+2", "0x1.049107a2e0837p+2"), "0x1.6f5beed8a72c3p+1"),
+    ("x*y*(x-y)", (0.5, 0.2), -20.0, 232, "blowup",
+     ("0x1.000c09aa9b88cp+2", "0x1.eb91e42a7f5a3p-10"), "-0x1.28f5c28f5c283p+1"),
+]
+
+
+@pytest.mark.parametrize("text, z0, T, steps, status, end, t_end", _PINNED_FLOWS)
+def test_pinned_trajectories_bit_for_bit(text, z0, T, steps, status, end, t_end):
+    fld = reduced_field(to_homogeneous(parse_polynomial(text)))
+    traj = integrate_flow(fld, z0, T, FlowConfig(box=(-4.0, -4.0, 4.0, 4.0)))
+    assert (len(traj.times) - 1, traj.status) == (steps, status)
+    assert tuple(v.hex() for v in traj.endpoint()) == end
+    assert traj.times[-1].hex() == t_end
 
 
 def test_step_limit_flag():

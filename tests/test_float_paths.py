@@ -1,8 +1,8 @@
 """The float paths against their generic forms in ``oracles``, bit for bit.
 
-Forms and bivariate polynomials convert their coefficients to floats once,
-and ``integrate_flow`` writes its Dormand-Prince stage sums out term by
-term.  Neither may move a single output bit, so every comparison here is on
+Forms, bivariate polynomials and planar fields evaluate through a compiled
+``float_kernel``, and ``integrate_flow`` writes its Dormand-Prince stage
+sums out term by term.  Neither may move a single output bit, so every comparison here is on
 ``float.hex`` (which also tells -0.0 from 0.0), never approximate.
 """
 

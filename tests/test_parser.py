@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import string
@@ -89,6 +90,33 @@ def test_zero_denominator_literal():
     with pytest.raises(ExprSyntaxError) as ei:
         parse_polynomial("x + 3/0*y")
     assert ei.value.offset == 4
+
+
+_ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    (f"{_ONES}*x", "number literal too long", 0),
+    (f"x + 3/{_ONES}*y", "number literal too long", 4),
+    (f"x^{_ONES} + y", "exponent too large", 2),
+], ids=["literal", "denominator", "exponent"])
+def test_overlong_number_tokens_are_syntax_errors(capsys, text, message, offset):
+    """int() refuses more than 4300 digits; the parser reports it at the
+    token, exit 2, instead of letting a ValueError escape as Internal."""
+    from binform import cli
+
+    assert cli.main(["decide", "--", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"kind": "ExprSyntax", "offset": offset,
+                                        "message": f"{message} (at offset {offset})"}
+
+
+def test_number_tokens_up_to_the_digit_limit_parse():
+    assert parse_polynomial("1" * 4300 + "*x").terms == {(1, 0): F(int("1" * 4300))}
+    assert parse_polynomial("1/" + "1" * 4300 + "*x").terms == {(1, 0): F(1, int("1" * 4300))}
+    with pytest.raises(ExprSyntaxError, match="exponent too large"):
+        parse_polynomial("x^" + "1" * 4300)
 
 
 def test_exponent_caps():

@@ -1,13 +1,16 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binform.errors import NotHomogeneousError
+from binform.hamfield import PlanarPolyField
 from binform.mat2 import Mat2
 from binform.polyring import (
     BivariatePoly,
@@ -21,6 +24,7 @@ from binform.polyring import (
     convolve,
     divide_exact,
     euler_check,
+    float_kernel,
     gcd_bivariate,
     gcd_univariate,
     jet_order,
@@ -31,7 +35,7 @@ from binform.polyring import (
 )
 
 from genforms import random_product
-from oracles import old_normal_form
+from oracles import bivariate_eval_float, form_eval_float, old_normal_form
 
 F = Fraction
 
@@ -400,3 +404,95 @@ def test_exact_core_matches_sympy(c, u, v):
         if gu:
             b = [-x for x in _primitive(gu)]
             _check_sequence(*((a, b) if len(a) >= len(b) else (b, a)))
+
+
+# ---------------------------------------------------------------------------
+# the compiled float kernel against the generic formula, bit for bit
+
+_EXPONENT = st.integers(0, 40)
+_COEFF = st.one_of(
+    st.fractions(-100, 100, max_denominator=50),
+    st.integers(-10**250, 10**250).map(F),
+    st.sampled_from([F(10**200), F(-10**200), F(1, 10**200), F(3, 7)]),
+)
+_SIGNS = st.sampled_from((1.0, -1.0))
+_POINT_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+    st.floats(-10.0, 10.0),
+    st.builds(lambda v, s: s * v, st.floats(1e150, 1e300), _SIGNS),
+    st.builds(lambda v, s: s * v, st.floats(1e-310, 1e-290), _SIGNS),
+)
+
+
+def _outcome(fn, *args):
+    """float.hex of every value (so -0.0 is not 0.0), or the exception's
+    type and message."""
+    try:
+        value = fn(*args)
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return [v.hex() for v in value] if isinstance(value, tuple) else value.hex()
+
+
+def _term_map(keys):
+    return st.dictionaries(st.tuples(keys, keys), _COEFF, max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_term_map(_EXPONENT), _POINT_COORD, _POINT_COORD)
+def test_sparse_kernel_matches_generic_formula(terms, x, y):
+    g = BivariatePoly(terms)            # the zero polynomial included
+    assert _outcome(g.eval_float, x, y) == _outcome(bivariate_eval_float, g.terms, x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.just(F(0)), _COEFF), min_size=1, max_size=24),
+       _POINT_COORD, _POINT_COORD)
+def test_form_kernel_matches_generic_formula(coeffs, x, y):
+    # zero coefficients stay in the sum: 0.0 * inf is nan, and a power of a
+    # zero term can still overflow
+    if len(coeffs) >= 2 and any(coeffs):
+        f = HomogeneousForm(coeffs)
+    elif any(coeffs):
+        f = constant_form(coeffs[0])
+    else:
+        f = HomogeneousForm.zero_marker(len(coeffs) - 1)
+    assert _outcome(f.eval_float, x, y) == _outcome(form_eval_float, coeffs, x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_term_map(st.integers(0, 6)), _term_map(st.integers(7, 40)),
+       _POINT_COORD, _POINT_COORD)
+# P's sum fails (inf + -inf, then an intermediate overflow) at points where
+# Q's own power x**7 would overflow first
+@example({(1, 0): 10**200, (0, 1): -10**200}, {(7, 0): 1}, 1e150, 1e150)
+@example({(1, 0): 10**200, (0, 1): 10**200}, {(7, 0): 1}, 1e108, 1e108)
+def test_field_kernel_matches_components_in_turn(p_terms, q_terms, x, y):
+    """P and Q share one kernel; with disjoint exponents Q needs powers of
+    its own, taken only after P's sum, so the first failure is P's."""
+    fld = PlanarPolyField(P=BivariatePoly(p_terms), Q=BivariatePoly(q_terms),
+                          homogeneous=False, degree=None)
+
+    def in_turn(first, second):
+        return lambda x, y: (bivariate_eval_float(first.terms, x, y),
+                             bivariate_eval_float(second.terms, x, y))
+
+    assert _outcome(fld.at, x, y) == _outcome(in_turn(fld.P, fld.Q), x, y)
+    swapped = float_kernel(*([(i, j, c) for (i, j), c in g.terms.items()]
+                             for g in (fld.Q, fld.P)))
+    assert _outcome(swapped, x, y) == _outcome(in_turn(fld.Q, fld.P), x, y)
+
+
+def test_kernel_holds_no_reference_cycle():
+    """The kernel's globals hold its coefficients, not the kernel, so
+    dropping the last reference frees it without the cyclic collector."""
+    k = float_kernel([(2, 0, F(1)), (1, 1, F(-3))], [(0, 3, F(1, 2))])
+    assert k(1.5, -0.5) == (4.5, -0.0625)
+    assert "k" not in k.__globals__
+    ref = weakref.ref(k)
+    gc.disable()
+    try:
+        del k
+        assert ref() is None
+    finally:
+        gc.enable()
