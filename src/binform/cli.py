@@ -11,15 +11,15 @@ BINFORM_PRECISION overrides the default enclosure width.
 main factors the form once and hands the factorization to the command;
 only factor and symmetry read its enclosures, the others its exact counts.
 Each command imports the modules it uses when it runs, so the exact
-commands and a request that does not parse start without binform.mat2;
-no command loads mpmath or numpy.  The argument parser is built once per
-process.
+commands and a request that does not parse start without binform.mat2,
+and a request that does not parse without binform.polyring; only --seeds
+loads csv, and no command loads mpmath, numpy or dataclasses.  The
+argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -296,6 +296,8 @@ def _parse_window(text: str):
 
 
 def _read_seeds(path: str) -> list[tuple[float, float]]:
+    import csv
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))

@@ -10,7 +10,6 @@ regularity test is rational arithmetic, all trajectories are floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -69,24 +68,28 @@ def shift_linear(A: Mat2, sigma: BivariatePoly, z: Point) -> Point:
 # ---------------------------------------------------------------------------
 # adaptive integration
 
-@dataclass(frozen=True)
 class FlowConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-9
-    max_step: float = 1e-2
-    max_steps: int = 1_000_000
-    box: Optional[Rect] = None       # leave None for an unbounded flow
+    """Tolerances and budget of :func:`integrate_flow`; ``box`` None
+    leaves the flow unbounded."""
 
-    def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol, self.max_step) <= 0 or self.max_steps <= 0:
+    __slots__ = ("rel_tol", "abs_tol", "max_step", "max_steps", "box")
+
+    def __init__(self, rel_tol: float = 1e-9, abs_tol: float = 1e-9, max_step: float = 1e-2,
+                 max_steps: int = 1_000_000, box: Optional[Rect] = None):
+        if min(rel_tol, abs_tol, max_step) <= 0 or max_steps <= 0:
             raise ValueError("tolerances, step size, and step budget must be positive")
+        self.rel_tol, self.abs_tol, self.max_step = rel_tol, abs_tol, max_step
+        self.max_steps, self.box = max_steps, box
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    times: tuple[float, ...]
-    points: tuple[Point, ...]
-    status: str                      # "ok" | "blowup" | "step_limit" | "stalled"
+    """The points of a flow at its times; ``status`` is "ok", "blowup",
+    "step_limit" or "stalled"."""
+
+    __slots__ = ("times", "points", "status")
+
+    def __init__(self, times: tuple[float, ...], points: tuple[Point, ...], status: str):
+        self.times, self.points, self.status = times, points, status
 
     def endpoint(self) -> Point:
         return self.points[-1]
@@ -381,23 +384,23 @@ def level_set(f: HomogeneousForm, c: float, window: Rect,
 # ---------------------------------------------------------------------------
 # portraits
 
-@dataclass(frozen=True)
 class Orbit:
-    seed_index: int
-    seed: Point
-    times: tuple[float, ...]
-    points: tuple[Point, ...]
-    status: str
-    f_drift: float
+    __slots__ = ("seed_index", "seed", "times", "points", "status", "f_drift")
+
+    def __init__(self, seed_index: int, seed: Point, times: tuple[float, ...],
+                 points: tuple[Point, ...], status: str, f_drift: float):
+        self.seed_index, self.seed, self.times, self.points = seed_index, seed, times, points
+        self.status, self.f_drift = status, f_drift
 
 
-@dataclass(frozen=True)
 class Portrait:
-    window: Rect
-    resolution: int
-    level_curves: tuple[tuple[float, list[list[Point]]], ...]
-    orbits: tuple[Orbit, ...]
-    singular_point: Optional[Point]
+    __slots__ = ("window", "resolution", "level_curves", "orbits", "singular_point")
+
+    def __init__(self, window: Rect, resolution: int,
+                 level_curves: tuple[tuple[float, list[list[Point]]], ...],
+                 orbits: tuple[Orbit, ...], singular_point: Optional[Point]):
+        self.window, self.resolution, self.level_curves = window, resolution, level_curves
+        self.orbits, self.singular_point = orbits, singular_point
 
 
 def _default_box(window: Rect) -> Rect:
@@ -424,7 +427,8 @@ def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
         raise ValueError("need at least one seed")
     fld = reduced_field(f, fs)
     if cfg.box is None:
-        cfg = replace(cfg, box=_default_box(window))
+        cfg = FlowConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
+                         _default_box(window))
     orbits = []
     levels: list[float] = []
     for si, seed in enumerate(seeds):

@@ -10,15 +10,17 @@ rule returns the expansion of the text it consumed as a pair (terms, den), a
 sparse {(i, j): int} map without zero entries over one positive int
 denominator, and a power n takes at most 2*log2(n) + 1 sparse products by
 repeated squaring.  Only the finished expansion becomes an exact
-BivariatePoly.  A product or power whose expansion would pass the degree
-cap is reported at its operator as soon as it is read, so such an error can
-come before a grammar error later in the same text.
+BivariatePoly, and polyring is imported only then, so a request that does
+not parse never compiles it.  A product or power whose expansion would pass
+the degree cap is reported at its operator as soon as it is read, so such
+an error can come before a grammar error later in the same text.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     ExprSyntaxError,
@@ -26,7 +28,9 @@ from .errors import (
     UnknownIdentifierError,
     ZeroPolynomialError,
 )
-from .polyring import BivariatePoly, HomogeneousForm
+
+if TYPE_CHECKING:
+    from .polyring import BivariatePoly, HomogeneousForm
 
 # Exponents cap at a level no sane form reaches; the expansion degree cap
 # keeps 64-character adversarial inputs from allocating giant convolutions.
@@ -99,6 +103,8 @@ class _Parser:
         kind, val, off = self._peek()
         if kind is not None:
             raise ExprSyntaxError(f"unexpected {val!r}", off)
+        from .polyring import BivariatePoly
+
         return BivariatePoly({m: Fraction(c, den) for m, c in terms.items()})
 
     def expr(self) -> tuple[dict, int]:
@@ -237,6 +243,8 @@ def _monomial_text(i: int, j: int, c: Fraction) -> str:
 def canonical_text(p: BivariatePoly | HomogeneousForm) -> str:
     """Stable text form: monomials by descending x-exponent then descending
     y-exponent, explicit *, ^ only from exponent 2 up."""
+    from .polyring import HomogeneousForm
+
     if isinstance(p, HomogeneousForm):
         deg = p.degree
         mons = [(deg - j, j, c) for j, c in enumerate(p.coefficients()) if c]

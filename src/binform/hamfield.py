@@ -10,7 +10,6 @@ five factor-count cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegreeZeroError, InvariantError
@@ -26,25 +25,25 @@ from .realfactor import FactorizationStructure, factor_form
 from .verdict import classify_case
 
 
-@dataclass(frozen=True)
 class PlanarPolyField:
-    """Polynomial vector field P d/dx + Q d/dy.
+    """Polynomial vector field P d/dx + Q d/dy; ``degree`` is the common
+    degree of the components when ``homogeneous``, else None.
 
     The first :meth:`at` compiles P and Q into one :func:`float_kernel`
     that shares their powers of x and y and returns the pair."""
 
-    P: BivariatePoly
-    Q: BivariatePoly
-    homogeneous: bool
-    degree: Optional[int]   # common degree of the components when homogeneous
+    __slots__ = ("P", "Q", "homogeneous", "degree", "_kernel")
+
+    def __init__(self, P: BivariatePoly, Q: BivariatePoly, homogeneous: bool,
+                 degree: Optional[int]):
+        self.P, self.Q, self.homogeneous, self.degree = P, Q, homogeneous, degree
 
     def at(self, x: float, y: float) -> tuple[float, float]:
         try:
             k = self._kernel
         except AttributeError:
-            k = float_kernel(*([(i, j, c) for (i, j), c in g.terms.items()]
-                               for g in (self.P, self.Q)))
-            object.__setattr__(self, "_kernel", k)
+            k = self._kernel = float_kernel(*([(i, j, c) for (i, j), c in g.terms.items()]
+                                              for g in (self.P, self.Q)))
         return k(x, y)
 
 
@@ -113,15 +112,20 @@ def reduced_field(f: HomogeneousForm,
     return _field_from_forms(pr, qr)
 
 
-@dataclass(frozen=True)
 class PartitionDescription:
-    """Which pieces the plane splits into under the reduced flow."""
+    """Which pieces the plane splits into under the reduced flow:
+    ``zero_set_rays`` holds the 2l sorted angles of the zero set (empty
+    when l = 0), ``f_sign`` the sign of f away from it."""
 
-    case_label: str
-    singular_elements: tuple[str, ...]
-    regular_elements: tuple[str, ...]
-    zero_set_rays: tuple[float, ...]   # 2l sorted angles, empty when l = 0
-    f_sign: int                        # sign of f away from its zero set scaling
+    __slots__ = ("case_label", "singular_elements", "regular_elements", "zero_set_rays",
+                 "f_sign")
+
+    def __init__(self, case_label: str, singular_elements: tuple[str, ...],
+                 regular_elements: tuple[str, ...], zero_set_rays: tuple[float, ...],
+                 f_sign: int):
+        self.case_label, self.singular_elements = case_label, singular_elements
+        self.regular_elements, self.zero_set_rays = regular_elements, zero_set_rays
+        self.f_sign = f_sign
 
     def ray_count(self) -> int:
         return len(self.zero_set_rays)

@@ -9,24 +9,23 @@ and float entries is not allowed, which keeps the exact code paths honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Entry = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
 class Mat2:
-    a: Entry
-    b: Entry
-    c: Entry
-    d: Entry
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        kinds = {isinstance(e, Fraction) for e in self.entries()}
+    def __init__(self, a: Entry, b: Entry, c: Entry, d: Entry):
+        kinds = {isinstance(e, Fraction) for e in (a, b, c, d)}
         if len(kinds) != 1:
             raise TypeError("Mat2 entries must be all Fraction or all float")
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Mat2) and self.entries() == other.entries()
 
     @property
     def is_exact(self) -> bool:

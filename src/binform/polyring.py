@@ -27,7 +27,6 @@ evaluation (of forms, of sparse polynomials and of the planar fields in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Sequence, Union
@@ -313,17 +312,15 @@ class BivariatePoly:
         return HomogeneousForm._of(tuple(coeffs))
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Positive integer weights (s1, s2) and target weighted degree d."""
 
-    s1: int
-    s2: int
-    d: int
+    __slots__ = ("s1", "s2", "d")
 
-    def __post_init__(self):
-        if self.s1 <= 0 or self.s2 <= 0 or self.d <= 0:
+    def __init__(self, s1: int, s2: int, d: int):
+        if s1 <= 0 or s2 <= 0 or d <= 0:
             raise ValueError("weights and degree must be positive")
+        self.s1, self.s2, self.d = s1, s2, d
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ SL(2, R) that finds its starting points without the factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -149,15 +148,17 @@ def _conjugate(normalizer: Mat2, m: Mat2) -> Mat2:
     return n @ m @ n.inverse()
 
 
-@dataclass(frozen=True)
 class ShearFamily:
     """Symmetries of +- L^p: in coordinates where L = y the identity
     component is (x, y) -> (a x + b y, y) with a > 0; for even p the group
-    has a second component, the negatives of the first."""
+    has a second component, the negatives of the first.  ``parity`` is
+    "even" or "odd", that of the multiplicity of L."""
 
-    normalizer: Mat2
-    parity: str                      # "even" or "odd" multiplicity of L
-    case_label: str = "A"
+    __slots__ = ("normalizer", "parity")
+    case_label = "A"
+
+    def __init__(self, normalizer: Mat2, parity: str):
+        self.normalizer, self.parity = normalizer, parity
 
     def member(self, a: float, b: float) -> Mat2:
         if a <= 0:
@@ -171,17 +172,19 @@ class ShearFamily:
         return self.parity == "even"
 
 
-@dataclass(frozen=True)
 class DiagonalFamily:
     """Symmetries of +- L1^a1 L2^a2: in coordinates sending the lines to
     the axes the identity component is diag(e^(a2 t), e^(-a1 t)); the
-    finite part is a subgroup of the quarter-turn group Z_4."""
+    finite part is a subgroup of the quarter-turn group Z_4.  ``alpha_x``
+    and ``alpha_y`` are the exponents x and y carry after normalizing."""
 
-    normalizer: Mat2
-    alpha_x: int                     # exponent carried by x after normalizing
-    alpha_y: int
-    quarter_turn_in_group: bool
-    case_label: str = "B"
+    __slots__ = ("normalizer", "alpha_x", "alpha_y", "quarter_turn_in_group")
+    case_label = "B"
+
+    def __init__(self, normalizer: Mat2, alpha_x: int, alpha_y: int,
+                 quarter_turn_in_group: bool):
+        self.normalizer, self.alpha_x, self.alpha_y = normalizer, alpha_x, alpha_y
+        self.quarter_turn_in_group = quarter_turn_in_group
 
     def member(self, t: float) -> Mat2:
         return _conjugate(self.normalizer, Mat2.approx(
@@ -194,13 +197,15 @@ class DiagonalFamily:
         return (self.alpha_x + self.alpha_y) % 2 == 0
 
 
-@dataclass(frozen=True)
 class RotationFamily:
     """Symmetries of +- Q^b: the circle N SO(2) N^(-1) where N normalizes
     Q to the round quadratic x^2 + y^2."""
 
-    normalizer: Mat2
-    case_label: str = "C"
+    __slots__ = ("normalizer",)
+    case_label = "C"
+
+    def __init__(self, normalizer: Mat2):
+        self.normalizer = normalizer
 
     def member(self, theta: float) -> Mat2:
         return _conjugate(self.normalizer, Mat2.rotation(theta))
@@ -209,16 +214,17 @@ class RotationFamily:
         return True
 
 
-@dataclass(frozen=True)
 class FiniteCyclicGroup:
-    """Finite cyclic symmetry group; generator has the smallest positive
-    rotation angle and residual is the worst verified member residual."""
+    """Finite cyclic symmetry group of case D or E; generator has the
+    smallest positive rotation angle and residual is the worst verified
+    member residual."""
 
-    n: int
-    generator: Mat2
-    residual: float
-    elements: tuple[Mat2, ...]
-    case_label: str = "E"
+    __slots__ = ("n", "generator", "residual", "elements", "case_label")
+
+    def __init__(self, n: int, generator: Mat2, residual: float,
+                 elements: tuple[Mat2, ...], case_label: str):
+        self.n, self.generator, self.residual = n, generator, residual
+        self.elements, self.case_label = elements, case_label
 
     def contains_minus_id(self, tol: float = 1e-6) -> bool:
         minus = Mat2.approx(-1.0, 0.0, 0.0, -1.0)

@@ -11,7 +11,6 @@ factorization; no enclosure is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegreeZeroError, InvariantError, UnclassifiableCountsError
@@ -39,21 +38,16 @@ def classify_case(fs: FactorizationStructure) -> str:
         f"counts (l, k) = ({l}, {k}) fit no case; degree {fs.degree}")
 
 
-@dataclass(frozen=True)
 class TheoremVerdict:
-    case: str
-    p: int
-    l: int
-    k: int
-    stab1_ne_stab0: bool
-    chain: str
+    __slots__ = ("case", "p", "l", "k", "stab1_ne_stab0", "chain")
 
-    def __post_init__(self):
-        if self.stab1_ne_stab0 != (self.case == "D"):
-            raise InvariantError(
-                f"case {self.case} with stab1_ne_stab0 = {self.stab1_ne_stab0}")
-        if not self.chain.startswith("StabId^inf = ... = StabId^1"):
-            raise InvariantError(f"malformed chain {self.chain!r}")
+    def __init__(self, case: str, p: int, l: int, k: int, stab1_ne_stab0: bool, chain: str):
+        if stab1_ne_stab0 != (case == "D"):
+            raise InvariantError(f"case {case} with stab1_ne_stab0 = {stab1_ne_stab0}")
+        if not chain.startswith("StabId^inf = ... = StabId^1"):
+            raise InvariantError(f"malformed chain {chain!r}")
+        self.case, self.p, self.l, self.k = case, p, l, k
+        self.stab1_ne_stab0, self.chain = stab1_ne_stab0, chain
 
 
 def decide_theorem(f: HomogeneousForm,

@@ -222,16 +222,20 @@ def plain_sum(terms):
 
 
 def bivariate_eval_float(terms, x, y):
-    """A BivariatePoly's {(i, j): Fraction} terms at the float point (x, y)."""
+    """A BivariatePoly's {(i, j): Fraction} terms at the float point (x, y).
+    Every coefficient is converted before the first power is taken, as in
+    the package, so a coefficient beyond the float range is the error."""
     if not terms:
         return 0.0
-    return math.fsum(float(c) * x**i * y**j for (i, j), c in terms.items())
+    cs = [(i, j, float(c)) for (i, j), c in terms.items()]
+    return math.fsum(c * x**i * y**j for i, j, c in cs)
 
 
 def form_eval_float(coeffs, x, y):
-    """The form with coefficients (c_0, ..., c_p) of x^(p-i) y^i at (x, y)."""
-    p = len(coeffs) - 1
-    return math.fsum(float(c) * x ** (p - i) * y**i for i, c in enumerate(coeffs))
+    """The form with coefficients (c_0, ..., c_p) of x^(p-i) y^i at (x, y),
+    every coefficient converted first, as in :func:`bivariate_eval_float`."""
+    p, cs = len(coeffs) - 1, [float(c) for c in coeffs]
+    return math.fsum(c * x ** (p - i) * y**i for i, c in enumerate(cs))
 
 
 def generic_flow(fld, z0, T, cfg):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import binform.cli as cli
-import binform.realfactor as rf
+import binform.paircert as paircert
 from binform.polyring import float_kernel, gcd_bivariate, partials
 from binform.realfactor import factor_form
 
@@ -480,17 +480,32 @@ def test_counts_only_commands_answer_on_widely_scaled_roots(capsys, form, case, 
 
 
 # Sturm isolation splits at the non-root 0, so the line enclosures of the
-# roots +-1e-100 keep the shared endpoint 0 at every width above 1e-100,
-# and the strict disjointness test on them fails on all 41 passes.
+# roots +-1e-100 keep the shared endpoint 0 at every width above 1e-100;
+# open intervals that only touch are disjoint, so factor answers at eps.
+# symmetry encloses each slope apart from 0 before it takes the float.
+def test_lines_at_plus_minus_1e_minus_100_are_enclosed(capsys):
+    assert cli.main(["factor", "x^2-10^200*y^2"]) == 0
+    lines = json.loads(capsys.readouterr().out)["factors"]["linear"]
+    (lo1, hi1), (lo2, hi2) = (lf["root_interval"] for lf in lines)
+    assert lo1 < -1e-100 < hi1 == 0.0 == lo2 < 1e-100 < hi2
+    assert cli.main(["symmetry", "x^2-10^200*y^2"]) == 0
+    n = json.loads(capsys.readouterr().out)["symmetry"]["family"]["normalizer"]
+    assert sorted(n[1][j] / n[0][j] for j in (0, 1)) == [-1e-100, 1e-100]
+
+
+# The c of a factor must be a normal float: 10^-330 is below the smallest,
+# 10^400 above the largest.  symmetry reads the same enclosures.
 @pytest.mark.parametrize("form, message", [
-    ("x^2-10^200*y^2", "could not separate factor enclosures"),
+    ("10^330*x^2+y^2", "c is below the normal float range"),
+    ("x^2+10^400*y^2", "c is beyond the float range"),
 ])
 def test_factor_on_widely_scaled_roots_is_not_refined(capsys, form, message):
-    assert cli.main(["factor", form]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    err = json.loads(err)["error"]
-    assert err["kind"] == "NotRefined" and message in err["message"]
+    for command in ("factor", "symmetry"):
+        assert cli.main([command, form]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = json.loads(err)["error"]
+        assert err["kind"] == "NotRefined" and message in err["message"]
 
 
 def test_factor_certifies_a_pair_at_1e_minus_50_i(capsys):
@@ -505,7 +520,7 @@ def test_factor_certifies_a_pair_at_1e_minus_50_i(capsys):
 def test_counts_only_commands_certify_no_pair(monkeypatch, capsys, cmd):
     def boom(*args, **kwargs):
         raise AssertionError("a counts-only command certified a pair")
-    monkeypatch.setattr(rf, "_certify_pairs", boom)
+    monkeypatch.setattr(paircert, "_certify_pairs", boom)
     assert cli.main([cmd, "(x^2+y^2)*(x^2+2*y^2)*(x-y)"]) == 0
     assert cli.main([cmd, "(x^2+y^2)*(x^2+2*y^2)"]) == 0
     capsys.readouterr()

@@ -88,6 +88,24 @@ def test_bivariate_eval_float_matches_generic_formula():
             assert _outcome(g.eval_float, x, y) == want, (g, x, y)
 
 
+def test_a_coefficient_beyond_the_float_range_fails_as_in_the_oracle():
+    # x^9 overflows at x = 1e150 too, but the coefficient 10^400 is met first
+    big = Fraction(10**400)
+    g = BivariatePoly({(9, 0): 1, (0, 0): big})
+    f = HomogeneousForm([1] + [0] * 8 + [big])
+
+    def raised(fn, *args):
+        with pytest.raises(OverflowError) as e:
+            fn(*args)
+        return type(e.value), str(e.value)
+
+    want = raised(bivariate_eval_float, g.terms, 1e150, 1.0)
+    assert want == raised(float, big)
+    assert raised(g.eval_float, 1e150, 1.0) == want
+    assert raised(form_eval_float, f.coefficients(), 1e150, 1.0) == want
+    assert raised(f.eval_float, 1e150, 1.0) == want
+
+
 def test_float_cache_cannot_be_seen():
     f = HomogeneousForm([Fraction(3, 7), -2, 0, Fraction(1, 3)])
     g = HomogeneousForm([Fraction(3, 7), -2, 0, Fraction(1, 3)])

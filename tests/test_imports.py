@@ -1,6 +1,7 @@
-"""The import contract: no command loads numpy or mpmath, each loads
-binform.mat2 only when its work needs it, and the package's lazy exports
-are its modules' objects."""
+"""The import contract: no command loads numpy, mpmath, dataclasses or
+inspect; each loads binform.mat2, the pair certificate binform.paircert,
+csv and binform.polyring only when its work needs them; and the package's
+lazy exports are its modules' objects."""
 
 import importlib
 import json
@@ -20,7 +21,8 @@ import contextlib, io, json, sys
 from binform import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in ("numpy", "mpmath", "binform.mat2")
+print(json.dumps([rc, sorted(m for m in ("numpy", "mpmath", "binform.mat2", "binform.paircert",
+                                          "binform.polyring", "csv", "dataclasses", "inspect")
                              if m in sys.modules)]))
 """
 
@@ -39,27 +41,34 @@ def _loaded(*argv):
     return json.loads(_run(_PROBE, *argv))
 
 
+_POLY, _CERT, _MAT = "binform.polyring", "binform.paircert", "binform.mat2"
+
+
 @pytest.mark.parametrize("argv, rc, loaded", [
-    (["decide", "x*y^2"], 0, []),
-    (["classify", "x*y^2"], 0, []),
-    (["hamiltonian", "x*y^2"], 0, []),
-    (["factor", "x*y^2"], 0, []),
+    (["decide", "x*y^2"], 0, [_POLY]),
+    (["classify", "x*y^2"], 0, [_POLY]),
+    (["hamiltonian", "x*y^2"], 0, [_POLY]),
+    (["factor", "x*y^2"], 0, [_POLY]),
     (["decide", "x+*y"], 2, []),
-    (["factor", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
-    (["decide", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
-    (["classify", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
-    (["hamiltonian", "(x^2+y^2)*(x^2+2*y^2)"], 0, []),
-    (["symmetry", "x*y*(x-y)"], 0, ["binform.mat2"]),
-    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, ["binform.mat2"]),
-    (["symmetry", "x^2+2*y^2"], 0, ["binform.mat2"]),
-    (["portrait", "x^2+y^2", "--res", "16"], 0, ["binform.mat2"]),
-    (["dynamics", "x^2+y^2", "--sigma", "x"], 0, ["binform.mat2"]),
+    (["factor", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_CERT, _POLY]),
+    (["decide", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_POLY]),
+    (["classify", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_POLY]),
+    (["hamiltonian", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_POLY]),
+    (["symmetry", "x*y*(x-y)"], 0, [_MAT, _POLY]),
+    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_MAT, _CERT, _POLY]),
+    (["symmetry", "x^2+2*y^2"], 0, [_MAT, _CERT, _POLY]),
+    (["portrait", "x^2+y^2", "--res", "16"], 0, [_MAT, _POLY]),
+    (["dynamics", "x^2+y^2", "--sigma", "x"], 0, [_MAT, _POLY]),
     # a pair 5e-21 i apart certifies only on a later rung
-    (["factor", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, []),
-    (["symmetry", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, ["binform.mat2"]),
+    (["factor", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_CERT, _POLY]),
+    (["symmetry", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_MAT, _CERT, _POLY]),
+    # only --seeds reads a csv file
+    (["portrait", "x^2+y^2", "--res", "16", "--seeds", "SEEDS"], 0, [_MAT, _POLY, "csv"]),
 ])
-def test_command_loads_only_what_it_uses(argv, rc, loaded):
-    assert _loaded(*argv) == [rc, loaded]
+def test_command_loads_only_what_it_uses(tmp_path, argv, rc, loaded):
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("x,y\n1,0\n")
+    assert _loaded(*(str(seeds) if a == "SEEDS" else a for a in argv)) == [rc, loaded]
 
 
 def test_reconstruction_gap_loads_no_mpmath():

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import binform.paircert as paircert
 import binform.realfactor as rf
 from binform import cli
 from binform.polyring import (
@@ -27,6 +28,18 @@ import oracles
 from genforms import random_case_de, random_product
 
 F = Fraction
+
+
+def _max_width(fs):
+    """The widest enclosure of fs, of a line's slope or a quadratic's b or c."""
+    widths = [lf.root.width for lf in fs.linear if not lf.is_axis]
+    widths += [qf.width for qf in fs.quadratic]
+    return max(widths, default=F(0))
+
+
+def _is_separated(fs):
+    """All enclosures of fs pairwise disjoint, so its factors are distinct."""
+    return rf._disjoint(fs.linear, fs.quadratic)
 
 
 def test_isolate_three_roots():
@@ -132,7 +145,7 @@ def test_enclosures_shrink_under_refine():
     f = HomogeneousForm([1, 0, 3, 0, 2])
     fs = factor_form(f, eps=1e-6)
     tighter = refine(fs, 1e-40)
-    assert tighter.max_width() <= F(1e-40)
+    assert _max_width(tighter) <= F(1e-40)
     assert (tighter.l, tighter.k) == (fs.l, fs.k)
     assert [qf.beta for qf in tighter.quadratic] == [qf.beta for qf in fs.quadratic]
 
@@ -147,7 +160,7 @@ def test_random_products_recover_structure():
         assert sorted(lf.alpha for lf in fs.linear) == sorted(s.line_mults)
         assert sorted(qf.beta for qf in fs.quadratic) == sorted(s.quad_mults)
         assert fs.degree == s.degree
-        assert fs.is_separated()
+        assert _is_separated(fs)
         assert fs.reconstruction_gap() < 1e-7
 
 
@@ -242,8 +255,8 @@ def test_close_pairs_certify_on_a_later_rung(monkeypatch, capsys, form, expected
     out = capsys.readouterr().out
     assert out == ('{"input": "%s", "degree": 4, "sign": 1, "factors": '
                    '{"linear": [], %s}}\n' % (form, expected))
-    approximate = rf._approximate
-    monkeypatch.setattr(rf, "_approximate",
+    approximate = paircert._approximate
+    monkeypatch.setattr(paircert, "_approximate",
                         lambda w, real, k, start: approximate(w, real, k, None))
     assert cli.main(["factor", form]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
@@ -303,8 +316,8 @@ def test_overlapping_enclosures_are_certified_again_until_disjoint(capsys, f, fo
     assert cli.main(["factor", form]) == 0
     assert capsys.readouterr().out == '{"input": "%s", %s}\n' % (form, expected)
     fs = factor_form(f)
-    assert fs.is_separated()
-    assert 0 < fs.max_width() <= F(1e-12) / 16
+    assert _is_separated(fs)
+    assert 0 < _max_width(fs) <= F(1e-12) / 16
     assert sorted(lf.alpha for lf in fs.linear) == list(fs.line_mults)
     assert sorted(qf.beta for qf in fs.quadratic) == list(fs.quad_mults)
 
@@ -316,14 +329,14 @@ def test_refine_never_coarsens():
         assert refine(fs, 1e-20) is fs and refine(fs, 1e-6) is fs
         finer = refine(fs, 1e-40)
         assert finer.eps == 1e-40 and finer.layers == fs.layers
-        assert finer.is_separated() and finer.max_width() <= F(1e-40)
+        assert _is_separated(finer) and _max_width(finer) <= F(1e-40)
 
 
 def test_a_failed_first_rung_still_certifies(monkeypatch, capsys):
     form = "(x^2+y^2)*(x^2+2*y^2)*(x^2+x*y+3*y^2)*(x-y)"
     assert cli.main(["factor", form]) == 0
     expected = capsys.readouterr().out
-    approximate, rungs = rf._approximate, []
+    approximate, rungs = paircert._approximate, []
 
     def no_first_rung(w, real, k, start):
         rungs.append(k)
@@ -331,7 +344,7 @@ def test_a_failed_first_rung_still_certifies(monkeypatch, capsys):
             raise ArithmeticError("no float seeds")
         return approximate(w, real, k, start)
 
-    monkeypatch.setattr(rf, "_approximate", no_first_rung)
+    monkeypatch.setattr(paircert, "_approximate", no_first_rung)
     assert cli.main(["factor", form]) == 0
     assert capsys.readouterr().out == expected
     assert rungs == [106, 212]
@@ -346,7 +359,7 @@ def test_a_pair_beyond_the_float_range_is_not_refined(capsys):
 
 
 def test_enclosures_are_computed_once_on_first_read(monkeypatch):
-    calls = oracles.count_calls(monkeypatch, rf._certify_pairs)
+    calls = oracles.count_calls(monkeypatch, paircert._certify_pairs)
     fs = factor_form(HomogeneousForm([1, 0, 3, 0, 2]))     # (x^2+y^2)(x^2+2y^2)
     assert (fs.l, fs.k) == (0, 2) and calls == []
     first = fs.quadratic
