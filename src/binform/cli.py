@@ -341,7 +341,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--eps", type=float, default=None,
                     help="factor enclosure width (overrides BINFORM_PRECISION)")
     ap.add_argument("--window", default=None, metavar="X0,Y0,X1,Y1")
-    ap.add_argument("--res", type=int, default=128, help="level-set grid resolution")
+    ap.add_argument("--res", type=int, default=128, help="level-set angle samples per turn")
     ap.add_argument("--seeds", default=None, metavar="FILE.csv",
                     help="seed points, header x,y")
     ap.add_argument("--sigma", default="0", help="shift-time polynomial in x and y")

@@ -3,7 +3,7 @@
 Everything numeric lives here: a closed-form 2x2 matrix exponential, an
 adaptive Dormand-Prince integrator, the shift map z -> flow(z, sigma(z)),
 the exact local-diffeomorphism test for shifts, weighted contractions, and
-marching-squares level curves.  The exactness boundary is deliberate: the
+level curves as radial graphs.  The exactness boundary is deliberate: the
 regularity test is rational arithmetic, all trajectories are floats.
 """
 
@@ -17,7 +17,7 @@ from .errors import BlowUpError, StepLimitError
 from .hamfield import PlanarPolyField, reduced_field
 from .mat2 import Mat2
 from .polyring import BivariatePoly, HomogeneousForm, WeightVector
-from .realfactor import FactorizationStructure
+from .realfactor import FactorizationStructure, factor_form
 
 Point = tuple[float, float]
 Rect = tuple[float, float, float, float]        # x0, y0, x1, y1
@@ -242,17 +242,8 @@ def shift_regularity(fld: PlanarPolyField, sigma: BivariatePoly,
     so the trichotomy is exact.
     """
     lie = sigma.partial_x() * fld.P + sigma.partial_y() * fld.Q
-    out = []
-    minus_one = Fraction(-1)
-    for z in samples:
-        v = lie.eval_exact(Fraction(z[0]), Fraction(z[1]))
-        if v > minus_one:
-            out.append("regular")
-        elif v == minus_one:
-            out.append("degenerate")
-        else:
-            out.append("folding")
-    return out
+    gaps = (lie.eval_exact(Fraction(z[0]), Fraction(z[1])) + 1 for z in samples)
+    return ["regular" if g > 0 else "degenerate" if g == 0 else "folding" for g in gaps]
 
 
 def invariant_contraction(w: WeightVector, z: Point, t: float) -> Point:
@@ -265,120 +256,70 @@ def invariant_contraction(w: WeightVector, z: Point, t: float) -> Point:
 # ---------------------------------------------------------------------------
 # level curves
 
-def _interp(va: float, vb: float, pa: Point, pb: Point) -> Point:
-    # va, vb straddle zero by construction
-    s = va / (va - vb)
-    return (pa[0] + s * (pb[0] - pa[0]), pa[1] + s * (pb[1] - pa[1]))
-
-
-def level_set(f: HomogeneousForm, c: float, window: Rect,
-              res: int = 128) -> list[list[Point]]:
-    """Polylines of {f = c} in the window by marching squares.
-
-    Grid of res x res sample points; the ambiguous saddle configurations
-    are split by the sign of f - c at the cell center.  Segment endpoints
-    carry exact edge identities, so chaining into polylines is stable.
-    """
+def level_set(f: HomogeneousForm, c: float, window: Rect, res: int = 128,
+              fs: Optional[FactorizationStructure] = None) -> list[list[Point]]:
+    """Polylines of {f = c} in the window: f(r u) = r^p f(u), so for c != 0
+    it is the radial graph r = (c / f(u))^(1/p), u = (cos t, sin t), on the
+    sectors between f's zero rays where c f(u) > 0 (the full turn, closed,
+    when f has no lines).  About res angles per turn are sampled and each
+    exit from the window is bisected, so every point is on the curve.  c = 0
+    gives the zero lines.  ``fs`` is the factorization of f if known."""
     if res < 16:
         raise ValueError("resolution below 16 is useless")
+    fs = fs or factor_form(f)
+    lines = fs.linear if fs.l else ()        # no pair certificate without lines
+    if c == 0:
+        return [seg for lf in lines for seg in _clip_line(lf.line_direction(), window)]
     x0, y0, x1, y1 = window
-    xs = [x0 + (x1 - x0) * i / (res - 1) for i in range(res)]
-    ys = [y0 + (y1 - y0) * j / (res - 1) for j in range(res)]
-    vals = [[f.eval_float(x, y) - c for y in ys] for x in xs]
+    p, ev, tau = f.degree, f.eval_float, 2 * math.pi
 
-    # edge id: (i, j, 0) for the edge from grid node (i,j) to (i+1,j),
-    #          (i, j, 1) for the edge from (i,j) to (i,j+1)
-    segments: list[tuple[tuple, tuple, Point, Point]] = []
+    def point(t: float) -> Optional[Point]:
+        u, v = math.cos(t), math.sin(t)
+        w = ev(u, v)
+        r = (c / w) ** (1 / p) if c * w > 0 else math.inf
+        return (r * u, r * v) if x0 <= r * u <= x1 and y0 <= r * v <= y1 else None
 
-    def edge_point(i, j, horiz):
-        if horiz:
-            va, vb = vals[i][j], vals[i + 1][j]
-            pa, pb = (xs[i], ys[j]), (xs[i + 1], ys[j])
-        else:
-            va, vb = vals[i][j], vals[i][j + 1]
-            pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
-        return _interp(va, vb, pa, pb)
-
-    _PAIRS = {
-        1: [("left", "bottom")], 14: [("left", "bottom")],
-        2: [("bottom", "right")], 13: [("bottom", "right")],
-        3: [("left", "right")], 12: [("left", "right")],
-        4: [("right", "top")], 11: [("right", "top")],
-        6: [("bottom", "top")], 9: [("bottom", "top")],
-        7: [("left", "top")], 8: [("left", "top")],
-    }
-
-    for i in range(res - 1):
-        for j in range(res - 1):
-            v00, v10 = vals[i][j], vals[i + 1][j]
-            v01, v11 = vals[i][j + 1], vals[i + 1][j + 1]
-            idx = ((v00 > 0) | (v10 > 0) << 1 | (v11 > 0) << 2 | (v01 > 0) << 3)
-            if idx in (0, 15):
-                continue
-            if idx in (5, 10):
-                xc = (xs[i] + xs[i + 1]) / 2
-                yc = (ys[j] + ys[j + 1]) / 2
-                center_pos = (f.eval_float(xc, yc) - c) > 0
-                if (idx == 5) == center_pos:
-                    sel = [("left", "top"), ("bottom", "right")]
-                else:
-                    sel = [("left", "bottom"), ("right", "top")]
+    def edge(out: float, t: float, z: Point) -> Point:
+        # the last point z(t) inside the window, bisecting towards the angle out
+        while (m := (out + t) / 2) not in (out, t):
+            if w := point(m):
+                t, z = m, w
             else:
-                sel = _PAIRS[idx]
-            # only the selected edges are guaranteed to straddle zero
-            keys = {
-                "bottom": ((i, j, 0), lambda: edge_point(i, j, True)),
-                "top": ((i, j + 1, 0), lambda: edge_point(i, j + 1, True)),
-                "left": ((i, j, 1), lambda: edge_point(i, j, False)),
-                "right": ((i + 1, j, 1), lambda: edge_point(i + 1, j, False)),
-            }
-            for na, nb in sel:
-                ea, fa = keys[na]
-                eb, fb = keys[nb]
-                segments.append((ea, eb, fa(), fb()))
+                out = m
+        return z
 
-    # chain segments that share an edge id
-    by_edge: dict[tuple, list[int]] = {}
-    for n, (ea, eb, _, _) in enumerate(segments):
-        by_edge.setdefault(ea, []).append(n)
-        by_edge.setdefault(eb, []).append(n)
+    rays = sorted(a for lf in lines for a in lf.ray_angles())
+    cuts = rays + [rays[0] + tau] if rays else [0.0, tau]
+    ts: list[float] = []
+    for a, b in zip(cuts, cuts[1:]):
+        n = max(3, round(res * (b - a) / tau))
+        ts += [a + (b - a) * j / n for j in range(n)]
+    zs = [None if t in rays else point(t) for t in ts]      # r is infinite on a ray
+    if all(zs):
+        return [zs + zs[:1]]
+    k = zs.index(None)                  # sweep from an outside angle round to it
+    ts, zs = ts[k:] + [t + tau for t in ts[:k + 1]], zs[k:] + zs[:k + 1]
+    curves, run = [], []
+    for s, t, z in zip(ts, ts[1:], zs[1:]):
+        if z:
+            run += [z] if run else [edge(s, t, z), z]
+        elif run:
+            curves.append(run + [edge(t, s, run[-1])])
+            run = []
+    return curves
 
-    used = [False] * len(segments)
 
-    def walk(start_seg: int, start_edge: tuple):
-        chain_pts = []
-        chain_edges = []
-        seg, edge = start_seg, start_edge
-        while True:
-            used[seg] = True
-            ea, eb, pa, pb = segments[seg]
-            if edge == ea:
-                chain_pts.append(pa)
-                chain_edges.append(ea)
-                nxt_edge, nxt_pt = eb, pb
-            else:
-                chain_pts.append(pb)
-                chain_edges.append(eb)
-                nxt_edge, nxt_pt = ea, pa
-            cands = [m for m in by_edge.get(nxt_edge, []) if not used[m]]
-            if not cands:
-                chain_pts.append(nxt_pt)
-                return chain_pts
-            seg, edge = cands[0], nxt_edge
-
-    polylines: list[list[Point]] = []
-    # open chains first, from edges of degree one, in sorted order
-    degree_one = sorted(e for e, ns in by_edge.items() if len(ns) == 1)
-    for e in degree_one:
-        ns = [m for m in by_edge[e] if not used[m]]
-        if ns:
-            polylines.append(walk(ns[0], e))
-    for n in range(len(segments)):            # leftover closed loops
-        if not used[n]:
-            pts = walk(n, segments[n][0])
-            pts.append(pts[0])
-            polylines.append(pts)
-    return [pl for pl in polylines if len(pl) >= 2]
+def _clip_line(d: Point, window: Rect) -> list[list[Point]]:
+    """The segment of the line through 0 along d inside the window, if any."""
+    x0, y0, x1, y1 = window
+    lo, hi = -math.inf, math.inf
+    for dk, k0, k1 in ((d[0], x0, x1), (d[1], y0, y1)):
+        if dk:
+            lo, hi = max(lo, min(k0 / dk, k1 / dk)), min(hi, max(k0 / dk, k1 / dk))
+        elif not k0 <= 0 <= k1:
+            return []
+    ends = [(min(max(s * d[0], x0), x1), min(max(s * d[1], y0), y1)) for s in (lo, hi)]
+    return [ends] if lo < hi else []
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +366,7 @@ def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    fs = fs or factor_form(f)
     fld = reduced_field(f, fs)
     if cfg.box is None:
         cfg = FlowConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
@@ -437,17 +379,14 @@ def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
         # backward times are already negative; reversing makes one ascending leg
         times = tuple(reversed(bwd.times)) + fwd.times[1:]
         pts = tuple(reversed(bwd.points)) + fwd.points[1:]
-        status = "ok"
-        for leg in (fwd.status, bwd.status):
-            if leg != "ok" and status == "ok":
-                status = leg
+        status = fwd.status if fwd.status != "ok" else bwd.status
         f0 = f.eval_float(seed[0], seed[1])
         drift = max(abs(f.eval_float(x, y) - f0) for x, y in pts) / (1.0 + abs(f0))
         orbits.append(Orbit(seed_index=si, seed=(float(seed[0]), float(seed[1])),
                             times=times, points=pts, status=status, f_drift=drift))
         levels.append(f0)
     uniq_levels = sorted(set(round(c, 12) for c in levels))
-    curves = tuple((c, level_set(f, c, window, res)) for c in uniq_levels)
+    curves = tuple((c, level_set(f, c, window, res, fs)) for c in uniq_levels)
     singular = (0.0, 0.0) if fld.degree is not None and fld.degree >= 1 else None
     return Portrait(window=window, resolution=res, level_curves=curves,
                     orbits=tuple(orbits), singular_point=singular)

@@ -141,8 +141,7 @@ def partition_description(f: HomogeneousForm,
     """
     rays: tuple[float, ...] = ()
     if fs.l >= 1:
-        angles = sorted(a for lf in fs.linear for a in lf.ray_angles())
-        rays = tuple(angles)
+        rays = tuple(sorted(a for lf in fs.linear for a in lf.ray_angles()))
         if len(rays) != 2 * fs.l:
             raise InvariantError(f"{len(rays)} zero-set rays for {fs.l} lines")
     label = classify_case(fs)

@@ -225,7 +225,7 @@ def test_portrait_resolution_checked_before_work():
 
 
 def test_portrait_resolution_is_capped(capsys):
-    # 1025^2 grid values would be the first request past the cap
+    # 1025 angle samples per turn would be the first request past the cap
     assert cli.main(["portrait", "x^2+y^2", "--res", "1025"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -311,7 +311,7 @@ def test_exact_commands_compile_no_float_kernel(monkeypatch, capsys, cmd):
 
 def test_a_portrait_compiles_one_kernel_per_object(monkeypatch, capsys):
     """The reduced field (P and Q in one kernel) and f, each once, although
-    the field is evaluated at every stage and f on the whole grid."""
+    the field is evaluated at every stage and f at every angle sample."""
     import binform.dynamics  # noqa: F401
 
     calls = count_calls(monkeypatch, float_kernel)

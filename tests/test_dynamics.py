@@ -21,6 +21,9 @@ from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.hamfield import PlanarPolyField, reduced_field
 from binform.mat2 import Mat2
 from binform.polyring import BivariatePoly, HomogeneousForm, WeightVector
+from binform.realfactor import factor_form
+
+from oracles import count_calls
 
 
 def poly(terms):
@@ -244,14 +247,23 @@ def test_contraction_scales_quasi_homogeneous_values_exactly():
 
 # -- level sets ---------------------------------------------------------------
 
+def _form(text):
+    return to_homogeneous(parse_polynomial(text))
+
+
+_LEVEL_FORMS = ["x^2+y^2", "x*y^2", "x^2-y^2", "(x^2+y^2)*(x^2+2*y^2)*(x-y)",
+                "(x^2+y^2)*(x-y)*(x+2*y)"]
+
+
 def test_level_set_circle():
     f = HomogeneousForm([1, 0, 1])
     curves = level_set(f, 1.0, (-2, -2, 2, 2), res=96)
     assert len(curves) == 1
     pts = curves[0]
+    assert len(pts) == 97
     assert pts[0] == pts[-1]                   # closed polyline
     for x, y in pts:
-        assert abs(math.hypot(x, y) - 1.0) < 5e-3
+        assert abs(math.hypot(x, y) - 1.0) <= 1e-12
 
 
 def test_level_set_empty_below_minimum():
@@ -266,12 +278,60 @@ def test_level_set_hyperbola_hits_boundary():
     for pts in curves:
         assert pts[0] != pts[-1]               # open arcs
         for x, y in pts:
-            assert abs(x * y - 1.0) < 2e-2
+            assert abs(x * y - 1.0) <= 2e-12
+        for x, y in (pts[0], pts[-1]):         # they end where |x| or |y| is 3
+            assert abs(max(abs(x), abs(y)) - 3.0) <= 1e-12
 
 
 def test_level_set_resolution_guard():
     with pytest.raises(ValueError):
         level_set(HomogeneousForm([1, 0, 1]), 1.0, (-1, -1, 1, 1), res=8)
+
+
+def test_level_zero_is_every_line_clipped_to_the_window():
+    """y = 0 is a double line of x y^2: f keeps its sign across it, and it
+    is part of the level set all the same."""
+    curves = level_set(_form("x*y^2"), 0.0, (-2, -2, 2, 2), 64)
+    assert len(curves) == 2
+    assert curves[0] == [(0.0, -2.0), (0.0, 2.0)]
+    assert curves[1] == [pytest.approx((-2.0, 0.0), abs=1e-15),
+                         pytest.approx((2.0, 0.0), abs=1e-15)]
+    assert level_set(_form("x^2+y^2"), 0.0, (-2, -2, 2, 2), 64) == []
+
+
+def test_an_arc_across_angle_zero_is_one_polyline():
+    (arc,) = level_set(_form("x^2+y^2"), 1.0, (0.5, -1, 3, 2), 64)
+    assert arc[0] == pytest.approx((0.5, -math.sqrt(3) / 2), abs=1e-12)
+    assert arc[-1] == pytest.approx((0.5, math.sqrt(3) / 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("text", _LEVEL_FORMS)
+@pytest.mark.parametrize("window", [(-2, -2, 2, 2), (0.5, -1, 3, 2)])
+def test_level_points_lie_on_the_curve_in_the_window(text, window):
+    """Every point satisfies f = c to 1e-12 (1 + |c|) inside the window, and
+    an open polyline ends on the window's boundary."""
+    f = _form(text)
+    x0, y0, x1, y1 = window
+    found = 0
+    for c in (0.3, 1.0, 1.44, -0.5, 0.0):
+        for pts in level_set(f, c, window, 64):
+            found += 1
+            assert len(pts) >= 2
+            for x, y in pts:
+                assert abs(f.eval_float(x, y) - c) <= 1e-12 * (1 + abs(c))
+                assert x0 <= x <= x1 and y0 <= y <= y1
+            if pts[0] != pts[-1]:
+                for x, y in (pts[0], pts[-1]):
+                    assert min(x - x0, x1 - x, y - y0, y1 - y) <= 1e-12
+    assert found >= 3
+
+
+def test_a_portrait_without_a_factorization_factors_once(monkeypatch):
+    calls = count_calls(monkeypatch, factor_form)
+    port = orbit_portrait(_form("(x^2+y^2)*(x-y)*(x+2*y)"), [(0.5, 0.5), (1.0, -0.2)],
+                          (-2, -2, 2, 2), res=32, horizon=2.0)
+    assert len(port.level_curves) == 2
+    assert len(calls) == 1
 
 
 # -- portraits ----------------------------------------------------------------
