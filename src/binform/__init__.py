@@ -25,9 +25,9 @@ _EXPORTS = {
         conservation_defect hamiltonian_field partition_description
         reduced_field""",
     "verdict": "TheoremVerdict classify_case decide_theorem",
-    "dynamics": """FlowConfig Orbit Portrait Trajectory integrate_flow
-        invariant_contraction level_set mat_exp orbit_portrait shift_linear
-        shift_map_apply shift_regularity""",
+    "dynamics": """ClosedOrbits FlowConfig Orbit Portrait Trajectory closed_orbits
+        integrate_flow invariant_contraction level_set mat_exp orbit_portrait
+        shift_linear shift_map_apply shift_regularity""",
     "exprparse": "canonical_text parse_polynomial to_homogeneous",
     "render": "portrait_csv portrait_svg",
 }

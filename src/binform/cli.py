@@ -216,7 +216,8 @@ def _cmd_portrait(f, fs, text, args) -> dict:
         "resolution": port.resolution,
         "levels": [c for c, _ in port.level_curves],
         "orbits": [{"seed": list(o.seed), "status": o.status,
-                    "points": len(o.points), "f_drift": o.f_drift}
+                    "points": len(o.points), "f_drift": o.f_drift,
+                    **({} if o.t_err is None else {"t_err": o.t_err})}
                    for o in port.orbits],
         "singular_point": list(port.singular_point) if port.singular_point else None,
         "files": written,
@@ -224,14 +225,16 @@ def _cmd_portrait(f, fs, text, args) -> dict:
 
 
 def _cmd_dynamics(f, fs, text, args) -> dict:
-    from .dynamics import FlowConfig, shift_map_apply, shift_regularity
-    from .hamfield import reduced_field
+    from .dynamics import FlowConfig, closed_orbits, shift_map_apply, shift_regularity
+    from .hamfield import common_divisor, reduced_field
 
     sigma = parse_polynomial(args.sigma)
     x0, y0, x1, y1 = args.window     # default seed: (1, 0) for the default window
     box, seeds = _boxed_seeds(args, [((x0 + x1) / 2 + (x1 - x0) / 4, (y0 + y1) / 2)])
     cfg = FlowConfig(box=box)
-    fld = reduced_field(f, fs)
+    d = common_divisor(f, fs)
+    fld = reduced_field(f, fs, d)
+    closed = closed_orbits(f, fs, d)
     regs = shift_regularity(fld, sigma, seeds)
     rows = []
     for seed, reg in zip(seeds, regs):
@@ -241,10 +244,12 @@ def _cmd_dynamics(f, fs, text, args) -> dict:
             "regularity": reg,
         }
         try:
-            sx, sy = shift_map_apply(fld, sigma, seed, cfg)
+            (sx, sy), t_err = shift_map_apply(fld, sigma, seed, cfg, closed)
             entry["shift"] = [sx, sy]
             f0 = f.eval_float(seed[0], seed[1])
             entry["f_drift"] = abs(f.eval_float(sx, sy) - f0) / (1 + abs(f0))
+            if t_err is not None:
+                entry["t_err"] = t_err
         except BinformError as e:
             entry["error"] = _kind(e)
         rows.append(entry)

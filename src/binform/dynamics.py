@@ -1,10 +1,12 @@
 """Flows, shift maps, contractions, and portrait data for planar fields.
 
 Everything numeric lives here: a closed-form 2x2 matrix exponential, an
-adaptive Dormand-Prince integrator, the shift map z -> flow(z, sigma(z)),
-the exact local-diffeomorphism test for shifts, weighted contractions, and
-level curves as radial graphs.  The exactness boundary is deliberate: the
-regularity test is rational arithmetic, all trajectories are floats.
+adaptive Dormand-Prince integrator, the closed orbits of a form without
+real line factors read off its level curves by one quadrature, the shift
+map z -> flow(z, sigma(z)), the exact local-diffeomorphism test for
+shifts, weighted contractions, and level curves as radial graphs.  The
+exactness boundary is deliberate: the regularity test is rational
+arithmetic, all trajectories are floats.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BlowUpError, StepLimitError
-from .hamfield import PlanarPolyField, reduced_field
+from .hamfield import PlanarPolyField, common_divisor, reduced_field
 from .mat2 import Mat2
 from .polyring import BivariatePoly, HomogeneousForm, WeightVector
 from .realfactor import FactorizationStructure, factor_form
 
 Point = tuple[float, float]
 Rect = tuple[float, float, float, float]        # x0, y0, x1, y1
+
+_TAU = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +223,23 @@ def integrate_flow(fld: PlanarPolyField, z0: Point, T: float,
 
 
 def shift_map_apply(fld: PlanarPolyField, sigma: BivariatePoly, z: Point,
-                    cfg: FlowConfig = FlowConfig()) -> Point:
-    """The shift map z -> flow(z, sigma(z)); raises when the flow cannot be
-    carried to the requested time."""
+                    cfg: FlowConfig = FlowConfig(),
+                    closed: Optional[ClosedOrbits] = None) -> tuple[Point, Optional[float]]:
+    """The shift map z -> flow(z, sigma(z)) and an estimate of its time
+    error.  ``closed`` is :func:`closed_orbits` of the form whose reduced
+    field ``fld`` is: with it the point is read off z's level curve, and
+    without it the flow is integrated (the error is then None).  Raises
+    when the flow cannot be carried to the requested time."""
     T = sigma.eval_float(z[0], z[1])
+    if closed is not None:
+        return closed.shift(z, T, cfg.box)
     traj = integrate_flow(fld, z, T, cfg)
     if traj.status == "blowup":
         raise BlowUpError(f"orbit left the box before time {T}")
     if traj.status == "step_limit":
         raise StepLimitError(f"step budget exhausted before time {T}")
     # "stalled" is benign: a stationary point is fixed by every shift
-    return traj.endpoint()
+    return traj.endpoint(), None
 
 
 def shift_regularity(fld: PlanarPolyField, sigma: BivariatePoly,
@@ -270,41 +280,24 @@ def level_set(f: HomogeneousForm, c: float, window: Rect, res: int = 128,
     lines = fs.linear if fs.l else ()        # no pair certificate without lines
     if c == 0:
         return [seg for lf in lines for seg in _clip_line(lf.line_direction(), window)]
-    x0, y0, x1, y1 = window
-    p, ev, tau = f.degree, f.eval_float, 2 * math.pi
-
-    def point(t: float) -> Optional[Point]:
-        u, v = math.cos(t), math.sin(t)
-        w = ev(u, v)
-        r = (c / w) ** (1 / p) if c * w > 0 else math.inf
-        return (r * u, r * v) if x0 <= r * u <= x1 and y0 <= r * v <= y1 else None
-
-    def edge(out: float, t: float, z: Point) -> Point:
-        # the last point z(t) inside the window, bisecting towards the angle out
-        while (m := (out + t) / 2) not in (out, t):
-            if w := point(m):
-                t, z = m, w
-            else:
-                out = m
-        return z
-
+    point, edge = _radial(f, c, window)
     rays = sorted(a for lf in lines for a in lf.ray_angles())
-    cuts = rays + [rays[0] + tau] if rays else [0.0, tau]
+    cuts = rays + [rays[0] + _TAU] if rays else [0.0, _TAU]
     ts: list[float] = []
     for a, b in zip(cuts, cuts[1:]):
-        n = max(3, round(res * (b - a) / tau))
+        n = max(3, round(res * (b - a) / _TAU))
         ts += [a + (b - a) * j / n for j in range(n)]
     zs = [None if t in rays else point(t) for t in ts]      # r is infinite on a ray
     if all(zs):
         return [zs + zs[:1]]
     k = zs.index(None)                  # sweep from an outside angle round to it
-    ts, zs = ts[k:] + [t + tau for t in ts[:k + 1]], zs[k:] + zs[:k + 1]
+    ts, zs = ts[k:] + [t + _TAU for t in ts[:k + 1]], zs[k:] + zs[:k + 1]
     curves, run = [], []
     for s, t, z in zip(ts, ts[1:], zs[1:]):
         if z:
-            run += [z] if run else [edge(s, t, z), z]
+            run += [z] if run else [edge(s, t, z)[1], z]
         elif run:
-            curves.append(run + [edge(t, s, run[-1])])
+            curves.append(run + [edge(t, s, run[-1])[1]])
             run = []
     return curves
 
@@ -322,16 +315,269 @@ def _clip_line(d: Point, window: Rect) -> list[list[Point]]:
     return [ends] if lo < hi else []
 
 
+def _radial(f: HomogeneousForm, c: float, rect: Optional[Rect]):
+    """The radial graph of {f = c} in rect (None: the plane) as two
+    functions: point(t) is the curve's point at the angle t,
+    r = (c / f(u))^(1/p), or None where it is outside rect or c f(u) <= 0;
+    edge(out, t, z) bisects from the angle t, whose point z is inside,
+    towards the angle out and returns the last angle inside and its point."""
+    x0, y0, x1, y1 = rect or (-math.inf, -math.inf, math.inf, math.inf)
+    p, ev = f.degree, f.eval_float
+
+    def point(t: float) -> Optional[Point]:
+        u, v = math.cos(t), math.sin(t)
+        w = ev(u, v)
+        if c * w <= 0:
+            return None                 # r is infinite
+        r = (c / w) ** (1 / p)
+        return (r * u, r * v) if x0 <= r * u <= x1 and y0 <= r * v <= y1 else None
+
+    def edge(out: float, t: float, z: Point) -> tuple[float, Point]:
+        while (m := (out + t) / 2) not in (out, t) and math.isfinite(m):
+            if w := point(m):
+                t, z = m, w
+            else:
+                out = m
+        return t, z
+
+    return point, edge
+
+
+# ---------------------------------------------------------------------------
+# closed orbits by one quadrature
+
+_FIRST_NODES, _MAX_NODES = 64, 4096     # per turn; g has period pi, so half are evaluated
+_OCTAVE_TOL = 1e-15     # g's last octave of Fourier coefficients, against the mean
+_NOISE_TOL = 1e-12
+_TRIM_TOL = 1e-17       # smaller coefficients are left out of G
+_EPS = 2.0 ** -52
+
+
+class ClosedOrbits:
+    """Time along the closed level curves of a form f without real line
+    factors, read off the angle.
+
+    Along the reduced field X/D the angle turns at dθ/dt = p f / (r² D).
+    On f = c, where r(θ) = (c/f(u))^(1/p), this integrates to
+    t(θ) = sign(c) |c|^((1-m)/p) G(θ)/p with G(θ) = ∫₀^θ g,
+    g = D |f|^(-(2+d)/p), d = deg D and m = p - 1 - d; D > 0 on the circle.
+    f and D are products of definite quadratics, so g is smooth with period
+    pi, the periodic trapezoid rule on ``nodes`` angles per turn gives its
+    Fourier coefficients to rounding, and G is their mean times θ plus the
+    antiderivative of the series.  ``tail`` is the size of the largest
+    coefficient left out.  Built by :func:`closed_orbits`.
+    """
+
+    __slots__ = ("f", "g", "power", "nodes", "mean", "gamma", "offset", "tail")
+
+    def __init__(self, f: HomogeneousForm, g, power: float, nodes: int, mean: float,
+                 gamma: list[complex], tail: float):
+        self.f, self.g, self.power, self.nodes = f, g, power, nodes
+        self.mean, self.gamma, self.tail = mean, gamma, tail
+        self.offset = sum(gamma).real
+
+    def G(self, t: float) -> float:
+        """mean t + Re sum_k gamma_k (e^(2ikt) - 1), gamma_k = g_k / (ik) for
+        g = mean + sum_k 2 Re g_k e^(2ikt)."""
+        w, acc = complex(math.cos(2 * t), math.sin(2 * t)), 0j
+        for gk in reversed(self.gamma):
+            acc = (acc + gk) * w
+        return self.mean * t + acc.real - self.offset
+
+    def _level(self, z: Point) -> tuple[float, float, float, float]:
+        """c = f(z), the sign of time in angle, the time scale, the angle of z."""
+        c = self.f.eval_float(z[0], z[1])
+        scale = abs(c) ** self.power / self.f.degree if c else 0.0
+        return c, math.copysign(1.0, c), scale, math.atan2(z[1], z[0])
+
+    def _angle(self, target: float) -> tuple[float, float, float]:
+        """(t, turns, step): G(t + 2 pi turns) = target with t in [0, 2 pi),
+        by Newton from the linear guess (bisecting where it leaves the
+        bracket), and the G residual of the last step."""
+        turns, rest = divmod(target, _TAU * self.mean)
+        lo, hi, t = 0.0, _TAU, rest / self.mean
+        for _ in range(64):
+            r = self.G(t) - rest
+            if r > 0:
+                hi = t
+            elif r < 0:
+                lo = t
+            else:
+                return t, turns, 0.0
+            gt = self.g(t)
+            new = t - r / gt
+            if not lo < new < hi:
+                new = (lo + hi) / 2
+            step, t = abs(new - t), new
+            if step <= 1e-15:
+                break
+        return t, turns, step * gt
+
+    def _t_err(self, scale: float, span: float, newton: float) -> float:
+        """Time error estimate over a time span: the left-out coefficients
+        (mean and series), the rounding of the turns taken off, and the
+        last Newton step."""
+        return span * (self.tail / self.mean + _EPS) + scale * (2 * self.tail + newton)
+
+    def shift(self, z: Point, T: float, box: Optional[Rect]) -> tuple[Point, float]:
+        """flow(z, T) and its time error estimate; BlowUpError when the arc
+        leaves the box, StepLimitError when floats cannot resolve T."""
+        z = (float(z[0]), float(z[1]))
+        c, sign, scale, t0 = self._level(z)
+        if T == 0 or c == 0:                # no time, or the fixed origin
+            return z, 0.0
+        target = self.G(t0) + sign * T / scale
+        # with a period of error the point could be anywhere on the orbit
+        if not (math.isfinite(target)
+                and self._t_err(scale, abs(T), 0.0) < scale * _TAU * self.mean):
+            raise StepLimitError(f"time {T} is more turns than floats resolve on this orbit")
+        t, turns, newton = self._angle(target)
+        point, edge = _radial(self.f, c, box)
+        sweep = max(-_TAU, min(_TAU, _TAU * turns + t - t0))
+        n = math.ceil(abs(sweep) * self.nodes / _TAU)
+        angles = [t0] + [t0 + sweep * j / n for j in range(1, n)] + [t]
+        pts = [z] + [point(a) for a in angles[1:]]
+        if None in pts:
+            j = pts.index(None)
+            a, _ = edge(angles[j], angles[j - 1], pts[j - 1])
+            raise BlowUpError(f"orbit left the box at time "
+                              f"{sign * scale * (self.G(a) - self.G(t0)):.6g}, before time {T}")
+        return pts[-1], self._t_err(scale, abs(T), newton)
+
+    def orbit(self, z: Point, horizon: float, box: Optional[Rect], res: int,
+              budget: int) -> tuple[tuple[float, ...], tuple[Point, ...], str, float]:
+        """Times, points, status and time error estimate of z's orbit over
+        [-horizon, horizon].  Each way, one turn from z at res angles serves
+        every turn, shifted by the period, and the end at +-horizon is
+        solved for.  A box exit is bisected and ends that way ("blowup"),
+        and so does the budget of samples ("step_limit")."""
+        z = (float(z[0]), float(z[1]))
+        c, sign, scale, t0 = self._level(z)
+        if c == 0 or (box is not None and _outside(z, box)):
+            return (0.0,), (z,), "stalled" if c == 0 else "blowup", 0.0
+        g0, period = self.G(t0), scale * _TAU * self.mean
+        point, edge = _radial(self.f, c, box)
+        legs, newton = [], 0.0
+        for direction in (1, -1):
+            ts, ws, a0, w0 = [], [], t0, z
+            for j in range(1, res):
+                a = t0 + direction * sign * _TAU * j / res
+                if (w := point(a)) is None:
+                    a, w = edge(a, a0, w0)
+                    break
+                ts.append(sign * scale * (self.G(a) - g0))
+                ws.append(w)
+                a0, w0 = a, w
+            else:                           # a whole turn in the box: it repeats
+                ts.append(direction * period)
+                ws.append(z)
+                turns = int(min(budget // res, horizon / period)) + 1
+                ts = [t + direction * q * period for q in range(turns) for t in ts]
+                ws *= turns
+                a = None
+            if a is not None:
+                ts.append(sign * scale * (self.G(a) - g0))
+                ws.append(w)
+            end = next((i for i, t in enumerate(ts) if abs(t) >= horizon), len(ts))
+            status = "ok" if end < len(ts) else "blowup"
+            if end > budget:
+                status, end = "step_limit", budget
+            ts, ws = ts[:end], ws[:end]
+            if status == "ok" and horizon > 0:
+                a, _, step = self._angle(g0 + sign * direction * horizon / scale)
+                if w := point(a):
+                    ts, ws, newton = ts + [direction * horizon], ws + [w], max(newton, step)
+                else:
+                    status = "blowup"
+            legs.append((ts, ws, status))
+        (fts, fws, fst), (bts, bws, bst) = legs
+        times = tuple(bts[::-1]) + (0.0,) + tuple(fts)
+        return (times, tuple(bws[::-1]) + (z,) + tuple(fws), fst if fst != "ok" else bst,
+                self._t_err(scale, max(-times[0], times[-1]), newton))
+
+
+def closed_orbits(f: HomogeneousForm, fs: FactorizationStructure,
+                  d: HomogeneousForm) -> Optional[ClosedOrbits]:
+    """The quadrature table of f's closed orbits, d = common_divisor(f, fs),
+    or None where orbits are integrated step by step: when f has a real
+    line factor, or when g has not resolved by _MAX_NODES nodes or its
+    coefficients stall at the rounding of its values (high powers of a
+    quadratic, whose expanded coefficients cancel).
+
+    The nodes per turn start at _FIRST_NODES and double until the last
+    octave of g's Fourier coefficients falls below _OCTAVE_TOL of their
+    mean; g has period pi, so its values on [0, pi) serve, and a doubling
+    evaluates g at the new nodes only and adds one butterfly stage to the
+    transform it has.  This is
+    the one place that chooses between the quadrature and the
+    integrator."""
+    if fs.l:
+        return None
+    p, dd, ev, dv = f.degree, d.degree, f.eval_float, d.eval_float
+    e = -(2 + dd) / p
+
+    def g(t: float) -> float:
+        u, v = math.cos(t), math.sin(t)
+        return (dv(u, v) if dd else 1.0) * abs(ev(u, v)) ** e
+
+    def nodes(n: int, first: int, step: int) -> list[float]:
+        gw = [g(math.pi * j / n) for j in range(first, n, step)]
+        if not all(map(math.isfinite, gw)):
+            raise OverflowError
+        return gw
+
+    n, last = _FIRST_NODES // 2, math.inf        # nodes in [0, pi)
+    try:
+        spec = _fft(nodes(n, 0, 1), _twiddles(n))
+        while (octave := max(map(abs, spec[n // 4:n // 2 + 1])) / spec[0].real) > _OCTAVE_TOL:
+            # an octave below _NOISE_TOL that did not fall tenfold is the
+            # rounding of g's values, which no N removes
+            if 2 * n == _MAX_NODES or octave < _NOISE_TOL and octave > last / 10:
+                return None
+            last = octave
+            n, tw = 2 * n, _twiddles(2 * n)
+            odd = [w * o for w, o in zip(tw, _fft(nodes(n, 1, 2), tw))]
+            spec = [x + y for x, y in zip(spec, odd)] + [x - y for x, y in zip(spec, odd)]
+    except (OverflowError, ZeroDivisionError):       # f or D beyond floats on the circle
+        return None
+    spec = [a / n for a in spec]
+    mean = spec[0].real
+    keep = [k for k in range(1, n // 4) if abs(spec[k]) > _TRIM_TOL * mean]
+    K = keep[-1] if keep else 0
+    gamma = [-1j * spec[k] / k for k in range(1, K + 1)]
+    tail = 2 * max(map(abs, spec[K + 1:n // 2 + 1]))
+    return ClosedOrbits(f, g, (2 + dd - p) / p, 2 * n, mean, gamma, tail)
+
+
+def _twiddles(n: int) -> list[complex]:
+    return [complex(math.cos(_TAU * k / n), -math.sin(_TAU * k / n)) for k in range(n // 2)]
+
+
+def _fft(a: list, tw: list[complex]) -> list[complex]:
+    """sum_j a_j w^(jk) for k < n = len(a), a power of 2, w = e^(-2 pi i/n),
+    by radix 2; tw is _twiddles(N) for some N >= n."""
+    n = len(a)
+    if n == 1:
+        return a
+    even, odd = _fft(a[0::2], tw), _fft(a[1::2], tw)
+    odd = [w * o for w, o in zip(tw[::2 * len(tw) // n], odd)]
+    return [x + y for x, y in zip(even, odd)] + [x - y for x, y in zip(even, odd)]
+
+
 # ---------------------------------------------------------------------------
 # portraits
 
 class Orbit:
-    __slots__ = ("seed_index", "seed", "times", "points", "status", "f_drift")
+    """One seed's orbit; ``t_err`` estimates the time error of an orbit read
+    off its level curve, and is None for an integrated one."""
+
+    __slots__ = ("seed_index", "seed", "times", "points", "status", "f_drift", "t_err")
 
     def __init__(self, seed_index: int, seed: Point, times: tuple[float, ...],
-                 points: tuple[Point, ...], status: str, f_drift: float):
+                 points: tuple[Point, ...], status: str, f_drift: float,
+                 t_err: Optional[float] = None):
         self.seed_index, self.seed, self.times, self.points = seed_index, seed, times, points
-        self.status, self.f_drift = status, f_drift
+        self.status, self.f_drift, self.t_err = status, f_drift, t_err
 
 
 class Portrait:
@@ -357,9 +603,12 @@ def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
                    fs: Optional[FactorizationStructure] = None) -> Portrait:
     """Reduced-field orbits through the seeds plus their level curves.
 
-    Each seed is integrated forward and backward until the box (default
-    twice the window) is left, the time horizon runs out, or the orbit
-    stalls at the singular point.  The f values of the seeds supply the
+    Each orbit runs forward and backward from its seed until the box
+    (default twice the window) is left, the time horizon runs out, or the
+    orbit stalls at the singular point.  A closed orbit (f without real
+    line factors, see :func:`closed_orbits`) is read off its level curve
+    at about res angles per turn, with cfg.max_steps samples each way at
+    most; any other is integrated.  The f values of the seeds supply the
     level selection, and the f-drift along every orbit is recorded as a
     conservation diagnostic.  ``fs`` is the factorization of f when the
     caller already has it.
@@ -367,23 +616,31 @@ def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
     if not seeds:
         raise ValueError("need at least one seed")
     fs = fs or factor_form(f)
-    fld = reduced_field(f, fs)
+    d = common_divisor(f, fs)
+    fld = reduced_field(f, fs, d)
+    closed = closed_orbits(f, fs, d)
     if cfg.box is None:
         cfg = FlowConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
                          _default_box(window))
     orbits = []
     levels: list[float] = []
     for si, seed in enumerate(seeds):
-        fwd = integrate_flow(fld, seed, horizon, cfg)
-        bwd = integrate_flow(fld, seed, -horizon, cfg)
-        # backward times are already negative; reversing makes one ascending leg
-        times = tuple(reversed(bwd.times)) + fwd.times[1:]
-        pts = tuple(reversed(bwd.points)) + fwd.points[1:]
-        status = fwd.status if fwd.status != "ok" else bwd.status
+        if closed is not None:
+            times, pts, status, t_err = closed.orbit(seed, horizon, cfg.box, res,
+                                                     cfg.max_steps)
+        else:
+            fwd = integrate_flow(fld, seed, horizon, cfg)
+            bwd = integrate_flow(fld, seed, -horizon, cfg)
+            # backward times are already negative; reversing makes one ascending leg
+            times = tuple(reversed(bwd.times)) + fwd.times[1:]
+            pts = tuple(reversed(bwd.points)) + fwd.points[1:]
+            status, t_err = fwd.status if fwd.status != "ok" else bwd.status, None
         f0 = f.eval_float(seed[0], seed[1])
-        drift = max(abs(f.eval_float(x, y) - f0) for x, y in pts) / (1.0 + abs(f0))
+        # a closed orbit repeats its points every turn
+        drift = max(abs(f.eval_float(x, y) - f0) for x, y in set(pts)) / (1.0 + abs(f0))
         orbits.append(Orbit(seed_index=si, seed=(float(seed[0]), float(seed[1])),
-                            times=times, points=pts, status=status, f_drift=drift))
+                            times=times, points=pts, status=status, f_drift=drift,
+                            t_err=t_err))
         levels.append(f0)
     uniq_levels = sorted(set(round(c, 12) for c in levels))
     curves = tuple((c, level_set(f, c, window, res, fs)) for c in uniq_levels)

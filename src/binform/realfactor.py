@@ -285,10 +285,12 @@ class LinearFactor:
         return (1.0, r.refine(Fraction(1e-17) * scale).approx)
 
     def ray_angles(self) -> tuple[float, float]:
-        """Angles of the two antipodal rays of the line, in [0, 2*pi)."""
+        """Angles of the two antipodal rays of the line, in [0, 2*pi): a
+        tiny negative angle plus 2*pi rounds to 2*pi, which is taken as 0."""
         dx, dy = self.line_direction()
-        a = math.atan2(dy, dx) % (2 * math.pi)
-        return (a, (a + math.pi) % (2 * math.pi))
+        tau = 2 * math.pi
+        a = math.atan2(dy, dx) % tau
+        return tuple(b if b < tau else 0.0 for b in (a, (a + math.pi) % tau))
 
 
 class FactorizationStructure:

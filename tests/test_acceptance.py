@@ -337,7 +337,7 @@ def test_criterion_10_orbits_shifts_drift():
                               homogeneous=True, degree=1)
         sigma = BivariatePoly({(0, 0): rng.uniform(-1.5, 1.5)})
         z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        got = shift_map_apply(fld, sigma, z, cfg)
+        got, _ = shift_map_apply(fld, sigma, z, cfg)
         want = shift_linear(Mat2.approx(a, b, c, d), sigma, z)
         assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-6
 

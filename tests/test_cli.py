@@ -7,12 +7,14 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import binform.cli as cli
+import binform.dynamics as dynamics
 import binform.paircert as paircert
 from binform.polyring import float_kernel, gcd_bivariate, partials
 from binform.realfactor import factor_form
@@ -330,6 +332,50 @@ def test_eps_reaches_the_factorization(monkeypatch, capsys, cmd):
     monkeypatch.setenv("BINFORM_PRECISION", "1e-9")
     assert cli.main([cmd, *opts, "(x^2+y^2)*(x-y)^2"]) == 0
     assert [kw.get("eps") for _, kw in factor_calls] == [1e-6, 1e-9]
+
+
+def test_a_closed_orbit_portrait_compiles_the_kernels_of_f_and_d_once(monkeypatch, capsys):
+    """f (7 terms) and its divisor D = x^2 + y^2 (3 terms), each once, and
+    no field kernel: the orbits are read off the level curves."""
+    calls = count_calls(monkeypatch, float_kernel)
+    assert cli.main(["portrait", "--res", "32", "(x^2+y^2)^2*(x^2+2*y^2)"]) == 0
+    assert sorted([len(terms) for terms in args] for args, _ in calls) == [[3], [7]]
+
+
+# Eight distinct definite quadratics, degree 16: at (1.9, 1.9) the level is
+# 8.7e7 and the period of the orbit 3.4e-8, so a Dormand-Prince run spent its
+# whole budget of 10^6 steps and answered StepLimit after 39.5 s.
+_STIFF = ("(x^2+x*y+y^2)*(x^2-x*y+y^2)*(x^2+2*y^2)*(2*x^2+y^2)*(x^2+y^2)"
+          "*(x^2+x*y+2*y^2)*(2*x^2-x*y+y^2)*(3*x^2+2*x*y+2*y^2)")
+
+
+def test_a_stiff_closed_orbit_is_read_off_its_level_curve(tmp_path, monkeypatch, capsys):
+    steps = count_calls(monkeypatch, dynamics.integrate_flow)
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("x,y\n1.9,1.9\n")
+    start = time.perf_counter()
+    assert cli.main(["dynamics", _STIFF, "--sigma", "1", "--seeds", str(seeds)]) == 0
+    assert time.perf_counter() - start < 1
+    (row,) = json.loads(capsys.readouterr().out)["dynamics"]
+    assert "error" not in row and len(row["shift"]) == 2
+    assert row["f_drift"] <= 1e-12 and 0 <= row["t_err"] < 1e-12
+    # 590 million turns in the horizon: each way ends after 10^6 samples
+    assert cli.main(["portrait", "--seeds", str(seeds), _STIFF]) == 0
+    (orbit,) = json.loads(capsys.readouterr().out)["portrait"]["orbits"]
+    assert (orbit["status"], orbit["points"]) == ("step_limit", 2_000_001)
+    assert orbit["f_drift"] <= 1e-12
+    assert steps == []
+
+
+@pytest.mark.parametrize("sigma", ["10^20", "10^308", "-10^308"])
+def test_a_shift_time_that_floats_cannot_resolve_is_a_step_limit(sigma):
+    # on x^2 + y^2 the time error estimate of 10^20 is 2.6 10^4, more than
+    # the period 2 pi; 10^308 / scale overflows the angle's time, 2 10^308
+    r = subprocess.run([sys.executable, "-m", "binform.cli", "dynamics", "x^2+y^2",
+                        f"--sigma={sigma}"], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0
+    (row,) = json.loads(r.stdout)["dynamics"]
+    assert row["error"] == "StepLimit"
 
 
 def test_dynamics_integrates_in_the_box_around_the_window(tmp_path, capsys):

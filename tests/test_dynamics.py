@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from binform.dynamics import (
     FlowConfig,
+    closed_orbits,
     integrate_flow,
     invariant_contraction,
     level_set,
@@ -18,11 +20,12 @@ from binform.dynamics import (
 )
 from binform.errors import BlowUpError
 from binform.exprparse import parse_polynomial, to_homogeneous
-from binform.hamfield import PlanarPolyField, reduced_field
+from binform.hamfield import PlanarPolyField, common_divisor, reduced_field
 from binform.mat2 import Mat2
 from binform.polyring import BivariatePoly, HomogeneousForm, WeightVector
 from binform.realfactor import factor_form
 
+from genforms import random_case_de, random_product
 from oracles import count_calls
 
 
@@ -184,7 +187,7 @@ def test_shift_map_matches_closed_form():
         A = Mat2.approx(a, b, c, d)
         sigma = poly({(0, 0): rng.uniform(-1.5, 1.5)})
         z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        got = shift_map_apply(fld, sigma, z, FlowConfig(box=(-1e6,) * 2 + (1e6,) * 2))
+        got, _ = shift_map_apply(fld, sigma, z, FlowConfig(box=(-1e6,) * 2 + (1e6,) * 2))
         want = shift_linear(A, sigma, z)
         assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-7
 
@@ -197,8 +200,7 @@ def test_shift_map_blowup_raises():
 
 
 def test_shift_map_zero_sigma_is_identity():
-    z = shift_map_apply(ROTATE, ZERO, (0.3, -0.7))
-    assert z == (0.3, -0.7)
+    assert shift_map_apply(ROTATE, ZERO, (0.3, -0.7)) == ((0.3, -0.7), None)
 
 
 def test_shift_regularity_trichotomy():
@@ -368,3 +370,141 @@ def test_portrait_escaping_orbits_flagged():
 def test_portrait_requires_seeds():
     with pytest.raises(ValueError):
         orbit_portrait(HomogeneousForm([1, 0, 1]), [], (-2, -2, 2, 2))
+
+
+# -- closed orbits by quadrature ------------------------------------------------
+
+def _closed(f):
+    fs = factor_form(f)
+    d = common_divisor(f, fs)
+    return reduced_field(f, fs, d), closed_orbits(f, fs, d)
+
+
+def _definite_forms(n_d, n_c):
+    """Case D forms (random_case_de with l = 0) and case C forms (one
+    quadratic power), degree 2 to 16, seed 7, with their reduced fields
+    and tables; only forms whose table resolves count."""
+    rng, out = random.Random(7), []
+    while len(out) < n_d + n_c:
+        s = random_case_de(rng, 16) if len(out) < n_d else random_product(rng, 16)
+        fld, table = _closed(s.form)
+        if s.l == 0 and (len(out) < n_d or s.k == 1) and table is not None:
+            out.append((s.form, fld, table))
+    return out
+
+
+def _seed_of_period_one(f, table, angle):
+    """A point at the angle whose orbit has period about 1, or where the
+    period does not depend on the level (one quadratic), at level +-1."""
+    u = (math.cos(angle), math.sin(angle))
+    c = 1.0 if table.power == 0 else \
+        (f.degree / (2 * math.pi * table.mean)) ** (1 / table.power)
+    r = (c / abs(f.eval_float(*u))) ** (1 / f.degree)
+    return (r * u[0], r * u[1])
+
+
+def test_closed_orbits_agree_with_tight_integration():
+    tight = FlowConfig(rel_tol=1e-13, abs_tol=1e-13, max_step=1e-3)
+    rng = random.Random(23)
+    forms = _definite_forms(8, 3)
+    assert max(f.degree for f, _, _ in forms) >= 12
+    for f, fld, table in forms:
+        z = _seed_of_period_one(f, table, rng.uniform(0, 2 * math.pi))
+        _, _, scale, _ = table._level(z)
+        period = scale * 2 * math.pi * table.mean
+        for T in (0.7 * period, -2.3 * period, 3.6 * period):
+            want = integrate_flow(fld, z, T, tight)
+            assert want.status == "ok"
+            (x, y), t_err = table.shift(z, T, None)
+            assert math.dist((x, y), want.endpoint()) <= 1e-10
+            assert 0 <= t_err < 1e-12
+
+
+def test_closed_orbit_period_of_the_circle_and_an_ellipse():
+    # x^2 + y^2 turns at angular speed 2; the reduced field of x^2 + 4 y^2 is
+    # the linear field (-8y, 2x), of period 2 pi / 4
+    for text, period in (("x^2+y^2", math.pi), ("x^2+4*y^2", math.pi / 2)):
+        fld, table = _closed(_form(text))
+        z = (0.3, -0.2)
+        for turns in (1, -3, 7):
+            (x, y), _ = table.shift(z, turns * period, None)
+            assert math.dist((x, y), z) < 1e-14
+        got = table.shift(z, 0.4, None)[0]
+        want = shift_linear(Mat2.approx(0, -2, 2, 0) if text == "x^2+y^2"
+                            else Mat2.approx(0, -8, 2, 0), poly({(0, 0): 0.4}), z)
+        assert math.dist(got, want) < 1e-14
+
+
+def test_the_route_is_chosen_from_the_lines_and_convergence():
+    assert _closed(_form("x*(x^2+y^2)"))[1] is None               # l = 1
+    assert _closed(_form("x^2+1/10^12*y^2"))[1] is None             # unresolved at 4096
+    fld, table = _closed(_form("(x^2+y^2)*(x^2+2*y^2)"))
+    assert table is not None and table.nodes <= 256
+    sigma = poly({(0, 0): Fraction(1, 3)})
+    z, t_err = shift_map_apply(fld, sigma, (0.5, 0.1), FlowConfig(), table)
+    assert t_err is not None
+    w, t_err = shift_map_apply(fld, sigma, (0.5, 0.1))
+    assert t_err is None and math.dist(z, w) < 1e-8
+
+
+def test_a_closed_orbit_shift_takes_no_step(monkeypatch):
+    steps = count_calls(monkeypatch, integrate_flow)
+    fld, table = _closed(_form("(x^2+y^2)*(x^2+2*y^2)^2"))
+    shift_map_apply(fld, poly({(1, 0): 2}), (0.7, 0.2), FlowConfig(box=(-4, -4, 4, 4)), table)
+    orbit_portrait(_form("(x^2+y^2)*(x^2+2*y^2)^2"), [(0.7, 0.2)], (-2, -2, 2, 2), res=32)
+    assert steps == []
+
+
+def test_a_closed_orbit_that_leaves_the_box():
+    # x^2 + y^2/100 = 1 is (cos t/5, 10 sin t/5) in time t, and y = 4 at t = 2.06;
+    # at t = 30 the point (cos 6, 10 sin 6) is back in the box, the arc is not
+    f = _form("x^2+1/100*y^2")
+    fld, table = _closed(f)
+    box = (-4.0, -4.0, 4.0, 4.0)
+    for T in (2.1, -2.1, 30.0, 10 * math.pi):
+        with pytest.raises(BlowUpError):
+            shift_map_apply(fld, poly({(0, 0): T}), (1.0, 0.0), FlowConfig(box=box), table)
+    z, _ = shift_map_apply(fld, poly({(0, 0): 2}), (1.0, 0.0), FlowConfig(box=box), table)
+    assert math.dist(z, (math.cos(0.4), 10 * math.sin(0.4))) < 1e-14
+    (orb,) = orbit_portrait(f, [(1.0, 0.0)], (-2, -2, 2, 2), res=64).orbits
+    assert orb.status == "blowup"
+    for x, y in (orb.points[0], orb.points[-1]):
+        assert abs(abs(y) - 4) < 1e-12 and abs(x) < 1
+    assert orb.points[0][1] * orb.points[-1][1] < 0
+    assert orb.f_drift < 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.floats(0, 2 * math.pi), st.floats(0.2, 1.5),
+       st.sampled_from([0.5, 3.0, 20.0]), st.sampled_from([16, 33, 128]),
+       st.sampled_from([None, (-4.0, -4.0, 4.0, 4.0), (-1.0, -1.5, 1.5, 1.0)]))
+def test_closed_orbit_properties(seed, angle, radius, horizon, res, box):
+    """Points on the seed's level, ascending times, the seed at t = 0, and
+    the ends at +-horizon unless the orbit left the box or ran out of
+    samples."""
+    rng = random.Random(seed)
+    while (s := random_product(rng, 12)).l or not s.k:
+        pass
+    f = s.form
+    table = _closed(f)[1]
+    if table is None:
+        return
+    z = (radius * math.cos(angle), radius * math.sin(angle))
+    times, pts, status, t_err = table.orbit(z, horizon, box, res, 10_000)
+    c = f.eval_float(*z)
+    p = f.degree
+    for x, y in set(pts):
+        mag = sum(abs(a) * abs(x) ** (p - i) * abs(y) ** i
+                  for i, a in enumerate(f.float_coeffs()))
+        assert abs(f.eval_float(x, y) - c) <= 8 * p * 2.0 ** -52 * mag
+        assert box is None or (x, y) == z or box[0] <= x <= box[2] and box[1] <= y <= box[3]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    i = times.index(0.0)
+    assert pts[i] == z
+    if status == "ok":
+        assert (times[0], times[-1]) == (-horizon, horizon)
+    elif status == "blowup":
+        assert box is not None and -horizon <= times[0] and times[-1] <= horizon
+    else:       # many short turns: each way stops after its budget of samples
+        assert status == "step_limit" and len(times) == 2 * 10_000 + 1
+    assert 0 <= t_err < 1e-9 * (1 + horizon)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -128,3 +129,14 @@ def test_partition_rays_are_sorted():
     rays = desc.zero_set_rays
     assert len(rays) == 6
     assert list(rays) == sorted(rays)
+
+
+def test_ray_angles_stay_below_two_pi():
+    # the lines y = +-10^-100 x: (-10^-100) mod 2 pi rounds to 2 pi, which
+    # used to come back as the ray of the line y = -10^-100 x
+    f = form(1, 0, -10 ** 200)
+    fs = factor_form(f)
+    for lf in fs.linear:
+        assert all(0 <= a < 2 * math.pi for a in lf.ray_angles())
+    rays = partition_description(f, fs).zero_set_rays
+    assert rays == (0.0, 1e-100, math.pi, math.pi)

@@ -62,6 +62,9 @@ _POLY, _CERT, _MAT = "binform.polyring", "binform.paircert", "binform.mat2"
     # a pair 5e-21 i apart certifies only on a later rung
     (["factor", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_CERT, _POLY]),
     (["symmetry", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_MAT, _CERT, _POLY]),
+    # closed orbits need f and its divisor, not the pairs
+    (["portrait", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)", "--res", "16"], 0, [_MAT, _POLY]),
+    (["dynamics", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)", "--sigma", "x"], 0, [_MAT, _POLY]),
     # only --seeds reads a csv file
     (["portrait", "x^2+y^2", "--res", "16", "--seeds", "SEEDS"], 0, [_MAT, _POLY, "csv"]),
 ])
