@@ -12,7 +12,6 @@ arithmetic, all trajectories are floats.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BlowUpError, StepLimitError
@@ -252,7 +251,7 @@ def shift_regularity(fld: PlanarPolyField, sigma: BivariatePoly,
     so the trichotomy is exact.
     """
     lie = sigma.partial_x() * fld.P + sigma.partial_y() * fld.Q
-    gaps = (lie.eval_exact(Fraction(z[0]), Fraction(z[1])) + 1 for z in samples)
+    gaps = (lie.eval_exact(z[0], z[1]) + 1 for z in samples)
     return ["regular" if g > 0 else "degenerate" if g == 0 else "folding" for g in gaps]
 
 
@@ -276,8 +275,7 @@ def level_set(f: HomogeneousForm, c: float, window: Rect, res: int = 128,
     gives the zero lines.  ``fs`` is the factorization of f if known."""
     if res < 16:
         raise ValueError("resolution below 16 is useless")
-    fs = fs or factor_form(f)
-    lines = fs.linear if fs.l else ()        # no pair certificate without lines
+    lines = (fs or factor_form(f)).lines     # no pair certificate
     if c == 0:
         return [seg for lf in lines for seg in _clip_line(lf.line_direction(), window)]
     point, edge = _radial(f, c, window)

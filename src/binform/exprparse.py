@@ -9,17 +9,17 @@ The parser expands as it reads, with no syntax tree in between: each grammar
 rule returns the expansion of the text it consumed as a pair (terms, den), a
 sparse {(i, j): int} map without zero entries over one positive int
 denominator, and a power n takes at most 2*log2(n) + 1 sparse products by
-repeated squaring.  Only the finished expansion becomes an exact
-BivariatePoly, and polyring is imported only then, so a request that does
-not parse never compiles it.  A product or power whose expansion would pass
-the degree cap is reported at its operator as soon as it is read, so such
-an error can come before a grammar error later in the same text.
+repeated squaring.  The finished pair, reduced to lowest terms, is the
+BivariatePoly, with no Fraction built, and polyring is imported only then,
+so a request that does not parse never compiles it.  A product or power
+whose expansion would pass the degree cap is reported at its operator as
+soon as it is read, so such an error can come before a grammar error later
+in the same text.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -30,6 +30,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .polyring import BivariatePoly, HomogeneousForm
 
 # Exponents cap at a level no sane form reaches; the expansion degree cap
@@ -105,7 +107,7 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {val!r}", off)
         from .polyring import BivariatePoly
 
-        return BivariatePoly({m: Fraction(c, den) for m, c in terms.items()})
+        return BivariatePoly._of(terms, den)
 
     def expr(self) -> tuple[dict, int]:
         terms, den = self.term()

@@ -42,8 +42,7 @@ class PlanarPolyField:
         try:
             k = self._kernel
         except AttributeError:
-            k = self._kernel = float_kernel(*([(i, j, c) for (i, j), c in g.terms.items()]
-                                              for g in (self.P, self.Q)))
+            k = self._kernel = float_kernel(self.P.float_terms(), self.Q.float_terms())
         return k(x, y)
 
 
@@ -141,7 +140,7 @@ def partition_description(f: HomogeneousForm,
     """
     rays: tuple[float, ...] = ()
     if fs.l >= 1:
-        rays = tuple(sorted(a for lf in fs.linear for a in lf.ray_angles()))
+        rays = tuple(sorted(a for lf in fs.lines for a in lf.ray_angles()))
         if len(rays) != 2 * fs.l:
             raise InvariantError(f"{len(rays)} zero-set rays for {fs.l} lines")
     label = classify_case(fs)

@@ -5,11 +5,12 @@ A *binary form* of degree p is a homogeneous polynomial in two variables,
     f(x, y) = c_0 x^p + c_1 x^(p-1) y + ... + c_p y^p.
 
 Coefficients are rational and every operation in this module is exact.
-A form is the tuple (c_0, ..., c_p) of its Fraction coefficients, and so
-are the degree 0 constants and the all-zero markers of a vanishing
-derivative: every operation builds its result as one such tuple.  The
-coprime integer vector that decides proportionality is computed only when
-it is asked for.
+A form is a rational ``scale`` times a primitive int tuple ``ints`` and a
+sparse polynomial a dict of int numerators over one ``den``, so products,
+derivatives, gcds and exact quotients run on ints.  Fractions are built
+only at the edge: from the public constructors' arguments, in an exact
+``compose_linear``, and in the rational views (``coefficients``,
+``terms``, ``monomials``).
 
 A univariate polynomial, such as f(1, t), is a sequence of ints, lowest
 degree first.  Yun's algorithm runs over Z, where a division by a
@@ -81,10 +82,9 @@ def convolve(a: Sequence, b: Sequence) -> list:
     """Coefficients of the product of the polynomials with coefficients a
     and b (both listed in the same order); a must be nonempty.
 
-    Any scalars closed under + and * will do: Fractions give the exact
-    product of forms, ints that of integer polynomials such as the
-    square-free layers (primitive integer tuples, from Yun's algorithm
-    over Z), Fraction intervals the enclosure product of ``realfactor``.
+    Any scalars closed under + and * will do: ints give the exact product
+    of forms and of integer polynomials such as the square-free layers,
+    Fraction intervals the enclosure product of ``realfactor``.
     Entries of a that test false (exact zeros) are skipped, and every
     output entry starts from a[0] * 0, so it has the type of the inputs.
     """
@@ -99,15 +99,14 @@ def convolve(a: Sequence, b: Sequence) -> list:
 # ---------------------------------------------------------------------------
 # integer core: univariate polynomials as int sequences, lowest degree first
 
-def _int_coeffs(cs: Sequence[Rat]) -> list[int]:
-    """The coprime integers proportional to the rationals cs, signed so
-    that the last nonzero one is positive.  cs must not be all zero."""
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
+def _primitive(ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(g, ints / g) for g the gcd of ints, signed like their last nonzero
+    entry, so the quotient is primitive with that entry positive; (0, ints)
+    when all are zero."""
     g = math.gcd(*ints)
-    if next(n for n in reversed(ints) if n) < 0:
+    if g and next(n for n in reversed(ints) if n) < 0:
         g = -g
-    return [n // g for n in ints]
+    return g, tuple(n // g for n in ints) if g else tuple(ints)
 
 
 def _trim(a: Sequence[int]) -> list[int]:
@@ -179,9 +178,7 @@ def gcd_univariate(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     """Gcd of two integer polynomials, primitive with positive leading
     coefficient; () when both are zero."""
     a, b = sorted((_trim(u), _trim(v)), key=len, reverse=True)
-    if not b:
-        return tuple(_int_coeffs(a)) if a else ()
-    return tuple(_int_coeffs(remainder_sequence(_int_coeffs(a), _int_coeffs(b))[-1]))
+    return _primitive(remainder_sequence(a, b)[-1] if b else a)[1]
 
 
 def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -196,7 +193,7 @@ def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], in
     u = _trim(u)
     if len(u) < 2:
         raise ValueError("need a polynomial of degree >= 1")
-    u = _int_coeffs(u)
+    u = _primitive(u)[1]
     du = _derivative(u)
     g = gcd_univariate(u, du)
     if len(g) == 1:
@@ -218,12 +215,13 @@ def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], in
 # sparse bivariate polynomials
 
 class BivariatePoly:
-    """Sparse bivariate polynomial: {(i, j): coeff} with i, j the exponents
-    of x and y.  Zero coefficients are never stored.  The first
-    :meth:`eval_float` compiles the terms, in storage order, into a
-    :func:`float_kernel`, so the terms must not change after it."""
+    """Sparse bivariate polynomial: ``nums`` {(i, j): int} of x^i y^j, no
+    zeros stored, over the positive int ``den``, in lowest terms; ``terms``
+    is the map of Fractions.  The first :meth:`eval_float` compiles the
+    terms, in storage order, into a :func:`float_kernel`, so they must not
+    change after it."""
 
-    __slots__ = ("terms", "_kernel")
+    __slots__ = ("nums", "den", "_kernel")
 
     def __init__(self, terms: dict[tuple[int, int], Rat] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -233,68 +231,81 @@ class BivariatePoly:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent in monomial")
                 clean[(int(i), int(j))] = c
-        self.terms = clean
+        self.den = den = math.lcm(*(c.denominator for c in clean.values()))
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+
+    @classmethod
+    def _of(cls, nums: dict[tuple[int, int], int], den: int) -> "BivariatePoly":
+        """nums / den in lowest terms; nums holds no zero and den > 0."""
+        g = math.gcd(den, *nums.values())
+        obj = object.__new__(cls)
+        obj.den = den // g
+        obj.nums = {m: c // g for m, c in nums.items()} if g > 1 else nums
+        return obj
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        return {m: Fraction(c, self.den) for m, c in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
+        return not self.nums
 
     def monomials(self) -> list[tuple[int, int, Fraction]]:
         """Terms sorted by descending x exponent, then descending y."""
-        return [(i, j, self.terms[(i, j)])
-                for i, j in sorted(self.terms, key=lambda m: (-m[0], -m[1]))]
+        return [(i, j, Fraction(self.nums[(i, j)], self.den))
+                for i, j in sorted(self.nums, key=lambda m: (-m[0], -m[1]))]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivariatePoly) and self.terms == other.terms
+        return (isinstance(other, BivariatePoly)
+                and (self.den, self.nums) == (other.den, other.nums))
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
         return f"BivariatePoly({self.terms!r})"
 
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return BivariatePoly(out)
+        out = {m: c * other.den for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            out[m] = out.get(m, 0) + c * self.den
+        return BivariatePoly._of({m: c for m, c in out.items() if c}, self.den * other.den)
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.nums.items():
+            for (i2, j2), c2 in other.nums.items():
                 m = (i1 + i2, j1 + j2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return BivariatePoly(out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return BivariatePoly._of({m: c for m, c in out.items() if c}, self.den * other.den)
 
     def scale(self, s: Rat) -> "BivariatePoly":
         s = Fraction(s)
-        return BivariatePoly({m: c * s for m, c in self.terms.items()})
+        nums = {m: c * s.numerator for m, c in self.nums.items()} if s else {}
+        return BivariatePoly._of(nums, self.den * s.denominator)
 
     def partial_x(self) -> "BivariatePoly":
-        return BivariatePoly({(i - 1, j): c * i
-                              for (i, j), c in self.terms.items() if i > 0})
+        return BivariatePoly._of({(i - 1, j): c * i
+                                  for (i, j), c in self.nums.items() if i > 0}, self.den)
 
     def partial_y(self) -> "BivariatePoly":
-        return BivariatePoly({(i, j - 1): c * j
-                              for (i, j), c in self.terms.items() if j > 0})
+        return BivariatePoly._of({(i, j - 1): c * j
+                                  for (i, j), c in self.nums.items() if j > 0}, self.den)
 
     def eval_exact(self, x: Rat, y: Rat) -> Fraction:
         x, y = Fraction(x), Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
-                   Fraction(0))
+        return sum((c * x**i * y**j for (i, j), c in self.nums.items()), Fraction(0)) / self.den
+
+    def float_terms(self) -> list[tuple[int, int, float]]:
+        """The terms (i, j, c) in storage order, c rounded as float() would."""
+        return [(i, j, c / self.den) for (i, j), c in self.nums.items()]
 
     def eval_float(self, x: float, y: float) -> float:
         try:
             k = self._kernel
         except AttributeError:
-            k = self._kernel = float_kernel([(i, j, c) for (i, j), c in self.terms.items()])
+            k = self._kernel = float_kernel(self.float_terms())
         return k(x, y)
 
     def to_form(self) -> "HomogeneousForm":
@@ -302,14 +313,13 @@ class BivariatePoly:
         monomials mix total degrees."""
         if self.is_zero:
             raise ValueError("zero polynomial has no form degree")
-        degs = {i + j for i, j in self.terms}
+        degs = {i + j for i, j in self.nums}
         if len(degs) != 1:
             raise NotHomogeneousError(tuple(sorted(degs)))
-        p = degs.pop()
-        coeffs = [Fraction(0)] * (p + 1)
-        for (i, j), c in self.terms.items():
-            coeffs[j] = c
-        return HomogeneousForm._of(tuple(coeffs))
+        ints = [0] * (degs.pop() + 1)
+        for (i, j), c in self.nums.items():
+            ints[j] = c
+        return HomogeneousForm._normal(ints, 1, self.den)
 
 
 class WeightVector:
@@ -329,33 +339,40 @@ class WeightVector:
 class HomogeneousForm:
     """Binary form sum(c_i * x^(p-i) * y^i) of degree p >= 1.
 
-    The form is its tuple of p + 1 Fraction coefficients: equality and
-    hashing compare the tuples, so forms that differ by a constant factor
-    are different values, and :meth:`proportional_to` compares their
-    coprime integer vectors instead.  The public constructor rejects the
-    zero form and degree 0; a degree-tagged zero marker (needed for
-    vanishing partial derivatives) and a degree 0 constant are the same
-    kind of tuple, all zeros or of length 1, and the operations below
-    build every result, whichever of the three it is, with :meth:`_of`.
-    The first :meth:`float_coeffs` keeps the coefficients as floats, and
-    the first :meth:`eval_float` compiles them, zeros included, into a
-    :func:`float_kernel`; neither equality nor hashing sees either.
+    c_i = scale * ints[i] for a Fraction ``scale`` and the primitive int
+    tuple ``ints`` whose last nonzero entry is positive: one such pair per
+    coefficient list.  Equality and hashing compare the pairs, so forms
+    that differ by a constant factor are different values;
+    :meth:`proportional_to` compares the tuples alone.  The public
+    constructor rejects the zero form and degree 0, but a degree-tagged
+    zero marker (scale 0, for vanishing partial derivatives) and a degree 0
+    constant (the tuple (1,)) are built by :meth:`_of` like any result.
+    The first :meth:`eval_float` compiles :meth:`float_coeffs`, zeros
+    included, into a :func:`float_kernel`, which equality does not see.
     """
 
-    __slots__ = ("_coeffs", "_floats", "_kernel")
+    __slots__ = ("scale", "ints", "_kernel")
 
     def __new__(cls, coeffs: Sequence[Rat]) -> "HomogeneousForm":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) < 2:
             raise DegreeZeroError("a form needs degree >= 1 (p + 1 coefficients)")
         if not any(cs):
             raise ValueError("the zero form is rejected; use zero_marker")
-        return cls._of(cs)
+        return cls._normal(cs)
 
     @classmethod
-    def _of(cls, cs: tuple[Fraction, ...]) -> "HomogeneousForm":
+    def _normal(cls, cs: Sequence[Rat], num: int = 1, den: int = 1) -> "HomogeneousForm":
+        """The form num/den * cs for any ints or rationals cs."""
+        d = math.lcm(*(c.denominator for c in cs))
+        g, ints = _primitive([c.numerator * (d // c.denominator) for c in cs])
+        return cls._of(Fraction(num * g, den * d), ints)
+
+    @classmethod
+    def _of(cls, scale: Fraction, ints: tuple[int, ...]) -> "HomogeneousForm":
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_coeffs", cs)
+        object.__setattr__(obj, "scale", scale)
+        object.__setattr__(obj, "ints", ints)
         return obj
 
     def __setattr__(self, *a):
@@ -369,59 +386,59 @@ class HomogeneousForm:
         """Zero polynomial tagged with the degree it would have had."""
         if degree < 0:
             raise ValueError("marker degree must be >= 0")
-        return cls._of((Fraction(0),) * (degree + 1))
+        return cls._of(Fraction(0), (0,) * (degree + 1))
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._coeffs)
+        return not self.scale
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x^(p-i) y^i."""
-        return self._coeffs[i]
+        return Fraction(self.ints[i] * self.scale.numerator, self.scale.denominator)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        num, den = self.scale.numerator, self.scale.denominator
+        return tuple(Fraction(n * num, den) for n in self.ints)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HomogeneousForm) and self._coeffs == other._coeffs
+        return (isinstance(other, HomogeneousForm)
+                and (self.scale, self.ints) == (other.scale, other.ints))
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self.scale, self.ints))
 
     def __repr__(self):
         return (f"HomogeneousForm(deg={self.degree}, "
-                f"coeffs={[str(c) for c in self._coeffs]})")
+                f"coeffs={[str(c) for c in self.coefficients()]})")
 
     def proportional_to(self, other: "HomogeneousForm") -> bool:
         """True when the forms differ by a nonzero constant factor."""
-        if self.is_zero or other.is_zero:
-            return False
-        return _int_coeffs(self._coeffs) == _int_coeffs(other._coeffs)
+        return bool(self.scale and other.scale) and self.ints == other.ints
 
     def primitive_part(self) -> "HomogeneousForm":
         """Same zero set, coefficients reduced to the coprime integer vector
         with positive leading (first nonzero) entry."""
         if self.is_zero:
             raise ValueError("zero marker has no primitive part")
-        ints = _int_coeffs(self._coeffs)
-        sign = -1 if next(n for n in ints if n) < 0 else 1
-        return HomogeneousForm._of(tuple(Fraction(sign * n) for n in ints))
+        sign = 1 if next(n for n in self.ints if n) > 0 else -1
+        return HomogeneousForm._of(Fraction(sign), self.ints)
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return HomogeneousForm._of(tuple(convolve(self._coeffs, other._coeffs)))
+        return HomogeneousForm._of(self.scale * other.scale,
+                                   tuple(convolve(self.ints, other.ints)))
 
     def __neg__(self) -> "HomogeneousForm":
-        return self.scale_by(-1)
+        return HomogeneousForm._of(-self.scale, self.ints)
 
     def scale_by(self, s: Rat) -> "HomogeneousForm":
         s = Fraction(s)
         if s == 0:
             raise ValueError("scaling a form to zero")
-        return HomogeneousForm._of(tuple(c * s for c in self._coeffs))
+        return HomogeneousForm._of(self.scale * s, self.ints)
 
     def power(self, n: int) -> "HomogeneousForm":
         if n < 1:
@@ -432,67 +449,54 @@ class HomogeneousForm:
         return out
 
     def eval_exact(self, x: Rat, y: Rat) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        p = self.degree
-        return sum((c * x ** (p - i) * y**i for i, c in enumerate(self._coeffs)),
-                   Fraction(0))
-
-    def _float_tuple(self) -> tuple[float, ...]:
-        try:
-            return self._floats
-        except AttributeError:
-            object.__setattr__(self, "_floats", tuple(map(float, self._coeffs)))
-            return self._floats
+        return self.to_bivariate().eval_exact(x, y)
 
     def eval_float(self, x: float, y: float) -> float:
         try:
             k = self._kernel
         except AttributeError:
             p = self.degree
-            k = float_kernel([(p - i, i, c) for i, c in enumerate(self._coeffs)])
+            k = float_kernel([(p - i, i, c) for i, c in enumerate(self.float_coeffs())])
             object.__setattr__(self, "_kernel", k)
         return k(x, y)
 
     def float_coeffs(self) -> list[float]:
-        return list(self._float_tuple())
+        """Each coefficient rounded to the nearest float, as float() of the
+        Fraction would: int true division rounds correctly."""
+        num, den = self.scale.numerator, self.scale.denominator
+        return [n * num / den for n in self.ints]
 
     def to_bivariate(self) -> BivariatePoly:
-        p = self.degree
-        return BivariatePoly({(p - i, i): c for i, c in enumerate(self._coeffs) if c})
+        p, num = self.degree, self.scale.numerator
+        return BivariatePoly._of({(p - i, i): n * num for i, n in enumerate(self.ints) if n},
+                                 self.scale.denominator)
 
     def x_multiplicity(self) -> int:
         """The power of x that divides f: f = x^m * x^(deg g) * g(y/x)
         with g = f(1, t)."""
-        return self.degree - max(i for i, c in enumerate(self._coeffs) if c)
+        return self.degree - max(i for i, n in enumerate(self.ints) if n)
 
 
 def constant_form(c: Rat) -> HomogeneousForm:
-    """Degree 0 form holding the nonzero constant c.
-
-    The public constructor insists on degree >= 1; constants only arise
-    internally (derivatives of linear forms, gcd cofactors) and this keeps
-    those code paths total.
-    """
+    """Degree 0 form holding the nonzero constant c, as derivatives of
+    linear forms and gcd cofactors are; the public constructor wants p >= 1."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("zero constant")
-    return HomogeneousForm._of((c,))
+    return HomogeneousForm._of(c, (1,))
 
 
 def partials(f: HomogeneousForm) -> tuple[HomogeneousForm, HomogeneousForm]:
-    """Exact partial derivatives (f_x, f_y), each of degree p - 1.
-
-    A vanishing derivative comes back as a zero marker of degree p - 1, so
-    downstream degree bookkeeping stays total.
-    """
+    """Exact partial derivatives (f_x, f_y), each of degree p - 1: a
+    vanishing one is a zero marker, so degree bookkeeping stays total."""
     if f.is_zero:
         raise ValueError("zero marker has no derivatives here")
     p = f.degree
     if p == 0:
         raise DegreeZeroError("constants have no useful partials")
-    cs = f.coefficients()
-    return (HomogeneousForm._of(tuple((p - i) * cs[i] for i in range(p))),
-            HomogeneousForm._of(tuple((i + 1) * cs[i + 1] for i in range(p))))
+    n, num, den = f.ints, f.scale.numerator, f.scale.denominator
+    return (HomogeneousForm._normal([(p - i) * n[i] for i in range(p)], num, den),
+            HomogeneousForm._normal([(i + 1) * n[i + 1] for i in range(p)], num, den))
 
 
 def compose_linear(f: HomogeneousForm, h: Mat2):
@@ -505,7 +509,7 @@ def compose_linear(f: HomogeneousForm, h: Mat2):
     """
     if not h.is_exact:
         return compose_coeffs(f.float_coeffs(), *(float(e) for e in h.entries()))
-    return HomogeneousForm._of(tuple(compose_coeffs(f.coefficients(), *h.entries())))
+    return HomogeneousForm._normal(compose_coeffs(f.coefficients(), *h.entries()))
 
 
 def compose_coeffs(cs, a, b, c, d) -> list:
@@ -550,13 +554,9 @@ def gcd_bivariate(u: HomogeneousForm, v: HomogeneousForm) -> HomogeneousForm:
     """
     if u.is_zero and v.is_zero:
         raise ValueError("gcd of two zero markers")
-    if u.is_zero:
-        return v.primitive_part()
-    if v.is_zero:
-        return u.primitive_part()
-    g = gcd_univariate(_int_coeffs(u._coeffs), _int_coeffs(v._coeffs))
-    xm = min(u.x_multiplicity(), v.x_multiplicity())
-    return HomogeneousForm._of(g + (0,) * xm).primitive_part()
+    g = gcd_univariate(u.ints, v.ints)
+    xm = min(f.x_multiplicity() for f in (u, v) if not f.is_zero)
+    return HomogeneousForm._of(Fraction(1), g + (0,) * xm).primitive_part()
 
 
 def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
@@ -570,11 +570,9 @@ def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
     xm = u.x_multiplicity() - d.x_multiplicity()
     if xm < 0:
         raise ValueError("division is not exact (power of x)")
-    a, b = _trim(_int_coeffs(u._coeffs)), _trim(_int_coeffs(d._coeffs))
-    # the ratio of the contents, u = cu * a(t) and d = cd * b(t)
-    s = u._coeffs[len(a) - 1] / a[-1] * b[-1] / d._coeffs[len(b) - 1]
-    q = _div_exact(a, b)
-    return HomogeneousForm._of(tuple(s * c for c in q) + (Fraction(0),) * xm)
+    # a quotient of primitive tuples with positive leading entries is one
+    q = _div_exact(_trim(u.ints), _trim(d.ints))
+    return HomogeneousForm._of(u.scale / d.scale, tuple(q) + (0,) * xm)
 
 
 def euler_check(f: HomogeneousForm) -> bool:
@@ -587,9 +585,7 @@ def euler_check(f: HomogeneousForm) -> bool:
 
 def quasi_homogeneous_check(g: BivariatePoly, w: WeightVector) -> bool:
     """True when every monomial x^i y^j of g satisfies i*s1 + j*s2 = d."""
-    if g.is_zero:
-        return True
-    return all(i * w.s1 + j * w.s2 == w.d for i, j in g.terms)
+    return all(i * w.s1 + j * w.s2 == w.d for i, j in g.nums)
 
 
 def jet_order(f: HomogeneousForm, z: tuple[Rat, Rat]) -> int:
@@ -604,8 +600,7 @@ def jet_order(f: HomogeneousForm, z: tuple[Rat, Rat]) -> int:
     z1, z2 = Fraction(z[0]), Fraction(z[1])
     p = f.degree
     shifted: dict[tuple[int, int], Fraction] = {}
-    for i in range(p + 1):
-        ci = f.coefficient(i)
+    for i, ci in enumerate(f.ints):   # the scale does not move the order
         if not ci:
             continue
         m, n = p - i, i

@@ -44,7 +44,7 @@ from .polyring import (
     HomogeneousForm,
     _derivative,
     _div_exact,
-    _int_coeffs,
+    _primitive,
     _trim,
     convolve,
     remainder_sequence,
@@ -183,7 +183,7 @@ def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
         return []
     chain = remainder_sequence(w, _derivative(w))
     if len(chain[-1]) > 1:      # u is not squarefree
-        w = _div_exact(w, _int_coeffs(chain[-1]))
+        w = _div_exact(w, _primitive(chain[-1])[1])
     wq = tuple(w)
     # Cauchy bound 1 + max |c_i| / |lc|, strict, so neither -B nor B is a root
     bound = Fraction(abs(w[-1]) + max(abs(c) for c in w[:-1]), abs(w[-1]))
@@ -227,10 +227,6 @@ class QuadraticFactor:
             raise NotRefinedError("cannot certify b^2 - 4c < 0 at this width")
         self.b_lo, self.b_hi, self.c_lo, self.c_hi = b_lo, b_hi, c_lo, c_hi
         self.beta, self.mu, self.nu = beta, mu, nu
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(1)
 
     @property
     def b_mid(self) -> Fraction:
@@ -302,7 +298,7 @@ class FactorizationStructure:
     lines and (deg w - len(roots))/2 definite quadratics of multiplicity m,
     which fixes ``l``, ``k``, ``line_mults`` and ``quad_mults`` (sorted).
     ``linear`` and ``quadratic`` are certified from the layers at width
-    ``eps`` when first read.
+    ``eps`` when first read, and ``lines`` are the lines alone.
     """
 
     def __init__(self, form: HomogeneousForm, sign: int, layers: Sequence, eps: float):
@@ -333,24 +329,32 @@ class FactorizationStructure:
         return self._enclosures[1]
 
     @cached_property
+    def lines(self) -> tuple[LinearFactor, ...]:
+        """``linear`` without the disjointness check, which needs the pair
+        certificate: the lines, roots refined to eps, the axis first."""
+        x_mult = self.form.x_multiplicity()
+        linear = [LinearFactor(None, x_mult)] if x_mult else []
+        linear += [LinearFactor(r.refine(self.eps), m)
+                   for _, m, roots in self.layers for r in roots]
+        linear.sort(key=lambda lf: (not lf.is_axis, lf.root.approx if lf.root else 0.0))
+        return tuple(linear)
+
+    @cached_property
     def _enclosures(self) -> tuple[tuple[LinearFactor, ...], tuple[QuadraticFactor, ...]]:
         """Lines refined to eps and certified pairs, sorted (the axis first),
         certified again at eps/16 until pairwise disjoint."""
-        eps, x_mult = self.eps, self.form.x_multiplicity()
+        fs = self
         for _ in range(41):
-            linear = [LinearFactor(None, x_mult)] if x_mult else []
             quadratic: list[QuadraticFactor] = []
-            for w, m, roots in self.layers:
-                linear += [LinearFactor(r.refine(eps), m) for r in roots]
+            for w, m, roots in fs.layers:
                 if len(w) - 1 > len(roots):
                     from .paircert import _certify_pairs
 
-                    quadratic += _certify_pairs(w, roots, m, eps)
-            linear.sort(key=lambda lf: (not lf.is_axis, lf.root.approx if lf.root else 0.0))
+                    quadratic += _certify_pairs(w, roots, m, fs.eps)
             quadratic.sort(key=lambda qf: (qf.mu, qf.nu))
-            if _disjoint(linear, quadratic):
-                return tuple(linear), tuple(quadratic)
-            eps /= 16
+            if _disjoint(fs.lines, quadratic):
+                return fs.lines, tuple(quadratic)
+            fs = FactorizationStructure(fs.form, fs.sign, fs.layers, fs.eps / 16)
         raise NotRefinedError("could not separate factor enclosures")
 
     def reconstruction_gap(self) -> float:
@@ -377,7 +381,7 @@ class FactorizationStructure:
         p = self.form.degree
         if len(prod) != p + 1:
             raise InvariantError(f"factor product has degree {len(prod) - 1}, form has {p}")
-        cs = self.form.coefficients()
+        cs = self.form.ints      # f over its scale: the relative gap is the same
         imax = max(range(p + 1), key=lambda i: abs(cs[i]))
         lo, hi = prod[imax]
         if lo <= 0 <= hi:
@@ -408,12 +412,10 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
     if f.degree < 1:
         raise ValueError("cannot factor a constant")
     x_mult = f.x_multiplicity()     # f = x^x_mult * x^(deg g) * g(y/x)
-    cs = f.coefficients()           # g = f(1, t) has the coefficients cs
-    sign = 1 if cs[f.degree - x_mult] > 0 else -1
+    # g = f(1, t) is f.scale times f.ints, whose leading entry is positive
     layers = [] if x_mult == f.degree else [
-        (w, m, isolate_real_roots(w))
-        for w, m in squarefree_decomposition(_int_coeffs(cs))]
-    return FactorizationStructure(f, sign, layers=layers, eps=eps)
+        (w, m, isolate_real_roots(w)) for w, m in squarefree_decomposition(f.ints)]
+    return FactorizationStructure(f, 1 if f.scale > 0 else -1, layers=layers, eps=eps)
 
 
 def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:

@@ -58,6 +58,8 @@ _POLY, _CERT, _MAT = "binform.polyring", "binform.paircert", "binform.mat2"
     (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_MAT, _CERT, _POLY]),
     (["symmetry", "x^2+2*y^2"], 0, [_MAT, _CERT, _POLY]),
     (["portrait", "x^2+y^2", "--res", "16"], 0, [_MAT, _POLY]),
+    # the level curves of a form with lines need its lines, not its pairs
+    (["portrait", "(x-y)*(x^2+y^2)", "--res", "16"], 0, [_MAT, _POLY]),
     (["dynamics", "x^2+y^2", "--sigma", "x"], 0, [_MAT, _POLY]),
     # a pair 5e-21 i apart certifies only on a later rung
     (["factor", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_CERT, _POLY]),

@@ -1,6 +1,7 @@
 """tools/output_digests.py is the byte-identity check between two checkouts,
 so its own output must be a function of the code alone: one line per
-``bench.corpus`` request, the same under any string hash seed."""
+``bench.corpus`` request or parser text, the same under any string hash
+seed."""
 
 import os
 import re
@@ -11,10 +12,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _start(hash_seed: str) -> subprocess.Popen:
+def _start(hash_seed: str, workloads: str = "cli,exact") -> subprocess.Popen:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     return subprocess.Popen([sys.executable, str(ROOT / "tools" / "output_digests.py"),
-                             "--workloads", "cli,exact", "--seeds", "1"],
+                             "--workloads", workloads, "--seeds", "1"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, env=env)
 
@@ -35,5 +36,19 @@ def test_digests_cover_the_corpus_and_ignore_the_hash_seed():
            for req in corpus.requests(w, 1, "out")]
     rows = [line.split(" ") for line in outs[0].splitlines()]
     assert [row[0] for row in rows] == ids
+    assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
+    assert outs[0] == outs[1]
+
+
+def test_parse_digests_cover_every_text_and_ignore_the_hash_seed():
+    runs = [_start(seed, "parse") for seed in ("0", "4242")]
+    outs = []
+    for p in runs:
+        out, err = p.communicate(timeout=300)
+        assert p.returncode == 0, err[-2000:]
+        outs.append(out)
+    rows = [line.split(" ") for line in outs[0].splitlines()]
+    assert [row[0] for row in rows] == [f"parse/{i}" for i in range(len(rows))]
+    assert len(rows) > 30000 and len({row[1] for row in rows}) > len(rows) // 5
     assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
     assert outs[0] == outs[1]

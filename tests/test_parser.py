@@ -62,6 +62,14 @@ def test_rational_literals():
     assert parse_polynomial("1/2*x").terms == {(1, 0): F(1, 2)}
     assert parse_polynomial("0.25*y^2").terms == {(0, 2): F(1, 4)}
     assert parse_polynomial("7").terms == {(0, 0): F(7)}
+    # unreduced literals: the sum is stored over its least denominator
+    p = parse_polynomial("2/4*x+3/6*y")
+    assert p.terms == {(1, 0): F(1, 2), (0, 1): F(1, 2)}
+    assert (p.nums, p.den) == ({(1, 0): 1, (0, 1): 1}, 2)
+    p = parse_polynomial("6/4*x^2 - 0.250*y^2 + 4/8*x*y")
+    assert p.terms == {(2, 0): F(3, 2), (0, 2): F(-1, 4), (1, 1): F(1, 2)} and p.den == 4
+    assert canonical_text(to_homogeneous(p)) == "3/2*x^2 + 1/2*x*y - 1/4*y^2"
+    assert parse_polynomial("10/5*x").den == parse_polynomial("0/7 + x").den == 1
 
 
 def test_negative_exponent_offset():

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from binform.errors import NotHomogeneousError
+from binform.exprparse import canonical_text, parse_polynomial
 from binform.hamfield import PlanarPolyField
 from binform.mat2 import Mat2
 from binform.polyring import (
@@ -98,6 +99,25 @@ def test_bivariate_expansion():
     assert sq.terms == {(2, 0): F(1), (1, 1): F(2), (0, 2): F(1)}
     assert sq.eval_exact(F(1, 2), F(1, 2)) == 1
     assert sq.partial_x().terms == {(1, 0): F(2), (0, 1): F(2)}
+
+
+def test_equal_bivariate_polys_are_stored_alike():
+    """nums / den in lowest terms is one pair per polynomial, however it was
+    built: by the parser, +, *, scale, the partials or a form."""
+    half_sum = BivariatePoly({(1, 0): F(1, 2), (0, 1): F(1, 2)})
+    built = [parse_polynomial(t)
+             for t in ("2/4*x+3/6*y", "(x+y)*1/2", "0.5*x+0.50*y", "(2*x+2*y)*1/4")]
+    x, y = BivariatePoly({(1, 0): 3}), BivariatePoly({(0, 1): F(6, 4)})
+    built += [x.scale(F(1, 6)) + y.scale(F(1, 3)),
+              (x + y.scale(2)) * BivariatePoly({(0, 0): F(1, 6)}),
+              parse_polynomial("x^2*1/4 + x*y*2/4").partial_x(),
+              HomogeneousForm([F(3, 6), F(2, 4)]).to_bivariate()]
+    for p in built:
+        assert p == half_sum and hash(p) == hash(half_sum)
+        assert (p.nums, p.den) == ({(1, 0): 1, (0, 1): 1}, 2)
+        assert p.terms == half_sum.terms and canonical_text(p) == "1/2*x + 1/2*y"
+    zero = parse_polynomial("x - x")
+    assert zero == BivariatePoly({}) == x.scale(0) and (zero.nums, zero.den) == ({}, 1)
 
 
 def test_form_coefficient_layout():
@@ -221,22 +241,35 @@ def test_zero_marker_behaviour():
 
 
 def test_coefficient_storage_agrees_with_the_old_normalization():
-    """Forms store their coefficients; equality, hashing, proportionality and
-    the primitive part must behave as they did over the (sign, scale, prim)
-    triple, on random products, their rescalings, zero markers and
+    """Forms store a scale and a primitive int tuple; equality, hashing,
+    proportionality and the primitive part must behave as they did over the
+    (sign, scale, prim) triple, on random products, their rescalings, forms
+    built from rationals with a common factor or denominator, round trips
+    through BivariatePoly, partials, exact quotients, zero markers and
     constants."""
     rng = random.Random(73)
     forms = []
     for _ in range(30):
         f = random_product(rng).form
         s = F(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
-        forms += [f, f.scale_by(s), -f, HomogeneousForm(list(f.coefficients()))]
+        forms += [f, f.scale_by(s), -f, HomogeneousForm(list(f.coefficients())),
+                  f.scale_by(s).to_bivariate().to_form(), *partials(f.scale_by(s)),
+                  divide_exact(f.scale_by(s) * HomogeneousForm([s, -2]), f)]
+    forms += [HomogeneousForm(cs) for cs in ([F(2, 4), 0, F(-6, 8)], [4, -6, 8],
+                                             [F(3, 9), F(6, 9), 0], [0, F(-10, 4)],
+                                             [F(-2, 6), F(4, 6)])]
     forms += [HomogeneousForm.zero_marker(d) for d in (0, 1, 1, 3)]
     forms += [constant_form(F(c, 3)) for c in (-3, -1, 1, 2, 2)]
+    forms += partials(HomogeneousForm([F(4, 6), 0, 0]))       # f_y is a zero marker
     old = [old_normal_form(f.coefficients()) for f in forms]
     for f, (deg, _, scale, prim) in zip(forms, old):
         assert f.degree == deg and f.is_zero == (scale == 0)
-        if not f.is_zero:
+        assert f.coefficients() == tuple(f.scale * n for n in f.ints)
+        assert f.float_coeffs() == [float(c) for c in f.coefficients()]
+        if f.is_zero:
+            assert f.ints == (0,) * (deg + 1)
+        else:
+            assert math.gcd(*f.ints) == 1 and next(n for n in reversed(f.ints) if n) > 0
             assert f.primitive_part().coefficients() == prim
     for f, nf in zip(forms, old):
         for g, ng in zip(forms, old):

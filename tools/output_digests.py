@@ -7,7 +7,16 @@ Builds the requests of ``bench.corpus`` for every workload and seed, runs
 each one through ``binform.cli.main`` in this process (with --cold, in a
 fresh ``python -m binform.cli`` process instead) and prints one line
 ``workload/seed/id sha256`` per request.  The hash covers the exit code,
-stdout, stderr and every file the request wrote.  --root names the
+stdout, stderr and every file the request wrote.
+
+The workload name ``parse`` checks the parser alone, in this process and
+whatever --seeds says: one line ``parse/i sha256`` for the i-th of the
+distinct request texts (forms and --sigma values) of the three workloads
+on seeds 1-6, fixed edge cases and seeded random strings: expressions,
+half of them with one character changed, and strings over the parser's
+alphabet.  The hash covers the parsed terms and the
+``canonical_text`` of the parse and of its form, or the kind, message and
+offset of the error.  --root names the
 checkout whose ``src`` and ``bench`` are used (default: the one holding
 this script), so that
 
@@ -26,11 +35,23 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
 
 _HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_EDGE_TEXTS = [
+    "", " ", "x", "y", "0", "7", "0*x", "x-x", "0/7", "1/0", "1/0*x", "2/4*x+3/6*y",
+    "0.25*y^2", "0.50*x-1.000*y", "1.", ".5", "1.5.2", "x^-1", "x^2 - y^-1", "x^", "^2",
+    "xy", "2x", "x**2", "x^2^3", "2^3^2*x", "x^(2)", "x^((3))", "x^(-2)", "(x", "x)",
+    "()", "--x", "-(-x)^3", "+x", "x+", "x # y", "\tx\n", "\u00e9", "x^512", "x^513",
+    "x^2^9", "x^2^10", "x^512*x^512*x^512", "x^512*x^512*x^512*x", "(x-y)^512",
+    "x^512*y^512*(x-y)^512", "1" * 4300 + "*x", "1" * 4301 + "*x",
+    "1/" + "1" * 4300 + "*x", "x^" + "9" * 5000, "x^2+y", "x*y - y*x",
+]
+_ALPHABET = "xy0123456789./+-*^() "
 
 
 def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -72,6 +93,52 @@ def _take_written(inputs: set[str]) -> dict[str, bytes]:
     return written
 
 
+def _parse_texts(corpus) -> list[str]:
+    texts = []
+    for workload in ("cli", "exact", "geometry"):
+        for seed in range(1, 7):
+            for req in corpus.requests(workload, seed, "out"):
+                argv = req["argv"]
+                texts += [argv[-1]] + [v for k, v in zip(argv, argv[1:]) if k == "--sigma"]
+    rng = random.Random(19)
+    texts += _EDGE_TEXTS + [_random_text(rng) for _ in range(40000)]
+    texts += ["".join(rng.choices(_ALPHABET, k=rng.randint(1, 16))) for _ in range(20000)]
+    return list(dict.fromkeys(texts))
+
+
+def _random_text(rng: random.Random, depth: int = 0) -> str:
+    """A random expression; at the top, in half the cases, with one
+    character replaced by one of the parser's alphabet, dropped or added,
+    so that errors come at every offset."""
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        text = rng.choice(["x", "y", "0", str(rng.randint(1, 12)), "3/6", "0.25", "2.50"])
+    elif r < 0.75:
+        op = rng.choice(["+", "-", "*", " - ", " * "])
+        text = _random_text(rng, depth + 1) + op + _random_text(rng, depth + 1)
+    elif r < 0.9:
+        text = f"({_random_text(rng, depth + 1)})^{rng.randint(0, 3)}"
+    else:
+        text = "-" + _random_text(rng, depth + 1)
+    if depth == 0 and rng.random() < 0.5:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(["", rng.choice(_ALPHABET)]) + text[i + rng.randint(0, 1):]
+    return text
+
+
+def _parse_digest(text: str) -> str:
+    from binform.exprparse import canonical_text, parse_polynomial, to_homogeneous
+
+    parts = []
+    try:
+        p = parse_polynomial(text)
+        parts += [repr(sorted(p.terms.items())), canonical_text(p)]
+        parts.append(canonical_text(to_homogeneous(p)))
+    except Exception as e:
+        parts.append(f"{type(e).__name__}: {e} @ {getattr(e, 'offset', None)}")
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=_HERE, help="checkout holding src/ and bench/")
@@ -88,6 +155,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for workload in args.workloads.split(","):
+            if workload == "parse":
+                for i, text in enumerate(_parse_texts(corpus)):
+                    print(f"parse/{i} {_parse_digest(text)}", flush=True)
+                continue
             for seed in (int(s) for s in args.seeds.split(",")):
                 for req in corpus.requests(workload, seed, "out"):
                     for path, text in req["files"].items():
