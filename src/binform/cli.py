@@ -35,38 +35,49 @@ _DEFAULT_WINDOW = (-2.0, -2.0, 2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# JSON with pinned float formatting
+# JSON with pinned float formatting.  A string is escaped by one translate
+# table: " and \ get a backslash, code points below 0x20 become \u00XX, and
+# everything else is copied as is.  A value is encoded by the function for
+# its exact type, or for a subclass by that of the type it derives from.
+
+_ESCAPES = {c: "\\u%04x" % c for c in range(0x20)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\"})
+
+
+def _json_float(value: float) -> str:
+    if not math.isfinite(value):
+        return '"%s"' % repr(value)
+    return format(value, ".17g")
+
+
+def _json_dict(value: dict) -> str:
+    return "{" + ", ".join(f"{_json(str(k))}: {_json(v)}" for k, v in value.items()) + "}"
+
+
+def _json_list(value) -> str:
+    return "[" + ", ".join(_json(v) for v in value) + "]"
+
+
+_ENCODERS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: _json_float,
+    str: lambda value: '"' + value.translate(_ESCAPES) + '"',
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+}
+
 
 def _json(value: Any) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return '"%s"' % repr(value)
-        return format(value, ".17g")
-    if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{_json(str(k))}: {_json(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    encode = _ENCODERS.get(type(value))
+    if encode is None:      # a subclass: the first type above it derives from
+        base = next((t for t in _ENCODERS if isinstance(value, t)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+        encode = _ENCODERS[base]
+    return encode(value)
 
 
 def _mat_json(m) -> list:

@@ -117,7 +117,12 @@ def _approximate(w, real_roots, k: int, start) -> list[tuple[int, int]]:
     Gaussian integers on its grid, with the real roots refined to 2^-k held
     fixed as repellers.  It starts from ``start``, the previous rung's
     points, or from ``_circle`` when there are none, and stops when no step
-    exceeds 2^-(k/2) of its point."""
+    exceeds 2^-(k/2) of its point, or after 100 sweeps.  A sweep whose
+    largest step is no smaller than the one before it has stalled: two
+    points that reached a cluster of two roots on the line bisecting it
+    stay on that line, where the iteration has no attracting root.  The
+    next sweep then turns every step by a quarter (i times the step),
+    which takes them off the line."""
     if start is None:
         p = [float(c) for c in reversed(w)]     # highest degree first
         for r in real_roots:
@@ -136,8 +141,9 @@ def _approximate(w, real_roots, k: int, start) -> list[tuple[int, int]]:
         log_r = math.log(abs(w[0] or w[1]) << k * len(xs)) - math.log(abs(w[-1]) * math.prod(xs))
         zs = _grid_points(_circle(m, math.exp(log_r / m)), k)
     dw, k2 = _derivative(w), 2 * k
+    last, turn = None, False       # the previous sweep's largest |step|^2
     for _ in range(100):
-        done = True
+        done, big = True, 0
         for i, (a, b) in enumerate(zs):
             sr = si = 0         # S = 4^k times the sum of 1/(Z_i - Z_j), per term floored
             for c, d in zs[:i] + zs[i + 1:] + fixed:
@@ -149,10 +155,16 @@ def _approximate(w, real_roots, k: int, start) -> list[tuple[int, int]]:
             # the step W/(D - W S/4^k), in grid steps
             sa, sb = _gauss_div(wr << k2, wi << k2,
                                 (dr << k2) - wr * sr + wi * si, (di << k2) - wr * si - wi * sr)
+            if turn:
+                sa, sb = -sb, sa
             zs[i] = (a - sa, b - sb)
-            done = done and (sa * sa + sb * sb) << k <= a * a + b * b
+            s2 = sa * sa + sb * sb
+            done = done and s2 << k <= a * a + b * b
+            big = max(big, s2)
         if done:
             break
+        turn = last is not None and big >= last
+        last = None if turn else big
     return zs
 
 

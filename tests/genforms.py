@@ -15,6 +15,11 @@ from binform.polyring import HomogeneousForm
 
 _DENOMS = (1, 2, 3)
 
+# The benchmark's exact form f27 on seed 9 (bench/corpus.py), degree 16:
+# four linear and three squared quadratic factors, in parentheses.
+F27 = ("2*(y + 5*x)*(y + 2*x)*(y + 6*x)*(y - x)*(x^2 - 2/3*x*y + 28/9*y^2)^2"
+       "*(x^2 + x*y + 19/4*y^2)^2*(x^2 + 3*x*y + 17/4*y^2)^2")
+
 
 @dataclass(frozen=True)
 class SampleForm:

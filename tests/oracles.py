@@ -112,6 +112,59 @@ def count_calls(monkeypatch, original):
     return calls
 
 
+def count_fractions(monkeypatch):
+    """Record the arguments of every Fraction built from now on."""
+    made = []
+    original = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    return made
+
+
+# ---------------------------------------------------------------------------
+# canonical printing over Fractions, the reference for exprparse's printer
+# from the ints
+
+def _coeff_text(c):
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _monomial_text(i, j, c):
+    parts = []
+    if abs(c) != 1 or (i, j) == (0, 0):
+        parts.append(_coeff_text(abs(c)))
+    for sym, e in (("x", i), ("y", j)):
+        if e == 1:
+            parts.append(sym)
+        elif e >= 2:
+            parts.append(f"{sym}^{e}")
+    return "*".join(parts)
+
+
+def canonical_text_reference(p):
+    """Monomials by descending x-exponent then descending y-exponent, each
+    coefficient a Fraction, explicit *, ^ only from exponent 2 up."""
+    if isinstance(p, HomogeneousForm):
+        deg = p.degree
+        mons = [(deg - j, j, c) for j, c in enumerate(p.coefficients()) if c]
+    else:
+        mons = p.monomials()
+    if not mons:
+        return "0"
+    out = []
+    for i, j, c in mons:
+        txt = _monomial_text(i, j, c)
+        if not out:
+            out.append(txt if c > 0 else f"-{txt}")
+        else:
+            out.append(f" + {txt}" if c > 0 else f" - {txt}")
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # real-root isolation over Fraction: Sturm chains and bisection on rational
 # coefficient rows (lowest degree first), the reference for the integer core

@@ -16,10 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import binform.cli as cli
 import binform.dynamics as dynamics
 import binform.paircert as paircert
+from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.polyring import float_kernel, gcd_bivariate, partials
 from binform.realfactor import factor_form
 
-from oracles import count_calls
+from genforms import F27
+from oracles import count_calls, count_fractions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -285,6 +287,78 @@ def test_json_round_trips_through_stdlib():
         r = run_cli(cmd, expr)
         assert r.returncode == 0
         json.loads(r.stdout)
+
+
+def _json_reference(value):
+    """The encoder with each string escaped one character at a time."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return '"%s"' % repr(value)
+        return format(value, ".17g")
+    if isinstance(value, str):
+        out = ['"']
+        for ch in value:
+            if ch in '"\\':
+                out.append("\\" + ch)
+            elif ord(ch) < 0x20:
+                out.append("\\u%04x" % ord(ch))
+            else:
+                out.append(ch)
+        out.append('"')
+        return "".join(out)
+    if isinstance(value, dict):
+        inner = ", ".join(f"{_json_reference(str(k))}: {_json_reference(v)}"
+                          for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json_reference(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+def test_json_bytes_are_those_of_the_per_character_escape():
+    chars = "".join(map(chr, range(0x80))) + "\u00e9\u2028\U0001d465"
+    value = {chars: [chars, True, False, None, 7, -2.5, 0.1, 1e100,
+                     math.nan, math.inf, -math.inf, ("a", [])],
+             "subclasses": [_Str('a"b\\c\n'), _Int(12), _Float(0.1), _Float(-math.inf)],
+             3: {}}
+    text = cli._json(value)
+    assert text == _json_reference(value)
+    back = json.loads(text)
+    assert list(back) == [chars, "subclasses", "3"]
+    assert back[chars] == [chars, True, False, None, 7, -2.5, 0.1, 1e100,
+                           "nan", "inf", "-inf", ["a", []]]
+    assert back["subclasses"] == ['a"b\\c\n', 12, 0.1, "-inf"]
+    with pytest.raises(TypeError, match="^cannot serialize set$"):
+        cli._json([{1}])
+
+
+def test_json_of_a_hamiltonian_payload_builds_no_fraction(monkeypatch):
+    f = to_homogeneous(parse_polynomial(F27))
+    payload = cli._cmd_hamiltonian(f, factor_form(f), F27, None)
+    made = count_fractions(monkeypatch)
+    text = cli._json(payload)
+    assert made == []
+    assert json.loads(text)["hamiltonian"]["deg_hFld"] == payload["hamiltonian"]["deg_hFld"]
 
 
 def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, capsys):

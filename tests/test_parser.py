@@ -27,10 +27,12 @@ from binform.exprparse import (
     parse_polynomial,
     to_homogeneous,
 )
-from binform.polyring import HomogeneousForm
+from binform.hamfield import common_divisor, hamiltonian_field
+from binform.polyring import BivariatePoly, HomogeneousForm
+from binform.realfactor import factor_form
 
-from genforms import random_product
-from oracles import count_calls
+from genforms import F27, random_product
+from oracles import canonical_text_reference, count_calls, count_fractions
 
 F = Fraction
 
@@ -277,6 +279,16 @@ def test_parse_matches_sympy_expand(text):
     assert parse_polynomial(text).terms == _sympy_terms(text)
 
 
+# products and powers of numbers, x and y, which the parser multiplies as
+# one scalar monomial; the last is 0, since a zero monomial has degree -1
+@pytest.mark.parametrize("text", [
+    "-x^2", "-2^2*x", "x*-y", "2*3*x", "x*y*x", "1/2*2/3*x", "0.5*x*2", "x^0*y",
+    "(x)^2*3", "0*x^512*x^512*x^512*x",
+])
+def test_monomial_products_match_sympy_expand(text):
+    assert parse_polynomial(text).terms == _sympy_terms(text)
+
+
 @pytest.mark.parametrize("text, kind, message, offset", [
     ("1/0*x", ExprSyntaxError, "zero denominator in '1/0'", 0),
     ("x*(", ExprSyntaxError, "unexpected end of input", 3),
@@ -285,6 +297,16 @@ def test_parse_matches_sympy_expand(text):
     ("(x-x)^1000", ExprSyntaxError, "exponent too large", 6),
     ("x^2 - y^-1", NegativeExponentError, "negative exponent", 8),
     ("(x^512)^2*(x^512)^2 + )", ExprSyntaxError, "expansion exceeds the degree cap", 9),
+    ("x^512*y^512*x^512*y", ExprSyntaxError, "expansion exceeds the degree cap", 17),
+    ("x^512*x^512*(x+y)^512*y", ExprSyntaxError, "expansion exceeds the degree cap", 21),
+    ("3*x^2^2^2^2^2", ExprSyntaxError, "exponent too large", 7),
+    ("x*2/0", ExprSyntaxError, "zero denominator in '2/0'", 2),
+    ("2*x*)", ExprSyntaxError, "unexpected ')'", 4),
+    ("x*y^", ExprSyntaxError, "exponent must be a non-negative integer", 4),
+    ("x*y*(x", ExprSyntaxError, "expected ')'", 6),
+    ("(x+y)^2 x", ExprSyntaxError, "unexpected 'x'", 8),
+    ("x \u00e9", ExprSyntaxError, "unexpected character '\u00e9'", 2),
+    ("-", ExprSyntaxError, "unexpected end of input", 1),
 ])
 def test_error_kind_and_offset(text, kind, message, offset):
     with pytest.raises(ExprSyntaxError) as ei:
@@ -309,3 +331,44 @@ def test_power_costs_log_n_products(monkeypatch):
     assert p.terms == {(512 - k, k): F((-1) ** k * math.comb(512, k)) for k in range(513)}
     assert len(calls) <= 2 * math.ceil(math.log2(512)) + 1
     assert len(parse_polynomial("x^512*y^512*(x-y)^512").terms) == 513
+
+
+
+def test_parenthesized_factors_are_the_only_sparse_products(monkeypatch):
+    """The monomials inside the factors cost no sparse product: six join
+    the seven factors and three square the quadratics."""
+    calls = count_calls(monkeypatch, exprparse._mul)
+    p = parse_polynomial(F27)
+    assert len(calls) <= 12
+    assert p.terms == _sympy_terms(F27)
+
+
+def test_printing_builds_no_fraction(monkeypatch):
+    p = parse_polynomial(F27)
+    f = to_homogeneous(p)
+    fld = hamiltonian_field(f)
+    polys = [p, f, fld.P, fld.Q, common_divisor(f, factor_form(f))]
+    made = count_fractions(monkeypatch)
+    texts = [canonical_text(q) for q in polys]
+    assert made == []
+    monkeypatch.undo()
+    assert texts == [canonical_text_reference(q) for q in polys]
+
+
+_COEFFS = st.builds(F, st.sampled_from([0, 0, 1, -1, 2, -3, 6, 12, -35, 10**20]),
+                    st.sampled_from([1, 1, 2, 3, 4, 6, 9, 35]))
+_BIVARIATE = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFFS,
+                             max_size=8).map(BivariatePoly)
+_FORMS = st.one_of(
+    st.lists(_COEFFS, min_size=2, max_size=7).filter(any).map(HomogeneousForm),
+    st.integers(0, 4).map(HomogeneousForm.zero_marker),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_BIVARIATE, _FORMS))
+def test_printing_from_the_ints_matches_the_fraction_printer(p):
+    text = canonical_text(p)
+    assert text == canonical_text_reference(p)
+    q = p if isinstance(p, BivariatePoly) else p.to_bivariate()
+    assert parse_polynomial(text) == q

@@ -263,6 +263,30 @@ def test_close_pairs_certify_on_a_later_rung(monkeypatch, capsys, form, expected
     assert err["kind"] == "NotRefined" and "discs not separated" in err["message"]
 
 
+def test_a_stalled_later_rung_turns_its_steps_off_the_bisector(monkeypatch, capsys):
+    """A pair 5e-101 i apart: rung 848 starts from points that reached each
+    cluster on the line bisecting it, where the iteration used to wander
+    for all 100 sweeps; turning the steps after the first stalled sweep
+    lets it converge, and both quadratics print their exact b = 0, c = 1."""
+    divisions = oracles.count_calls(monkeypatch, paircert._gauss_div)
+    approximate, sweeps = paircert._approximate, {}
+
+    def counted(w, real, k, start):
+        before = len(divisions)
+        zs = approximate(w, real, k, start)
+        if start is not None:
+            sweeps[k] = (len(divisions) - before) // len(zs)
+        return zs
+
+    monkeypatch.setattr(paircert, "_approximate", counted)
+    assert cli.main(["factor", "(x^2+y^2)*(x^2+(1+1/10^100)*y^2)"]) == 0
+    quads = json.loads(capsys.readouterr().out)["factors"]["quadratic"]
+    assert quads == [{"a": 1, "b": 0, "c": 1, "beta": 1}] * 2
+    assert list(sweeps) == [212, 424, 848] and sweeps[848] < 100
+    _assert_enclosed_once(factor_form(_close_pair(100)),
+                          {(F(0), F(1)), (F(0), 1 + F(1, 10**100))}, 1e-14)
+
+
 def _close_pair(e):
     """(x^2 + y^2)(x^2 + (1 + 10^-e) y^2), a pair 10^-e/2 i apart."""
     return HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, 0, 1 + F(1, 10**e)])
