@@ -5,8 +5,8 @@ adaptive Dormand-Prince integrator, the closed orbits of a form without
 real line factors read off its level curves by one quadrature, the shift
 map z -> flow(z, sigma(z)), the exact local-diffeomorphism test for
 shifts, weighted contractions, and level curves as radial graphs.  The
-exactness boundary is deliberate: the regularity test is rational
-arithmetic, all trajectories are floats.
+exactness boundary is deliberate: the regularity test is exact, in ints
+over one denominator, all trajectories are floats.
 """
 
 from __future__ import annotations
@@ -363,15 +363,16 @@ class ClosedOrbits:
     pi, the periodic trapezoid rule on ``nodes`` angles per turn gives its
     Fourier coefficients to rounding, and G is their mean times θ plus the
     antiderivative of the series.  ``tail`` is the size of the largest
-    coefficient left out.  Built by :func:`closed_orbits`.
+    coefficient left out, and ``rmax`` bounds the radius of the curve
+    f = c by rmax |c|^(1/p) (inf: no bound).  Built by :func:`closed_orbits`.
     """
 
-    __slots__ = ("f", "g", "power", "nodes", "mean", "gamma", "offset", "tail")
+    __slots__ = ("f", "g", "power", "nodes", "mean", "gamma", "offset", "tail", "rmax")
 
     def __init__(self, f: HomogeneousForm, g, power: float, nodes: int, mean: float,
-                 gamma: list[complex], tail: float):
+                 gamma: list[complex], tail: float, rmax: float):
         self.f, self.g, self.power, self.nodes = f, g, power, nodes
-        self.mean, self.gamma, self.tail = mean, gamma, tail
+        self.mean, self.gamma, self.tail, self.rmax = mean, gamma, tail, rmax
         self.offset = sum(gamma).real
 
     def G(self, t: float) -> float:
@@ -419,7 +420,8 @@ class ClosedOrbits:
 
     def shift(self, z: Point, T: float, box: Optional[Rect]) -> tuple[Point, float]:
         """flow(z, T) and its time error estimate; BlowUpError when the arc
-        leaves the box, StepLimitError when floats cannot resolve T."""
+        leaves the box, StepLimitError when floats cannot resolve T.  The arc
+        is sampled only when the disc of radius rmax |c|^(1/p) leaves the box."""
         z = (float(z[0]), float(z[1]))
         c, sign, scale, t0 = self._level(z)
         if T == 0 or c == 0:                # no time, or the fixed origin
@@ -431,6 +433,9 @@ class ClosedOrbits:
             raise StepLimitError(f"time {T} is more turns than floats resolve on this orbit")
         t, turns, newton = self._angle(target)
         point, edge = _radial(self.f, c, box)
+        R = abs(c) ** (1 / self.f.degree) * self.rmax * (1 + 1e-9)
+        if R < math.inf and (box is None or R <= min(-box[0], -box[1], box[2], box[3])):
+            return point(t), self._t_err(scale, abs(T), newton)
         sweep = max(-_TAU, min(_TAU, _TAU * turns + t - t0))
         n = math.ceil(abs(sweep) * self.nodes / _TAU)
         angles = [t0] + [t0 + sweep * j / n for j in range(1, n)] + [t]
@@ -506,9 +511,10 @@ def closed_orbits(f: HomogeneousForm, fs: FactorizationStructure,
     octave of g's Fourier coefficients falls below _OCTAVE_TOL of their
     mean; g has period pi, so its values on [0, pi) serve, and a doubling
     evaluates g at the new nodes only and adds one butterfly stage to the
-    transform it has.  This is
-    the one place that chooses between the quadrature and the
-    integrator."""
+    transform it has; a node's cos and sin also give the twiddles of the
+    next doubling.  By Bernstein's inequality for f(cos t, sin t), of degree
+    p, f's node values bound |f| below on the circle, hence ``rmax``.  This
+    is the one place that chooses between the quadrature and the integrator."""
     if fs.l:
         return None
     p, dd, ev, dv = f.degree, d.degree, f.eval_float, d.eval_float
@@ -518,45 +524,55 @@ def closed_orbits(f: HomogeneousForm, fs: FactorizationStructure,
         u, v = math.cos(t), math.sin(t)
         return (dv(u, v) if dd else 1.0) * abs(ev(u, v)) ** e
 
-    def nodes(n: int, first: int, step: int) -> list[float]:
-        gw = [g(math.pi * j / n) for j in range(first, n, step)]
+    def nodes(n: int, first: int, step: int) -> tuple[list[float], list[complex]]:
+        """g and e^(-i pi j/n) at pi j/n, j in range(first, n, step); |f| to fa."""
+        gw, tw = [], []
+        for j in range(first, n, step):
+            t = math.pi * j / n
+            u, v = math.cos(t), math.sin(t)
+            fa.append(abs(ev(u, v)))
+            gw.append((dv(u, v) if dd else 1.0) * fa[-1] ** e)
+            tw.append(complex(u, -v))
         if not all(map(math.isfinite, gw)):
             raise OverflowError
-        return gw
+        return gw, tw
 
-    n, last = _FIRST_NODES // 2, math.inf        # nodes in [0, pi)
+    n, last, fa = _FIRST_NODES // 2, math.inf, []        # nodes in [0, pi)
     try:
-        spec = _fft(nodes(n, 0, 1), _twiddles(n))
+        gw, tw = nodes(n, 0, 1)         # tw: e^(-2 pi i k / 2n), k < n
+        spec = _fft(gw, tw)
         while (octave := max(map(abs, spec[n // 4:n // 2 + 1])) / spec[0].real) > _OCTAVE_TOL:
             # an octave below _NOISE_TOL that did not fall tenfold is the
             # rounding of g's values, which no N removes
             if 2 * n == _MAX_NODES or octave < _NOISE_TOL and octave > last / 10:
                 return None
             last = octave
-            n, tw = 2 * n, _twiddles(2 * n)
-            odd = [w * o for w, o in zip(tw, _fft(nodes(n, 1, 2), tw))]
+            n, (gw, new) = 2 * n, nodes(2 * n, 1, 2)
+            odd = [w * o for w, o in zip(tw, _fft(gw, tw))]
             spec = [x + y for x, y in zip(spec, odd)] + [x - y for x, y in zip(spec, odd)]
+            tw = [w for pair in zip(tw, new) for w in pair]
     except (OverflowError, ZeroDivisionError):       # f or D beyond floats on the circle
         return None
+    # |f - f_j| <= (p h / 2) max|f| within h / 2 of a node, h = pi / n; a
+    # float value of f is off by at most rnd, at a node and at a sample
+    q, rnd = p * math.pi / (2 * n), 8 * p * _EPS * sum(map(abs, f.float_coeffs()))
+    lo = min(fa) - 2 * rnd - q * (max(fa) + rnd) / (1 - q) if q < 1 else 0.0
     spec = [a / n for a in spec]
     mean = spec[0].real
     keep = [k for k in range(1, n // 4) if abs(spec[k]) > _TRIM_TOL * mean]
     K = keep[-1] if keep else 0
     gamma = [-1j * spec[k] / k for k in range(1, K + 1)]
     tail = 2 * max(map(abs, spec[K + 1:n // 2 + 1]))
-    return ClosedOrbits(f, g, (2 + dd - p) / p, 2 * n, mean, gamma, tail)
-
-
-def _twiddles(n: int) -> list[complex]:
-    return [complex(math.cos(_TAU * k / n), -math.sin(_TAU * k / n)) for k in range(n // 2)]
+    return ClosedOrbits(f, g, (2 + dd - p) / p, 2 * n, mean, gamma, tail,
+                        lo ** (-1 / p) if lo > 0 else math.inf)
 
 
 def _fft(a: list, tw: list[complex]) -> list[complex]:
     """sum_j a_j w^(jk) for k < n = len(a), a power of 2, w = e^(-2 pi i/n),
-    by radix 2; tw is _twiddles(N) for some N >= n."""
+    by radix 2; tw[k] = e^(-2 pi i k/N), k < N/2, for some N >= n."""
     n = len(a)
-    if n == 1:
-        return a
+    if n <= 2:
+        return a if n == 1 else [a[0] + tw[0] * a[1], a[0] - tw[0] * a[1]]
     even, odd = _fft(a[0::2], tw), _fft(a[1::2], tw)
     odd = [w * o for w, o in zip(tw[::2 * len(tw) // n], odd)]
     return [x + y for x, y in zip(even, odd)] + [x - y for x, y in zip(even, odd)]

@@ -294,8 +294,12 @@ class BivariatePoly:
                                   for (i, j), c in self.nums.items() if j > 0}, self.den)
 
     def eval_exact(self, x: Rat, y: Rat) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.nums.items()), Fraction(0)) / self.den
+        """At x = a/q, y = b/s: sum c a^i q^(dx-i) b^j s^(dy-j) / (den q^dx s^dy)."""
+        (a, q), (b, s) = x.as_integer_ratio(), y.as_integer_ratio()
+        dx = max((i for i, _ in self.nums), default=0)
+        dy = max((j for _, j in self.nums), default=0)
+        return Fraction(sum(c * a**i * q**(dx - i) * b**j * s**(dy - j)
+                            for (i, j), c in self.nums.items()), self.den * q**dx * s**dy)
 
     def float_terms(self) -> list[tuple[int, int, float]]:
         """The terms (i, j, c) in storage order, c rounded as float() would."""

@@ -31,8 +31,12 @@ def portrait_csv(portrait: Portrait) -> str:
             for x, y in poly:
                 lines.append(f"level,{li},{_fmt(level)},{_fmt(x)},{_fmt(y)}")
     for orbit in portrait.orbits:
-        for t, (x, y) in zip(orbit.times, orbit.points):
-            lines.append(f"orbit,{orbit.seed_index},{_fmt(t)},{_fmt(x)},{_fmt(y)}")
+        # a closed orbit repeats its tuples each turn; by id, as 0.0 == -0.0
+        xy: dict[int, str] = {}
+        for t, z in zip(orbit.times, orbit.points):
+            if (s := xy.get(id(z))) is None:
+                s = xy[id(z)] = f"{_fmt(z[0])},{_fmt(z[1])}"
+            lines.append(f"orbit,{orbit.seed_index},{_fmt(t)},{s}")
     if portrait.singular_point is not None:
         sx, sy = portrait.singular_point
         lines.append(f"singular,0,{_fmt(0.0)},{_fmt(sx)},{_fmt(sy)}")

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from binform.dynamics import (
+    _MAX_NODES,
+    _TAU,
     FlowConfig,
+    Orbit,
+    Portrait,
+    _fft,
+    _radial,
     closed_orbits,
     integrate_flow,
     invariant_contraction,
@@ -18,12 +24,13 @@ from binform.dynamics import (
     shift_map_apply,
     shift_regularity,
 )
-from binform.errors import BlowUpError
+from binform.errors import BlowUpError, StepLimitError
 from binform.exprparse import parse_polynomial, to_homogeneous
 from binform.hamfield import PlanarPolyField, common_divisor, reduced_field
 from binform.mat2 import Mat2
 from binform.polyring import BivariatePoly, HomogeneousForm, WeightVector
 from binform.realfactor import factor_form
+from binform.render import _fmt, portrait_csv
 
 from genforms import random_case_de, random_product
 from oracles import count_calls
@@ -508,3 +515,105 @@ def test_closed_orbit_properties(seed, angle, radius, horizon, res, box):
     else:       # many short turns: each way stops after its budget of samples
         assert status == "step_limit" and len(times) == 2 * 10_000 + 1
     assert 0 <= t_err < 1e-9 * (1 + horizon)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.floats(0, 2 * math.pi), st.floats(0.2, 1.5),
+       st.floats(-6.0, 6.0),
+       st.sampled_from([None, (-4.0, -4.0, 4.0, 4.0), (-1.0, -1.5, 1.5, 1.0)]))
+def test_the_radius_bound_holds_and_skipping_the_sweep_moves_nothing(seed, angle, radius,
+                                                                     T, box):
+    """Every point of the level curve, on a grid 8 times finer than the
+    table's nodes, lies within R(c) = |c|^(1/p) rmax (1 + 1e-9); and the
+    sweep (rmax forced to inf) gives the point and t_err of the skip, bit
+    for bit, or the same error."""
+    rng = random.Random(seed)
+    while (s := random_product(rng, 12)).l or not s.k:
+        pass
+    f = s.form
+    table = _closed(f)[1]
+    if table is None:
+        return
+    z = (radius * math.cos(angle), radius * math.sin(angle))
+    c = f.eval_float(*z)
+    R = abs(c) ** (1 / f.degree) * table.rmax * (1 + 1e-9)
+    point, _ = _radial(f, c, None)
+    m = 8 * table.nodes
+    assert all(math.hypot(*point(_TAU * j / m)) <= R for j in range(m))
+
+    def shift():
+        try:
+            (x, y), t_err = table.shift(z, T, box)
+        except (BlowUpError, StepLimitError) as e:
+            return type(e), str(e)
+        return x.hex(), y.hex(), t_err.hex()
+
+    skip = shift()
+    table.rmax = math.inf
+    assert shift() == skip
+
+
+def test_the_radius_bound_is_close_on_a_circle_and_an_ellipse():
+    # min |f| on the circle is 1 for x^2 + y^2 and 1/100 for x^2 + y^2/100
+    for text, rmin in (("x^2+y^2", 1.0), ("x^2+1/100*y^2", 10.0)):
+        table = _closed(_form(text))[1]
+        assert rmin <= table.rmax < 1.25 * rmin
+
+
+def test_the_twiddles_are_the_cos_and_sin_of_the_nodes():
+    # e^(-2 pi i k / 2n) as the table used to compute it, with _TAU = 2 pi,
+    # is bit for bit e^(-i pi k / n) at the node's angle, in whichever
+    # doubling the node was first evaluated
+    n = 1
+    while n <= _MAX_NODES:
+        for k in range(n):
+            a = math.pi * k / n
+            assert a == _TAU * k / (2 * n) == math.pi * (2 * k) / (2 * n)
+            old = complex(math.cos(_TAU * k / (2 * n)), -math.sin(_TAU * k / (2 * n)))
+            new = complex(math.cos(a), -math.sin(a))
+            assert (old.real.hex(), old.imag.hex()) == (new.real.hex(), new.imag.hex())
+        n *= 2
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(11)])
+def test_fft_agrees_with_a_direct_dft(n):
+    rng = random.Random(n)
+    a = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    tw = [complex(math.cos(math.pi * k / n), -math.sin(math.pi * k / n)) for k in range(n)]
+    got = _fft(a, tw)
+    assert len(got) == n
+    scale = math.fsum(map(abs, a))
+    for k in range(n):
+        angles = [_TAU * (j * k % n) / n for j in range(n)]
+        want = complex(math.fsum(x * math.cos(t) for x, t in zip(a, angles)),
+                       -math.fsum(x * math.sin(t) for x, t in zip(a, angles)))
+        assert abs(got[k] - want) <= 1e-12 * scale
+
+
+def test_the_table_bits_are_pinned():
+    for text, mean, gamma0 in (
+            ("(x^2+y^2)*(x^2+2*y^2)", "0x1.ab54359ab5344p-1",
+             ("-0x1.0000000000000p-60", "-0x1.265e17e68afc6p-4")),
+            ("3/2*(x^2+1/2*y^2)^2", "0x1.e2b7dddfefa66p+0",
+             ("0x1.6000000000000p-55", "0x1.4b491129e6774p-2"))):
+        table = _closed(_form(text))[1]
+        assert table.nodes == 256
+        assert table.mean.hex() == mean
+        assert (table.gamma[0].real.hex(), table.gamma[0].imag.hex()) == gamma0
+
+
+def test_portrait_csv_formats_each_point_as_its_own_row_would():
+    port = orbit_portrait(_form("(x^2+y^2)*(x^2+2*y^2)"), [(0.7, 0.2)], (-2, -2, 2, 2),
+                          res=16, horizon=50.0)
+    (orb,) = port.orbits
+    assert len(set(map(id, orb.points))) < len(orb.points)      # it repeats its tuples
+    # equal points of other signs of zero are other rows
+    z, w = (0.0, 1.0), (-0.0, 1.0)
+    signed = Orbit(1, z, (0.0, 1.0, 2.0, 3.0), (z, w, z, w), "ok", 0.0)
+    port = Portrait(port.window, port.resolution, port.level_curves, (orb, signed),
+                    port.singular_point)
+    rows = [f"orbit,{o.seed_index},{_fmt(t)},{_fmt(x)},{_fmt(y)}"
+            for o in port.orbits for t, (x, y) in zip(o.times, o.points)]
+    lines = portrait_csv(port).splitlines()
+    assert [ln for ln in lines if ln.startswith("orbit,")] == rows
+    assert rows[-2:] == ["orbit,1,2,0,1", "orbit,1,3,-0,1"]

@@ -516,6 +516,39 @@ def test_field_kernel_matches_components_in_turn(p_terms, q_terms, x, y):
     assert _outcome(swapped, x, y) == _outcome(in_turn(fld.Q, fld.P), x, y)
 
 
+def _eval_exact_formula(g, x, y):
+    """The Fraction formula that eval_exact's int sum replaced."""
+    x, y = F(x), F(y)
+    return sum((c * x**i * y**j for (i, j), c in g.nums.items()), F(0)) / g.den
+
+
+def _exact_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__, str(e)
+    assert type(value) is F
+    return value
+
+
+_EXACT_COORD = st.one_of(
+    _POINT_COORD,
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -1.5, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_term_map(st.integers(0, 12)), _EXACT_COORD, _EXACT_COORD)
+@example({(3, 2): F(3, 7), (0, 0): 1}, -0.0, 5e-324)
+@example({(1, 1): -2}, 10**20, F(-1, 3))
+def test_eval_exact_in_ints_matches_the_fraction_formula(terms, x, y):
+    g = BivariatePoly(terms)            # the zero polynomial included
+    assert _exact_outcome(g.eval_exact, x, y) == _exact_outcome(_eval_exact_formula, g, x, y)
+
+
 def test_kernel_holds_no_reference_cycle():
     """The kernel's globals hold its coefficients, not the kernel, so
     dropping the last reference frees it without the cyclic collector."""

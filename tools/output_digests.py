@@ -14,9 +14,10 @@ whatever --seeds says: one line ``parse/i sha256`` for the i-th of the
 distinct request texts (forms and --sigma values) of the three workloads
 on seeds 1-6, fixed edge cases and seeded random strings: expressions,
 half of them with one character changed, and strings over the parser's
-alphabet.  The hash covers the parsed terms and the
-``canonical_text`` of the parse and of its form, or the kind, message and
-offset of the error.  --root names the
+alphabet.  The hash covers the parsed terms, the int numerators in
+their storage order (the order float kernels sum in) and the denominator,
+and the ``canonical_text`` of the parse and of its form, or the kind,
+message and offset of the error.  --root names the
 checkout whose ``src`` and ``bench`` are used (default: the one holding
 this script), so that
 
@@ -132,7 +133,8 @@ def _parse_digest(text: str) -> str:
     parts = []
     try:
         p = parse_polynomial(text)
-        parts += [repr(sorted(p.terms.items())), canonical_text(p)]
+        parts += [repr(sorted(p.terms.items())), repr(list(p.nums.items())), str(p.den),
+                  canonical_text(p)]
         parts.append(canonical_text(to_homogeneous(p)))
     except Exception as e:
         parts.append(f"{type(e).__name__}: {e} @ {getattr(e, 'offset', None)}")
