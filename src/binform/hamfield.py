@@ -1,11 +1,10 @@
 """Hamiltonian vector field of a binary form and its reduced quotient.
 
 For f of degree p the rotated gradient F = (-f_y, f_x) has f as a first
-integral.  Its components share the divisor D = gcd(f_x, f_y), which by the
-factor structure of f equals (up to sign and scale) the product of the
-factors with multiplicity dropped by one.  Dividing out D leaves the reduced
-field, coprime of degree l + 2k - 1, whose orbit partition distinguishes the
-five factor-count cases.
+integral.  Its components share the divisor D = gcd(f_x, f_y), the product
+of the factors with multiplicity dropped by one, which is read off Yun's
+layers.  Dividing D out proves it and leaves the reduced field, coprime of
+degree l + 2k - 1, whose orbit partition distinguishes the five cases.
 """
 
 from __future__ import annotations
@@ -63,26 +62,17 @@ def hamiltonian_field(f: HomogeneousForm) -> PlanarPolyField:
 
 def common_divisor(f: HomogeneousForm,
                    fs: Optional[FactorizationStructure] = None) -> HomogeneousForm:
-    """gcd(f_x, f_y), primitive with positive leading coefficient.
-
-    The degree is cross-checked against the exact factor counts: it must
-    equal sum(alpha - 1) + 2 sum(beta - 1).  A mismatch would mean the gcd
-    of the partials and the Sturm counts of the layers disagree about
-    multiplicity, so it raises InvariantError.
+    """gcd(f_x, f_y), primitive with positive leading coefficient: each
+    factor with its multiplicity lowered by one, read off fs's layers and
+    proved by ``reduced_field``.  An fs of another form is an InvariantError.
     """
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
-    fx, fy = partials(f)
-    if fx.is_zero and fy.is_zero:
-        raise DegreeZeroError("both partials vanish")
-    d = gcd_bivariate(fx, fy)
     if fs is None:
         fs = factor_form(f)
-    predicted = sum(a - 1 for a in fs.line_mults) + 2 * sum(b - 1 for b in fs.quad_mults)
-    if d.degree != predicted:
-        raise InvariantError(
-            f"divisor degree {d.degree} != {predicted} predicted by the factor counts")
-    return d
+    elif fs.form != f:
+        raise InvariantError("the factor structure is not that of f")
+    return fs.layer_product(lambda m: m - 1).primitive_part()
 
 
 def reduced_field(f: HomogeneousForm,
@@ -90,9 +80,9 @@ def reduced_field(f: HomogeneousForm,
                   d: Optional[HomogeneousForm] = None) -> PlanarPolyField:
     """F / D componentwise, by exact division.
 
-    ``d`` is ``common_divisor(f, fs)`` when the caller already has it.  The
-    result is homogeneous of degree l + 2k - 1 with coprime components;
-    both facts are checked, the degree against the exact factor counts.
+    ``d`` is ``common_divisor(f, fs)`` when the caller already has it.  That
+    d divides both partials, that the quotients have degree l + 2k - 1 and
+    that they are coprime are all checked.
     """
     if f.degree < 1 or f.is_zero:
         raise DegreeZeroError("need a nonzero form of degree >= 1")
@@ -101,7 +91,10 @@ def reduced_field(f: HomogeneousForm,
     fx, fy = partials(f)
     if d is None:
         d = common_divisor(f, fs)
-    pr, qr = divide_exact(-fy, d), divide_exact(fx, d)
+    try:
+        pr, qr = divide_exact(-fy, d), divide_exact(fx, d)
+    except ValueError:
+        raise InvariantError("the divisor does not divide both partials") from None
     expected = fs.l + 2 * fs.k - 1
     if pr.degree != expected or qr.degree != expected:
         raise InvariantError(

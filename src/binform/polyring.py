@@ -595,27 +595,17 @@ def quasi_homogeneous_check(g: BivariatePoly, w: WeightVector) -> bool:
 def jet_order(f: HomogeneousForm, z: tuple[Rat, Rat]) -> int:
     """Order of the first nonvanishing jet of f at the point z.
 
-    Computed by an exact Taylor shift: expand f(z1 + u, z2 + v) and take
-    the smallest total degree carrying a nonzero coefficient.  Equals 0
-    iff f(z) != 0, and equals deg f at the origin.
+    At the origin it is the degree.  Elsewhere it is the multiplicity of
+    the line through z as a factor of f (0 off the zero set): the power of
+    x when z is on x = 0, else the order of the root z2/z1 of f(1, t),
+    counted by the derivatives that vanish there.
     """
     if f.is_zero:
         raise ValueError("zero marker has no jet order")
     z1, z2 = Fraction(z[0]), Fraction(z[1])
-    p = f.degree
-    shifted: dict[tuple[int, int], Fraction] = {}
-    for i, ci in enumerate(f.ints):   # the scale does not move the order
-        if not ci:
-            continue
-        m, n = p - i, i
-        for a in range(m + 1):
-            ba = math.comb(m, a) * z1 ** (m - a)
-            if ba == 0:
-                continue
-            for b in range(n + 1):
-                bb = math.comb(n, b) * z2 ** (n - b)
-                if bb == 0:
-                    continue
-                key = (a, b)
-                shifted[key] = shifted.get(key, Fraction(0)) + ci * ba * bb
-    return min(a + b for (a, b), c in shifted.items() if c != 0)
+    if not z1:
+        return f.x_multiplicity() if z2 else f.degree
+    t, u, order = z2 / z1, list(f.ints), 0   # the scale does not move the order
+    while not sum(c * t**i for i, c in enumerate(u)):
+        u, order = _derivative(u), order + 1
+    return order

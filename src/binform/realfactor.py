@@ -268,17 +268,17 @@ class LinearFactor:
 
     def line_direction(self) -> tuple[float, float]:
         """A direction vector of the zero line of the factor, its slope
-        refined to 1e-17 relative so it is the nearest float.  A slope
-        other than 0 is first enclosed apart from 0, by halving; the slope
-        0 is refined to 1e-17 absolute."""
+        refined to 1e-17 relative so it is the nearest float.  The slope 0
+        (the layer vanishes at 0, and the interval holds it) is exact; any
+        other slope is first enclosed apart from 0, by halving."""
         if self.is_axis:
             return (0.0, 1.0)
         r = self.root
-        zero = not r.poly[0] and r.contains(0)
-        while r.lo <= 0 <= r.hi and not zero:
+        if not r.poly[0] and r.contains(0):
+            return (1.0, 0.0)
+        while r.lo <= 0 <= r.hi:
             r = r.refine(r.width / 2)
-        scale = 1 if zero else min(abs(r.lo), abs(r.hi))
-        return (1.0, r.refine(Fraction(1e-17) * scale).approx)
+        return (1.0, r.refine(Fraction(1e-17) * min(abs(r.lo), abs(r.hi))).approx)
 
     def ray_angles(self) -> tuple[float, float]:
         """Angles of the two antipodal rays of the line, in [0, 2*pi): a
@@ -319,6 +319,16 @@ class FactorizationStructure:
     @property
     def degree(self) -> int:
         return self.form.degree
+
+    def layer_product(self, power) -> HomogeneousForm:
+        """The primitive form prod W_m^power(m) times x^power(a), for the
+        homogenized layers W_m and the power a > 0 of x in f, if any."""
+        ints = [1]
+        for w, m, _ in self.layers:
+            for _ in range(power(m)):
+                ints = convolve(ints, w)
+        a = self.form.x_multiplicity()
+        return HomogeneousForm._of(Fraction(1), tuple(ints) + (0,) * (a and power(a)))
 
     @property
     def linear(self) -> tuple[LinearFactor, ...]:

@@ -10,22 +10,26 @@ assigns to the factor counts (l, k):
     D  (0, k >= 2)  finite cyclic
     E  (l >= 1)     finite cyclic of order dividing 2l; just +-id when l = 1
 
-A finite-case symmetry acts on the slope t = y/x as a real Moebius map of
-positive determinant, so three factor roots and their images fix it.  The
-candidates are these maps, one per target triple that the cyclic order and
-the multiplicities allow; each is polished with the one Gauss-Newton
-routine here, which takes exact Jacobians and solves its steps by
-Householder QR.  The group is the identity, the verified candidates and,
-at even degree, their exact negatives; it is accepted only when it is the
-powers of one generator.  The case-C normalizer is a closed-form matrix
-square root.  The tests hold an independent check: a dense scan over
-SL(2, R) that finds its starting points without the factors.
+The case-B quarter turn is read off the two exponents.  Cases D and E work
+on the reduced form of Yun's layers, which has the group of f at a degree
+that does not grow with the multiplicities.  A finite-case symmetry acts
+on the slope t = y/x as a real Moebius map of positive determinant, so
+three factor roots and their images fix it.  The candidates are these
+maps, one per target triple that the cyclic order and the multiplicities
+allow; each is polished with the one Gauss-Newton routine here, which
+takes exact Jacobians and solves its steps by Householder QR.  The group
+is the identity, the verified candidates and, at even degree, their exact
+negatives; it is accepted only when it is the powers of one generator.
+The case-C normalizer is a closed-form matrix square root.  The tests hold
+an independent check: a dense scan over SL(2, R) that finds its starting
+points without the factors.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Union
 
 from .errors import (
@@ -217,7 +221,7 @@ class RotationFamily:
 class FiniteCyclicGroup:
     """Finite cyclic symmetry group of case D or E; generator has the
     smallest positive rotation angle and residual is the worst verified
-    member residual."""
+    member residual, measured on the reduced form."""
 
     __slots__ = ("n", "generator", "residual", "elements", "case_label")
 
@@ -240,24 +244,13 @@ SymmetryGroup = Union[ShearFamily, DiagonalFamily, RotationFamily, FiniteCyclicG
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _exact_slope(root) -> Optional[object]:
-    """Fraction slope when the defining layer is linear, else None."""
-    w = root.poly
-    if len(w) == 2:
-        t = Fraction(-w[0], w[1])
-        if root.contains(t) or t == root.lo or t == root.hi:
-            return t
-    return None
-
-
 def _line_column(lf):
-    """Direction of the factor's zero line: exact Fractions when available."""
+    """Direction of the factor's zero line: exact Fractions when its layer
+    is linear, the layer's root then being its slope."""
     if lf.is_axis:
         return (Fraction(0), Fraction(1))
-    t = _exact_slope(lf.root)
-    if t is not None:
-        return (Fraction(1), t)
-    return lf.line_direction()
+    w = lf.root.poly
+    return (Fraction(1), Fraction(-w[0], w[1])) if len(w) == 2 else lf.line_direction()
 
 
 def symmetry_group(f: HomogeneousForm, fs: Optional[FactorizationStructure] = None,
@@ -277,10 +270,10 @@ def symmetry_group(f: HomogeneousForm, fs: Optional[FactorizationStructure] = No
     if case == "A":
         return _case_single_line(fs)
     if case == "B":
-        return _case_two_lines(f, fs, tol)
+        return _case_two_lines(fs)
     if case == "C":
         return _case_one_definite(fs)
-    return _finite_group(f, fs, tol, label=case)
+    return _finite_group(fs, tol, label=case)
 
 
 def _mat_from_columns(col1, col2) -> Mat2:
@@ -291,7 +284,7 @@ def _mat_from_columns(col1, col2) -> Mat2:
     if det == 0:
         raise NotRefinedError("two lines have the same float direction")
     if det < 0:
-        a, c = -a, -c
+        a, c = 0 - a, 0 - c            # 0 - v: a float zero stays +0.0
     if exact:
         return Mat2.exact(a, b, c, d)
     return Mat2.approx(a, b, c, d)
@@ -304,13 +297,13 @@ def _case_single_line(fs: FactorizationStructure) -> ShearFamily:
     return ShearFamily(normalizer=n, parity=parity)
 
 
-def _case_two_lines(f: HomogeneousForm, fs: FactorizationStructure,
-                    tol: float) -> DiagonalFamily:
+def _case_two_lines(fs: FactorizationStructure) -> DiagonalFamily:
+    """f o N = c x^a y^b, and the quarter turn sends that to
+    c (-1)^a x^b y^a: it is a symmetry exactly when a = b is even."""
     lf1, lf2 = fs.linear
     n = _mat_from_columns(_line_column(lf2), _line_column(lf1))
-    qt = _conjugate(n, _QUARTER_TURN)
     return DiagonalFamily(normalizer=n, alpha_x=lf1.alpha, alpha_y=lf2.alpha,
-                          quarter_turn_in_group=invariance_residual(f, qt) < tol)
+                          quarter_turn_in_group=lf1.alpha == lf2.alpha and lf1.alpha % 2 == 0)
 
 
 def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
@@ -330,15 +323,27 @@ def _case_one_definite(fs: FactorizationStructure) -> RotationFamily:
 # ---------------------------------------------------------------------------
 # the finite cases
 
-def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
-                  tol: float, label: str) -> FiniteCyclicGroup:
-    """Cases D and E.  Every symmetry is, up to sign, one of the Moebius
-    candidates, so the verified set is the identity, the verified
+def _reduced_form(fs: FactorizationStructure) -> HomogeneousForm:
+    """g = prod W_m^(e_m) over the layers (x^a joins the layer of m = a),
+    the odd m getting e_m = 1, 3, 5, ... and the even m 2, 4, ....  A
+    finite-order h has det 1 and sends each W_m to +-W_m, so f o h = f
+    depends only on the parity of each m: g has the group of f."""
+    mults = sorted({m for _, m, _ in fs.layers} | {fs.form.x_multiplicity()} - {0})
+    odd, even = count(1, 2), count(2, 2)
+    e = {m: next(odd if m % 2 else even) for m in mults}
+    return fs.layer_product(e.__getitem__)
+
+
+def _finite_group(fs: FactorizationStructure, tol: float, label: str) -> FiniteCyclicGroup:
+    """Cases D and E, on the reduced form g of f, which has the same group
+    and usually a lower degree.  Every symmetry is, up to sign, one of the
+    Moebius candidates, so the verified set is the identity, the verified
     candidates and, at even degree, the exact negative of each: the defect
     is even in h there, so -h has the same residual.  With one line the
     group fixes that line, and a finite-order element of GL+(2) that
     fixes a line is +-id, so the identity is the only candidate then."""
-    target = _unit_target(f)
+    g = _reduced_form(fs)
+    target = _unit_target(g)
     elems: list[tuple[Mat2, float]] = []
 
     def verify(entries) -> None:
@@ -351,7 +356,7 @@ def _finite_group(f: HomogeneousForm, fs: FactorizationStructure,
         if sol is None or sol[1] >= tol:
             return
         found = [Mat2.approx(*sol[0])]
-        if f.degree % 2 == 0:             # 0.0 - v: a zero stays +0.0
+        if g.degree % 2 == 0:             # 0.0 - v: a zero stays +0.0
             found.append(Mat2.approx(*(0.0 - v for v in sol[0])))
         for m in found:
             if m.det() > 0 and not any(e.dist(m) < _DEDUPE_TOL for e, _ in elems):
@@ -445,7 +450,7 @@ def _fix_scale(fn, a: float, b: float, c: float, d: float):
     if abs(kappa) < 1e-12 or (p % 2 == 0 and kappa < 0):
         return None
     s = math.copysign(abs(kappa) ** (-1.0 / p), kappa)
-    return (s * a, s * b, s * c, s * d)
+    return tuple(0.0 + s * v for v in (a, b, c, d))   # 0.0 + v: no zero is -0.0
 
 
 # ---------------------------------------------------------------------------

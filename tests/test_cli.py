@@ -17,7 +17,7 @@ import binform.cli as cli
 import binform.dynamics as dynamics
 import binform.paircert as paircert
 from binform.exprparse import parse_polynomial, to_homogeneous
-from binform.polyring import float_kernel, gcd_bivariate, partials
+from binform.polyring import HomogeneousForm, float_kernel, gcd_bivariate, partials
 from binform.realfactor import factor_form
 
 from genforms import F27
@@ -361,7 +361,9 @@ def test_json_of_a_hamiltonian_payload_builds_no_fraction(monkeypatch):
     assert json.loads(text)["hamiltonian"]["deg_hFld"] == payload["hamiltonian"]["deg_hFld"]
 
 
-def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, capsys):
+def test_hamiltonian_factors_once_and_takes_no_gcd_of_partials(monkeypatch, capsys):
+    # D is read off the layers of the one factorization; the only bivariate
+    # gcd left is the coprimality check of the reduced components
     factor_calls = count_calls(monkeypatch, factor_form)
     gcd_calls = count_calls(monkeypatch, gcd_bivariate)
     assert cli.main(["hamiltonian", "x*y^2"]) == 0
@@ -369,7 +371,9 @@ def test_hamiltonian_factors_once_and_takes_one_gcd_of_partials(monkeypatch, cap
     assert h == {"F": ["-2*x*y", "y^2"], "D": "y", "hFld": ["-2*x", "y"], "deg_hFld": 1}
     assert len(factor_calls) == 1
     fx, fy = partials(factor_calls[0][0][0])
-    assert sum(1 for args, _ in gcd_calls if args == (fx, fy)) == 1
+    assert (fx, fy) not in [args for args, _ in gcd_calls]
+    reduced = (HomogeneousForm([-2, 0]), HomogeneousForm([0, 1]))    # -2*x and y
+    assert [args for args, _ in gcd_calls] == [reduced]
 
 
 _KERNEL_FORMS = ["x*y^2", "(x^2+y^2)*(x^2+2*y^2)", "x^3-3*x*y^2", "(x-y)^3*(x^2+x*y+y^2)"]
@@ -571,7 +575,7 @@ def test_any_other_exception_is_internal_with_exit_3(monkeypatch, capsys):
     (["dynamics", "x^2+y^2", "--sigma", "x^500*x^300"], "x,y\n2.5,0.1\n"),
     (["portrait", "x^2+y^2", "--window=-1e200,-1e200,1e200,1e200"], None),
     (["dynamics", "x^2+y^2", "--window=-1e200,-1e200,1e200,1e200"], None),
-    (["symmetry", "10^200*10^200*x*y*(x-y)"], None),
+    (["symmetry", "x*y*(10^400*x-y)"], None),
 ])
 def test_float_overflow_is_a_float_range_error(tmp_path, capsys, argv, rows):
     if rows is not None:
@@ -582,6 +586,22 @@ def test_float_overflow_is_a_float_range_error(tmp_path, capsys, argv, rows):
     assert out == ""
     err = json.loads(err)["error"]
     assert err["kind"] == "FloatRange" and "float range" in err["message"]
+
+
+# The layers are primitive: 10^400*x*y*(x-y) is polished as x*y*(x-y), so
+# only a layer's coefficients (as in x*y*(10^400*x-y) above) or a slope can
+# leave the float range in symmetry; case B reads its quarter turn off the
+# exponents and needs no float of f at all.
+@pytest.mark.parametrize("form, kind", [("10^200*10^200*x*y*(x-y)", "finite_cyclic"),
+                                        ("10^400*x^2*y^2", "diagonal_family")])
+def test_a_huge_content_stays_in_the_float_range(capsys, form, kind):
+    assert cli.main(["symmetry", form]) == 0
+    sym = json.loads(capsys.readouterr().out)["symmetry"]
+    assert sym["kind"] == kind
+    if kind == "finite_cyclic":
+        assert (sym["n"], sym["generator"], sym["residual"]) == (3, [[0, -1], [1, -1]], 0)
+    else:
+        assert sym["family"]["quarter_turn_in_group"] is True
 
 
 # Roots at +-1e-100 and at +-1e-50 i: the Sturm counts are exact, and the

@@ -12,7 +12,7 @@ from binform.hamfield import (
     partition_description,
     reduced_field,
 )
-from binform.polyring import HomogeneousForm, partials
+from binform.polyring import HomogeneousForm, gcd_bivariate, partials
 from binform.realfactor import factor_form
 
 from genforms import random_product
@@ -95,6 +95,21 @@ def test_divisor_matches_multiplicity_count():
         d = common_divisor(s.form)
         want = sum(a - 1 for a in s.line_mults) + 2 * sum(b - 1 for b in s.quad_mults)
         assert d.degree == want
+
+
+def test_divisor_read_off_the_layers_is_the_gcd_of_the_partials():
+    # the gcd of the partials, which the layer product replaced, is the
+    # oracle: on seeded products, among them powers of x and repeated
+    # quadratics, and on a few pinned ones
+    rng = random.Random(35)
+    samples = [random_product(rng, max_degree=10).form for _ in range(150)]
+    assert sum(f.x_multiplicity() >= 2 for f in samples) >= 5
+    assert sum(max(factor_form(f).quad_mults, default=0) >= 2 for f in samples) >= 5
+    samples += [form(1, 0, 0), form(0, 0, 0, 1), form(2, 0, 0, 0, 0, 0),
+                form(0, 1, 0) * form(1, 0, 1).power(3),
+                form(1, 0).power(4) * form(1, 1, 1).power(2) * form(1, -3).power(3)]
+    for f in samples:
+        assert common_divisor(f) == gcd_bivariate(*partials(f))     # scale and ints
 
 
 def test_partition_single_line():

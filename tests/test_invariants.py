@@ -39,6 +39,25 @@ def test_reduced_degree_against_foreign_counts():
                       common_divisor(XY2))
 
 
+def test_divisor_of_another_form_is_refused():
+    # the divisor is read off fs's layers, so fs must be that of f, even
+    # where the foreign counts agree: x^2*y has the multiplicities of x*y^2
+    with pytest.raises(InvariantError):
+        common_divisor(XY2, factor_form(HomogeneousForm([0, 1, 0, 0])))     # x^2*y
+
+
+def test_a_divisor_that_does_not_divide_the_partials(monkeypatch, capsys):
+    # x + y divides neither partial of x*y^2: the proof in reduced_field fails
+    with pytest.raises(InvariantError, match="does not divide"):
+        reduced_field(XY2, factor_form(XY2), HomogeneousForm([1, 1]))
+    monkeypatch.setattr("binform.hamfield.common_divisor",
+                        lambda f, fs=None: HomogeneousForm([1, 1]))
+    assert cli.main(["hamiltonian", "x*y^2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "Invariant"
+
+
 def test_reduced_components_not_coprime():
     # x^2*y^2 with a constant divisor leaves x*y in both components
     f = HomogeneousForm([0, 0, 1, 0, 0])

@@ -439,6 +439,31 @@ def test_exact_core_matches_sympy(c, u, v):
             _check_sequence(*((a, b) if len(a) >= len(b) else (b, a)))
 
 
+def _sympy_jet_order(f, z):
+    """The least total degree in the expansion of f(z1 + u, z2 + v)."""
+    u, v = sympy.symbols("u v")
+    z1, z2 = (sympy.Rational(c.numerator, c.denominator) for c in map(F, z))
+    shifted = sympy.Poly(sympy.expand(_expr(f).subs({_X: z1 + u, _Y: z2 + v},
+                                                    simultaneous=True)), u, v)
+    return min(sum(m) for m in shifted.monoms())
+
+
+def test_jet_order_matches_sympy_on_lines_and_off_them():
+    # the Taylor shift jet_order used to take, in sympy, is the oracle: at
+    # the origin, at points of every rational line (x = 0 among them) and
+    # at points off the zero set
+    rng = random.Random(41)
+    for _ in range(30):
+        f = random_product(rng, max_degree=7).form
+        points = [(0, 0), (0, F(rng.randint(1, 5), 2)), (1, 1), (F(-2, 3), 5)]
+        for w, _ in sympy.factor_list(_t_poly(f.coefficients()))[1]:
+            if w.degree() == 1:
+                t = _frac(-w.nth(0) / w.nth(1))
+                points += [(1, t), (F(-3, 2), F(-3, 2) * t)]
+        for z in points:
+            assert jet_order(f, z) == _sympy_jet_order(f, z), (f, z)
+
+
 # ---------------------------------------------------------------------------
 # the compiled float kernel against the generic formula, bit for bit
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import binform.cli as cli
 from binform.errors import (
     NotFiniteOrderError,
     NotPositiveDefiniteError,
@@ -489,3 +491,92 @@ def test_tol_below_the_polish_floor_is_an_error():
     g = symmetry_group(f, tol=_STOP_DEFECT)
     assert g.n == 3
     assert g.residual < _STOP_DEFECT
+
+
+# ---------------------------------------------------------------------------
+# the factor structure read exactly: the reduced form, the quarter turn, slope 0
+
+@pytest.mark.parametrize("e", [*range(1, 21), 40, 100])
+def test_the_ladder_has_order_three_or_six(e):
+    # x^e y^e (x-y)^e is polished as x y (x-y) (e odd) or its square
+    # (e even), so the rounding floor of f's degree no longer counts
+    g = symmetry_group(parsed(f"x^{e}*y^{e}*(x-y)^{e}"))
+    assert g.n == (3 if e % 2 else 6)
+    assert g.residual < 1e-15
+    assert all(math.copysign(1.0, v) == 1.0 for h in g.elements for v in h.entries()
+               if v == 0.0)
+
+
+def test_the_degree_cap_is_polished_at_degree_six(monkeypatch):
+    calls = count_calls(monkeypatch, symgroup._polish)
+    g = symmetry_group(parsed("x^512*y^512*(x-y)^512"))
+    assert (g.n, g.generator) == (6, Mat2.approx(1, -1, 1, 0))
+    assert {len(target[0]) - 1 for (target, _), _ in calls} == {6}
+
+
+@pytest.mark.parametrize("text, n, reduced", [
+    ("x^2*y*(x-y)", 2, "x^2*y*(x-y)"),           # e: 1 -> 1, 2 -> 2
+    ("x^3*y*(x-y)", 1, "x^3*y*(x-y)"),           # the odd 3 keeps its own layer
+    ("x^4*y^2*(x-y)^2", 2, "x^4*y^2*(x-y)^2"),   # the even 2 and 4
+    ("x^5*y^3*(x-y)^3", 1, "x^3*y*(x-y)"),       # 3 -> 1, 5 -> 3
+    ("x*y*(x-y)*(x+y)", 4, "x*y*(x-y)*(x+y)"),
+    ("x*y*(x-y)*(x-2*y)", 4, "x*y*(x-y)*(x-2*y)"),
+    ("(x^2+y^2)^3*(x^2+2*y^2)^3", 4, "(x^2+y^2)*(x^2+2*y^2)"),
+])
+def test_the_reduced_form_keeps_the_group(text, n, reduced):
+    fs = factor_form(parsed(text))
+    assert symgroup._reduced_form(fs).proportional_to(parsed(reduced))
+    assert symmetry_group(parsed(text)).n == n
+
+
+def _case_b_lines():
+    """(s, t, a, b) for the form (y - s x)^a (y - t x)^b, slope None for x."""
+    rng = random.Random(27)
+    out = [(Fraction(1), Fraction(1000000, 1000001), 2, 2), (None, Fraction(0), 2, 2),
+           (None, Fraction(0), 3, 3), (Fraction(-1, 3), Fraction(5), 1, 1)]
+    while len(out) < 24:
+        s, t = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+        a = rng.randint(1, 4)
+        if s != t:
+            out.append((s, t, a, a if rng.random() < 0.6 else rng.randint(1, 4)))
+    return out
+
+
+@pytest.mark.parametrize("s, t, a, b", _case_b_lines())
+def test_quarter_turn_in_group_against_an_exact_composition(s, t, a, b):
+    # an exact normalizer N sends the axes to the two lines, and the exact
+    # compose_linear says whether N q N^(-1) fixes f for the quarter turn q;
+    # the float residual the flag was read from before is no oracle: it is
+    # about 2 on (x-y)^2*(x-1000001/1000000*y)^2, the first form
+    f = (form(1, 0) if s is None else form(-s, 1)).power(a) * form(-t, 1).power(b)
+    n = Mat2.exact(1, 0 if s is None else 1, t, 1 if s is None else s)
+    if n.det() < 0:
+        n = n @ Mat2.exact(-1, 0, 0, 1)
+    assert compose_linear(f, n).coefficients().count(0) == f.degree     # c x^b y^a
+    q = n @ Mat2.exact(0, -1, 1, 0) @ n.inverse()
+    assert symmetry_group(f).quarter_turn_in_group == (compose_linear(f, q) == f)
+
+
+def test_nearly_equal_slopes_keep_the_quarter_turn():
+    f = parsed("(x-y)^2*(x-1000001/1000000*y)^2")
+    g = symmetry_group(f)
+    assert g.quarter_turn_in_group
+    assert invariance_residual(f, g.quarter_turn()) > 1
+
+
+def test_the_slope_zero_is_exact(capsys):
+    # y is a root of the degree-2 layer t - t^2 of x*y*(x-y)
+    (lf,) = [lf for lf in factor_form(parsed("x*y*(x-y)")).lines
+             if not lf.is_axis and lf.root.contains(0)]
+    assert len(lf.root.poly) == 3
+    assert lf.line_direction() == (1.0, 0.0)
+    assert cli.main(["symmetry", "x*y*(x-y)"]) == 0
+    sym = json.loads(capsys.readouterr().out)["symmetry"]
+    assert (sym["generator"], sym["residual"]) == ([[0, -1], [1, -1]], 0)
+    # y and 3*y + 4*x share a layer; the column of y is turned round for
+    # det > 0, and its zero prints as 0, not -0
+    assert cli.main(["symmetry", "--", "-2*y^2*(3*y + 4*x)^2"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["symmetry"]["family"]["normalizer"] == [[-1, 1],
+                                                                   [0, -4 / 3]]
+    assert "-0," not in out and "-0]" not in out
