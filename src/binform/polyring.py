@@ -22,13 +22,15 @@ forms and of the interval enclosures in ``realfactor``),
 :func:`remainder_sequence` the one integer remainder sequence (gcds here,
 Sturm counts in ``realfactor``), and :func:`float_kernel` the one float
 evaluation (of forms, of sparse polynomials and of the planar fields in
-``hamfield``), compiled once per object on its first float evaluation.
+``hamfield``), compiled once per shape of terms and bound to an object's
+coefficients on its first float evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -48,34 +50,40 @@ def float_kernel(*term_lists: Sequence[tuple[int, int, Rat]]):
     Each power x**i (i >= 2) is computed once, only for the exponents the
     terms use; x**0 = 1.0 and x**1 = x are left out, which changes no bit.
     The products keep the term order, zero coefficients included, so the
-    values are those of the generic formula, and so are the exceptions:
-    a power that leaves the float range raises OverflowError, and fsum
-    raises ValueError on inf + -inf.  A list's powers are taken just
-    before its sum, so the first failure is the one the lists evaluated
-    one after the other would give.
+    values are those of the generic formula, and so are the exceptions: a
+    power that leaves the float range raises OverflowError, and fsum raises
+    ValueError on inf + -inf.  A list's powers are taken just before its
+    sum, so the first failure is the one the lists evaluated one after the
+    other would give.  The source is compiled once per shape, the exponents
+    of every list, and bound per object: the shape's cached factory takes
+    each float(c) in term order.
     """
-    ns: dict = {"fsum": math.fsum}
-    lines = ["def k(x, y):"]
-    done: set[str] = set()
-    for s, terms in enumerate(term_lists):
+    shape = tuple(tuple((i, j) for i, j, _ in terms) for terms in term_lists)
+    return _kernel_factory(shape)(*[float(c) for terms in term_lists for _, _, c in terms])
+
+
+@lru_cache(maxsize=256)
+def _kernel_factory(shape: tuple[tuple[tuple[int, int], ...], ...]):
+    """make(c0, ..., cN), compiled: the kernel of the shape and coefficients."""
+    ns, lines, done, n = {"fsum": math.fsum}, ["    def k(x, y):"], set(), 0
+    for s, exponents in enumerate(shape):
         products = []
-        for i, j, c in terms:
-            name = f"c{len(ns)}"
-            ns[name] = float(c)
-            factors = [name]
+        for i, j in exponents:
+            factors, n = [f"c{n}"], n + 1
             for v, e in (("x", i), ("y", j)):
                 power = v if e == 1 else f"{v}{e}"
                 if e >= 2 and power not in done:
                     done.add(power)
-                    lines.append(f"    {power} = {v}**{e}")
+                    lines.append(f"        {power} = {v}**{e}")
                 if e:
                     factors.append(power)
             products.append(" * ".join(factors) + ",")
-        lines.append(f"    s{s} = fsum(({' '.join(products)}))")
-    lines.append(f"    return {', '.join(f's{s}' for s in range(len(term_lists)))}")
-    exec("\n".join(lines), ns)
-    # the function keeps ns as its globals; ns must not keep the function
-    return ns.pop("k")
+        lines.append(f"        s{s} = fsum(({' '.join(products)}))")
+    lines.append(f"        return {', '.join(f's{s}' for s in range(len(shape)))}")
+    params = ", ".join(f"c{m}" for m in range(n))
+    exec("\n".join([f"def make({params}):", *lines, "    return k"]), ns)
+    # the factory keeps ns as its globals; ns must not keep the factory
+    return ns.pop("make")
 
 
 def convolve(a: Sequence, b: Sequence) -> list:

@@ -14,11 +14,12 @@ Yun algorithm over Z returns as a primitive integer tuple (lowest degree
 first), is isolated once.  Its real roots are split by Sturm counts and
 refined by bisection, both in plain integers: every endpoint is a
 rational p/q (the Cauchy bound times a dyadic number), and the sign of
-w(p/q) is that of sum c_i p^i q^(n-i).  The Sturm chain is the remainder
-sequence that also gives polyring's gcds; it ends in gcd(w, w'), so a
-polynomial that is not squarefree needs no separate gcd.  The same
-isolation serves the linear factors and the Aberth seeds of the
-complex pairs.
+w(p/q) is that of sum c_i p^i q^(n-i).  A float Newton estimate skips
+the halvings to a cell whose end signs show it holds the root.  The Sturm
+chain is the remainder sequence that also gives polyring's gcds; it ends
+in gcd(w, w'), so a polynomial that is not squarefree needs no separate
+gcd.  The same isolation serves the linear factors and the Aberth seeds
+of the complex pairs.
 
 Enclosures have one route: the layers' isolations refined to eps and
 ``paircert._certify_pairs`` at eps for the layers with conjugate pairs.
@@ -94,6 +95,22 @@ def _nonroot_point(w: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
     return m
 
 
+def _float_root(w: Sequence[int], lo: float, hi: float, s_lo: int) -> float:
+    """Float Newton from the midpoint for the root of w in (lo, hi), w of sign
+    s_lo at lo; a flat point or a step out of the bracket of signs bisects."""
+    cs, x = [float(c) for c in reversed(w)], (lo + hi) / 2
+    for _ in range(64):
+        v = dv = 0.0
+        for c in cs:                # w(x) and w'(x) by one Horner pass
+            v, dv = v * x + c, dv * x + v
+        lo, hi = (x, hi) if v * s_lo > 0 else (lo, x)
+        last, x = x, x - v / dv if dv else lo
+        x = x if lo < x < hi else (lo + hi) / 2
+        if abs(x - last) <= 4 * math.ulp(x):
+            break
+    return x
+
+
 class IsolatedRoot:
     """One real root of a squarefree integer polynomial.
 
@@ -134,7 +151,14 @@ class IsolatedRoot:
 
         The bisection runs in integers: lo = a/d and hi = b/d over one
         denominator, doubled at each step, so every endpoint is the same
-        rational a halving of (lo, hi) in Q would give."""
+        rational a halving of (lo, hi) in Q would give.  It first jumps to
+        a cell of the deepest level, at most the last, whose cells span 8
+        ulps of x, the float Newton root: the cell beside the grid point g
+        nearest x, on the root's side by the sign at g, if w has the other
+        sign at its far end.  As (lo, hi) holds exactly one root, the root
+        is strictly inside that cell, so halving passes through it."""
+        if not 0 < eps < math.inf:
+            raise ValueError("eps must be a positive finite number")
         target = Fraction(eps)
         if self.width < target:
             return self
@@ -143,7 +167,21 @@ class IsolatedRoot:
         d = math.lcm(self.lo.denominator, self.hi.denominator)
         a = self.lo.numerator * (d // self.lo.denominator)
         b = self.hi.numerator * (d // self.hi.denominator)
-        s_lo = _sign_at(w, a, d)
+        s_lo, span = _sign_at(w, a, d), b - a
+        try:    # OverflowError where floats cannot hold w or (lo, hi)
+            x = _float_root(w, a / d, b / d, s_lo)
+            (xn, xd), (un, ud) = x.as_integer_ratio(), math.ulp(x).as_integer_ratio()
+            h1 = min(((span * td) // (tn * d)).bit_length(),
+                     ((span * ud) // (8 * un * d)).bit_length() - 1)
+        except (OverflowError, ValueError):     # or x is not finite
+            h1 = 0
+        if h1 > 0:      # g: the grid point of level h1 nearest to x
+            n = (((xn * d - a * xd) << (h1 + 1)) + xd * span) // (2 * xd * span)
+            g, dh = (a << h1) + min(max(n, 0), 1 << h1) * span, d << h1
+            sg = _sign_at(w, g, dh)
+            o = g + sg * s_lo * span    # the cell's other end, on the root's side of g
+            if sg and _sign_at(w, o, dh) == -sg:
+                a, b, d = min(g, o), max(g, o), dh
         while (b - a) * td >= tn * d:
             m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
             s = _sign_at(w, m, d)
@@ -304,6 +342,8 @@ class FactorizationStructure:
     def __init__(self, form: HomogeneousForm, sign: int, layers: Sequence, eps: float):
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+        if not 0 < eps < math.inf:
+            raise ValueError("eps must be a positive finite number")
         self.form, self.sign, self.layers, self.eps = form, sign, tuple(layers), eps
         x_mult = form.x_multiplicity()
         lines, pairs = [x_mult] if x_mult else [], []
@@ -432,7 +472,6 @@ def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:
     """The structure of fs's layers at enclosure width eps: the enclosures
     are certified again from the layers when first read.  Counts and
     ordering are preserved.  fs itself when eps >= fs.eps, so refining never
-    coarsens."""
-    if eps >= fs.eps:
-        return fs
-    return FactorizationStructure(fs.form, fs.sign, fs.layers, eps)
+    coarsens; eps must be positive and finite."""
+    return fs if fs.eps <= eps < math.inf else FactorizationStructure(
+        fs.form, fs.sign, fs.layers, eps)

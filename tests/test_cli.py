@@ -399,6 +399,36 @@ def test_a_portrait_compiles_one_kernel_per_object(monkeypatch, capsys):
     assert sorted(len(args) for args, _ in calls) == [1, 2]
 
 
+def _geometry_round(requests):
+    for req in requests:
+        for path, text in req["files"].items():
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            Path(path).write_text(text)
+        Path("out").mkdir(exist_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(req["argv"])
+
+
+def test_a_geometry_round_compiles_one_factory_per_shape(monkeypatch, tmp_path):
+    """Seed 1 of the benchmark's geometry workload binds 71 kernels of 10
+    shapes; a second round finds every shape compiled."""
+    import binform.polyring as polyring
+
+    sys.path.insert(0, str(ROOT))
+    try:
+        from bench import corpus
+    finally:
+        sys.path.remove(str(ROOT))
+    monkeypatch.chdir(tmp_path)
+    requests = corpus.requests("geometry", 1, "out")
+    calls = count_calls(monkeypatch, float_kernel)
+    polyring._kernel_factory.cache_clear()
+    _geometry_round(requests)
+    assert (len(calls), polyring._kernel_factory.cache_info().misses) == (71, 10)
+    _geometry_round(requests)
+    assert (len(calls), polyring._kernel_factory.cache_info().misses) == (142, 10)
+
+
 @pytest.mark.parametrize("cmd", ["hamiltonian", "decide", "dynamics", "portrait",
                                  "factor", "classify", "symmetry"])
 def test_eps_reaches_the_factorization(monkeypatch, capsys, cmd):

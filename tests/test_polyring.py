@@ -1,6 +1,8 @@
 import gc
 import math
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from binform.errors import NotHomogeneousError
 from binform.exprparse import canonical_text, parse_polynomial
 from binform.hamfield import PlanarPolyField
 from binform.mat2 import Mat2
+import binform.polyring as polyring
 from binform.polyring import (
     BivariatePoly,
     HomogeneousForm,
@@ -587,3 +590,69 @@ def test_kernel_holds_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one compiled factory per shape, one bound kernel per object
+
+def test_same_shape_objects_keep_their_own_coefficients():
+    f, g = HomogeneousForm([1, -3, 2]), HomogeneousForm([5, 0, F(-1, 7)])
+    p = BivariatePoly({(2, 1): 3, (0, 0): F(1, 3)})
+    q = BivariatePoly({(2, 1): -2, (0, 0): 10**20})
+    points = [(1.5, -0.25), (-2.0, 3.0), (0.1, 0.7)] * 3
+    for x, y in points:             # interleaved, each after the other's bind
+        for obj, coeffs in ((f, [1, -3, 2]), (g, [5, 0, F(-1, 7)])):
+            assert obj.eval_float(x, y) == form_eval_float(coeffs, x, y)
+        for obj in (p, q):
+            assert obj.eval_float(x, y) == bivariate_eval_float(obj.terms, x, y)
+    assert f._kernel is not g._kernel and p._kernel is not q._kernel
+
+
+def test_same_shape_kernels_evaluate_alike_in_two_threads():
+    forms = [HomogeneousForm([1, F(c, 3), -c, 7]) for c in range(1, 41)]
+    points = [(0.5 + i / 7, 1.25 - i / 5) for i in range(50)]
+    want = {c: [form_eval_float(f.coefficients(), x, y) for x, y in points]
+            for c, f in enumerate(forms)}
+    polyring._kernel_factory.cache_clear()     # both threads start unbound
+    got: dict = {}
+
+    def run(order):
+        got[order] = {c: [forms[c].eval_float(x, y) for x, y in points] for c in order}
+
+    threads = [threading.Thread(target=run, args=(order,))
+               for order in (tuple(range(40)), tuple(reversed(range(40))))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(vals == want for vals in got.values()) and len(got) == 2
+
+
+def test_the_factory_cache_keeps_its_fixed_size():
+    maxsize = polyring._kernel_factory.cache_info().maxsize
+    kernels = [float_kernel([(i, 0, F(i + 1))]) for i in range(maxsize + 44)]
+    info = polyring._kernel_factory.cache_info()
+    assert info.currsize == info.maxsize == maxsize == 256
+    # a kernel whose factory left the cache still evaluates, and so does a
+    # new one of that shape
+    assert kernels[0](2.0, 3.0) == 1.0 and kernels[3](2.0, 3.0) == 32.0
+    assert float_kernel([(0, 0, F(9))])(2.0, 3.0) == 9.0
+
+
+def test_a_coefficient_out_of_float_range_does_not_poison_its_shape():
+    huge = BivariatePoly({(1, 0): 10**400, (0, 1): 1})
+    with pytest.raises(OverflowError) as err:
+        huge.eval_float(1.0, 1.0)
+    with pytest.raises(OverflowError) as want:
+        bivariate_eval_float(huge.terms, 1.0, 1.0)
+    assert str(err.value) == str(want.value)
+    fine = BivariatePoly({(1, 0): 3, (0, 1): 1})
+    assert fine.eval_float(2.0, 1.0) == 7.0
+    with pytest.raises(OverflowError):          # and it fails again, not bound
+        huge.eval_float(1.0, 1.0)

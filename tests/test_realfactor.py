@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import binform.paircert as paircert
 import binform.realfactor as rf
@@ -561,6 +562,97 @@ def test_refine_lands_on_rational_roots():
     assert (tight.lo, tight.hi) == \
         oracles.bisect_refine([0, -1, 0, 1], F(-1, 2), F(1, 2), 1e-9)[:2]
     assert tight.lo == -tight.hi
+
+
+@st.composite
+def jump_rows(draw):
+    """Squarefree rows whose roots test the jump of ``refine``: rationals
+    with small and with dyadic denominators (which halving can land on), 0
+    and roots near it, a close pair, and 1/10^320, whose row has a
+    coefficient beyond the float range, so that no jump is taken."""
+    small = st.fractions(-8, 8, max_denominator=12)
+    dyadic = st.builds(lambda n, j: F(n, 2**j), st.integers(-64, 64), st.integers(0, 6))
+    near_zero = st.builds(lambda s, k: F(s, 10**k), st.sampled_from((1, -1)),
+                          st.sampled_from((3, 12, 17, 40, 320)))
+    roots = set(draw(st.lists(small | dyadic | near_zero | st.just(F(0)), max_size=4)))
+    if draw(st.booleans()):         # a close pair
+        r = draw(small)
+        roots |= {r, r + F(1, 10 ** draw(st.sampled_from((9, 15, 20))))}
+    row = [F(draw(st.integers(1, 9)))]
+    for r in roots:
+        row = _mul_rows(row, [-r, F(1)])
+    if draw(st.booleans()):         # and a definite quadratic
+        row = _mul_rows(row, [F(draw(st.integers(1, 9))), F(draw(st.integers(-1, 1))), F(1)])
+    return row
+
+
+_JUMP_WIDTHS = [1e-12] + [F(1, 2**k) for k in (40, 80, 140, 848)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(jump_rows())
+@example([F(-3), F(-1), F(3), F(1)])               # each root a midpoint of its interval
+@example([F(0), F(-2), F(0), F(1)])                # t^3 - 2t: 0 and +-sqrt(2)
+@example(_mul_rows([F(-2), F(0), F(1)], [F(-1), F(0), F(1)]))     # +-1 and +-sqrt(2)
+@example(_mul_rows([F(-1, 3), F(1)], [F(-1, 3) - F(1, 10**15), F(1)]))   # a close pair
+@example([F(-1, 10**320), F(1)])                   # no jump: 10^320 is no float
+def test_refine_jumps_to_the_cell_bisection_reaches(row):
+    """At every width the package refines to, the jump changes no endpoint:
+    1e-12 (the default eps), 1e-17 of the distance from 0 (a line's slope),
+    and the rungs 2^-k of the pair certificate."""
+    if len(row) < 2:
+        return
+    for r in isolate_real_roots(_ints(row, primitive=True)):
+        widths = list(_JUMP_WIDTHS)
+        if not r.lo <= 0 <= r.hi:
+            widths.append(F(1e-17) * min(abs(r.lo), abs(r.hi)))
+        for eps in widths:
+            tight = r.refine(eps)
+            assert (tight.lo, tight.hi) == oracles.bisect_refine(row, r.lo, r.hi, eps)[:2]
+
+
+def test_a_row_beyond_the_float_range_takes_no_jump():
+    w = _ints([F(-1, 10**320), F(1)], primitive=True)      # t - 10^-320
+    with pytest.raises(OverflowError):
+        rf._float_root(w, -1.0, 1.0, -1)
+    (r,) = isolate_real_roots(w)
+    assert r.refine(F(1, 2**1100)).contains(F(1, 10**320))
+
+
+def test_refining_sqrt2_takes_five_signs(monkeypatch):
+    """One sign at lo, two for the jump's cell (the last level's cells are
+    far wider than 8 ulps), none for halving and two that the result's
+    constructor checks; plain bisection from (0, 3) takes 45."""
+    (_, r) = isolate_real_roots([-2, 0, 1])
+    assert (r.lo, r.hi) == (0, 3)
+    calls = oracles.count_calls(monkeypatch, rf._sign_at)
+    tight = r.refine(1e-12)
+    assert len(calls) == 5
+    assert (tight.lo, tight.hi) == oracles.bisect_refine([-2, 0, 1], r.lo, r.hi, 1e-12)[:2]
+
+
+@pytest.mark.parametrize("eps", [0, 0.0, -1e-3, F(-1, 3), math.nan, math.inf, -math.inf])
+def test_a_width_that_is_not_positive_and_finite_is_rejected(eps):
+    """Bisection halves until the width is below eps, so a root's
+    refine(0), refine(fs, 0.0) or the enclosures of factor_form(f, eps=0)
+    would never return."""
+    f = HomogeneousForm([1, 0, -2])         # x^2 - 2*y^2
+    fs = factor_form(f)
+    root = fs.layers[0][2][0]
+    for call in (lambda: root.refine(eps), lambda: refine(fs, eps),
+                 lambda: factor_form(f, eps=eps).linear):
+        raised = []
+
+        def run():
+            try:
+                call()
+            except ValueError as e:
+                raised.append(str(e))
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=1)
+        assert not t.is_alive() and raised == ["eps must be a positive finite number"]
 
 
 def test_isolating_a_squarefree_layer_takes_no_gcd(monkeypatch):
