@@ -217,7 +217,7 @@ def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int
                     if (ai - aj) ** 2 + (bi - bj) ** 2 <= 16 * (ri + rj) ** 2:
                         raise NotRefinedError("discs not separated")
             # Each disc sits strictly above the axis, its mirror strictly
-            # below, real roots are accounted for exactly by Sturm, and the
+            # below, the isolation counts the real roots exactly, and the
             # discs are pairwise disjoint; since the counts add up to deg w,
             # every disc holds exactly one root.
             pairs = [_pair_from_disc(disc, k, beta, eps) for disc in discs]

@@ -19,8 +19,8 @@ layers as primitive integer tuples.
 
 Each job has one kernel: :func:`convolve` is the one dense product (of
 forms and of the interval enclosures in ``realfactor``),
-:func:`remainder_sequence` the one integer remainder sequence (gcds here,
-Sturm counts in ``realfactor``), and :func:`float_kernel` the one float
+:func:`remainder_sequence` the one integer remainder sequence (the gcds
+of Yun's algorithm), and :func:`float_kernel` the one float
 evaluation (of forms, of sparse polynomials and of the planar fields in
 ``hamfield``), compiled once per shape of terms and bound to an object's
 coefficients on its first float evaluation.
@@ -165,9 +165,8 @@ def remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     deg a >= deg b >= 0: a, b, then minus the remainder of the two entries
     before, divided by its positive content.
 
-    Each entry is a positive multiple of the same sequence over Q, so sign
-    variations are those of the Sturm sequence (w, w', ...) when b = a'.
-    It stops at a constant entry or before a zero remainder, so its last
+    Each entry is a positive multiple of the same sequence over Q.  It
+    stops at a constant entry or before a zero remainder, so its last
     entry is a multiple of gcd(a, b)."""
     chain = [a, b]
     while len(chain[-1]) > 1:

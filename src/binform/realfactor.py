@@ -6,20 +6,21 @@ Over the reals a binary form splits, up to sign and a positive constant, as
 
 with pairwise non-proportional linear forms L_i and pairwise non-proportional
 positive definite quadratic forms Q_j.  This module computes that structure
-exactly, from Sturm counts, and on first access certified enclosures of the
-roots and of the quadratic coefficients, which live over the reals.
+exactly, from Descartes' rule of signs, and on first access certified
+enclosures of the roots and of the quadratic coefficients, which live over
+the reals.
 
 Each squarefree layer w of the dehomogenization f(1, t), which polyring's
 Yun algorithm over Z returns as a primitive integer tuple (lowest degree
-first), is isolated once.  Its real roots are split by Sturm counts and
-refined by bisection, both in plain integers: every endpoint is a
-rational p/q (the Cauchy bound times a dyadic number), and the sign of
-w(p/q) is that of sum c_i p^i q^(n-i).  A float Newton estimate skips
-the halvings to a cell whose end signs show it holds the root.  The Sturm
-chain is the remainder sequence that also gives polyring's gcds; it ends
-in gcd(w, w'), so a polynomial that is not squarefree needs no separate
-gcd.  The same isolation serves the linear factors and the Aberth seeds
-of the complex pairs.
+first), is isolated once.  Its real roots are counted by Descartes' rule
+on a tree of dyadic intervals and refined by bisection, both in plain
+integers: every endpoint is a rational p/q (the Cauchy bound times a
+dyadic number), and the sign of w(p/q) is that of sum c_i p^i q^(n-i).
+A float Newton estimate skips the halvings to a cell whose end signs show
+it holds the root.  The isolation builds no remainder sequence: one gcd
+of two integers proves a layer squarefree, and only a polynomial it does
+not prove is divided by gcd(w, w').  The same isolation serves the linear
+factors and the Aberth seeds of the complex pairs.
 
 Enclosures have one route: the layers' isolations refined to eps and
 ``paircert._certify_pairs`` at eps for the layers with conjugate pairs.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from .errors import InvariantError, NotRefinedError
@@ -45,10 +46,9 @@ from .polyring import (
     HomogeneousForm,
     _derivative,
     _div_exact,
-    _primitive,
     _trim,
     convolve,
-    remainder_sequence,
+    gcd_univariate,
     squarefree_decomposition,
 )
 
@@ -56,7 +56,7 @@ _DEFAULT_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# integer core: signs at rationals, Sturm counts, dyadic bisection
+# integer core: signs at rationals, Descartes' rule on a dyadic tree, bisection
 
 def _sign_at(w: Sequence[int], p: int, q: int) -> int:
     """Sign of w(p/q) for q > 0, by homogeneous Horner."""
@@ -67,32 +67,34 @@ def _sign_at(w: Sequence[int], p: int, q: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[list[int]], t: Fraction) -> int:
-    p, q = t.numerator, t.denominator
-    count, last = 0, 0
-    for c in chain:
-        s = _sign_at(c, p, q)
-        if s:
-            count += last == -s
-            last = s
-    return count
+def _shift1(h: list[int]) -> list[int]:
+    """h(x + 1), highest degree first: each pass of running sums is one
+    synthetic division by x - 1."""
+    h = list(h)
+    for m in range(len(h), 1, -1):
+        h[:m] = accumulate(h[:m])
+    return h
 
 
-def _count_roots(chain, a: Fraction, b: Fraction) -> int:
-    return _variations(chain, a) - _variations(chain, b)
+def _scale(h: Sequence[int], p: int, q: int) -> list[int]:
+    """q^n h(p x / q) for h of degree n, highest degree first."""
+    return [c * p ** (len(h) - 1 - k) * q**k for k, c in enumerate(h)]
 
 
-def _nonroot_point(w: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
-    """A point strictly inside (a, b) where w does not vanish."""
-    span = b - a
-    m = a + span / 2
-    j = 2
-    while _sign_at(w, m.numerator, m.denominator) == 0:
-        m = a + span * Fraction(2 ** (j - 1) + 1, 2**j)
-        j += 1
-        if j > 64:
-            raise ArithmeticError("could not find a non-root split point")
-    return m
+def _descartes(h: list[int]) -> int:
+    """min(2, V) for V the sign variations of (1 + x)^n h(1 / (1 + x)), h
+    highest degree first: V bounds the roots in (0, 1), counted with
+    multiplicity, and has their parity.  The shift's coefficients are
+    final from the constant term, h(1) != 0, up, so the count stops at 2."""
+    t, v = list(accumulate(h[::-1])), 0
+    last = t[-1] > 0
+    for m in range(len(t) - 1, 0, -1):
+        t[:m] = accumulate(t[:m])
+        if t[m - 1] and (t[m - 1] > 0) != last:
+            last, v = not last, v + 1
+            if v == 2:
+                break
+    return v
 
 
 def _float_root(w: Sequence[int], lo: float, hi: float, s_lo: int) -> float:
@@ -129,6 +131,12 @@ class IsolatedRoot:
         if sa == 0 or sb == 0 or sa == sb:
             raise ValueError("interval endpoints must straddle a single root")
         self.poly, self.lo, self.hi = poly, lo, hi
+
+    @classmethod
+    def _of(cls, poly: tuple[int, ...], lo: Fraction, hi: Fraction) -> "IsolatedRoot":
+        r = object.__new__(cls)     # an interval known to isolate a root: no checks
+        r.poly, r.lo, r.hi = poly, lo, hi
+        return r
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IsolatedRoot)
@@ -198,49 +206,75 @@ class IsolatedRoot:
                 a = m
             else:
                 b = m
-        return IsolatedRoot(self.poly, Fraction(a, d), Fraction(b, d))
+        return IsolatedRoot._of(self.poly, Fraction(a, d), Fraction(b, d))
 
     def contains(self, t: Fraction) -> bool:
         return self.lo < t < self.hi
+
+
+def _squarefree(w: list[int]) -> bool:
+    """True proves w squarefree.  A common factor g of w and w' over Z, of
+    degree d >= 1, divides w(k) and w'(k), and its coefficients sum to at
+    most 2^d M(w) <= 2^n |w|_1 in absolute value (Mignotte), so |g(k)| >
+    k/2 at k = 2^K > 2^(n+33) |w|_1.  So gcd(w(k), w'(k)) < k/2 rules g out."""
+    K = len(w) + sum(map(abs, w)).bit_length() + 32
+    v = dv = 0
+    for c in reversed(w):       # w(2^K) and w'(2^K) by one Horner pass
+        v, dv = (v << K) + c, (dv << K) + v
+    return math.gcd(v, dv) >> (K - 1) == 0
 
 
 def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
     """Exact isolation of all real roots of the integer polynomial u
     (lowest degree first), sorted increasing.
 
-    The returned intervals refer to the squarefree part of u, which is u
-    divided by the last entry of its Sturm chain, gcd(u, u'), taken with
-    positive leading coefficient, so a layer of ``squarefree_decomposition``
-    comes back as itself.  The chain of u counts distinct roots between
-    points that are not roots (the generalized Sturm theorem).  The
-    endpoints are the Cauchy bound B of the squarefree part times dyadic
-    rationals, and Sturm counts on the integer chain split them.
+    The intervals refer to the squarefree part w of u, u over gcd(u, u')
+    with positive leading coefficient, so a layer of
+    ``squarefree_decomposition`` comes back as itself; the gcd is taken
+    only when ``_squarefree`` does not prove u squarefree.  They are nodes
+    of one tree: its root is (-B, B) for B the Cauchy bound of w, and a
+    node (a, b) splits at its midpoint or, if that is a root, at the first
+    a + (b - a)(2^(j-1) + 1)/2^j, j = 2, 3, ..., that is not.  Descartes'
+    rule on the node polynomial, an integer multiple of w(a + (b - a) x)
+    from Taylor shifts, counts the roots of a node with 0 or 1 sign
+    variations, and a node with more splits.  A root's interval is the
+    largest node that holds it alone.  The walk keeps its own stack.  A
+    quadratic of negative discriminant, which it would bisect until every
+    node reads 0, returns at once.
     """
     w = _trim(u)
-    if len(w) < 2:
+    if len(w) < 2 or len(w) == 3 and w[1] * w[1] < 4 * w[0] * w[2]:
         return []
-    chain = remainder_sequence(w, _derivative(w))
-    if len(chain[-1]) > 1:      # u is not squarefree
-        w = _div_exact(w, _primitive(chain[-1])[1])
+    if not _squarefree(w):
+        w = _div_exact(w, gcd_univariate(w, _derivative(w)))
     wq = tuple(w)
     # Cauchy bound 1 + max |c_i| / |lc|, strict, so neither -B nor B is a root
-    bound = Fraction(abs(w[-1]) + max(abs(c) for c in w[:-1]), abs(w[-1]))
-    out: list[IsolatedRoot] = []
-
-    def split(a: Fraction, b: Fraction, count: int):
-        if count == 0:
-            return
-        if count == 1:
-            out.append(IsolatedRoot(wq, a, b))
-            return
-        m = _nonroot_point(w, a, b)
-        left = _count_roots(chain, a, m)
-        split(a, m, left)
-        split(m, b, count - left)
-
-    split(-bound, bound, _count_roots(chain, -bound, bound))
-    out.sort(key=lambda r: r.mid)
-    return out
+    bn, bd = abs(w[-1]) + max(abs(c) for c in w[:-1]), abs(w[-1])
+    # w(-B + 2B x) = w(-B (1 - 2x)): w(-B y), then y -> y + 1, then y -> -2x
+    h = _scale(_shift1(_scale(w[::-1], -bn, bd)), -2, 1)
+    g = math.gcd(*h)
+    # a node (i, j, e, h) is (B i / 2^e, B j / 2^e) with node polynomial h
+    todo, out = [(-1, 1, 0, [c // g for c in h])], []
+    while todo:
+        i, j, e, h = todo.pop()
+        if type(h) is int:      # the node's subtree is done; its roots start at out[h]
+            if len(out) == h + 1:
+                out[h] = (i, j, e)
+        elif (v := _descartes(h)) == 1:
+            out.append((i, j, e))
+        elif v:
+            p, q, k = 1, 2, 1
+            left = [c << d for d, c in enumerate(h)]      # 2^n h(x / 2)
+            right = _shift1(left)
+            while not right[-1]:        # h(p/q) = 0: the next split point
+                p, q, k = q + 1, 2 * q, k + 1
+                left = _scale(h, p, q)
+                right = _scale(_shift1(left), q - p, p)
+            m = i * (q - p) + j * p
+            todo += [(i, j, e, len(out)), (m, j << k, e + k, right),
+                     (i << k, m, e + k, left)]
+    return [IsolatedRoot._of(wq, Fraction(i * bn, bd << e), Fraction(j * bn, bd << e))
+            for i, j, e in out]
 
 
 class QuadraticFactor:
@@ -332,7 +366,7 @@ class FactorizationStructure:
     enclosures on first access.
 
     ``layers`` holds the squarefree layers (w, m, roots) of f(1, t), each
-    with the Sturm isolation of its real roots.  A layer gives len(roots)
+    with the isolation of its real roots.  A layer gives len(roots)
     lines and (deg w - len(roots))/2 definite quadratics of multiplicity m,
     which fixes ``l``, ``k``, ``line_mults`` and ``quad_mults`` (sorted).
     ``linear`` and ``quadratic`` are certified from the layers at width
@@ -453,9 +487,9 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
     """Factor a binary form into lines and definite quadratics.
 
     The counts, multiplicities and sign come out exactly from Yun's layers
-    and their Sturm isolations; the enclosures (lines refined to eps,
-    quadratic coefficients certified to width at most eps) are computed
-    when ``linear`` or ``quadratic`` is first read.
+    and the isolations of their real roots; the enclosures (lines refined
+    to eps, quadratic coefficients certified to width at most eps) are
+    computed when ``linear`` or ``quadratic`` is first read.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero marker")

@@ -5,8 +5,8 @@ identity components StabId^r, one per smoothness grade r of the allowed
 isotopies.  All grades from infinity down to 1 always coincide; the C^1 and
 C^0 components differ exactly when f is a product of at least two distinct
 definite quadratics, which is the factor-count case D.  Everything here is
-exact integer bookkeeping on the exact Sturm counts (l, k) of the
-factorization; no enclosure is read.
+exact integer bookkeeping on the counts (l, k) of the factorization,
+exact from Descartes' rule of signs; no enclosure is read.
 """
 
 from __future__ import annotations

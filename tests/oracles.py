@@ -220,19 +220,16 @@ def sturm_isolate(row):
             j += 1
         return m
 
-    out = []
-
-    def split(a, b, count):
+    bound = 1 + max(abs(c) for c in row[:-1]) / abs(row[-1])
+    out, todo = [], [(-bound, bound, variations(-bound) - variations(bound))]
+    while todo:         # a stack, not recursion: close roots make deep trees
+        a, b, count = todo.pop()
         if count == 1:
             out.append((a, b))
         elif count > 1:
             m = split_point(a, b)
             left = variations(a) - variations(m)
-            split(a, m, left)
-            split(m, b, count - left)
-
-    bound = 1 + max(abs(c) for c in row[:-1]) / abs(row[-1])
-    split(-bound, bound, variations(-bound) - variations(bound))
+            todo += [(a, m, left), (m, b, count - left)]
     return sorted(out, key=lambda iv: iv[0] + iv[1])
 
 

@@ -634,7 +634,7 @@ def test_a_huge_content_stays_in_the_float_range(capsys, form, kind):
         assert sym["family"]["quarter_turn_in_group"] is True
 
 
-# Roots at +-1e-100 and at +-1e-50 i: the Sturm counts are exact, and the
+# Roots at +-1e-100 and at +-1e-50 i: the counts are exact, and the
 # counts-only commands answer on both forms.
 @pytest.mark.parametrize("form, case, lk", [("x^2-10^200*y^2", "B", (2, 0)),
                                             ("x^2+10^100*y^2", "C", (0, 1))])
@@ -649,7 +649,32 @@ def test_counts_only_commands_answer_on_widely_scaled_roots(capsys, form, case, 
     assert (h["D"], h["deg_hFld"]) == ("1", 1)
 
 
-# Sturm isolation splits at the non-root 0, so the line enclosures of the
+# Lines 10^-300 and 10^-400 apart: the isolation's tree is about 1,000 and
+# 1,330 levels deep there, and it keeps its own stack.
+@pytest.mark.parametrize("gap", [300, 400])
+def test_counts_only_commands_answer_on_close_lines(capsys, gap):
+    form = f"(x-y)*(x-(1+1/10^{gap})*y)"
+    assert cli.main(["classify", form]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "B"
+    assert cli.main(["decide", form]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["case"], out["l"], out["k"]) == ("B", 2, 0)
+
+
+# Roots 1 +- 10^-250 i: a definite quadratic layer is read off its
+# discriminant, but beside a line Descartes' rule counts 0 only on intervals
+# about as narrow as the pair's distance from the axis, some 830 levels down.
+@pytest.mark.parametrize("form, case, lk", [("(x-y)^2+1/10^500*y^2", "C", (0, 1)),
+                                            ("(x+y)*((x-y)^2+1/10^500*y^2)", "E", (1, 1))])
+def test_decide_answers_on_a_near_real_pair_within_a_second(capsys, form, case, lk):
+    start = time.perf_counter()
+    assert cli.main(["decide", form]) == 0
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert (out["case"], out["l"], out["k"]) == (case, *lk) and elapsed < 1.0
+
+
+# The isolation splits at the non-root 0, so the line enclosures of the
 # roots +-1e-100 keep the shared endpoint 0 at every width above 1e-100;
 # open intervals that only touch are disjoint, so factor answers at eps.
 # symmetry encloses each slope apart from 0 before it takes the float.

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from binform import cli
 from binform.polyring import (
     HomogeneousForm,
     gcd_univariate,
+    remainder_sequence,
     squarefree_decomposition,
 )
 from binform.realfactor import (
@@ -516,8 +518,30 @@ def _check_against_oracle(row):
         assert all(r.poly == _ints(part, primitive=True) for r in roots)
 
 
+def _from_roots(*roots):
+    row = [F(1)]
+    for r in roots:
+        row = _mul_rows(row, [-F(r), F(1)])
+    return row
+
+
+def _mignotte_examples(test):
+    """The rows t^n - 2 (a t - 1)^2, n = 6..12 and a = 10, 100, as
+    examples: two real roots within about a^-(n+2)/2 of 1/a."""
+    for a in (10, 100):
+        for n in range(6, 13):
+            test = example([F(-2), F(4 * a), F(-2 * a * a)] + [F(0)] * (n - 3) + [F(1)])(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(structured_rows())
+@example(_from_roots(1, 1 + F(1, 10**300)))         # a close pair 1,000 levels deep
+@example(_from_roots(F(-1, 3), F(-1, 3) + F(1, 10**40), 2))
+@example(_from_roots(0, 1))         # B = 2: the midpoint and the 3/4 point are roots
+@example(_from_roots(2, 3, 5))      # split points of j = 2 and 3 are roots
+@example(_from_roots(F(-3, 4), F(-5, 8), F(3, 8)))
+@example(_from_roots(F(-1, 4), 0, F(3, 4)))
 def test_integer_core_matches_fraction_oracle_on_products(row):
     if len(row) >= 2:
         _check_against_oracle(row)
@@ -525,6 +549,9 @@ def test_integer_core_matches_fraction_oracle_on_products(row):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(unstructured_rows())
+@example([1 + F(1, 10**500), F(-2), F(1)])       # roots 1 +- 10^-250 i
+@example(_mul_rows([F(1), F(1)], [1 + F(1, 10**500), F(-2), F(1)]))     # and -1
+@_mignotte_examples
 def test_integer_core_matches_fraction_oracle_on_random_polys(row):
     if len(row) >= 2:
         _check_against_oracle(row)
@@ -619,15 +646,15 @@ def test_a_row_beyond_the_float_range_takes_no_jump():
     assert r.refine(F(1, 2**1100)).contains(F(1, 10**320))
 
 
-def test_refining_sqrt2_takes_five_signs(monkeypatch):
+def test_refining_sqrt2_takes_three_signs(monkeypatch):
     """One sign at lo, two for the jump's cell (the last level's cells are
-    far wider than 8 ulps), none for halving and two that the result's
-    constructor checks; plain bisection from (0, 3) takes 45."""
+    far wider than 8 ulps) and none for halving; the result's endpoints
+    are not checked again.  Plain bisection from (0, 3) takes 45."""
     (_, r) = isolate_real_roots([-2, 0, 1])
     assert (r.lo, r.hi) == (0, 3)
     calls = oracles.count_calls(monkeypatch, rf._sign_at)
     tight = r.refine(1e-12)
-    assert len(calls) == 5
+    assert len(calls) == 3
     assert (tight.lo, tight.hi) == oracles.bisect_refine([-2, 0, 1], r.lo, r.hi, 1e-12)[:2]
 
 
@@ -657,14 +684,37 @@ def test_a_width_that_is_not_positive_and_finite_is_rejected(eps):
 
 def test_isolating_a_squarefree_layer_takes_no_gcd(monkeypatch):
     calls = oracles.count_calls(monkeypatch, gcd_univariate)
+    sequences = oracles.count_calls(monkeypatch, remainder_sequence)
     f = HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, -1]) \
         * HomogeneousForm([2, 0, 1]).power(2) * HomogeneousForm([1, 3]).power(3)
     layers = squarefree_decomposition([int(c) for c in f.coefficients()])
-    assert len(layers) == 3 and calls     # the wrapper sees Yun's gcds
+    assert len(layers) == 3 and calls and sequences     # the wrappers see Yun's gcds
     calls.clear()
-    for w, _ in layers:
+    sequences.clear()
+    # nor does a layer with two complex pairs, or with one 10^-150 off the axis
+    for w in [w for w, _ in layers] + [(2, 0, 3, 0, 1), (10**300 + 1, -2 * 10**300, 10**300)]:
         isolate_real_roots(w)
-    assert calls == []
+    assert calls == [] and sequences == []
+    # a multiple root is divided out with one gcd: (t^2 + 1)^2 (t - 1)
+    assert isolate_real_roots([-1, 1, -2, 2, -1, 1]) == isolate_real_roots([-1, 1, -1, 1])
+    assert len(calls) == 1
+
+
+def test_products_of_many_lines_isolate_in_time():
+    """The product of the lines x - j y, j = 1..n, has l = n and one layer
+    of degree n whose Cauchy bound exceeds n!, so its tree is hundreds of
+    levels deep.  On a 2-vCPU host the three isolations take 0.2 s; with
+    Sturm chains, whose entries reached 2,346 digits at n = 60, 4.3 s."""
+    layers = []
+    for n in (30, 45, 60):
+        f = HomogeneousForm([1, -1])
+        for j in range(2, n + 1):
+            f = f * HomogeneousForm([1, -j])
+        ((w, _),) = squarefree_decomposition(f.ints)
+        layers.append(w)
+    start = time.perf_counter()
+    assert [len(isolate_real_roots(w)) for w in layers] == [30, 45, 60]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_factor_form_isolates_each_layer_once(monkeypatch):

@@ -9,6 +9,16 @@ fresh ``python -m binform.cli`` process instead) and prints one line
 ``workload/seed/id sha256`` per request.  The hash covers the exit code,
 stdout, stderr and every file the request wrote.
 
+The workload name ``edge`` runs, whatever --seeds says, a fixed list of
+forms off the corpus through ``factor``, ``decide``, ``classify`` and
+``symmetry``, one line ``edge/command/form sha256`` each: real lines
+10^-100 to 10^-400 apart, conjugate pairs 10^-50 to 10^-250 off the real
+axis, alone and beside a line, lines at +-10^-100, the Mignotte-like rows
+y^n - 2 (a y - x)^2 x^(n-2), with two lines within about a^-(n+2)/2 of
+each other, and the product of 40 lines.  The corpus's layers have
+degree 8 or less and isolate in a few levels; these reach degree 40 and
+trees 1,300 levels deep.
+
 The workload name ``parse`` checks the parser alone, in this process and
 whatever --seeds says: one line ``parse/i sha256`` for the i-th of the
 distinct request texts (forms and --sigma values) of the three workloads
@@ -53,6 +63,14 @@ _EDGE_TEXTS = [
     "1/" + "1" * 4300 + "*x", "x^" + "9" * 5000, "x^2+y", "x*y - y*x",
 ]
 _ALPHABET = "xy0123456789./+-*^() "
+_EDGE_FORMS = (
+    [f"(x-y)*(x-(1+1/10^{k})*y)" for k in (100, 200, 300, 400)]
+    + [f"(x-y)^2+1/10^{k}*y^2" for k in (100, 300, 500)]
+    + [f"(x+y)*((x-y)^2+1/10^{k}*y^2)" for k in (300, 500)]
+    + ["x^2-10^200*y^2"]
+    + [f"y^{n}-2*({a}*y-x)^2*x^{n - 2}" for a in (10, 100) for n in range(6, 13)]
+    + ["(x-y)*" + "*".join(f"(x-{j}*y)" for j in range(2, 41))]
+)
 
 
 def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -161,8 +179,15 @@ def main() -> int:
                 for i, text in enumerate(_parse_texts(corpus)):
                     print(f"parse/{i} {_parse_digest(text)}", flush=True)
                 continue
-            for seed in (int(s) for s in args.seeds.split(",")):
-                for req in corpus.requests(workload, seed, "out"):
+            if workload == "edge":
+                batches = [("edge", [{"id": f"{cmd}/{form}", "argv": [cmd, "--", form],
+                                      "files": {}} for form in _EDGE_FORMS
+                                     for cmd in ("factor", "decide", "classify", "symmetry")])]
+            else:
+                batches = [(f"{workload}/{seed}", corpus.requests(workload, seed, "out"))
+                           for seed in (int(s) for s in args.seeds.split(","))]
+            for prefix, reqs in batches:
+                for req in reqs:
                     for path, text in req["files"].items():
                         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
                         with open(path, "w", encoding="utf-8") as fh:
@@ -172,8 +197,7 @@ def main() -> int:
                     written = _take_written({os.path.normpath(p) for p in req["files"]})
                     for path in req["files"]:
                         os.remove(path)
-                    print(f"{workload}/{seed}/{req['id']} {_digest(*run, written)}",
-                          flush=True)
+                    print(f"{prefix}/{req['id']} {_digest(*run, written)}", flush=True)
     return 0
 
 
