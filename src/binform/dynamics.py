@@ -325,7 +325,7 @@ def _radial(f: HomogeneousForm, c: float, rect: Optional[Rect]):
     def point(t: float) -> Optional[Point]:
         u, v = math.cos(t), math.sin(t)
         w = ev(u, v)
-        if c * w <= 0:
+        if not (c > 0 < w or c < 0 > w):     # c * w > 0, which may underflow
             return None                 # r is infinite
         r = (c / w) ** (1 / p)
         return (r * u, r * v) if x0 <= r * u <= x1 and y0 <= r * v <= y1 else None

@@ -19,11 +19,11 @@ layers as primitive integer tuples.
 
 Each job has one kernel: :func:`convolve` is the one dense product (of
 forms and of the interval enclosures in ``realfactor``),
-:func:`remainder_sequence` the one integer remainder sequence (the gcds
-of Yun's algorithm), and :func:`float_kernel` the one float
-evaluation (of forms, of sparse polynomials and of the planar fields in
-``hamfield``), compiled once per shape of terms and bound to an object's
-coefficients on its first float evaluation.
+:func:`gcd_univariate` the one polynomial gcd (of Yun's algorithm, of
+:func:`gcd_bivariate` and of ``realfactor``), and :func:`float_kernel`
+the one float evaluation (of forms, of sparse polynomials and of the
+planar fields in ``hamfield``), compiled once per shape of terms and
+bound to an object's coefficients on its first float evaluation.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _primitive(ints: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     g = math.gcd(*ints)
     if g and next(n for n in reversed(ints) if n) < 0:
         g = -g
-    return g, tuple(n // g for n in ints) if g else tuple(ints)
+    return g, tuple(n // g for n in ints) if g not in (0, 1) else tuple(ints)
 
 
 def _trim(a: Sequence[int]) -> list[int]:
@@ -146,46 +146,58 @@ def _div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return q
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) * a  mod  b, all integer; deg a >= deg b."""
-    lb, r, k = b[-1], list(a), len(a) - len(b) + 1
-    while len(r) >= len(b):
-        shift, lr = len(r) - len(b), r[-1]
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= lr * bc
-        while r and r[-1] == 0:
-            r.pop()
-        k -= 1
-    return [c * lb**k for c in r]
+def _at_power_of_two(a: Sequence[int], K: int) -> int:
+    """a(2^K) by Horner on halves joined by one shift: near linear in the
+    size of the value, where one Horner loop would be quadratic."""
+    if len(a) > 32:
+        m = len(a) >> 1
+        return _at_power_of_two(a[:m], K) + (_at_power_of_two(a[m:], K) << m * K)
+    v = 0
+    for c in reversed(a):
+        v = (v << K) + c
+    return v
 
 
-def remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
-    """Signed primitive remainder sequence of integer polynomials with
-    deg a >= deg b >= 0: a, b, then minus the remainder of the two entries
-    before, divided by its positive content.
-
-    Each entry is a positive multiple of the same sequence over Q.  It
-    stops at a constant entry or before a zero remainder, so its last
-    entry is a multiple of gcd(a, b)."""
-    chain = [a, b]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _pseudo_rem(a, b)
-        if not r:
-            break
-        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
-            r = [-c for c in r]     # odd power of a negative lc(b)
-        g = math.gcd(*r)
-        chain.append([-c // g for c in r])
-    return chain
+def _digits(v: int, K: int, n: int) -> list[int]:
+    """The n base-2^K digits of 0 <= v < 2^(nK), lowest first, by halves."""
+    if n > 32:
+        m = n >> 1
+        return _digits(v & ((1 << m * K) - 1), K, m) + _digits(v >> m * K, K, n - m)
+    return [v >> (i * K) & ((1 << K) - 1) for i in range(n)]
 
 
 def gcd_univariate(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     """Gcd of two integer polynomials, primitive with positive leading
-    coefficient; () when both are zero."""
-    a, b = sorted((_trim(u), _trim(v)), key=len, reverse=True)
-    return _primitive(remainder_sequence(a, b)[-1] if b else a)[1]
+    coefficient; () when both are zero.
+
+    The heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989;
+    Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 7.7) of the
+    primitive parts a and b, |a|_inf <= |b|_inf say: gamma = gcd(a(xi), b(xi))
+    at xi = 2^K >= 2 |a|_inf + 2, and h has gamma's base-xi digits in
+    [-xi/2, xi/2): those of gamma + sum (xi/2) xi^i, each less xi/2.
+    A root of a lies below 1 + |a|_inf <= xi/2, so a factor g of a of degree
+    d >= 1 has |g(xi)| > (xi/2)^d: gamma < xi/2 proves a and b coprime.  A
+    pp(h) that divides a and b is their gcd (the CGG theorem); else K
+    doubles.  That ends: for the gcd g, a = g a' and b = g b', gamma is
+    c g(xi) with c = gcd(a'(xi), b'(xi)), a divisor of the resultant of a'
+    and b', which does not depend on xi; once 2^K > 2 c |g|_inf, h = c g.
+    """
+    a, b = _trim(u), _trim(v)
+    if len(a) < 2 or len(b) < 2:        # a zero or a constant
+        return (1,) if a and b else _primitive(a or b)[1]
+    a, b = _primitive(a)[1], _primitive(b)[1]
+    K = min(max(map(abs, a)), max(map(abs, b))).bit_length() + 1
+    while (gamma := math.gcd(_at_power_of_two(a, K), _at_power_of_two(b, K))) >> (K - 1):
+        n, half = gamma.bit_length() // K + 2, 1 << (K - 1)
+        h = _digits(gamma + _at_power_of_two([half] * n, K), K, n)
+        g = _primitive(_trim([d - half for d in h]))[1]
+        try:
+            _div_exact(a, g)
+            _div_exact(b, g)
+            return g
+        except ValueError:
+            K *= 2
+    return (1,)
 
 
 def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:

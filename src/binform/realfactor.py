@@ -17,9 +17,9 @@ on a tree of dyadic intervals and refined by bisection, both in plain
 integers: every endpoint is a rational p/q (the Cauchy bound times a
 dyadic number), and the sign of w(p/q) is that of sum c_i p^i q^(n-i).
 A float Newton estimate skips the halvings to a cell whose end signs show
-it holds the root.  The isolation builds no remainder sequence: one gcd
-of two integers proves a layer squarefree, and only a polynomial it does
-not prove is divided by gcd(w, w').  The same isolation serves the linear
+it holds the root.  The isolation takes polyring's one gcd, gcd(w, w'),
+which proves a layer squarefree from one gcd of two integers, and divides
+w only by a gcd that is not 1.  The same isolation serves the linear
 factors and the Aberth seeds of the complex pairs.
 
 Enclosures have one route: the layers' isolations refined to eps and
@@ -212,28 +212,16 @@ class IsolatedRoot:
         return self.lo < t < self.hi
 
 
-def _squarefree(w: list[int]) -> bool:
-    """True proves w squarefree.  A common factor g of w and w' over Z, of
-    degree d >= 1, divides w(k) and w'(k), and its coefficients sum to at
-    most 2^d M(w) <= 2^n |w|_1 in absolute value (Mignotte), so |g(k)| >
-    k/2 at k = 2^K > 2^(n+33) |w|_1.  So gcd(w(k), w'(k)) < k/2 rules g out."""
-    K = len(w) + sum(map(abs, w)).bit_length() + 32
-    v = dv = 0
-    for c in reversed(w):       # w(2^K) and w'(2^K) by one Horner pass
-        v, dv = (v << K) + c, (dv << K) + v
-    return math.gcd(v, dv) >> (K - 1) == 0
-
-
 def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
     """Exact isolation of all real roots of the integer polynomial u
     (lowest degree first), sorted increasing.
 
-    The intervals refer to the squarefree part w of u, u over gcd(u, u')
-    with positive leading coefficient, so a layer of
-    ``squarefree_decomposition`` comes back as itself; the gcd is taken
-    only when ``_squarefree`` does not prove u squarefree.  They are nodes
-    of one tree: its root is (-B, B) for B the Cauchy bound of w, and a
-    node (a, b) splits at its midpoint or, if that is a root, at the first
+    The intervals refer to the squarefree part w of u, u over gcd(u, u'),
+    so a layer of ``squarefree_decomposition`` comes back as itself: its
+    gcd with u' is 1, which ``gcd_univariate`` mostly proves from one gcd
+    of two integers, and nothing is divided.  The intervals are nodes of
+    one tree: its root is (-B, B) for B the Cauchy bound of w, and a node
+    (a, b) splits at its midpoint or, if that is a root, at the first
     a + (b - a)(2^(j-1) + 1)/2^j, j = 2, 3, ..., that is not.  Descartes'
     rule on the node polynomial, an integer multiple of w(a + (b - a) x)
     from Taylor shifts, counts the roots of a node with 0 or 1 sign
@@ -245,8 +233,8 @@ def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
     w = _trim(u)
     if len(w) < 2 or len(w) == 3 and w[1] * w[1] < 4 * w[0] * w[2]:
         return []
-    if not _squarefree(w):
-        w = _div_exact(w, gcd_univariate(w, _derivative(w)))
+    if (g := gcd_univariate(w, _derivative(w))) != (1,):
+        w = _div_exact(w, g)
     wq = tuple(w)
     # Cauchy bound 1 + max |c_i| / |lc|, strict, so neither -B nor B is a root
     bn, bd = abs(w[-1]) + max(abs(c) for c in w[:-1]), abs(w[-1])

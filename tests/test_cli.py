@@ -513,6 +513,20 @@ def test_dynamics_default_seed_follows_the_window(capsys):
     assert row["shift"] == pytest.approx([5.75 * c - 5.5 * s, 5.75 * s + 5.5 * c], abs=1e-9)
 
 
+def test_a_closed_orbit_of_a_tiny_form_is_no_blowup(capsys):
+    """On 10^-300 (x^2 + y^2) the level c and f(u) are both near 10^-300,
+    so c * f(u) underflows to 0: read as a sign, it put every point of
+    the radial graph at infinity.  dynamics then exited Internal with a
+    TypeError, and portrait reported each orbit as a blowup."""
+    form = "1/10^300*(x^2+y^2)"
+    assert cli.main(["dynamics", form, "--sigma", "1"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["dynamics"]
+    assert "error" not in row and row["shift"] == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert cli.main(["portrait", form]) == 0
+    orbits = json.loads(capsys.readouterr().out)["portrait"]["orbits"]
+    assert len(orbits) == 8 and {o["status"] for o in orbits} == {"ok"}
+
+
 @pytest.mark.parametrize("cmd", ["portrait", "dynamics"])
 @pytest.mark.parametrize("row", ["5,0", "1e300,1e300"])
 def test_seeds_outside_the_integration_box_are_usage_errors(tmp_path, capsys, cmd, row):

@@ -34,12 +34,11 @@ from binform.polyring import (
     jet_order,
     partials,
     quasi_homogeneous_check,
-    remainder_sequence,
     squarefree_decomposition,
 )
 
 from genforms import random_product
-from oracles import bivariate_eval_float, form_eval_float, old_normal_form
+from oracles import bivariate_eval_float, count_calls, form_eval_float, old_normal_form
 
 F = Fraction
 
@@ -374,28 +373,11 @@ def _int_row(f):
     return [int(c * den) * 3 for c in cs]
 
 
-def _check_sequence(a, b):
-    """remainder_sequence(a, b) is a positive multiple, entry by entry, of
-    a, b, -rem(a, b), ... over Q, and as long."""
-    want = [_t_poly(a), _t_poly(b)]
-    while want[-1].degree() > 0:
-        r = want[-2].rem(want[-1])
-        if r.is_zero:
-            break
-        want.append(-r)
-    got = remainder_sequence(a, b)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        w = _t_coeffs(w)
-        ratio = F(g[-1]) / w[-1]
-        assert ratio > 0 and tuple(g) == tuple(ratio * c for c in w)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_forms(), _forms(), _forms())
 def test_exact_core_matches_sympy(c, u, v):
-    """Products, gcds, exact quotients, square-free layers and the
-    remainder sequence against sympy, on f = c*u and g = c*v."""
+    """Products, gcds, exact quotients and square-free layers against
+    sympy, on f = c*u and g = c*v."""
     f, g = c * u, c * v
     for a, b in ((c, u), (f, g)):
         assert (a * b).coefficients() == _form_coeffs(sympy.expand(_expr(a) * _expr(b)),
@@ -432,14 +414,60 @@ def test_exact_core_matches_sympy(c, u, v):
         _, facs = sympy.sqf_list(_t_poly(f.coefficients()))
         assert layers == [(_primitive(_t_coeffs(w)), m)
                           for w, m in sorted(facs, key=lambda wm: wm[1]) if w.degree() > 0]
-    # remainder sequences of f(1, t) with its derivative and with -g(1, t)
-    # (a negative leading coefficient needs the sign fix at even gaps)
-    if len(fu) >= 2:
-        a = list(_primitive(fu))
-        _check_sequence(a, [i * x for i, x in enumerate(a)][1:])
-        if gu:
-            b = [-x for x in _primitive(gu)]
-            _check_sequence(*((a, b) if len(a) >= len(b) else (b, a)))
+
+
+@st.composite
+def _int_rows(draw, degree, bound):
+    """A row of exactly degree + 1 integers up to bound, the last not 0."""
+    row = draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree))
+    return row + [draw(st.integers(-bound, bound).filter(bool))]
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """Integer rows a = s g u and b = r g v, lowest degree first: g of
+    degree up to 40, coefficients up to 10^60, a content shared by both or
+    of either sign, and zero and constant rows among them."""
+    bound = draw(st.sampled_from((1, 9, 10**6, 10**60)))
+    g = draw(_int_rows(draw(st.integers(0, 40)), bound))
+    a, b = (convolve(g, draw(_int_rows(draw(st.integers(0, 8)), bound))) for _ in range(2))
+    shared = draw(st.integers(1, 10**20))
+    s, r = (draw(st.integers(-10**6, 10**6).filter(bool)) * shared for _ in range(2))
+    a, b = [s * c for c in a], [r * c for c in b]
+    kind = draw(st.integers(0, 5))
+    if kind == 0:       # a zero row
+        a = [0] * draw(st.integers(0, 3))
+    elif kind == 1:     # a constant row
+        a = [draw(st.integers(-10**60, 10**60).filter(bool))]
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+# a gcd of degree 40 with coefficients near 10^60: values and digits of more
+# than 32 coefficients, so evaluation and read-back split into halves
+_G40 = [(-1) ** i * (10**60 - i) for i in range(41)]
+_GCD_OF_DEGREE_40 = (convolve(_G40, [1, 2, 3]), convolve(_G40, [3, -1, 4, 1, 5]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_gcd_pairs())
+@example(([], [0]))
+@example(([5], [0, 0]))
+@example(([0, 6, -1, -11, 6], [0, 8, 10, -3]))
+@example(([8, -4, 2, 9, 3], [4, 10, 2, 5, 3]))      # pp(h) = 4 + 4t + t^2 divides only a
+@example(_GCD_OF_DEGREE_40)
+def test_gcd_univariate_matches_sympy(pair):
+    a, b = pair
+    want = _primitive(_t_coeffs(sympy.gcd(_t_poly(a), _t_poly(b))))
+    assert gcd_univariate(a, b) == want
+
+
+def test_a_gcd_whose_first_point_fails_doubles_k(monkeypatch):
+    """a = 2 (1 + 2t)(4 + 3t - 3t^2) and b = 6t (1 + 2t): at the first
+    point 2^3 the integer gcd is 136, whose digits give t (1 + 2t), which
+    does not divide a; at 2^6 they give the gcd 1 + 2t."""
+    tries = count_calls(monkeypatch, polyring._digits)
+    assert gcd_univariate([8, 22, 6, -12], [0, 6, 12]) == (1, 2)
+    assert [args[1] for args, _ in tries] == [3, 6]
 
 
 def _sympy_jet_order(f, z):

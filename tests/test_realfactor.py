@@ -11,12 +11,13 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import binform.paircert as paircert
+import binform.polyring as polyring
 import binform.realfactor as rf
 from binform import cli
+from binform.exprparse import parse_polynomial
 from binform.polyring import (
     HomogeneousForm,
     gcd_univariate,
-    remainder_sequence,
     squarefree_decomposition,
 )
 from binform.realfactor import (
@@ -682,22 +683,64 @@ def test_a_width_that_is_not_positive_and_finite_is_rejected(eps):
         assert not t.is_alive() and raised == ["eps must be a positive finite number"]
 
 
-def test_isolating_a_squarefree_layer_takes_no_gcd(monkeypatch):
-    calls = oracles.count_calls(monkeypatch, gcd_univariate)
-    sequences = oracles.count_calls(monkeypatch, remainder_sequence)
+def test_isolating_a_squarefree_layer_takes_one_gcd_and_no_division(monkeypatch):
+    """Each isolation past the quadratic test takes one gcd(w, w'); on
+    these squarefree layers its first integer gcd proves the gcd 1, so no
+    exact division runs, neither in the gcd's check nor in the isolation."""
     f = HomogeneousForm([1, 0, 1]) * HomogeneousForm([1, -1]) \
         * HomogeneousForm([2, 0, 1]).power(2) * HomogeneousForm([1, 3]).power(3)
-    layers = squarefree_decomposition([int(c) for c in f.coefficients()])
-    assert len(layers) == 3 and calls and sequences     # the wrappers see Yun's gcds
-    calls.clear()
-    sequences.clear()
-    # nor does a layer with two complex pairs, or with one 10^-150 off the axis
-    for w in [w for w, _ in layers] + [(2, 0, 3, 0, 1), (10**300 + 1, -2 * 10**300, 10**300)]:
+    layers = [w for w, _ in squarefree_decomposition(f.ints)]
+    assert len(layers) == 3
+    calls = oracles.count_calls(monkeypatch, gcd_univariate)
+    divisions = oracles.count_calls(monkeypatch, polyring._div_exact)
+    # and a layer with two complex pairs, and one 10^-150 off the axis,
+    # which as a quadratic of negative discriminant takes no gcd at all
+    rows = layers + [(2, 0, 3, 0, 1), (10**300 + 1, -2 * 10**300, 10**300)]
+    for w in rows:
         isolate_real_roots(w)
-    assert calls == [] and sequences == []
-    # a multiple root is divided out with one gcd: (t^2 + 1)^2 (t - 1)
-    assert isolate_real_roots([-1, 1, -2, 2, -1, 1]) == isolate_real_roots([-1, 1, -1, 1])
-    assert len(calls) == 1
+    assert [list(args[0]) for args, _ in calls] == [list(w) for w in rows if len(w) != 3]
+    assert divisions == []
+    # a multiple root is divided out after one gcd: (t^2 + 1)^2 (t - 1)
+    calls.clear()
+    isolated = isolate_real_roots([-1, 1, -2, 2, -1, 1])
+    assert len(calls) == 1 and divisions[-1][0] == ([-1, 1, -2, 2, -1, 1], (1, 0, 1))
+    assert isolated == isolate_real_roots([-1, 1, -1, 1])
+
+
+def _lines(n):
+    """The product of the lines x - j y, j = 1..n."""
+    f = HomogeneousForm([1, -1])
+    for j in range(2, n + 1):
+        f = f * HomogeneousForm([1, -j])
+    return f
+
+
+def test_yun_on_products_of_many_lines_takes_one_gcd(monkeypatch):
+    """u = f(1, t) of 80 or 100 lines is squarefree, and the first integer
+    gcd of u(2^K) and u'(2^K) proves it: Yun returns u itself after one
+    gcd.  The remainder sequence took 3.8 s at n = 80 and 15 s at 100."""
+    us = [_lines(n).ints for n in (80, 100)]
+    calls = oracles.count_calls(monkeypatch, gcd_univariate)
+    start = time.perf_counter()
+    for u in us:
+        assert squarefree_decomposition(u) == [(u, 1)]
+    assert time.perf_counter() - start < 0.5
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text, bases", [
+    ("x^512*y^512*(x-y)^512", [("x*y*(x-y)", 512)]),
+    ("(x-y)^512*(x-2*y)^512*(x-3*y)^512", [("(x-y)*(x-2*y)*(x-3*y)", 512)]),
+    ("(x^2+y^2)^512*(x^2+2*y^2)^256", [("x^2+2*y^2", 256), ("x^2+y^2", 512)]),
+    ("(x^2+x*y+y^2)^300*(x-3*y)^500", [("x^2+x*y+y^2", 300), ("x-3*y", 500)]),
+])
+def test_degree_cap_powers_keep_their_layers(text, bases):
+    """Powers at the parser's degree cap, where Yun's first gcd has degree
+    about 1,500: each layer is the primitive f(1, t) of its base (x, which
+    is no root of f(1, t), drops out)."""
+    want = [(tuple(polyring._trim(parse_polynomial(base).to_form().ints)), m)
+            for base, m in bases]
+    assert squarefree_decomposition(parse_polynomial(text).to_form().ints) == want
 
 
 def test_products_of_many_lines_isolate_in_time():
@@ -707,10 +750,7 @@ def test_products_of_many_lines_isolate_in_time():
     Sturm chains, whose entries reached 2,346 digits at n = 60, 4.3 s."""
     layers = []
     for n in (30, 45, 60):
-        f = HomogeneousForm([1, -1])
-        for j in range(2, n + 1):
-            f = f * HomogeneousForm([1, -j])
-        ((w, _),) = squarefree_decomposition(f.ints)
+        ((w, _),) = squarefree_decomposition(_lines(n).ints)
         layers.append(w)
     start = time.perf_counter()
     assert [len(isolate_real_roots(w)) for w in layers] == [30, 45, 60]
