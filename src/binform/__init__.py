@@ -2,8 +2,9 @@
 dynamics and the component-chain verdict, with a JSON command line.
 
 The exports are resolved on first use (PEP 562).  The package needs only
-the standard library: the certificates run in exact integers and
-Fractions, and every float path runs on Python floats."""
+the standard library: the certificates run in exact integers, Fractions
+are built where a caller reads one, and every float path runs on Python
+floats."""
 
 import importlib
 

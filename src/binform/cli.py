@@ -12,9 +12,11 @@ main factors the form once and hands the factorization to the command;
 only factor and symmetry read its enclosures, the others its exact counts.
 Each command imports the modules it uses when it runs, so the exact
 commands and a request that does not parse start without binform.mat2,
-and a request that does not parse without binform.polyring; only --seeds
-loads csv, and no command loads mpmath, numpy or dataclasses.  The
-argument parser is built once per process.
+and a request that does not parse without binform.polyring.  Forms,
+roots and pairs hold ints, so only mat2's exact matrices load fractions
+(and decimal): the exact commands and the domain errors start without
+it.  Only --seeds loads csv, and no command loads mpmath, numpy or
+dataclasses.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -93,21 +95,17 @@ def _parse_form(text: str):
 
 
 def _factor_payload(fs) -> dict:
+    """The enclosures as floats, each by int true division, which rounds
+    as float() of the Fraction does."""
     linear = []
     for lf in fs.linear:
         if lf.is_axis:
             linear.append({"direction": "x", "alpha": lf.alpha})
         else:
-            linear.append({
-                "root_interval": [float(lf.root.lo), float(lf.root.hi)],
-                "alpha": lf.alpha,
-            })
-    quadratic = [{
-        "a": 1.0,
-        "b": float(qf.b_mid),
-        "c": float(qf.c_mid),
-        "beta": qf.beta,
-    } for qf in fs.quadratic]
+            r = lf.root
+            linear.append({"root_interval": [r.a / r.d, r.b / r.d], "alpha": lf.alpha})
+    quadratic = [{"a": 1.0, "b": b, "c": c, "beta": qf.beta}
+                 for qf in fs.quadratic for b, c in (qf.approx,)]
     return {"linear": linear, "quadratic": quadratic}
 
 

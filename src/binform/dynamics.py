@@ -656,7 +656,8 @@ def orbit_portrait(f: HomogeneousForm, seeds: Sequence[Point], window: Rect,
                             times=times, points=pts, status=status, f_drift=drift,
                             t_err=t_err))
         levels.append(f0)
-    uniq_levels = sorted(set(round(c, 12) for c in levels))
+    # levels are deduped at 12 decimals, or at 12 digits where that reads 0
+    uniq_levels = sorted(set(round(c, 12) or float(f"{c:.12g}") for c in levels))
     curves = tuple((c, level_set(f, c, window, res, fs)) for c in uniq_levels)
     singular = (0.0, 0.0) if fld.degree is not None and fld.degree >= 1 else None
     return Portrait(window=window, resolution=res, level_curves=curves,

@@ -25,8 +25,8 @@ its coefficient is 0), so such an error can come before a grammar error
 later in the same text.
 
 canonical_text prints from the ints as well: the numerators of a
-BivariatePoly over its ``den``, or a form's ``ints`` times its ``scale``,
-each reduced by one gcd.
+BivariatePoly over its ``den``, or a form's ``ints`` times its ``num`` over
+its ``den``, each reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def canonical_text(p: BivariatePoly | HomogeneousForm) -> str:
     from .polyring import HomogeneousForm
 
     if isinstance(p, HomogeneousForm):
-        num, den = p.scale.numerator, p.scale.denominator
+        num, den = p.num, p.den
         deg = p.degree
         mons = [(deg - j, j, n * num) for j, n in enumerate(p.ints) if n and num]
     else:

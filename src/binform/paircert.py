@@ -10,9 +10,10 @@ integers on the rung's dyadic grid on a later one) are polished by Newton
 steps on that grid, and the disc bound |z - root| <= n |w(z)| / |w'(z)|,
 which holds however z was found, is checked with its separation and its
 distance to the axis in integers; the enclosures of the quadratic
-coefficients follow in Fractions.  :class:`_Interval` is the closed
-Fraction interval that ``reconstruction_gap`` multiplies the enclosures
-in, with polyring's one dense product, ``convolve``.
+coefficients follow in integers too, over one denominator, and build no
+Fraction.  :class:`_Interval` is the closed interval that
+``reconstruction_gap`` multiplies the enclosures' Fraction views in, with
+polyring's one dense product, ``convolve``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotRefinedError
@@ -37,9 +37,8 @@ _MAX_PREC_BITS = 1 << 14
 # |z - root| <= n |w(z)/w'(z)| is n |W|/|D| grid steps: the certificate
 # runs in integers and needs no rounding.
 
-def _on_grid(x: float | Fraction, k: int) -> int:
-    """The integer nearest x * 2^k, exactly."""
-    p, q = x.as_integer_ratio()
+def _on_grid(p: int, q: int, k: int) -> int:
+    """The integer nearest p/q * 2^k, exactly, for q > 0."""
     return ((p << (k + 1)) + q) // (2 * q)
 
 
@@ -47,7 +46,8 @@ def _grid_points(zs, k: int) -> list[tuple[int, int]]:
     """The Python complex points zs on the grid of rung k."""
     if not all(cmath.isfinite(z) for z in zs):
         raise ArithmeticError("an Aberth iterate left the float range")
-    return [(_on_grid(z.real, k), _on_grid(z.imag, k)) for z in zs]
+    return [(_on_grid(*z.real.as_integer_ratio(), k), _on_grid(*z.imag.as_integer_ratio(), k))
+            for z in zs]
 
 
 def _gauss_eval(w: Sequence[int], a: int, b: int, k: int) -> tuple[int, int]:
@@ -126,7 +126,7 @@ def _approximate(w, real_roots, k: int, start) -> list[tuple[int, int]]:
     if start is None:
         p = [float(c) for c in reversed(w)]     # highest degree first
         for r in real_roots:
-            x = float(r.refine(Fraction(1, 1 << (k // 2))).mid)
+            x = r._refine(1, 1 << (k // 2)).approx
             out = [p[0]]
             for c in p[1:-1]:           # synthetic division, remainder dropped
                 out.append(c + out[-1] * x)
@@ -134,7 +134,8 @@ def _approximate(w, real_roots, k: int, start) -> list[tuple[int, int]]:
         m = len(p) - 1
         return _grid_points(_aberth(p, _circle(m, abs(p[-1] / p[0]) ** (1 / m)), 2.0 ** -40), k)
     zs = [(a << k // 2, b << k // 2) for a, b in start]
-    fixed = [(_on_grid(r.refine(Fraction(1, 1 << k)).mid, k), 0) for r in real_roots]
+    fixed = [(_on_grid(t.a + t.b, 2 * t.d, k), 0)
+             for t in (r._refine(1, 1 << k) for r in real_roots)]
     if not zs:      # radius: the geometric mean of the m non-real roots' moduli, whose
         # product is |w_j/w_n| (w_j the lowest nonzero) over the real roots' moduli
         m, xs = len(w) - 1 - len(fixed), [abs(x) for x, _ in fixed if x]
@@ -226,9 +227,9 @@ def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int
             last, k = exc, 2 * k
     else:
         raise NotRefinedError(f"certification failed at eps={eps}: {last}")
-    if any(qf.c_hi > sys.float_info.max for qf in pairs):
+    if any(qf.ints[3] > int(sys.float_info.max) * qf.den for qf in pairs):
         raise NotRefinedError("a quadratic factor's c is beyond the float range")
-    if any(qf.c_lo < sys.float_info.min for qf in pairs):
+    if any(qf.ints[2] << 1022 < qf.den for qf in pairs):      # 2^-1022, the least normal
         raise NotRefinedError("a quadratic factor's c is below the normal float range")
     return pairs
 
@@ -236,20 +237,23 @@ def _certify_pairs(w: tuple[int, ...], real_roots: list[IsolatedRoot], beta: int
 def _pair_from_disc(disc: tuple[int, int, int], k: int, beta: int,
                     eps: float) -> QuadraticFactor:
     """The factor x^2 + b x y + c y^2 of the root z in the disc (a, b, r) of
-    rung k: b = -2 Re z/|z|^2 and c = 1/|z|^2, enclosed in Fractions."""
+    rung k: b = -2 Re z/|z|^2 and c = 1/|z|^2, enclosed in integers over the
+    denominator m_lo m_hi."""
     a, b, r = disc
     if not r < b:
         raise NotRefinedError("disc touches the real axis")
-    # 2^k Re z lies in [a - r, a + r] and 4^k |z|^2 in [m_lo, m_hi]
+    # 2^k Re z lies in [a - r, a + r] and 4^k |z|^2 in [m_lo, m_hi], m_lo > 0
     re_lo, re_hi = a - r, a + r
     re2 = (re_lo * re_lo, re_hi * re_hi)
     m_lo = (0 if re_lo <= 0 <= re_hi else min(re2)) + (b - r) ** 2
     m_hi = max(re2) + (b + r) ** 2
     q = 1 << k
-    bs = [Fraction(-2 * q * x, m) for x in (re_lo, re_hi) for m in (m_lo, m_hi)]
-    b_lo, b_hi = min(bs), max(bs)
-    c_lo, c_hi = Fraction(q * q, m_hi), Fraction(q * q, m_lo)
-    if max(b_hi - b_lo, c_hi - c_lo) > Fraction(eps):
+    # -2 q x / m falls as x rises; its least value has the largest x and,
+    # for x > 0, the least m: b_lo = -2 q re_hi / m_lo or / m_hi, and so on
+    b_lo = -2 * q * re_hi * (m_hi if re_hi > 0 else m_lo)
+    b_hi = -2 * q * re_lo * (m_hi if re_lo < 0 else m_lo)
+    c_lo, c_hi, den = q * q * m_lo, q * q * m_hi, m_lo * m_hi
+    en, ed = eps.as_integer_ratio()
+    if max(b_hi - b_lo, c_hi - c_lo) * ed > en * den:
         raise NotRefinedError("enclosure wider than eps")
-    return QuadraticFactor(b_lo=b_lo, b_hi=b_hi, c_lo=c_lo, c_hi=c_hi,
-                           beta=beta, mu=a / q, nu=b / q)
+    return QuadraticFactor._of((b_lo, b_hi, c_lo, c_hi), den, beta, a / q, b / q)

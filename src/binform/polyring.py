@@ -5,12 +5,14 @@ A *binary form* of degree p is a homogeneous polynomial in two variables,
     f(x, y) = c_0 x^p + c_1 x^(p-1) y + ... + c_p y^p.
 
 Coefficients are rational and every operation in this module is exact.
-A form is a rational ``scale`` times a primitive int tuple ``ints`` and a
-sparse polynomial a dict of int numerators over one ``den``, so products,
-derivatives, gcds and exact quotients run on ints.  Fractions are built
-only at the edge: from the public constructors' arguments, in an exact
-``compose_linear``, and in the rational views (``coefficients``,
-``terms``, ``monomials``).
+A form is an int ``num`` over an int ``den`` > 0 times a primitive int
+tuple ``ints``, and a sparse polynomial a dict of int numerators over one
+``den``, so products, derivatives, gcds and exact quotients run on ints.
+Fractions are built only at the edge: from the public constructors'
+arguments, in an exact ``compose_linear``, and in the rational views
+(``scale``, ``coefficients``, ``terms``, ``monomials``).  ``fractions``
+is imported only there, so the commands that read ints alone never load
+it (nor ``decimal``, which it imports).
 
 A univariate polynomial, such as f(1, t), is a sequence of ints, lowest
 degree first.  Yun's algorithm runs over Z, where a division by a
@@ -29,7 +31,6 @@ bound to an object's coefficients on its first float evaluation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Sequence, Union
@@ -37,9 +38,18 @@ from typing import TYPE_CHECKING, Sequence, Union
 from .errors import DegreeZeroError, NotHomogeneousError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .mat2 import Mat2
 
-Rat = Union[int, Fraction]
+Rat = Union[int, "Fraction"]
+
+
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), with ``fractions`` imported on the first call."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def float_kernel(*term_lists: Sequence[tuple[int, int, Rat]]):
@@ -168,7 +178,14 @@ def _digits(v: int, K: int, n: int) -> list[int]:
 
 def gcd_univariate(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     """Gcd of two integer polynomials, primitive with positive leading
-    coefficient; () when both are zero.
+    coefficient; () when both are zero.  See :func:`_gcd_cofactors`."""
+    return _gcd_cofactors(u, v)[0]
+
+
+def _gcd_cofactors(u: Sequence[int], v: Sequence[int]) -> tuple[tuple[int, ...], list, list]:
+    """(g, u / g, v / g) for g the gcd of u and v, primitive with positive
+    leading coefficient; ((), [], []) when both are zero.  The cofactors
+    are the quotients the check of g computes, times the contents.
 
     The heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989;
     Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 7.7) of the
@@ -182,22 +199,26 @@ def gcd_univariate(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     c g(xi) with c = gcd(a'(xi), b'(xi)), a divisor of the resultant of a'
     and b', which does not depend on xi; once 2^K > 2 c |g|_inf, h = c g.
     """
-    a, b = _trim(u), _trim(v)
-    if len(a) < 2 or len(b) < 2:        # a zero or a constant
-        return (1,) if a and b else _primitive(a or b)[1]
-    a, b = _primitive(a)[1], _primitive(b)[1]
+    u, v = _trim(u), _trim(v)
+    if len(u) < 2 or len(v) < 2:        # a zero or a constant
+        if u and v:
+            return (1,), u, v
+        c, g = _primitive(u or v)
+        return g, [c] if u else [], [c] if v else []
+    (ca, a), (cb, b) = _primitive(u), _primitive(v)
     K = min(max(map(abs, a)), max(map(abs, b))).bit_length() + 1
     while (gamma := math.gcd(_at_power_of_two(a, K), _at_power_of_two(b, K))) >> (K - 1):
         n, half = gamma.bit_length() // K + 2, 1 << (K - 1)
         h = _digits(gamma + _at_power_of_two([half] * n, K), K, n)
         g = _primitive(_trim([d - half for d in h]))[1]
         try:
-            _div_exact(a, g)
-            _div_exact(b, g)
-            return g
+            qa, qb = _div_exact(a, g), _div_exact(b, g)
         except ValueError:
             K *= 2
-    return (1,)
+            continue
+        return (g, qa if ca == 1 else [ca * c for c in qa],
+                qb if cb == 1 else [cb * c for c in qb])
+    return (1,), u, v
 
 
 def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -207,25 +228,23 @@ def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], in
     primitive integer tuple with positive leading coefficient, pairwise
     coprime, of degree >= 1, the m strictly increasing, and u proportional
     to the product of w^m.  Constant layers are omitted.  Every division
-    is by a primitive gcd, so all quotients are integral.
+    is by a primitive gcd, so all quotients are integral, and each is the
+    cofactor its gcd's check computed.
     """
     u = _trim(u)
     if len(u) < 2:
         raise ValueError("need a polynomial of degree >= 1")
     u = _primitive(u)[1]
-    du = _derivative(u)
-    g = gcd_univariate(u, du)
+    g, c, d = _gcd_cofactors(u, _derivative(u))
     if len(g) == 1:
         return [(tuple(u), 1)]
-    c, d = _div_exact(u, g), _div_exact(du, g)
     out: list[tuple[tuple[int, ...], int]] = []
     m = 1
     while len(c) > 1:
         d = _trim([x - y for x, y in zip_longest(d, _derivative(c), fillvalue=0)])
-        a = gcd_univariate(c, d)
+        a, c, d = _gcd_cofactors(c, d)
         if len(a) > 1:
             out.append((a, m))
-        c, d = _div_exact(c, a), _div_exact(d, a)
         m += 1
     return out
 
@@ -245,7 +264,7 @@ class BivariatePoly:
     def __init__(self, terms: dict[tuple[int, int], Rat] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in (terms or {}).items():
-            c = Fraction(c)
+            c = _fraction(c)
             if c != 0:
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent in monomial")
@@ -264,7 +283,7 @@ class BivariatePoly:
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        return {m: Fraction(c, self.den) for m, c in self.nums.items()}
+        return {m: _fraction(c, self.den) for m, c in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -272,7 +291,7 @@ class BivariatePoly:
 
     def monomials(self) -> list[tuple[int, int, Fraction]]:
         """Terms sorted by descending x exponent, then descending y."""
-        return [(i, j, Fraction(self.nums[(i, j)], self.den))
+        return [(i, j, _fraction(self.nums[(i, j)], self.den))
                 for i, j in sorted(self.nums, key=lambda m: (-m[0], -m[1]))]
 
     def __eq__(self, other) -> bool:
@@ -300,7 +319,7 @@ class BivariatePoly:
         return BivariatePoly._of({m: c for m, c in out.items() if c}, self.den * other.den)
 
     def scale(self, s: Rat) -> "BivariatePoly":
-        s = Fraction(s)
+        s = _fraction(s)
         nums = {m: c * s.numerator for m, c in self.nums.items()} if s else {}
         return BivariatePoly._of(nums, self.den * s.denominator)
 
@@ -317,8 +336,8 @@ class BivariatePoly:
         (a, q), (b, s) = x.as_integer_ratio(), y.as_integer_ratio()
         dx = max((i for i, _ in self.nums), default=0)
         dy = max((j for _, j in self.nums), default=0)
-        return Fraction(sum(c * a**i * q**(dx - i) * b**j * s**(dy - j)
-                            for (i, j), c in self.nums.items()), self.den * q**dx * s**dy)
+        return _fraction(sum(c * a**i * q**(dx - i) * b**j * s**(dy - j)
+                             for (i, j), c in self.nums.items()), self.den * q**dx * s**dy)
 
     def float_terms(self) -> list[tuple[int, int, float]]:
         """The terms (i, j, c) in storage order, c rounded as float() would."""
@@ -362,22 +381,23 @@ class WeightVector:
 class HomogeneousForm:
     """Binary form sum(c_i * x^(p-i) * y^i) of degree p >= 1.
 
-    c_i = scale * ints[i] for a Fraction ``scale`` and the primitive int
-    tuple ``ints`` whose last nonzero entry is positive: one such pair per
-    coefficient list.  Equality and hashing compare the pairs, so forms
-    that differ by a constant factor are different values;
-    :meth:`proportional_to` compares the tuples alone.  The public
-    constructor rejects the zero form and degree 0, but a degree-tagged
-    zero marker (scale 0, for vanishing partial derivatives) and a degree 0
-    constant (the tuple (1,)) are built by :meth:`_of` like any result.
-    The first :meth:`eval_float` compiles :meth:`float_coeffs`, zeros
-    included, into a :func:`float_kernel`, which equality does not see.
+    c_i = num/den * ints[i] for ints ``num`` and ``den`` > 0 in lowest
+    terms, the ``scale``, and the primitive int tuple ``ints`` whose last
+    nonzero entry is positive: one such triple per coefficient list.
+    Equality and hashing compare the triples, so forms that differ by a
+    constant factor are different values; :meth:`proportional_to` compares
+    the tuples alone.  The public constructor rejects the zero form and
+    degree 0, but a degree-tagged zero marker (scale 0, for vanishing
+    partial derivatives) and a degree 0 constant (the tuple (1,)) are built
+    by :meth:`_of` like any result.  The first :meth:`eval_float` compiles
+    :meth:`float_coeffs`, zeros included, into a :func:`float_kernel`,
+    which equality does not see.
     """
 
-    __slots__ = ("scale", "ints", "_kernel")
+    __slots__ = ("num", "den", "ints", "_kernel")
 
     def __new__(cls, coeffs: Sequence[Rat]) -> "HomogeneousForm":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_fraction(c) for c in coeffs]
         if len(cs) < 2:
             raise DegreeZeroError("a form needs degree >= 1 (p + 1 coefficients)")
         if not any(cs):
@@ -389,12 +409,15 @@ class HomogeneousForm:
         """The form num/den * cs for any ints or rationals cs."""
         d = math.lcm(*(c.denominator for c in cs))
         g, ints = _primitive([c.numerator * (d // c.denominator) for c in cs])
-        return cls._of(Fraction(num * g, den * d), ints)
+        return cls._of(num * g, den * d, ints)
 
     @classmethod
-    def _of(cls, scale: Fraction, ints: tuple[int, ...]) -> "HomogeneousForm":
+    def _of(cls, num: int, den: int, ints: tuple[int, ...]) -> "HomogeneousForm":
+        """The form num/den * ints for den != 0, the scale reduced."""
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         obj = object.__new__(cls)
-        object.__setattr__(obj, "scale", scale)
+        object.__setattr__(obj, "num", num // g)
+        object.__setattr__(obj, "den", den // g)
         object.__setattr__(obj, "ints", ints)
         return obj
 
@@ -409,7 +432,7 @@ class HomogeneousForm:
         """Zero polynomial tagged with the degree it would have had."""
         if degree < 0:
             raise ValueError("marker degree must be >= 0")
-        return cls._of(Fraction(0), (0,) * (degree + 1))
+        return cls._of(0, 1, (0,) * (degree + 1))
 
     @property
     def degree(self) -> int:
@@ -417,22 +440,25 @@ class HomogeneousForm:
 
     @property
     def is_zero(self) -> bool:
-        return not self.scale
+        return not self.num
+
+    @property
+    def scale(self) -> Fraction:
+        return _fraction(self.num, self.den)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x^(p-i) y^i."""
-        return Fraction(self.ints[i] * self.scale.numerator, self.scale.denominator)
+        return _fraction(self.ints[i] * self.num, self.den)
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        num, den = self.scale.numerator, self.scale.denominator
-        return tuple(Fraction(n * num, den) for n in self.ints)
+        return tuple(_fraction(n * self.num, self.den) for n in self.ints)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomogeneousForm)
-                and (self.scale, self.ints) == (other.scale, other.ints))
+                and (self.num, self.den, self.ints) == (other.num, other.den, other.ints))
 
     def __hash__(self):
-        return hash((self.scale, self.ints))
+        return hash((self.num, self.den, self.ints))
 
     def __repr__(self):
         return (f"HomogeneousForm(deg={self.degree}, "
@@ -440,7 +466,7 @@ class HomogeneousForm:
 
     def proportional_to(self, other: "HomogeneousForm") -> bool:
         """True when the forms differ by a nonzero constant factor."""
-        return bool(self.scale and other.scale) and self.ints == other.ints
+        return bool(self.num and other.num) and self.ints == other.ints
 
     def primitive_part(self) -> "HomogeneousForm":
         """Same zero set, coefficients reduced to the coprime integer vector
@@ -448,20 +474,20 @@ class HomogeneousForm:
         if self.is_zero:
             raise ValueError("zero marker has no primitive part")
         sign = 1 if next(n for n in self.ints if n) > 0 else -1
-        return HomogeneousForm._of(Fraction(sign), self.ints)
+        return HomogeneousForm._of(sign, 1, self.ints)
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return HomogeneousForm._of(self.scale * other.scale,
+        return HomogeneousForm._of(self.num * other.num, self.den * other.den,
                                    tuple(convolve(self.ints, other.ints)))
 
     def __neg__(self) -> "HomogeneousForm":
-        return HomogeneousForm._of(-self.scale, self.ints)
+        return HomogeneousForm._of(-self.num, self.den, self.ints)
 
     def scale_by(self, s: Rat) -> "HomogeneousForm":
-        s = Fraction(s)
+        s = _fraction(s)
         if s == 0:
             raise ValueError("scaling a form to zero")
-        return HomogeneousForm._of(self.scale * s, self.ints)
+        return HomogeneousForm._of(self.num * s.numerator, self.den * s.denominator, self.ints)
 
     def power(self, n: int) -> "HomogeneousForm":
         if n < 1:
@@ -486,13 +512,13 @@ class HomogeneousForm:
     def float_coeffs(self) -> list[float]:
         """Each coefficient rounded to the nearest float, as float() of the
         Fraction would: int true division rounds correctly."""
-        num, den = self.scale.numerator, self.scale.denominator
+        num, den = self.num, self.den
         return [n * num / den for n in self.ints]
 
     def to_bivariate(self) -> BivariatePoly:
-        p, num = self.degree, self.scale.numerator
+        p, num = self.degree, self.num
         return BivariatePoly._of({(p - i, i): n * num for i, n in enumerate(self.ints) if n},
-                                 self.scale.denominator)
+                                 self.den)
 
     def x_multiplicity(self) -> int:
         """The power of x that divides f: f = x^m * x^(deg g) * g(y/x)
@@ -503,10 +529,10 @@ class HomogeneousForm:
 def constant_form(c: Rat) -> HomogeneousForm:
     """Degree 0 form holding the nonzero constant c, as derivatives of
     linear forms and gcd cofactors are; the public constructor wants p >= 1."""
-    c = Fraction(c)
+    c = _fraction(c)
     if c == 0:
         raise ValueError("zero constant")
-    return HomogeneousForm._of(c, (1,))
+    return HomogeneousForm._of(c.numerator, c.denominator, (1,))
 
 
 def partials(f: HomogeneousForm) -> tuple[HomogeneousForm, HomogeneousForm]:
@@ -517,7 +543,7 @@ def partials(f: HomogeneousForm) -> tuple[HomogeneousForm, HomogeneousForm]:
     p = f.degree
     if p == 0:
         raise DegreeZeroError("constants have no useful partials")
-    n, num, den = f.ints, f.scale.numerator, f.scale.denominator
+    n, num, den = f.ints, f.num, f.den
     return (HomogeneousForm._normal([(p - i) * n[i] for i in range(p)], num, den),
             HomogeneousForm._normal([(i + 1) * n[i + 1] for i in range(p)], num, den))
 
@@ -579,7 +605,7 @@ def gcd_bivariate(u: HomogeneousForm, v: HomogeneousForm) -> HomogeneousForm:
         raise ValueError("gcd of two zero markers")
     g = gcd_univariate(u.ints, v.ints)
     xm = min(f.x_multiplicity() for f in (u, v) if not f.is_zero)
-    return HomogeneousForm._of(Fraction(1), g + (0,) * xm).primitive_part()
+    return HomogeneousForm._of(1, 1, g + (0,) * xm).primitive_part()
 
 
 def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
@@ -595,7 +621,7 @@ def divide_exact(u: HomogeneousForm, d: HomogeneousForm) -> HomogeneousForm:
         raise ValueError("division is not exact (power of x)")
     # a quotient of primitive tuples with positive leading entries is one
     q = _div_exact(_trim(u.ints), _trim(d.ints))
-    return HomogeneousForm._of(u.scale / d.scale, tuple(q) + (0,) * xm)
+    return HomogeneousForm._of(u.num * d.den, u.den * d.num, tuple(q) + (0,) * xm)
 
 
 def euler_check(f: HomogeneousForm) -> bool:
@@ -621,7 +647,7 @@ def jet_order(f: HomogeneousForm, z: tuple[Rat, Rat]) -> int:
     """
     if f.is_zero:
         raise ValueError("zero marker has no jet order")
-    z1, z2 = Fraction(z[0]), Fraction(z[1])
+    z1, z2 = _fraction(z[0]), _fraction(z[1])
     if not z1:
         return f.x_multiplicity() if z2 else f.degree
     t, u, order = z2 / z1, list(f.ints), 0   # the scale does not move the order

@@ -28,7 +28,11 @@ While two enclosures overlap, the structure certifies its layers again at
 eps/16, and ``refine`` to a smaller eps is the structure of the same
 layers at that eps.  ``paircert`` is imported where it is first used, so
 the commands that read only the exact counts never compile it.
-``reconstruction_gap`` multiplies the enclosures as closed Fraction
+
+Enclosures are held in ints, a root's cell as a < b over one d and a
+pair's bounds over one denominator, and compared by cross-multiplication;
+their public views (``lo``, ``hi``, ``b_lo`` ...) build Fractions when
+read.  ``reconstruction_gap`` multiplies those as closed Fraction
 intervals, an independent cross-check.  The package needs no number type
 beyond int, Fraction, float and complex.
 """
@@ -36,21 +40,24 @@ beyond int, Fraction, float and complex.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InvariantError, NotRefinedError
 from .polyring import (
     HomogeneousForm,
     _derivative,
     _div_exact,
+    _fraction,
     _trim,
     convolve,
     gcd_univariate,
     squarefree_decomposition,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _DEFAULT_EPS = 1e-12
 
@@ -117,42 +124,41 @@ class IsolatedRoot:
     """One real root of a squarefree integer polynomial.
 
     ``poly`` holds the coefficients, lowest degree first.  The open
-    interval (lo, hi) contains exactly one root of it; neither endpoint is
-    a root and the endpoint signs differ.
+    interval (a/d, b/d), for ints a < b and d > 0, contains exactly one
+    root of it; neither endpoint is a root and the endpoint signs differ.
+    ``lo``, ``hi``, ``width`` and ``mid`` are its Fractions.
     """
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "a", "b", "d")
 
     def __init__(self, poly: tuple[int, ...], lo: Fraction, hi: Fraction):
-        if not (lo < hi):
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        if not (a < b):
             raise ValueError("empty isolation interval")
-        sa = _sign_at(poly, lo.numerator, lo.denominator)
-        sb = _sign_at(poly, hi.numerator, hi.denominator)
+        sa, sb = _sign_at(poly, a, d), _sign_at(poly, b, d)
         if sa == 0 or sb == 0 or sa == sb:
             raise ValueError("interval endpoints must straddle a single root")
-        self.poly, self.lo, self.hi = poly, lo, hi
+        self.poly, self.a, self.b, self.d = poly, a, b, d
 
     @classmethod
-    def _of(cls, poly: tuple[int, ...], lo: Fraction, hi: Fraction) -> "IsolatedRoot":
+    def _of(cls, poly: tuple[int, ...], a: int, b: int, d: int) -> "IsolatedRoot":
         r = object.__new__(cls)     # an interval known to isolate a root: no checks
-        r.poly, r.lo, r.hi = poly, lo, hi
+        r.poly, r.a, r.b, r.d = poly, a, b, d
         return r
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IsolatedRoot)
-                and (self.poly, self.lo, self.hi) == (other.poly, other.lo, other.hi))
+        return (isinstance(other, IsolatedRoot) and self.poly == other.poly
+                and self.a * other.d == other.a * self.d and self.b * other.d == other.b * self.d)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+    lo = property(lambda self: _fraction(self.a, self.d))
+    hi = property(lambda self: _fraction(self.b, self.d))
+    width = property(lambda self: _fraction(self.b - self.a, self.d))
+    mid = property(lambda self: _fraction(self.a + self.b, 2 * self.d))
 
     @property
     def approx(self) -> float:
-        return float(self.mid)
+        return (self.a + self.b) / (2 * self.d)
 
     def refine(self, eps: float | Fraction) -> "IsolatedRoot":
         """Bisect until the interval is narrower than eps.
@@ -167,14 +173,13 @@ class IsolatedRoot:
         is strictly inside that cell, so halving passes through it."""
         if not 0 < eps < math.inf:
             raise ValueError("eps must be a positive finite number")
-        target = Fraction(eps)
-        if self.width < target:
+        return self._refine(*eps.as_integer_ratio())
+
+    def _refine(self, tn: int, td: int) -> "IsolatedRoot":
+        """``refine`` to the width tn/td > 0."""
+        w, a, b, d = self.poly, self.a, self.b, self.d
+        if (b - a) * td < tn * d:
             return self
-        tn, td = target.numerator, target.denominator
-        w = self.poly
-        d = math.lcm(self.lo.denominator, self.hi.denominator)
-        a = self.lo.numerator * (d // self.lo.denominator)
-        b = self.hi.numerator * (d // self.hi.denominator)
         s_lo, span = _sign_at(w, a, d), b - a
         try:    # OverflowError where floats cannot hold w or (lo, hi)
             x = _float_root(w, a / d, b / d, s_lo)
@@ -206,10 +211,11 @@ class IsolatedRoot:
                 a = m
             else:
                 b = m
-        return IsolatedRoot._of(self.poly, Fraction(a, d), Fraction(b, d))
+        return IsolatedRoot._of(w, a, b, d)
 
     def contains(self, t: Fraction) -> bool:
-        return self.lo < t < self.hi
+        n, m = t.as_integer_ratio()
+        return self.a * m < n * self.d < self.b * m
 
 
 def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
@@ -261,53 +267,74 @@ def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
             m = i * (q - p) + j * p
             todo += [(i, j, e, len(out)), (m, j << k, e + k, right),
                      (i << k, m, e + k, left)]
-    return [IsolatedRoot._of(wq, Fraction(i * bn, bd << e), Fraction(j * bn, bd << e))
-            for i, j, e in out]
+    return [IsolatedRoot._of(wq, i * bn, j * bn, bd << e) for i, j, e in out]
 
 
 class QuadraticFactor:
     """Positive definite factor x^2 + b*x*y + c*y^2 with certified bounds.
 
-    The true coefficients lie in [b_lo, b_hi] and [c_lo, c_hi]; (mu, nu) is
-    a float approximation of the root pair mu +- i*nu of the layer, nu > 0.
+    The true coefficients lie in [b_lo, b_hi] and [c_lo, c_hi], held as the
+    int numerators ``ints`` = (b_lo, b_hi, c_lo, c_hi) over one int ``den``
+    > 0 and read as Fractions; (mu, nu) is a float approximation of the
+    root pair mu +- i*nu of the layer, nu > 0.
     """
 
-    __slots__ = ("b_lo", "b_hi", "c_lo", "c_hi", "beta", "mu", "nu")
+    __slots__ = ("ints", "den", "beta", "mu", "nu")
 
     def __init__(self, b_lo: Fraction, b_hi: Fraction, c_lo: Fraction, c_hi: Fraction,
                  beta: int, mu: float, nu: float):
+        bounds = (b_lo, b_hi, c_lo, c_hi)
+        den = math.lcm(*(v.denominator for v in bounds))
+        self._set(tuple(v.numerator * (den // v.denominator) for v in bounds), den, beta, mu, nu)
+
+    @classmethod
+    def _of(cls, ints, den, beta, mu, nu) -> "QuadraticFactor":
+        """The factor of the numerators ``ints`` over ``den``, checked alike."""
+        (qf := object.__new__(cls))._set(ints, den, beta, mu, nu)
+        return qf
+
+    def _set(self, ints: tuple[int, int, int, int], den: int, beta: int, mu: float,
+             nu: float) -> None:
+        b_lo, b_hi, c_lo, c_hi = ints
         if beta < 1:
             raise ValueError("multiplicity must be >= 1")
         if not (b_lo <= b_hi and c_lo <= c_hi):
             raise ValueError("inverted enclosure")
         if c_lo <= 0:
             raise NotRefinedError("cannot certify positivity of c")
-        # definiteness: sup(b^2) < inf(4c)
-        if max(b_lo**2, b_hi**2) >= 4 * c_lo:
+        # definiteness: sup(b^2) < inf(4c), both times den^2
+        if max(b_lo * b_lo, b_hi * b_hi) >= 4 * c_lo * den:
             raise NotRefinedError("cannot certify b^2 - 4c < 0 at this width")
-        self.b_lo, self.b_hi, self.c_lo, self.c_hi = b_lo, b_hi, c_lo, c_hi
-        self.beta, self.mu, self.nu = beta, mu, nu
+        self.ints, self.den, self.beta, self.mu, self.nu = ints, den, beta, mu, nu
 
-    @property
-    def b_mid(self) -> Fraction:
-        return (self.b_lo + self.b_hi) / 2
-
-    @property
-    def c_mid(self) -> Fraction:
-        return (self.c_lo + self.c_hi) / 2
+    b_lo = property(lambda self: _fraction(self.ints[0], self.den))
+    b_hi = property(lambda self: _fraction(self.ints[1], self.den))
+    c_lo = property(lambda self: _fraction(self.ints[2], self.den))
+    c_hi = property(lambda self: _fraction(self.ints[3], self.den))
+    b_mid = property(lambda self: _fraction(self.ints[0] + self.ints[1], 2 * self.den))
+    c_mid = property(lambda self: _fraction(self.ints[2] + self.ints[3], 2 * self.den))
 
     @property
     def width(self) -> Fraction:
-        return max(self.b_hi - self.b_lo, self.c_hi - self.c_lo)
+        b_lo, b_hi, c_lo, c_hi = self.ints
+        return _fraction(max(b_hi - b_lo, c_hi - c_lo), self.den)
+
+    @property
+    def approx(self) -> tuple[float, float]:
+        """b_mid and c_mid rounded to floats, by int true division."""
+        b_lo, b_hi, c_lo, c_hi = self.ints
+        return (b_lo + b_hi) / (2 * self.den), (c_lo + c_hi) / (2 * self.den)
 
     def gram_matrix(self) -> list[list[float]]:
         """[[a, b/2], [b/2, c]] as floats; positive definite."""
-        b = float(self.b_mid)
-        return [[1.0, b / 2.0], [b / 2.0, float(self.c_mid)]]
+        b, c = self.approx
+        return [[1.0, b / 2.0], [b / 2.0, c]]
 
     def overlaps(self, other: "QuadraticFactor") -> bool:
-        b_apart = self.b_hi < other.b_lo or other.b_hi < self.b_lo
-        c_apart = self.c_hi < other.c_lo or other.c_hi < self.c_lo
+        (b_lo, b_hi, c_lo, c_hi), m = self.ints, self.den
+        (ob_lo, ob_hi, oc_lo, oc_hi), n = other.ints, other.den
+        b_apart = b_hi * n < ob_lo * m or ob_hi * m < b_lo * n
+        c_apart = c_hi * n < oc_lo * m or oc_hi * m < c_lo * n
         return not (b_apart or c_apart)
 
 
@@ -336,9 +363,10 @@ class LinearFactor:
         r = self.root
         if not r.poly[0] and r.contains(0):
             return (1.0, 0.0)
-        while r.lo <= 0 <= r.hi:
-            r = r.refine(r.width / 2)
-        return (1.0, r.refine(Fraction(1e-17) * min(abs(r.lo), abs(r.hi))).approx)
+        while r.a <= 0 <= r.b:
+            r = r._refine(r.b - r.a, 2 * r.d)
+        n, m = (1e-17).as_integer_ratio()
+        return (1.0, r._refine(n * min(abs(r.a), abs(r.b)), m * r.d).approx)
 
     def ray_angles(self) -> tuple[float, float]:
         """Angles of the two antipodal rays of the line, in [0, 2*pi): a
@@ -390,7 +418,7 @@ class FactorizationStructure:
             for _ in range(power(m)):
                 ints = convolve(ints, w)
         a = self.form.x_multiplicity()
-        return HomogeneousForm._of(Fraction(1), tuple(ints) + (0,) * (a and power(a)))
+        return HomogeneousForm._of(1, 1, tuple(ints) + (0,) * (a and power(a)))
 
     @property
     def linear(self) -> tuple[LinearFactor, ...]:
@@ -467,7 +495,8 @@ def _disjoint(linear: Sequence[LinearFactor], quadratic: Sequence[QuadraticFacto
     """No two line enclosures, open intervals, and no two quadratic
     factor enclosures, closed boxes, meet."""
     roots = [lf.root for lf in linear if not lf.is_axis]
-    return not (any(r.lo < s.hi and s.lo < r.hi for r, s in combinations(roots, 2))
+    return not (any(r.a * s.d < s.b * r.d and s.a * r.d < r.b * s.d
+                    for r, s in combinations(roots, 2))
                 or any(p.overlaps(q) for p, q in combinations(quadratic, 2)))
 
 
@@ -487,7 +516,7 @@ def factor_form(f: HomogeneousForm, eps: float = _DEFAULT_EPS) -> FactorizationS
     # g = f(1, t) is f.scale times f.ints, whose leading entry is positive
     layers = [] if x_mult == f.degree else [
         (w, m, isolate_real_roots(w)) for w, m in squarefree_decomposition(f.ints)]
-    return FactorizationStructure(f, 1 if f.scale > 0 else -1, layers=layers, eps=eps)
+    return FactorizationStructure(f, 1 if f.num > 0 else -1, layers=layers, eps=eps)
 
 
 def refine(fs: FactorizationStructure, eps: float) -> FactorizationStructure:

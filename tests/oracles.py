@@ -256,6 +256,30 @@ def bisect_refine(row, lo, hi, eps):
     return lo, hi, False
 
 
+def pair_from_disc(disc, k, eps):
+    """The enclosure of x^2 + b x y + c y^2 for the root in the disc (a, b,
+    r) of rung k, in Fractions as paircert first computed it: (b_lo, b_hi,
+    c_lo, c_hi), or the message of the NotRefined verdict."""
+    a, b, r = disc
+    if not r < b:
+        return "disc touches the real axis"
+    re_lo, re_hi = a - r, a + r
+    re2 = (re_lo * re_lo, re_hi * re_hi)
+    m_lo = (0 if re_lo <= 0 <= re_hi else min(re2)) + (b - r) ** 2
+    m_hi = max(re2) + (b + r) ** 2
+    q = 1 << k
+    bs = [F(-2 * q * x, m) for x in (re_lo, re_hi) for m in (m_lo, m_hi)]
+    b_lo, b_hi = min(bs), max(bs)
+    c_lo, c_hi = F(q * q, m_hi), F(q * q, m_lo)
+    if max(b_hi - b_lo, c_hi - c_lo) > F(eps):
+        return "enclosure wider than eps"
+    if c_lo <= 0:
+        return "cannot certify positivity of c"
+    if max(b_lo**2, b_hi**2) >= 4 * c_lo:
+        return "cannot certify b^2 - 4c < 0 at this width"
+    return b_lo, b_hi, c_lo, c_hi
+
+
 # ---------------------------------------------------------------------------
 # float evaluation and the Dormand-Prince loop in their generic form: one
 # Fraction -> float conversion per term per call, and stage sums that loop

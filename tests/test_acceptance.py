@@ -6,6 +6,7 @@ change needs a looser bound, that is a failure of the gate, not a reason to
 edit the number.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -40,7 +41,7 @@ from binform.polyring import (
     partials,
     quasi_homogeneous_check,
 )
-from binform.realfactor import factor_form
+from binform.realfactor import factor_form, refine
 from binform.symgroup import (
     DiagonalFamily,
     FiniteCyclicGroup,
@@ -157,6 +158,23 @@ def test_criterion_04_coprime_and_conservative():
         p = None if red.P.is_zero else red.P.to_form()
         q = None if red.Q.is_zero else red.Q.to_form()
         assert forms_coprime_oracle(p, q)
+
+
+def test_exact_views_of_the_acceptance_forms_are_the_fractions_they_were():
+    """Forms, roots and pairs hold ints, and their public views build
+    Fractions when read: f.scale, each line's root cell and each pair's
+    bounds, at eps 1e-12 and 1e-30, on the forms above and the corpus.
+    The digest was taken when the three held Fractions themselves."""
+    h = hashlib.sha256()
+    for f in [f for f, _, _ in VERDICT_TABLE] + DE_INSTANCES + [s.form for s in corpus()]:
+        fs = factor_form(f)
+        for s in (fs, refine(fs, 1e-30)):
+            views = [f.scale]
+            views += [v for lf in s.linear if not lf.is_axis for v in (lf.root.lo, lf.root.hi)]
+            views += [v for qf in s.quadratic for v in (qf.b_lo, qf.b_hi, qf.c_lo, qf.c_hi)]
+            assert all(type(v) is Fraction for v in views)
+            h.update(repr(views).encode())
+    assert h.hexdigest() == "01c712a064d90157b835caebd90bc3b299b99c6f5cec059c6adfdb2bcfe6ff4e"
 
 
 # -- 5: finite group orders ----------------------------------------------------

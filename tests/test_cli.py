@@ -717,6 +717,33 @@ def test_factor_on_widely_scaled_roots_is_not_refined(capsys, form, message):
         assert err["kind"] == "NotRefined" and message in err["message"]
 
 
+def test_the_ends_of_the_normal_float_range_are_exact(capsys):
+    """The float range of c is tested on its exact enclosure: c = 2^-1022,
+    the least normal float, and c = 2^1023 certify, and their neighbours
+    2^-1023 and 2^1024 do not."""
+    for form, c in [("2^512*2^510*x^2+y^2", 2.0**-1022), ("x^2+2^512*2^511*y^2", 2.0**1023)]:
+        assert cli.main(["factor", form]) == 0
+        (quad,) = json.loads(capsys.readouterr().out)["factors"]["quadratic"]
+        assert (quad["b"], quad["c"]) == (0.0, c)
+    for form, message in [("2^512*2^511*x^2+y^2", "c is below the normal float range"),
+                          ("x^2+2^512*2^512*y^2", "c is beyond the float range")]:
+        assert cli.main(["factor", form]) == 1
+        assert message in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+@pytest.mark.parametrize("form", ["(3*x-y)*(x^2-2*y^2)*(x^2+x*y+3*y^2)",
+                                  "x*(x-10^40*y)*(7*x^2-3*x*y+1/10^30*y^2)"])
+def test_factor_payload_rounds_the_fractions_of_the_enclosures(form):
+    """The payload's floats are int true divisions of the held ints, which
+    round as float() of the public Fraction views does."""
+    fs = factor_form(to_homogeneous(parse_polynomial(form)))
+    got = cli._factor_payload(fs)
+    assert [lf["root_interval"] for lf in got["linear"] if "root_interval" in lf] == [
+        [float(lf.root.lo), float(lf.root.hi)] for lf in fs.linear if not lf.is_axis]
+    assert [(q["b"], q["c"]) for q in got["quadratic"]] == [
+        (float(qf.b_mid), float(qf.c_mid)) for qf in fs.quadratic]
+
+
 def test_factor_certifies_a_pair_at_1e_minus_50_i(capsys):
     # the grid of the first rungs rounds the seed 1e-50 i to 0 or leaves c
     # wider than eps; the ladder climbs until the disc certifies c = 1e100

@@ -358,6 +358,24 @@ def test_portrait_circle_orbits():
     assert port.level_curves[0][0] == pytest.approx(1.0)
 
 
+def test_portrait_levels_of_a_tiny_form_keep_twelve_digits():
+    """The levels are deduped by round(c, 12), which reads every value of
+    10^-300 (x^2 + y^2) as 0, and the level set of 0 is the origin alone:
+    a level that rounds to 0 keeps 12 significant digits instead, so the
+    circles through 1.2 and 1.2 + 1e-12 share one.  Other levels keep
+    round(c, 12)."""
+    f = _form("1/10^300*(x^2+y^2)")
+    port = orbit_portrait(f, [(1.2, 0.0), (0.0, 0.5), (-1.2 - 1e-12, 0.0)], (-2, -2, 2, 2),
+                          res=16, horizon=1.0)
+    assert [c for c, _ in port.level_curves] == [2.5e-301, 1.44e-300]
+    for c, curves in port.level_curves:
+        (curve,) = curves
+        assert len(curve) > 16
+        assert all(f.eval_float(x, y) == pytest.approx(c, rel=1e-9) for x, y in curve)
+    port = orbit_portrait(_form("x^2+y^2"), [(0.1 + 1e-14, 0.0)], (-2, -2, 2, 2), res=16)
+    assert [c for c, _ in port.level_curves] == [0.01]
+
+
 def test_portrait_orbit_times_increase():
     f = HomogeneousForm([1, 0, 1])
     port = orbit_portrait(f, [(0.5, 0.5), (1.0, 0.0)], (-2, -2, 2, 2),

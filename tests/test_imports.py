@@ -1,7 +1,9 @@
 """The import contract: no command loads numpy, mpmath, dataclasses or
 inspect; each loads binform.mat2, the pair certificate binform.paircert,
-csv and binform.polyring only when its work needs them; and the package's
-lazy exports are its modules' objects."""
+csv, binform.polyring and fractions only when its work needs them (the
+exact commands hold their forms, roots and pairs in ints, so only the
+symmetry and flow commands, whose matrices are exact, load fractions);
+and the package's lazy exports are its modules' objects."""
 
 import importlib
 import json
@@ -22,7 +24,8 @@ from binform import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = cli.main(sys.argv[1:])
 print(json.dumps([rc, sorted(m for m in ("numpy", "mpmath", "binform.mat2", "binform.paircert",
-                                          "binform.polyring", "csv", "dataclasses", "inspect")
+                                          "binform.polyring", "csv", "dataclasses", "inspect",
+                                          "fractions")
                              if m in sys.modules)]))
 """
 
@@ -41,7 +44,7 @@ def _loaded(*argv):
     return json.loads(_run(_PROBE, *argv))
 
 
-_POLY, _CERT, _MAT = "binform.polyring", "binform.paircert", "binform.mat2"
+_POLY, _CERT, _MAT, _FRAC = "binform.polyring", "binform.paircert", "binform.mat2", "fractions"
 
 
 @pytest.mark.parametrize("argv, rc, loaded", [
@@ -54,21 +57,30 @@ _POLY, _CERT, _MAT = "binform.polyring", "binform.paircert", "binform.mat2"
     (["decide", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_POLY]),
     (["classify", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_POLY]),
     (["hamiltonian", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_POLY]),
-    (["symmetry", "x*y*(x-y)"], 0, [_MAT, _POLY]),
-    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_MAT, _CERT, _POLY]),
-    (["symmetry", "x^2+2*y^2"], 0, [_MAT, _CERT, _POLY]),
-    (["portrait", "x^2+y^2", "--res", "16"], 0, [_MAT, _POLY]),
+    (["symmetry", "x*y*(x-y)"], 0, [_MAT, _POLY, _FRAC]),
+    (["symmetry", "(x^2+y^2)*(x^2+2*y^2)"], 0, [_MAT, _CERT, _POLY, _FRAC]),
+    (["symmetry", "x^2+2*y^2"], 0, [_MAT, _CERT, _POLY, _FRAC]),
+    (["portrait", "x^2+y^2", "--res", "16"], 0, [_MAT, _POLY, _FRAC]),
     # the level curves of a form with lines need its lines, not its pairs
-    (["portrait", "(x-y)*(x^2+y^2)", "--res", "16"], 0, [_MAT, _POLY]),
-    (["dynamics", "x^2+y^2", "--sigma", "x"], 0, [_MAT, _POLY]),
+    (["portrait", "(x-y)*(x^2+y^2)", "--res", "16"], 0, [_MAT, _POLY, _FRAC]),
+    (["dynamics", "x^2+y^2", "--sigma", "x"], 0, [_MAT, _POLY, _FRAC]),
     # a pair 5e-21 i apart certifies only on a later rung
     (["factor", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_CERT, _POLY]),
-    (["symmetry", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_MAT, _CERT, _POLY]),
+    (["symmetry", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)"], 0, [_MAT, _CERT, _POLY, _FRAC]),
     # closed orbits need f and its divisor, not the pairs
-    (["portrait", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)", "--res", "16"], 0, [_MAT, _POLY]),
-    (["dynamics", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)", "--sigma", "x"], 0, [_MAT, _POLY]),
+    (["portrait", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)", "--res", "16"], 0, [_MAT, _POLY, _FRAC]),
+    (["dynamics", "(x^2+y^2)*(x^2+(1+1/10^20)*y^2)", "--sigma", "x"], 0,
+     [_MAT, _POLY, _FRAC]),
     # only --seeds reads a csv file
-    (["portrait", "x^2+y^2", "--res", "16", "--seeds", "SEEDS"], 0, [_MAT, _POLY, "csv"]),
+    (["portrait", "x^2+y^2", "--res", "16", "--seeds", "SEEDS"], 0,
+     [_MAT, _POLY, "csv", _FRAC]),
+    # lines at irrational slopes, a rational one and the axis; a line and a pair
+    (["factor", "x*(x-2*y)*(x^2-2*y^2)"], 0, [_POLY]),
+    (["factor", "(x-y)*(x^2+x*y+3*y^2)"], 0, [_CERT, _POLY]),
+    (["hamiltonian", "1/3*(x-y)^2*(x^2+y^2)^3"], 0, [_POLY]),
+    # domain errors: not homogeneous, and a constant
+    (["decide", "x+1"], 1, [_POLY]),
+    (["factor", "5"], 1, [_POLY]),
 ])
 def test_command_loads_only_what_it_uses(tmp_path, argv, rc, loaded):
     seeds = tmp_path / "seeds.csv"

@@ -459,6 +459,11 @@ def test_gcd_univariate_matches_sympy(pair):
     a, b = pair
     want = _primitive(_t_coeffs(sympy.gcd(_t_poly(a), _t_poly(b))))
     assert gcd_univariate(a, b) == want
+    # the core's cofactors, which Yun keeps, are the exact quotients
+    g, qa, qb = polyring._gcd_cofactors(a, b)
+    assert g == want
+    for row, q in ((a, qa), (b, qb)):
+        assert polyring._trim(convolve(g, q) if q else []) == polyring._trim(row)
 
 
 def test_a_gcd_whose_first_point_fails_doubles_k(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,7 @@ import binform.paircert as paircert
 import binform.polyring as polyring
 import binform.realfactor as rf
 from binform import cli
+from binform.errors import NotRefinedError
 from binform.exprparse import parse_polynomial
 from binform.polyring import (
     HomogeneousForm,
@@ -23,6 +25,8 @@ from binform.polyring import (
 from binform.realfactor import (
     FactorizationStructure,
     IsolatedRoot,
+    LinearFactor,
+    QuadraticFactor,
     factor_form,
     isolate_real_roots,
     refine,
@@ -427,6 +431,75 @@ def test_quadratic_enclosures_are_definite():
             assert b * b - 4 * c < 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_pair_bounds_from_a_disc_match_the_fraction_formula(data):
+    """paircert encloses b and c in ints over one denominator and tests
+    width and definiteness by cross-multiplication: the same bounds and
+    the same NotRefined verdicts as the Fraction formula, at rungs 80 to
+    848, for roots anywhere from 2^-20 to 2^20 and discs of any size."""
+    if data is None:    # each verdict once: definite, too wide, not definite, on the axis
+        cases = [((3 << 80, 2 << 80, 1 << 20), 80, 1e-12),
+                 ((3 << 80, 2 << 80, 1 << 60), 80, 1e-12),
+                 ((1 << 80, 1 << 60, 1 << 59), 80, 1e-2),
+                 ((5, 7, 7), 96, 1e-12)]
+    else:
+        k = data.draw(st.integers(80, 848))
+        size = st.integers(k - 20, k + 20).map(lambda e: 1 << e)
+        a = data.draw(st.integers(-(1 << k), 1 << k)) \
+            + data.draw(st.sampled_from([-1, 0, 1])) * data.draw(size)
+        b = data.draw(size) + data.draw(st.integers(0, 1 << k))
+        r = b >> data.draw(st.integers(1, k + 40))
+        cases = [((a, b, r), k, 10.0 ** -data.draw(st.floats(2, 300)))]
+    for disc, k, eps in cases:
+        want = oracles.pair_from_disc(disc, k, eps)
+        if isinstance(want, str):
+            with pytest.raises(NotRefinedError, match=f"^{re.escape(want)}$"):
+                paircert._pair_from_disc(disc, k, 2, eps)
+            continue
+        qf = paircert._pair_from_disc(disc, k, 2, eps)
+        got = (qf.b_lo, qf.b_hi, qf.c_lo, qf.c_hi)
+        assert got == want and all(type(v) is Fraction for v in got)
+        assert (qf.beta, qf.mu, qf.nu) == (2, disc[0] / (1 << k), disc[1] / (1 << k))
+        assert qf.approx == (float(qf.b_mid), float(qf.c_mid))
+        # the width test is tight: just below the width, both say too wide
+        below = math.nextafter(float(qf.width), 0)
+        if 0 < below < qf.width:
+            assert oracles.pair_from_disc(disc, k, below) == "enclosure wider than eps"
+            with pytest.raises(NotRefinedError, match="^enclosure wider than eps$"):
+                paircert._pair_from_disc(disc, k, 2, below)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enclosures_compare_as_their_fractions(data):
+    """Pair boxes and root cells hold ints over different denominators and
+    are compared by cross-multiplication: as their Fractions compare,
+    touching boxes included."""
+    rat = st.fractions(-3, 3, max_denominator=6)
+    pairs = []
+    for _ in range(2):
+        b, wb, wc = data.draw(rat), abs(data.draw(rat)), abs(data.draw(rat))
+        c_lo = (abs(b) + wb) ** 2 / 4 + F(1, data.draw(st.integers(1, 12)))
+        pairs.append(QuadraticFactor(b - wb, b + wb, c_lo, c_lo + wc, 1, 0.0, 1.0))
+    p, q = pairs
+    apart = (p.b_hi < q.b_lo or q.b_hi < p.b_lo or p.c_hi < q.c_lo or q.c_hi < p.c_lo)
+    assert p.overlaps(q) == q.overlaps(p) == (not apart)
+    w, cells = (-2, 0, 1), []
+    for _ in range(2):
+        a, b = sorted(data.draw(st.lists(st.integers(-20, 20), min_size=2, max_size=2, unique=True)))
+        cells.append(IsolatedRoot._of(w, a, b, data.draw(st.integers(1, 6))))
+    r, s = cells
+    t = data.draw(st.integers(2, 5))
+    assert (r == s) == ((r.lo, r.hi) == (s.lo, s.hi))
+    assert r == IsolatedRoot._of(w, r.a * t, r.b * t, r.d * t)
+    assert r != IsolatedRoot._of(w, r.a * t - 1, r.b * t, r.d * t)
+    assert r != IsolatedRoot._of(w, r.a * t, r.b * t + 1, r.d * t)
+    assert rf._disjoint([LinearFactor(r, 1), LinearFactor(s, 1)], pairs) == (
+        not (r.lo < s.hi and s.lo < r.hi) and apart)
+
+
 def test_factor_rejects_constants():
     with pytest.raises(ValueError):
         factor_form(HomogeneousForm.zero_marker(2))
@@ -718,9 +791,10 @@ def _lines(n):
 def test_yun_on_products_of_many_lines_takes_one_gcd(monkeypatch):
     """u = f(1, t) of 80 or 100 lines is squarefree, and the first integer
     gcd of u(2^K) and u'(2^K) proves it: Yun returns u itself after one
-    gcd.  The remainder sequence took 3.8 s at n = 80 and 15 s at 100."""
+    gcd, which it takes from the gcd's core with the cofactors.  The
+    remainder sequence took 3.8 s at n = 80 and 15 s at 100."""
     us = [_lines(n).ints for n in (80, 100)]
-    calls = oracles.count_calls(monkeypatch, gcd_univariate)
+    calls = oracles.count_calls(monkeypatch, polyring._gcd_cofactors)
     start = time.perf_counter()
     for u in us:
         assert squarefree_decomposition(u) == [(u, 1)]

@@ -10,14 +10,14 @@ fresh ``python -m binform.cli`` process instead) and prints one line
 stdout, stderr and every file the request wrote.
 
 The workload name ``edge`` runs, whatever --seeds says, a fixed list of
-forms off the corpus through ``factor``, ``decide``, ``classify`` and
-``symmetry``, one line ``edge/command/form sha256`` each: real lines
-10^-100 to 10^-400 apart, conjugate pairs 10^-50 to 10^-250 off the real
-axis, alone and beside a line, lines at +-10^-100, the Mignotte-like rows
-y^n - 2 (a y - x)^2 x^(n-2), with two lines within about a^-(n+2)/2 of
-each other, the products of 40 and of 60 lines, and powers at the
-parser's degree cap: (x-y)^512 (x-2y)^512 (x-3y)^512,
-(x^2+y^2)^512 (x^2+2y^2)^256 and (x^2+xy+y^2)^300 (x-3y)^500.  The
+forms off the corpus through ``factor``, ``decide``, ``classify``,
+``symmetry`` and ``hamiltonian``, one line ``edge/command/form sha256``
+each: real lines 10^-100 to 10^-400 apart, conjugate pairs 10^-50 to
+10^-250 off the real axis, alone and beside a line, lines at +-10^-100,
+the Mignotte-like rows y^n - 2 (a y - x)^2 x^(n-2), with two lines
+within about a^-(n+2)/2 of each other, the products of 40 and of 60
+lines, and powers at the parser's degree cap: (x-y)^512 (x-2y)^512
+(x-3y)^512, (x^2+y^2)^512 (x^2+2y^2)^256 and (x^2+xy+y^2)^300 (x-3y)^500.  The
 corpus's layers have degree 8 or less and isolate in a few levels; these
 reach degree 60 and trees 1,300 levels deep, and Yun's gcds on the powers
 have degree about 1,500.
@@ -187,7 +187,8 @@ def main() -> int:
             if workload == "edge":
                 batches = [("edge", [{"id": f"{cmd}/{form}", "argv": [cmd, "--", form],
                                       "files": {}} for form in _EDGE_FORMS
-                                     for cmd in ("factor", "decide", "classify", "symmetry")])]
+                                     for cmd in ("factor", "decide", "classify", "symmetry",
+                                                 "hamiltonian")])]
             else:
                 batches = [(f"{workload}/{seed}", corpus.requests(workload, seed, "out"))
                            for seed in (int(s) for s in args.seeds.split(","))]
