@@ -241,7 +241,14 @@ def squarefree_decomposition(u: Sequence[int]) -> list[tuple[tuple[int, ...], in
     out: list[tuple[tuple[int, ...], int]] = []
     m = 1
     while len(c) > 1:
-        d = _trim([x - y for x, y in zip_longest(d, _derivative(c), fillvalue=0)])
+        dc = _derivative(c)
+        d = _trim([x - y for x, y in zip_longest(d, dc, fillvalue=0)])
+        # d = sum (i - m) a_i' c / a_i over the factors a_i of c, so d = k c'
+        # for an int k >= 1 just when all have multiplicity m + k: the last layer
+        k, r = divmod(d[-1], dc[-1]) if len(d) == len(dc) else (0, 1)
+        if k > 0 and not r and all(x == k * y for x, y in zip(d, dc)):
+            out.append((_primitive(c)[1], m + k))
+            break
         a, c, d = _gcd_cofactors(c, d)
         if len(a) > 1:
             out.append((a, m))

@@ -13,13 +13,14 @@ the reals.
 Each squarefree layer w of the dehomogenization f(1, t), which polyring's
 Yun algorithm over Z returns as a primitive integer tuple (lowest degree
 first), is isolated once.  Its real roots are counted by Descartes' rule
-on a tree of dyadic intervals and refined by bisection, both in plain
-integers: every endpoint is a rational p/q (the Cauchy bound times a
-dyadic number), and the sign of w(p/q) is that of sum c_i p^i q^(n-i).
-A float Newton estimate skips the halvings to a cell whose end signs show
-it holds the root.  The isolation takes polyring's one gcd, gcd(w, w'),
-which proves a layer squarefree from one gcd of two integers, and divides
-w only by a gcd that is not 1.  The same isolation serves the linear
+on a tree of dyadic intervals and refined to the cells of bisection, in
+plain integers: every endpoint is a rational p/q (the Cauchy bound times
+a dyadic number), and the sign of w(p/q) is that of sum c_i p^i q^(n-i).
+Refinement jumps from the float Newton root of the node polynomial, then
+takes quadratic interval refinement steps, each checked by two signs.
+The isolation takes polyring's one gcd, gcd(w, w'), which proves a layer
+squarefree from one gcd of two integers, and divides w only by a gcd
+that is not 1.  The same isolation serves the linear
 factors and the Aberth seeds of the complex pairs.
 
 Enclosures have one route: the layers' isolations refined to eps and
@@ -66,20 +67,21 @@ _DEFAULT_EPS = 1e-12
 # integer core: signs at rationals, Descartes' rule on a dyadic tree, bisection
 
 def _sign_at(w: Sequence[int], p: int, q: int) -> int:
-    """Sign of w(p/q) for q > 0, by homogeneous Horner."""
+    """q^n w(p/q) for q > 0 and n = deg w, by homogeneous Horner: an integer
+    of the sign of w(p/q), which the secant steps of ``refine`` read too."""
     acc, qk = 0, 1
     for c in reversed(w):
         acc = acc * p + c * qk
         qk *= q
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _shift1(h: list[int]) -> list[int]:
-    """h(x + 1), highest degree first: each pass of running sums is one
-    synthetic division by x - 1."""
-    h = list(h)
+def _shift(h: list[int], t: int = 1) -> list[int]:
+    """h(x + t), highest degree first: each pass of running Horner sums at t
+    is one synthetic division by x - t."""
+    h, step = list(h), None if t == 1 else (lambda s, c: s * t + c)
     for m in range(len(h), 1, -1):
-        h[:m] = accumulate(h[:m])
+        h[:m] = accumulate(h[:m], step)
     return h
 
 
@@ -104,20 +106,46 @@ def _descartes(h: list[int]) -> int:
     return v
 
 
-def _float_root(w: Sequence[int], lo: float, hi: float, s_lo: int) -> float:
-    """Float Newton from the midpoint for the root of w in (lo, hi), w of sign
-    s_lo at lo; a flat point or a step out of the bracket of signs bisects."""
-    cs, x = [float(c) for c in reversed(w)], (lo + hi) / 2
+def _newton(cs: list[float], lo: float, hi: float, s_lo: bool) -> tuple[float, float]:
+    """Float Newton from the midpoint for the root of cs (highest degree
+    first) in (lo, hi), positive left of it if s_lo; a step out of the
+    bracket of signs bisects.  It stops at an exact zero or a step within 4
+    ulps or the error radius, Horner's running error bound (Higham,
+    Accuracy and Stability, 5.1) over |cs'|, and returns x and the radius."""
+    x, gamma, rad = (lo + hi) / 2, 2.0**-52 * len(cs), math.inf
     for _ in range(64):
-        v = dv = 0.0
-        for c in cs:                # w(x) and w'(x) by one Horner pass
-            v, dv = v * x + c, dv * x + v
-        lo, hi = (x, hi) if v * s_lo > 0 else (lo, x)
+        v = dv = e = 0.0
+        ax = abs(x)
+        for c in cs:                # h(x), h'(x) and the error bound by one pass
+            v, dv, e = v * x + c, dv * x + v, e * ax + abs(c)
+        rad = gamma * e / abs(dv) if dv else math.inf
+        if v == 0.0:
+            break
+        lo, hi = (x, hi) if (v > 0) == s_lo else (lo, x)
         last, x = x, x - v / dv if dv else lo
         x = x if lo < x < hi else (lo + hi) / 2
-        if abs(x - last) <= 4 * math.ulp(x):
+        if abs(x - last) <= max(4 * math.ulp(x), rad):
+            rad += abs(x - last)
             break
-    return x
+    return x, rad
+
+
+def _float_guess(node: tuple, a: int, b: int, d: int):
+    """((num, den), j): the float Newton root of the node polynomial, scaled
+    by a power of two into floats, as the place num/den in the cell
+    (a/d, b/d), and the deepest level j >= 1 below the cell whose cells
+    span its error radius plus 8 ulps; None where floats resolve no level."""
+    h, ha, hb, hd = node
+    s, wd = max(0, max(map(abs, h)).bit_length() - 960), (hb - ha) * d
+    lo, hi = (a * hd - ha * d) / wd, (b * hd - ha * d) / wd
+    if not lo < hi:
+        return None
+    x, rad = _newton([float(c >> s) for c in h], lo, hi, h[-1] > 0)
+    j = math.frexp((hi - lo) / (rad + 8 * math.ulp(x)))[1] - 1
+    if j < 1:
+        return None
+    xn, xd = x.as_integer_ratio()
+    return (d * (ha * xd + (hb - ha) * xn) - a * hd * xd, hd * xd * (b - a)), j
 
 
 class IsolatedRoot:
@@ -126,10 +154,13 @@ class IsolatedRoot:
     ``poly`` holds the coefficients, lowest degree first.  The open
     interval (a/d, b/d), for ints a < b and d > 0, contains exactly one
     root of it; neither endpoint is a root and the endpoint signs differ.
-    ``lo``, ``hi``, ``width`` and ``mid`` are its Fractions.
+    ``lo``, ``hi``, ``width`` and ``mid`` are its Fractions.  ``node`` is
+    the isolation's (h, a', b', d'): h, highest degree first, is a positive
+    multiple of poly(a'/d' + (b' - a')/d' x), with this root its only one
+    in (0, 1).  ``ends`` holds d^n poly at a/d and b/d, or None.
     """
 
-    __slots__ = ("poly", "a", "b", "d")
+    __slots__ = ("poly", "a", "b", "d", "node", "ends")
 
     def __init__(self, poly: tuple[int, ...], lo: Fraction, hi: Fraction):
         d = math.lcm(lo.denominator, hi.denominator)
@@ -137,14 +168,15 @@ class IsolatedRoot:
         if not (a < b):
             raise ValueError("empty isolation interval")
         sa, sb = _sign_at(poly, a, d), _sign_at(poly, b, d)
-        if sa == 0 or sb == 0 or sa == sb:
+        if sa == 0 or sb == 0 or (sa > 0) == (sb > 0):
             raise ValueError("interval endpoints must straddle a single root")
-        self.poly, self.a, self.b, self.d = poly, a, b, d
+        self.poly, self.a, self.b, self.d, self.node, self.ends = poly, a, b, d, None, (sa, sb)
 
     @classmethod
-    def _of(cls, poly: tuple[int, ...], a: int, b: int, d: int) -> "IsolatedRoot":
+    def _of(cls, poly: tuple[int, ...], a: int, b: int, d: int, node=None,
+            ends=(None, None)) -> "IsolatedRoot":
         r = object.__new__(cls)     # an interval known to isolate a root: no checks
-        r.poly, r.a, r.b, r.d = poly, a, b, d
+        r.poly, r.a, r.b, r.d, r.node, r.ends = poly, a, b, d, node, ends
         return r
 
     def __eq__(self, other) -> bool:
@@ -161,57 +193,90 @@ class IsolatedRoot:
         return (self.a + self.b) / (2 * self.d)
 
     def refine(self, eps: float | Fraction) -> "IsolatedRoot":
-        """Bisect until the interval is narrower than eps.
-
-        The bisection runs in integers: lo = a/d and hi = b/d over one
-        denominator, doubled at each step, so every endpoint is the same
-        rational a halving of (lo, hi) in Q would give.  It first jumps to
-        a cell of the deepest level, at most the last, whose cells span 8
-        ulps of x, the float Newton root: the cell beside the grid point g
-        nearest x, on the root's side by the sign at g, if w has the other
-        sign at its far end.  As (lo, hi) holds exactly one root, the root
-        is strictly inside that cell, so halving passes through it."""
+        """The cell that plain bisection reaches first below the width eps:
+        halving (a/d, b/d) in integers, doubling d, to the first level T
+        narrower than eps, or, if a midpoint is the root, the cell about it
+        of half-width (hi - lo)/8^j, the least j >= 1 below eps.  It is
+        found by a jump from the float Newton root of the node polynomial
+        to the deepest level its error resolves, then quadratic interval
+        refinement (Abbott, ACM Commun. Comput. Algebra 48, 2014): the
+        secant through the exact end values picks one of N = 2^j subcells,
+        N squared on success, square-rooted on failure; and a cell
+        narrower than 1/lc holds one p/lc, the root if it is rational.  No
+        step passes level T, a subcell is taken only if its end signs
+        differ, and a grid point where w is 0 is a rational root; as
+        (lo, hi) holds one root, halving passes through every such cell
+        and hits every such point, so (a, b, d) are bisection's own."""
         if not 0 < eps < math.inf:
             raise ValueError("eps must be a positive finite number")
         return self._refine(*eps.as_integer_ratio())
 
     def _refine(self, tn: int, td: int) -> "IsolatedRoot":
         """``refine`` to the width tn/td > 0."""
-        w, a, b, d = self.poly, self.a, self.b, self.d
-        if (b - a) * td < tn * d:
+        w, a0, b0, d0 = self.poly, self.a, self.b, self.d
+        span, n, lc = b0 - a0, len(w) - 1, abs(w[-1])
+        T = ((span * td) // (tn * d0)).bit_length()
+        if not T:
             return self
-        s_lo, span = _sign_at(w, a, d), b - a
-        try:    # OverflowError where floats cannot hold w or (lo, hi)
-            x = _float_root(w, a / d, b / d, s_lo)
-            (xn, xd), (un, ud) = x.as_integer_ratio(), math.ulp(x).as_integer_ratio()
-            h1 = min(((span * td) // (tn * d)).bit_length(),
-                     ((span * ud) // (8 * un * d)).bit_length() - 1)
-        except (OverflowError, ValueError):     # or x is not finite
-            h1 = 0
-        if h1 > 0:      # g: the grid point of level h1 nearest to x
-            n = (((xn * d - a * xd) << (h1 + 1)) + xd * span) // (2 * xd * span)
-            g, dh = (a << h1) + min(max(n, 0), 1 << h1) * span, d << h1
-            sg = _sign_at(w, g, dh)
-            o = g + sg * s_lo * span    # the cell's other end, on the root's side of g
-            if sg and _sign_at(w, o, dh) == -sg:
-                a, b, d = min(g, o), max(g, o), dh
-        while (b - a) * td >= tn * d:
-            m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-            s = _sign_at(w, m, d)
-            if s == 0:
-                # the root m/d is rational; shrink symmetrically around it,
-                # to a half-width of (hi - lo)/8^j for the least j >= 1 that
-                # puts the width below the target
-                scale = 8
-                while 2 * (b - a) * td >= tn * d * scale:
+        if self.node is None:       # d0^n w((a0 + span x)/d0)
+            self.node = (_scale(_shift(_scale(w[::-1], 1, d0), a0), span, 1), a0, b0, d0)
+        _, ha, hb, hd = node = self.node
+
+        def depth() -> int:     # w bends on the node's scale: a secant picks 1 of 2^depth
+            return max(1, (((hb - ha) * d) // ((b - a) * hd)).bit_length() - 1)
+
+        def rational(p: int, q: int) -> "IsolatedRoot":
+            """The cell of bisection for the root p/q: the shrink about it
+            where it is a grid point of level l <= T, else the level-T cell."""
+            u, v = p * d0 - a0 * q, q * span     # its place in (lo, hi)
+            g = math.gcd(u, v)
+            u, v = u // g, v // g
+            if not v & (v - 1) and (lev := v.bit_length() - 1) <= T:
+                m, dl, scale = (a0 << lev) + u * span, d0 << lev, 8
+                while 4 * span * td >= tn * dl * scale:
                     scale *= 8
-                a, b, d = m * scale - (b - a), m * scale + (b - a), d * scale
-                break
-            if s == s_lo:
-                a = m
-            else:
-                b = m
-        return IsolatedRoot._of(w, a, b, d)
+                return IsolatedRoot._of(w, m * scale - 2 * span, m * scale + 2 * span,
+                                        dl * scale, node)
+            a = (a0 << T) + (u << T) // v * span
+            return IsolatedRoot._of(w, a, a + span, d0 << T, node)
+
+        pos = node[0][-1] > 0       # w > 0 left of the root, as h is at 0
+        (va, vb), a, b, d, level = self.ends, a0, b0, d0, 0
+        guess, j = None, depth()
+        if (est := _float_guess(node, a, b, d)) and est[1] > j:
+            guess, j = est
+        tested = False
+        while level < T:
+            if not tested and span * lc < d:        # at most one p/lc inside
+                tested, p = True, a * lc // d + 1
+                if p * d < b * lc and not _sign_at(w, p, lc):
+                    return rational(p, lc)
+            j = min(j, T - level)
+            if guess is None:       # the secant through the end values
+                va = _sign_at(w, a, d) if va is None else va
+                vb = _sign_at(w, b, d) if vb is None else vb
+                guess = (va, va - vb) if pos else (-va, vb - va)
+            num, den = guess
+            N, dn = 1 << j, d << j
+            k = min(max((2 * num * N + den) // (2 * den), 1), N - 1)
+            g = a * N + k * span            # the grid point nearest the guess
+            if not (vg := _sign_at(w, g, dn)):
+                return rational(g, dn)
+            right = (vg > 0) == pos         # the root is right of g
+            o = g + span if right else g - span
+            if a * N < o < b * N:
+                if not (vo := _sign_at(w, o, dn)):
+                    return rational(o, dn)
+                if (vo > 0) == (vg > 0):
+                    j //= 2
+                    continue
+            else:       # an end of the cell, of the other sign
+                vo = va if o == a * N else vb
+                vo = None if vo is None else vo << n * j
+            a, b, va, vb = (g, o, vg, vo) if right else (o, g, vo, vg)
+            d, level, guess = dn, level + j, None
+            j = max(2 * j, depth())
+        return IsolatedRoot._of(w, a, b, d, node, (va, vb))
 
     def contains(self, t: Fraction) -> bool:
         n, m = t.as_integer_ratio()
@@ -232,42 +297,44 @@ def isolate_real_roots(u: Sequence[int]) -> list[IsolatedRoot]:
     rule on the node polynomial, an integer multiple of w(a + (b - a) x)
     from Taylor shifts, counts the roots of a node with 0 or 1 sign
     variations, and a node with more splits.  A root's interval is the
-    largest node that holds it alone.  The walk keeps its own stack.  A
-    quadratic of negative discriminant, which it would bisect until every
-    node reads 0, returns at once.
+    largest node that holds it alone, and it keeps that node's polynomial
+    for ``refine``.  The walk keeps its own stack.  A quadratic of
+    negative discriminant, which it would bisect until every node reads
+    0, returns at once.
     """
     w = _trim(u)
     if len(w) < 2 or len(w) == 3 and w[1] * w[1] < 4 * w[0] * w[2]:
         return []
     if (g := gcd_univariate(w, _derivative(w))) != (1,):
         w = _div_exact(w, g)
-    wq = tuple(w)
+    w = tuple(w)
     # Cauchy bound 1 + max |c_i| / |lc|, strict, so neither -B nor B is a root
     bn, bd = abs(w[-1]) + max(abs(c) for c in w[:-1]), abs(w[-1])
     # w(-B + 2B x) = w(-B (1 - 2x)): w(-B y), then y -> y + 1, then y -> -2x
-    h = _scale(_shift1(_scale(w[::-1], -bn, bd)), -2, 1)
+    h = _scale(_shift(_scale(w[::-1], -bn, bd)), -2, 1)
     g = math.gcd(*h)
     # a node (i, j, e, h) is (B i / 2^e, B j / 2^e) with node polynomial h
     todo, out = [(-1, 1, 0, [c // g for c in h])], []
     while todo:
         i, j, e, h = todo.pop()
-        if type(h) is int:      # the node's subtree is done; its roots start at out[h]
-            if len(out) == h + 1:
-                out[h] = (i, j, e)
+        if type(h) is tuple:    # the node's subtree is done; its roots start at out[h[1]]
+            if len(out) == h[1] + 1:
+                out[h[1]] = (i, j, e, h[0])
         elif (v := _descartes(h)) == 1:
-            out.append((i, j, e))
+            out.append((i, j, e, h))
         elif v:
             p, q, k = 1, 2, 1
             left = [c << d for d, c in enumerate(h)]      # 2^n h(x / 2)
-            right = _shift1(left)
+            right = _shift(left)
             while not right[-1]:        # h(p/q) = 0: the next split point
                 p, q, k = q + 1, 2 * q, k + 1
                 left = _scale(h, p, q)
-                right = _scale(_shift1(left), q - p, p)
+                right = _scale(_shift(left), q - p, p)
             m = i * (q - p) + j * p
-            todo += [(i, j, e, len(out)), (m, j << k, e + k, right),
+            todo += [(i, j, e, (h, len(out))), (m, j << k, e + k, right),
                      (i << k, m, e + k, left)]
-    return [IsolatedRoot._of(wq, i * bn, j * bn, bd << e) for i, j, e in out]
+    cells = [(i * bn, j * bn, bd << e, h) for i, j, e, h in out]
+    return [IsolatedRoot._of(w, a, b, d, (h, a, b, d)) for a, b, d, h in cells]
 
 
 class QuadraticFactor:
@@ -355,9 +422,11 @@ class LinearFactor:
 
     def line_direction(self) -> tuple[float, float]:
         """A direction vector of the zero line of the factor, its slope
-        refined to 1e-17 relative so it is the nearest float.  The slope 0
-        (the layer vanishes at 0, and the interval holds it) is exact; any
-        other slope is first enclosed apart from 0, by halving."""
+        refined to 1e-17 relative so it is the nearest float: below float
+        resolution, by the secant steps of ``refine`` from the end values
+        that the refinement to eps left.  The slope 0 (the layer vanishes
+        at 0, and the interval holds it) is exact; any other slope is first
+        enclosed apart from 0, by halving."""
         if self.is_axis:
             return (0.0, 1.0)
         r = self.root

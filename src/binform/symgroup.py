@@ -339,12 +339,15 @@ def _finite_group(fs: FactorizationStructure, tol: float, label: str) -> FiniteC
     and usually a lower degree.  Every symmetry is, up to sign, one of the
     Moebius candidates, so the verified set is the identity, the verified
     candidates and, at even degree, the exact negative of each: the defect
-    is even in h there, so -h has the same residual.  With one line the
-    group fixes that line, and a finite-order element of GL+(2) that
-    fixes a line is +-id, so the identity is the only candidate then."""
+    is even in h there, so -h has the same residual.  The identity, and -I
+    at even degree, take no polish: g o I = g exactly, so their residual
+    is 0, and a candidate whose image triple is its source is the
+    identity.  With one line the group fixes that line, and a finite-order
+    element of GL+(2) that fixes a line is +-id, so the identity is the
+    only candidate then."""
     g = _reduced_form(fs)
     target = _unit_target(g)
-    elems: list[tuple[Mat2, float]] = []
+    elems = [(Mat2.approx(s, 0.0, 0.0, s), 0.0) for s in (1.0, -1.0)[:2 - g.degree % 2]]
 
     def verify(entries) -> None:
         """Polish a candidate and keep it, with its negative at even
@@ -362,7 +365,6 @@ def _finite_group(fs: FactorizationStructure, tol: float, label: str) -> FiniteC
             if m.det() > 0 and not any(e.dist(m) < _DEDUPE_TOL for e, _ in elems):
                 elems.append((m, sol[1]))
 
-    verify((1.0, 0.0, 0.0, 1.0))
     if fs.l != 1:
         _candidates_moebius(fs, target[0], verify)
 
@@ -418,6 +420,8 @@ def _candidates_moebius(fs, fn, verify):
         images = [[r, c, r2] for r, c, beta in roots if beta == b0
                   for r2, _, beta2 in roots if r2 != r and beta2 == b1]
     for image in images:
+        if image == source:     # the identity, already verified
+            continue
         scaled = _fix_scale(fn, *_moebius(source, image))
         if scaled is not None:
             verify(scaled)

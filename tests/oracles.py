@@ -256,6 +256,31 @@ def bisect_refine(row, lo, hi, eps):
     return lo, hi, False
 
 
+def halve_refine(w, a, b, d, tn, td):
+    """The plain integer halving of a root's cell (a/d, b/d) of the integer
+    row w (lowest degree first) to a width below tn/td, as ``refine`` ran
+    it before it took any jump: (a, b, d) unreduced, a midpoint that is the
+    root shrinking the cell about it by powers of 8."""
+    def sign(p, q):
+        v = sum(c * p**i * q ** (len(w) - 1 - i) for i, c in enumerate(w))
+        return (v > 0) - (v < 0)
+
+    s_lo = sign(a, d)
+    while (b - a) * td >= tn * d:
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        s = sign(m, d)
+        if s == 0:
+            scale = 8
+            while 2 * (b - a) * td >= tn * d * scale:
+                scale *= 8
+            return m * scale - (b - a), m * scale + (b - a), d * scale
+        if s == s_lo:
+            a = m
+        else:
+            b = m
+    return a, b, d
+
+
 def pair_from_disc(disc, k, eps):
     """The enclosure of x^2 + b x y + c y^2 for the root in the disc (a, b,
     r) of rung k, in Fractions as paircert first computed it: (b_lo, b_hi,

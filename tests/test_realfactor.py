@@ -712,24 +712,123 @@ def test_refine_jumps_to_the_cell_bisection_reaches(row):
             assert (tight.lo, tight.hi) == oracles.bisect_refine(row, r.lo, r.hi, eps)[:2]
 
 
-def test_a_row_beyond_the_float_range_takes_no_jump():
+def test_a_row_beyond_the_float_range_jumps_by_its_node_polynomial(monkeypatch):
+    """t - 10^-320 has a coefficient beyond the float range, but its node
+    polynomial, scaled by a power of two into floats, still gives the jump:
+    a few signs where halving to 2^-1100 takes 1,100."""
     w = _ints([F(-1, 10**320), F(1)], primitive=True)      # t - 10^-320
-    with pytest.raises(OverflowError):
-        rf._float_root(w, -1.0, 1.0, -1)
     (r,) = isolate_real_roots(w)
-    assert r.refine(F(1, 2**1100)).contains(F(1, 10**320))
+    calls = oracles.count_calls(monkeypatch, rf._sign_at)
+    tight = r.refine(F(1, 2**1100))
+    assert tight.contains(F(1, 10**320)) and len(calls) < 40
+    assert (tight.a, tight.b, tight.d) == oracles.halve_refine(w, r.a, r.b, r.d, 1, 2**1100)
 
 
-def test_refining_sqrt2_takes_three_signs(monkeypatch):
-    """One sign at lo, two for the jump's cell (the last level's cells are
-    far wider than 8 ulps) and none for halving; the result's endpoints
-    are not checked again.  Plain bisection from (0, 3) takes 45."""
+def test_refining_sqrt2_takes_two_signs(monkeypatch):
+    """The two signs at the ends of the jump's cell (the last level's cells
+    are far wider than the float error); the sign left of the root is the
+    node polynomial's at 0, and the result's endpoints are not checked
+    again.  Plain bisection from (0, 3) takes 45."""
     (_, r) = isolate_real_roots([-2, 0, 1])
     assert (r.lo, r.hi) == (0, 3)
     calls = oracles.count_calls(monkeypatch, rf._sign_at)
     tight = r.refine(1e-12)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert (tight.lo, tight.hi) == oracles.bisect_refine([-2, 0, 1], r.lo, r.hi, 1e-12)[:2]
+
+
+@st.composite
+def refine_cases(draw):
+    """A squarefree integer row and the interval of one of its roots: a
+    product of lines at integer, dyadic and other rational roots, of close
+    pairs and of irrational quadratics, Mignotte-like rows, and rows with
+    a coefficient beyond the float range."""
+    kind = draw(st.sampled_from(["roots", "mignotte", "huge"]))
+    if kind == "mignotte":      # t^n - 2 (a t - 1)^2: two roots near 1/a
+        a, n = draw(st.sampled_from((10, 100))), draw(st.integers(6, 12))
+        row = [F(-2), F(4 * a), F(-2 * a * a)] + [F(0)] * (n - 3) + [F(1)]
+    else:
+        small = st.fractions(-8, 8, max_denominator=12)
+        integer = st.integers(-40, 40).map(F)
+        dyadic = st.builds(lambda n, j: F(n, 2**j), st.integers(-64, 64), st.integers(0, 8))
+        tiny = st.builds(lambda s, k: F(s, 10**k), st.sampled_from((1, -1)),
+                         st.sampled_from((17, 40, 320) if kind == "huge" else (3, 17)))
+        roots = set(draw(st.lists(integer | dyadic | small | tiny, min_size=1, max_size=5)))
+        if draw(st.booleans()):         # a close pair, Mignotte-like
+            r = draw(small)
+            roots |= {r, r + F(1, 10 ** draw(st.sampled_from((9, 20, 60))))}
+        row = [F(draw(st.integers(1, 9)))]
+        for r in roots:
+            row = _mul_rows(row, [-r, F(1)])
+        if draw(st.booleans()):         # an irrational pair: +- sqrt(c)
+            row = _mul_rows(row, [F(-draw(st.sampled_from((2, 3, 5, 7)))), F(0), F(1)])
+    w = _ints(row, primitive=True)
+    roots = isolate_real_roots(w)
+    return w, roots[draw(st.integers(0, len(roots) - 1))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(refine_cases())
+def test_refine_returns_the_cell_of_plain_halving(case):
+    """Every jump, secant step and rational-root test lands on the cell
+    that plain halving reaches, in the same ints (a, b, d), at the widths
+    the package refines to: 1e-12, 1e-17 of the root's size, and the
+    rungs 2^-200 and 2^-848; and again from the cell of the first."""
+    w, r = case
+    widths = [F(1e-12), F(1, 2**200), F(1, 2**848)]
+    if not r.a <= 0 <= r.b:
+        widths.append(F(1e-17) * F(min(abs(r.a), abs(r.b)), r.d))
+    for eps in widths:
+        tn, td = eps.as_integer_ratio()
+        tight = r._refine(tn, td)
+        assert (tight.a, tight.b, tight.d) == oracles.halve_refine(w, r.a, r.b, r.d, tn, td)
+    finer = r.refine(1e-12)._refine(1, 2**200)
+    assert (finer.a, finer.b, finer.d) == oracles.halve_refine(
+        w, *oracles.halve_refine(w, r.a, r.b, r.d, *F(1e-12).as_integer_ratio()), 1, 2**200)
+
+
+def test_refine_from_the_public_constructor_rebuilds_the_node():
+    """A root built from its interval gets its node polynomial by one Taylor
+    shift, and refines to the cell of plain halving."""
+    w = (-2, 0, 1)
+    r = IsolatedRoot(w, F(1, 3), F(7, 3))
+    assert r.node is None
+    tight = r.refine(F(1, 2**300))
+    h, a, b, d = r.node
+    assert (a, b, d) == (r.a, r.b, r.d) and h == [36, 12, -17]      # 9 w((1 + 6x)/3)
+    assert (tight.a, tight.b, tight.d) == oracles.halve_refine(w, r.a, r.b, r.d, 1, 2**300)
+
+
+def test_rational_roots_take_their_cell_at_once(monkeypatch):
+    """A midpoint that is the root ends halving with the shrink about it,
+    also where one power of 8 is enough; and a cell narrower than 1/lc
+    holds one p/lc, here 1/3, whose sign 0 gives the level-T cell at once,
+    where the secant steps would take a dozen signs down to 2^-848."""
+    r = IsolatedRoot((0, -1, 0, 1), F(-1, 2), F(1, 2))       # t^3 - t about 0
+    for eps in (F(1), F(3, 4), F(1, 2), F(3, 10), F(1, 10), F(1, 10**9)):
+        tight = r.refine(eps)
+        assert (tight.a, tight.b, tight.d) == oracles.halve_refine(r.poly, r.a, r.b, r.d,
+                                                                   *eps.as_integer_ratio())
+    w = (2, -6, -1, 3)                                         # (3t - 1)(t^2 - 2)
+    (r,) = [r for r in isolate_real_roots(w) if r.contains(F(1, 3))]
+    calls = oracles.count_calls(monkeypatch, rf._sign_at)
+    tight = r.refine(F(1, 2**848))
+    assert len(calls) <= 3
+    assert (tight.a, tight.b, tight.d) == oracles.halve_refine(w, r.a, r.b, r.d, 1, 2**848)
+
+
+def test_factor_on_eighty_lines_takes_at_most_six_signs_per_root(monkeypatch):
+    """The lines x - j y, j <= 80: the float Newton root of each node
+    polynomial lands the jump, where an estimate from the whole layer
+    misses by up to 0.12 and leaves 31-37 halvings per root."""
+    f = _lines(80)
+    fs = factor_form(f)
+    calls = oracles.count_calls(monkeypatch, rf._sign_at)
+    start = time.perf_counter()
+    assert len(fs.linear) == 80
+    assert len(calls) <= 6 * 80
+    assert all(lf.root.contains(F(1, j)) for lf, j in zip(fs.linear, range(80, 0, -1)))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("eps", [0, 0.0, -1e-3, F(-1, 3), math.nan, math.inf, -math.inf])
@@ -815,6 +914,27 @@ def test_degree_cap_powers_keep_their_layers(text, bases):
     want = [(tuple(polyring._trim(parse_polynomial(base).to_form().ints)), m)
             for base, m in bases]
     assert squarefree_decomposition(parse_polynomial(text).to_form().ints) == want
+
+
+@pytest.mark.parametrize("text, gcds, mults", [
+    ("x^512*y^512*(x-y)^512", 1, [512]),
+    ("(x^2+y^2)^512*(x^2+2*y^2)^256", 257, [256, 512]),
+    ("(x-y)^3*(x-2*y)^5*(x+y)^5", 4, [3, 5]),
+])
+def test_yun_stops_when_one_multiplicity_is_left(monkeypatch, text, gcds, mults):
+    """Once d = k c' for an int k >= 1, every factor left in c has the
+    multiplicity m + k, and c is the last layer: the first power takes one
+    gcd where the loop took 513, the second its 256 steps and one more."""
+    u = parse_polynomial(text).to_form().ints
+    calls = oracles.count_calls(monkeypatch, polyring._gcd_cofactors)
+    layers = squarefree_decomposition(u)
+    assert len(calls) == gcds and [m for _, m in layers] == mults
+    prod = [1]
+    for w, m in layers:
+        for _ in range(m):
+            prod = polyring.convolve(prod, w)
+    assert HomogeneousForm._of(1, 1, tuple(prod)).proportional_to(
+        HomogeneousForm._of(1, 1, tuple(polyring._trim(u))))
 
 
 def test_products_of_many_lines_isolate_in_time():

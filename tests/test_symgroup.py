@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -405,7 +406,7 @@ def test_quadratic_candidates_match_the_transport_reference(f):
         assert min(b.dist(a) for a in g.elements) < 1e-9
 
 
-@pytest.mark.parametrize("text, n, polished", [
+@pytest.mark.parametrize("text, n, candidates", [
     # the identity and the five line shifts, all rotations
     ("x^5-10*x^3*y^2+5*x*y^4", 5, 6),
     # the identity and the two shifts by an even number of lines; the odd
@@ -413,10 +414,12 @@ def test_quadratic_candidates_match_the_transport_reference(f):
     # the other quarter turn are negatives, not polished
     ("x^4-6*x^2*y^2+y^4", 4, 3),
 ])
-def test_finite_group_polishes_only_the_candidates(monkeypatch, text, n, polished):
+def test_finite_group_polishes_only_the_candidates(monkeypatch, text, n, candidates):
+    # two candidates are the identity, and the shift by no line, whose
+    # image triple is its source: recorded with residual 0, not polished
     calls = count_calls(monkeypatch, symgroup._polish)
     assert symmetry_group(parsed(text)).n == n
-    assert len(calls) == polished
+    assert len(calls) == candidates - 2
 
 
 def test_an_element_off_the_generator_powers_is_too_loose(monkeypatch):
@@ -433,13 +436,14 @@ def test_an_element_off_the_generator_powers_is_too_loose(monkeypatch):
         symmetry_group(THREE_LINES)
 
 
-@pytest.mark.parametrize("f, polished", [
+@pytest.mark.parametrize("f, candidates", [
     (THREE_LINES, 4),                 # the identity and three line shifts
     (TWO_QUADS, 3),                   # the identity and two root triples
 ])
-def test_always_verifying_polish_is_too_loose(monkeypatch, f, polished):
+def test_always_verifying_polish_is_too_loose(monkeypatch, f, candidates):
     # every polish "verifies" a new matrix; the set is then not the powers
-    # of one generator, and the search stops with the candidates
+    # of one generator, and the search stops with the candidates, all
+    # polished but the identity and the image that is its own source
     count = itertools.count(1)
 
     def fake_polish(target, entries):
@@ -448,7 +452,7 @@ def test_always_verifying_polish_is_too_loose(monkeypatch, f, polished):
     monkeypatch.setattr(symgroup, "_polish", fake_polish)
     with pytest.raises(ToleranceTooLooseError, match="not the powers of one generator"):
         symmetry_group(f)
-    assert next(count) == polished + 1
+    assert next(count) == candidates - 2 + 1
 
 
 def _even_case_de_forms():
@@ -480,6 +484,29 @@ def test_even_degree_groups_are_closed_under_exact_negation(monkeypatch, f):
             # a negative, not polished itself: its zeros are +0.0, so it
             # never prints as -0
             assert all(math.copysign(1.0, v) == 1.0 for v in h.entries() if v == 0.0)
+
+
+def test_finite_groups_polish_no_identity(monkeypatch):
+    """The identity, -I at even degree and every candidate whose image
+    triple is its source are recorded with residual 0 and never polished;
+    n, the generator and the residual of these ten forms are, to the bit,
+    what they were when the identity was polished."""
+    calls = count_calls(monkeypatch, symgroup._polish)
+    quads = [form(1, 0, 1), form(1, 0, 3), form(1, 1, 1), form(1, 0, 2)]
+    forms = [THREE_LINES, LINE_AND_CIRCLE, FOUR_LINES, TWO_QUADS, form(1, 0, -10, 0, 5, 0),
+             form(1, 0, 0, 0, -1), quads[0] * quads[1], quads[2] * quads[3],
+             quads[0] * quads[0] * form(2, 0, 1), form(0, 1, 0, 4, 0)]
+    rows = []
+    for f in forms:
+        g = symmetry_group(f)
+        rows.append((g.n, tuple(float(v).hex() for v in g.generator.entries()),
+                     float(g.residual).hex()))
+    ident = Mat2.approx(1.0, 0.0, 0.0, 1.0)
+    assert calls and all(Mat2.approx(*entries).dist(ident) > 1e-6
+                         and Mat2.approx(*entries).dist(ident.scale(-1.0)) > 1e-6
+                         for (_, entries), _ in calls)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "12183e0f63f18def3541359c202ec2e91fe1f1fce6d255b259e425f7a111f74c"
 
 
 def test_tol_below_the_polish_floor_is_an_error():

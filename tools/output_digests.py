@@ -15,11 +15,11 @@ forms off the corpus through ``factor``, ``decide``, ``classify``,
 each: real lines 10^-100 to 10^-400 apart, conjugate pairs 10^-50 to
 10^-250 off the real axis, alone and beside a line, lines at +-10^-100,
 the Mignotte-like rows y^n - 2 (a y - x)^2 x^(n-2), with two lines
-within about a^-(n+2)/2 of each other, the products of 40 and of 60
+within about a^-(n+2)/2 of each other, the products of 40, 60 and 80
 lines, and powers at the parser's degree cap: (x-y)^512 (x-2y)^512
 (x-3y)^512, (x^2+y^2)^512 (x^2+2y^2)^256 and (x^2+xy+y^2)^300 (x-3y)^500.  The
 corpus's layers have degree 8 or less and isolate in a few levels; these
-reach degree 60 and trees 1,300 levels deep, and Yun's gcds on the powers
+reach degree 80 and trees 1,300 levels deep, and Yun's gcds on the powers
 have degree about 1,500.
 
 The workload name ``parse`` checks the parser alone, in this process and
@@ -72,7 +72,7 @@ _EDGE_FORMS = (
     + [f"(x+y)*((x-y)^2+1/10^{k}*y^2)" for k in (300, 500)]
     + ["x^2-10^200*y^2"]
     + [f"y^{n}-2*({a}*y-x)^2*x^{n - 2}" for a in (10, 100) for n in range(6, 13)]
-    + ["(x-y)*" + "*".join(f"(x-{j}*y)" for j in range(2, n + 1)) for n in (40, 60)]
+    + ["(x-y)*" + "*".join(f"(x-{j}*y)" for j in range(2, n + 1)) for n in (40, 60, 80)]
     + ["(x-y)^512*(x-2*y)^512*(x-3*y)^512", "(x^2+y^2)^512*(x^2+2*y^2)^256",
        "(x^2+x*y+y^2)^300*(x-3*y)^500"]
 )
