@@ -98,8 +98,7 @@ class Trajectory:
         return self.points[-1]
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau; the fields are autonomous, so it needs no nodes
 _DP_A = (
     (),
     (1 / 5,),

@@ -25,17 +25,21 @@ from .verdict import classify_case
 
 
 class PlanarPolyField:
-    """Polynomial vector field P d/dx + Q d/dy; ``degree`` is the common
-    degree of the components when ``homogeneous``, else None.
+    """Polynomial vector field P d/dx + Q d/dy; ``degree`` is the total
+    degree that every monomial of P and Q shares, else None.
 
     The first :meth:`at` compiles P and Q into one :func:`float_kernel`
     that shares their powers of x and y and returns the pair."""
 
-    __slots__ = ("P", "Q", "homogeneous", "degree", "_kernel")
+    __slots__ = ("P", "Q", "_kernel")
 
-    def __init__(self, P: BivariatePoly, Q: BivariatePoly, homogeneous: bool,
-                 degree: Optional[int]):
-        self.P, self.Q, self.homogeneous, self.degree = P, Q, homogeneous, degree
+    def __init__(self, P: BivariatePoly, Q: BivariatePoly):
+        self.P, self.Q = P, Q
+
+    @property
+    def degree(self) -> Optional[int]:
+        degrees = {i + j for i, j in (*self.P.nums, *self.Q.nums)}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def at(self, x: float, y: float) -> tuple[float, float]:
         try:
@@ -48,8 +52,7 @@ class PlanarPolyField:
 def _field_from_forms(P: HomogeneousForm, Q: HomogeneousForm) -> PlanarPolyField:
     if P.degree != Q.degree:
         raise InvariantError(f"field components of degrees {P.degree} and {Q.degree}")
-    return PlanarPolyField(P=P.to_bivariate(), Q=Q.to_bivariate(),
-                           homogeneous=True, degree=P.degree)
+    return PlanarPolyField(P=P.to_bivariate(), Q=Q.to_bivariate())
 
 
 def hamiltonian_field(f: HomogeneousForm) -> PlanarPolyField:

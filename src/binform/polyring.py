@@ -565,32 +565,24 @@ def compose_linear(f: HomogeneousForm, h: Mat2):
     """
     if not h.is_exact:
         return compose_coeffs(f.float_coeffs(), *(float(e) for e in h.entries()))
-    return HomogeneousForm._normal(compose_coeffs(f.coefficients(), *h.entries()))
+    return HomogeneousForm._normal(compose_coeffs(f.ints, *h.entries()), f.num, f.den)
 
 
 def compose_coeffs(cs, a, b, c, d) -> list:
     """Coefficients (x-power first) of z -> f(h z) for the form f with
-    coefficients cs and h = [[a, b], [c, d]].
+    coefficients cs and h = [[a, b], [c, d]], by Horner in the image lines
+    L1 = a*x + b*y and L2 = c*x + d*y: S_i = S_(i-1)*L1 + c_i*L2^i, in
+    O(p^2) products.
 
     Any scalars closed under + and * will do: Fractions give the exact
     composition, floats the float one, and numpy arrays of matrix entries
     compose f with a whole batch of matrices at once.  No term is skipped
     for being zero, so every output entry has the type of the inputs.
     """
-    p = len(cs) - 1
-    # powers of the image lines a*x + b*y and c*x + d*y
-    pow1 = [[1]]
-    pow2 = [[1]]
-    for _ in range(p):
-        pow1.append(_lin_mul(pow1[-1], a, b))
-        pow2.append(_lin_mul(pow2[-1], c, d))
-    out = [0] * (p + 1)
-    for i, ci in enumerate(cs):
-        u, v = pow1[p - i], pow2[i]
-        for s, cu in enumerate(u):
-            w = ci * cu
-            for t, cv in enumerate(v):
-                out[s + t] += w * cv
+    out, power = [cs[0]], [1]
+    for ci in cs[1:]:
+        power = _lin_mul(power, c, d)
+        out = [s + ci * t for s, t in zip(_lin_mul(out, a, b), power)]
     return out
 
 

@@ -351,8 +351,7 @@ def test_criterion_10_orbits_shifts_drift():
     for _ in range(100):
         a, b, c, d = (rng.uniform(-1.5, 1.5) for _ in range(4))
         fld = PlanarPolyField(P=BivariatePoly({(1, 0): a, (0, 1): b}),
-                              Q=BivariatePoly({(1, 0): c, (0, 1): d}),
-                              homogeneous=True, degree=1)
+                              Q=BivariatePoly({(1, 0): c, (0, 1): d}))
         sigma = BivariatePoly({(0, 0): rng.uniform(-1.5, 1.5)})
         z = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         got, _ = shift_map_apply(fld, sigma, z, cfg)
@@ -373,8 +372,7 @@ def test_criterion_10_orbits_shifts_drift():
 
 def test_criterion_11_regularity_trichotomy():
     vertical = PlanarPolyField(P=BivariatePoly({}),
-                               Q=BivariatePoly({(0, 0): F(1)}),
-                               homogeneous=False, degree=None)
+                               Q=BivariatePoly({(0, 0): F(1)}))
     samples = [(0, 0), (2, -3)]
     sigma_y = BivariatePoly({(0, 1): F(1)})
     assert shift_regularity(vertical, sigma_y.scale(-1), samples) == ["degenerate"] * 2

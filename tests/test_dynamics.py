@@ -42,8 +42,7 @@ def poly(terms):
 
 def linear_field(a, b, c, d):
     return PlanarPolyField(P=poly({(1, 0): a, (0, 1): b}),
-                           Q=poly({(1, 0): c, (0, 1): d}),
-                           homogeneous=True, degree=1)
+                           Q=poly({(1, 0): c, (0, 1): d}))
 
 
 ZERO = poly({})
@@ -132,7 +131,7 @@ def test_clipped_last_step_ends_at_target():
 
 def test_blowup_flag():
     # dz/dt = z^2 escapes to infinity at t = 1 from z = 1
-    fld = PlanarPolyField(P=poly({(2, 0): 1}), Q=ZERO, homogeneous=False, degree=None)
+    fld = PlanarPolyField(P=poly({(2, 0): 1}), Q=ZERO)
     cfg = FlowConfig(box=(-50, -50, 50, 50))
     traj = integrate_flow(fld, (1.0, 0.0), 2.0, cfg)
     assert traj.status == "blowup"
@@ -200,7 +199,7 @@ def test_shift_map_matches_closed_form():
 
 
 def test_shift_map_blowup_raises():
-    fld = PlanarPolyField(P=poly({(2, 0): 1}), Q=ZERO, homogeneous=False, degree=None)
+    fld = PlanarPolyField(P=poly({(2, 0): 1}), Q=ZERO)
     sigma = poly({(0, 0): 2})
     with pytest.raises(BlowUpError):
         shift_map_apply(fld, sigma, (1.0, 0.0), FlowConfig(box=(-40, -40, 40, 40)))
@@ -211,8 +210,7 @@ def test_shift_map_zero_sigma_is_identity():
 
 
 def test_shift_regularity_trichotomy():
-    vertical = PlanarPolyField(P=ZERO, Q=poly({(0, 0): 1}),
-                               homogeneous=False, degree=None)
+    vertical = PlanarPolyField(P=ZERO, Q=poly({(0, 0): 1}))
     samples = [(0, 0), (2, -3)]
     assert shift_regularity(vertical, poly({(0, 1): -1}), samples) \
         == ["degenerate", "degenerate"]
@@ -225,8 +223,7 @@ def test_shift_regularity_trichotomy():
 
 def test_shift_regularity_is_exact_at_threshold():
     # L = -1 exactly at (1, 1) but not elsewhere
-    vertical = PlanarPolyField(P=ZERO, Q=poly({(0, 0): 1}),
-                               homogeneous=False, degree=None)
+    vertical = PlanarPolyField(P=ZERO, Q=poly({(0, 0): 1}))
     sigma = poly({(0, 2): Fraction(-1, 2), (0, 0): Fraction(1, 7)})
     out = shift_regularity(vertical, sigma, [(1, 1), (1, Fraction(1, 2)), (1, 2)])
     assert out == ["degenerate", "regular", "folding"]

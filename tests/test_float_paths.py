@@ -42,8 +42,7 @@ def _flow_bits(fld, z0, T, cfg):
 
 
 def _field(p_terms, q_terms):
-    return PlanarPolyField(P=BivariatePoly(p_terms), Q=BivariatePoly(q_terms),
-                           homogeneous=False, degree=None)
+    return PlanarPolyField(P=BivariatePoly(p_terms), Q=BivariatePoly(q_terms))
 
 
 def _sample_forms():

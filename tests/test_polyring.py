@@ -171,7 +171,7 @@ def test_compose_linear_exact():
     assert h.eval_exact(1, 2) == f.eval_exact(*shear.apply(1, 2))
 
 
-@pytest.mark.parametrize("p", range(1, 13))
+@pytest.mark.parametrize("p", [*range(1, 13), 30, 60])
 def test_compose_coeffs_scalar_types_agree(p):
     rng = random.Random(300 + p)
     cs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(p + 1)]
@@ -564,8 +564,7 @@ def test_form_kernel_matches_generic_formula(coeffs, x, y):
 def test_field_kernel_matches_components_in_turn(p_terms, q_terms, x, y):
     """P and Q share one kernel; with disjoint exponents Q needs powers of
     its own, taken only after P's sum, so the first failure is P's."""
-    fld = PlanarPolyField(P=BivariatePoly(p_terms), Q=BivariatePoly(q_terms),
-                          homogeneous=False, degree=None)
+    fld = PlanarPolyField(P=BivariatePoly(p_terms), Q=BivariatePoly(q_terms))
 
     def in_turn(first, second):
         return lambda x, y: (bivariate_eval_float(first.terms, x, y),

@@ -406,20 +406,21 @@ def test_quadratic_candidates_match_the_transport_reference(f):
         assert min(b.dist(a) for a in g.elements) < 1e-9
 
 
-@pytest.mark.parametrize("text, n, candidates", [
-    # the identity and the five line shifts, all rotations
-    ("x^5-10*x^3*y^2+5*x*y^4", 5, 6),
-    # the identity and the two shifts by an even number of lines; the odd
-    # shifts send f to -f and are dropped before any polish, and -id and
-    # the other quarter turn are negatives, not polished
-    ("x^4-6*x^2*y^2+y^4", 4, 3),
+@pytest.mark.parametrize("text, n, polished", [
+    # the four line shifts by one to four lines, all rotations; the
+    # identity and the shift by no line, whose image triple is its
+    # source, are recorded with residual 0 and not polished
+    ("x^5-10*x^3*y^2+5*x*y^4", 5, 4),
+    # the shift by two lines, a quarter turn; the odd shifts send f to -f
+    # and are dropped before any polish, the identity, -I and the shift by
+    # no line are recorded unpolished, and the other quarter turn is the
+    # negative of the polished one
+    ("x^4-6*x^2*y^2+y^4", 4, 1),
 ])
-def test_finite_group_polishes_only_the_candidates(monkeypatch, text, n, candidates):
-    # two candidates are the identity, and the shift by no line, whose
-    # image triple is its source: recorded with residual 0, not polished
+def test_finite_group_polishes_only_the_candidates(monkeypatch, text, n, polished):
     calls = count_calls(monkeypatch, symgroup._polish)
     assert symmetry_group(parsed(text)).n == n
-    assert len(calls) == candidates - 2
+    assert len(calls) == polished
 
 
 def test_an_element_off_the_generator_powers_is_too_loose(monkeypatch):
@@ -436,14 +437,14 @@ def test_an_element_off_the_generator_powers_is_too_loose(monkeypatch):
         symmetry_group(THREE_LINES)
 
 
-@pytest.mark.parametrize("f, candidates", [
-    (THREE_LINES, 4),                 # the identity and three line shifts
-    (TWO_QUADS, 3),                   # the identity and two root triples
+@pytest.mark.parametrize("f, polished", [
+    (THREE_LINES, 2),                 # the shifts by one and two lines
+    (TWO_QUADS, 1),                   # the one root triple not its source
 ])
-def test_always_verifying_polish_is_too_loose(monkeypatch, f, candidates):
+def test_always_verifying_polish_is_too_loose(monkeypatch, f, polished):
     # every polish "verifies" a new matrix; the set is then not the powers
-    # of one generator, and the search stops with the candidates, all
-    # polished but the identity and the image that is its own source
+    # of one generator, and the search stops with the candidates polished:
+    # the identity and the image that is its own source are not
     count = itertools.count(1)
 
     def fake_polish(target, entries):
@@ -452,7 +453,7 @@ def test_always_verifying_polish_is_too_loose(monkeypatch, f, candidates):
     monkeypatch.setattr(symgroup, "_polish", fake_polish)
     with pytest.raises(ToleranceTooLooseError, match="not the powers of one generator"):
         symmetry_group(f)
-    assert next(count) == candidates - 2 + 1
+    assert next(count) == polished + 1
 
 
 def _even_case_de_forms():
@@ -489,8 +490,8 @@ def test_even_degree_groups_are_closed_under_exact_negation(monkeypatch, f):
 def test_finite_groups_polish_no_identity(monkeypatch):
     """The identity, -I at even degree and every candidate whose image
     triple is its source are recorded with residual 0 and never polished;
-    n, the generator and the residual of these ten forms are, to the bit,
-    what they were when the identity was polished."""
+    n, the generator and the residual of these ten forms are pinned to the
+    bit, as the Horner composition rounds them."""
     calls = count_calls(monkeypatch, symgroup._polish)
     quads = [form(1, 0, 1), form(1, 0, 3), form(1, 1, 1), form(1, 0, 2)]
     forms = [THREE_LINES, LINE_AND_CIRCLE, FOUR_LINES, TWO_QUADS, form(1, 0, -10, 0, 5, 0),
@@ -506,7 +507,7 @@ def test_finite_groups_polish_no_identity(monkeypatch):
                          and Mat2.approx(*entries).dist(ident.scale(-1.0)) > 1e-6
                          for (_, entries), _ in calls)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
-        "12183e0f63f18def3541359c202ec2e91fe1f1fce6d255b259e425f7a111f74c"
+        "098cb738b8aa48ca3c045eb53db735876da130e6ea7072914c2ab24cf33d6970"
 
 
 def test_tol_below_the_polish_floor_is_an_error():

@@ -10,17 +10,18 @@ fresh ``python -m binform.cli`` process instead) and prints one line
 stdout, stderr and every file the request wrote.
 
 The workload name ``edge`` runs, whatever --seeds says, a fixed list of
-forms off the corpus through ``factor``, ``decide``, ``classify``,
-``symmetry`` and ``hamiltonian``, one line ``edge/command/form sha256``
-each: real lines 10^-100 to 10^-400 apart, conjugate pairs 10^-50 to
-10^-250 off the real axis, alone and beside a line, lines at +-10^-100,
-the Mignotte-like rows y^n - 2 (a y - x)^2 x^(n-2), with two lines
-within about a^-(n+2)/2 of each other, the products of 40, 60 and 80
-lines, and powers at the parser's degree cap: (x-y)^512 (x-2y)^512
-(x-3y)^512, (x^2+y^2)^512 (x^2+2y^2)^256 and (x^2+xy+y^2)^300 (x-3y)^500.  The
-corpus's layers have degree 8 or less and isolate in a few levels; these
-reach degree 80 and trees 1,300 levels deep, and Yun's gcds on the powers
-have degree about 1,500.
+31 forms off the corpus through ``factor``, ``decide``, ``classify``,
+``symmetry`` and ``hamiltonian``, 155 requests, one line
+``edge/command/form sha256`` each: real lines 10^-100 to 10^-400 apart,
+conjugate pairs 10^-50 to 10^-250 off the real axis, alone and beside a
+line, lines at +-10^-100, the Mignotte-like rows
+y^n - 2 (a y - x)^2 x^(n-2), with two lines within about a^-(n+2)/2 of
+each other, the products of 40, 60 and 80 lines and of the 30 quadratics
+x^2 + j y^2, and powers at the parser's degree cap: (x-y)^512 (x-2y)^512
+(x-3y)^512, (x^2+y^2)^512 (x^2+2y^2)^256 and (x^2+xy+y^2)^300 (x-3y)^500.
+The corpus's layers have degree 8 or less and isolate in a few levels;
+these reach degree 80 and trees 1,300 levels deep, and Yun's gcds on the
+powers have degree about 1,500.
 
 The workload name ``parse`` checks the parser alone, in this process and
 whatever --seeds says: one line ``parse/i sha256`` for the i-th of the
@@ -73,6 +74,7 @@ _EDGE_FORMS = (
     + ["x^2-10^200*y^2"]
     + [f"y^{n}-2*({a}*y-x)^2*x^{n - 2}" for a in (10, 100) for n in range(6, 13)]
     + ["(x-y)*" + "*".join(f"(x-{j}*y)" for j in range(2, n + 1)) for n in (40, 60, 80)]
+    + ["(x^2+y^2)*" + "*".join(f"(x^2+{j}*y^2)" for j in range(2, 31))]
     + ["(x-y)^512*(x-2*y)^512*(x-3*y)^512", "(x^2+y^2)^512*(x^2+2*y^2)^256",
        "(x^2+x*y+y^2)^300*(x-3*y)^500"]
 )
